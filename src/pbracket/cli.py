@@ -16,8 +16,9 @@ Global flags (before or after the command): --json for machine-readable
 output, --signature n=<dof> to size the group, --config <path> for a stored
 configuration (the PBRACKET_CONFIG environment variable is the fallback).
 
-Exit codes: 0 on success, 1 when a verification or computation fails, 2 on
-usage or expression-parse errors.
+Exit codes: 0 on success, 1 when a verification or computation fails (an
+unexpected internal exception included), 2 on usage or expression-parse
+errors.
 
 Expression arguments accept both classical phase-space polynomials (q1, p2,
 ...) and delta kernels (delta[x1,y1]); classical inputs to bracket and rep
@@ -284,6 +285,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except PBracketError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:
+        # Any other failure is a defect in the engine; report it on one line
+        # with exit 1 rather than as a traceback.
+        print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

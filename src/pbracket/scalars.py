@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from math import gcd, lcm
+from typing import Iterable, Mapping, Optional, Union
 
 __all__ = [
     "CRat",
@@ -31,74 +32,126 @@ RatLike = Union[int, Fraction]
 CRatLike = Union[int, Fraction, "CRat"]
 
 
-@dataclass(frozen=True)
 class CRat:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number with exact rational real and imaginary parts.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    Stored as one reduced integer triple (a, b, d) meaning (a + b*i)/d, with
+    d > 0 and gcd(a, b, d) = 1, so equal values have equal triples.  The
+    parts read back as Fractions through ``re`` and ``im``.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
+
+    def __new__(cls, re: RatLike = 0, im: RatLike = 0) -> "CRat":
+        if type(re) is int and type(im) is int:
+            return _new(re, im, 1)
+        for part in (re, im):
+            if not isinstance(part, (int, Fraction)):
+                raise TypeError(f"CRat parts must be int or Fraction, "
+                                f"not {type(part).__name__}")
+        re, im = Fraction(re), Fraction(im)
+        d = lcm(re.denominator, im.denominator)
+        return _new(re.numerator * (d // re.denominator),
+                    im.numerator * (d // im.denominator), d)
 
     @staticmethod
     def of(value: CRatLike) -> "CRat":
-        if isinstance(value, CRat):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return CRat(Fraction(value))
-        raise TypeError(f"cannot build CRat from {type(value).__name__}")
+        c = _coerce(value)
+        if c is None:
+            raise TypeError(f"cannot build CRat from {type(value).__name__}")
+        return c
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CRat is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return (CRat, (self.re, self.im))
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self._a and not self._b
 
     @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self._b
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not CRat:
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
+
+    def __hash__(self) -> int:
+        return hash((self._a, self._b, self._d))
 
     def conjugate(self) -> "CRat":
-        return CRat(self.re, -self.im)
+        return _new(self._a, -self._b, self._d)
 
     def __add__(self, other: CRatLike) -> "CRat":
-        if not isinstance(other, (int, Fraction, CRat)):
+        o = other if type(other) is CRat else _coerce(other)
+        if o is None:
             return NotImplemented
-        o = CRat.of(other)
-        return CRat(self.re + o.re, self.im + o.im)
+        d1, d2 = self._d, o._d
+        if d1 == d2:
+            a, b, d = self._a + o._a, self._b + o._b, d1
+        else:
+            a, b, d = self._a * d2 + o._a * d1, self._b * d2 + o._b * d1, d1 * d2
+        return _new(a, b, 1) if d == 1 else _reduced(a, b, d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CRat":
-        return CRat(-self.re, -self.im)
+        return _new(-self._a, -self._b, self._d)
 
     def __sub__(self, other: CRatLike) -> "CRat":
-        if not isinstance(other, (int, Fraction, CRat)):
+        o = other if type(other) is CRat else _coerce(other)
+        if o is None:
             return NotImplemented
-        return self + (-CRat.of(other))
+        return self + (-o)
 
     def __rsub__(self, other: CRatLike) -> "CRat":
-        if not isinstance(other, (int, Fraction, CRat)):
+        o = _coerce(other)
+        if o is None:
             return NotImplemented
-        return CRat.of(other) + (-self)
+        return o + (-self)
 
     def __mul__(self, other: CRatLike) -> "CRat":
-        if not isinstance(other, (int, Fraction, CRat)):
+        o = other if type(other) is CRat else _coerce(other)
+        if o is None:
             return NotImplemented
-        o = CRat.of(other)
-        return CRat(self.re * o.re - self.im * o.im,
-                    self.re * o.im + self.im * o.re)
+        a1, b1, a2, b2 = self._a, self._b, o._a, o._b
+        a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * o._d
+        return _new(a, b, 1) if d == 1 else _reduced(a, b, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: CRatLike) -> "CRat":
-        if not isinstance(other, (int, Fraction, CRat)):
+        o = other if type(other) is CRat else _coerce(other)
+        if o is None:
             return NotImplemented
-        o = CRat.of(other)
-        norm = o.re * o.re + o.im * o.im
+        a1, b1, a2, b2 = self._a, self._b, o._a, o._b
+        norm = a2 * a2 + b2 * b2
         if norm == 0:
             raise ZeroDivisionError("division by zero CRat")
-        return CRat((self.re * o.re + self.im * o.im) / norm,
-                    (self.im * o.re - self.re * o.im) / norm)
+        # ((a1 + b1 i)/d1) / ((a2 + b2 i)/d2) = (a1 + b1 i)(a2 - b2 i) d2 / (d1 norm)
+        d2 = o._d
+        return _reduced((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2,
+                        self._d * norm)
 
     def __rtruediv__(self, other: CRatLike) -> "CRat":
-        return CRat.of(other) / self
+        o = _coerce(other)
+        if o is None:
+            return NotImplemented
+        return o / self
 
     def __pow__(self, k: int) -> "CRat":
         if k < 0:
@@ -113,32 +166,73 @@ class CRat:
         return out
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        return complex(self._a / self._d) + 1j * complex(self._b / self._d)
+
+    def __repr__(self) -> str:
+        return f"CRat(re={self.re!r}, im={self.im!r})"
 
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            if self.im == 1:
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            if im == 1:
                 return "i"
-            if self.im == -1:
+            if im == -1:
                 return "-i"
-            if self.im.denominator == 1:
-                return f"{self.im}i"
-            return f"({self.im})i"
-        im_abs = abs(self.im)
+            if im.denominator == 1:
+                return f"{im}i"
+            return f"({im})i"
+        im_abs = abs(im)
         im_str = "i" if im_abs == 1 else (f"{im_abs}i" if im_abs.denominator == 1 else f"({im_abs})i")
-        sign = "+" if self.im > 0 else "-"
-        return f"({self.re}{sign}{im_str})"
+        sign = "+" if im > 0 else "-"
+        return f"({re}{sign}{im_str})"
+
+
+_object_new = object.__new__
+_set_a = CRat._a.__set__
+_set_b = CRat._b.__set__
+_set_d = CRat._d.__set__
+
+
+def _new(a: int, b: int, d: int) -> CRat:
+    """CRat from a triple already in reduced form."""
+    c = _object_new(CRat)
+    _set_a(c, a)
+    _set_b(c, b)
+    _set_d(c, d)
+    return c
+
+
+def _reduced(a: int, b: int, d: int) -> CRat:
+    """CRat from any triple with d > 0."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _new(a, b, d)
+
+
+def _coerce(value) -> Optional[CRat]:
+    """The CRat for an int or Fraction operand, else None."""
+    kind = type(value)
+    if kind is int:
+        return _new(value, 0, 1)
+    if kind is Fraction:
+        return _new(value.numerator, 0, value.denominator)
+    if isinstance(value, CRat):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return CRat(value)
+    return None
 
 
 CR_ZERO = CRat()
-CR_ONE = CRat(Fraction(1))
-CR_MINUS_ONE = CRat(Fraction(-1))
-CR_I = CRat(Fraction(0), Fraction(1))
-CR_MINUS_I = CRat(Fraction(0), Fraction(-1))
+CR_ONE = CRat(1)
+CR_MINUS_ONE = CRat(-1)
+CR_I = CRat(0, 1)
+CR_MINUS_I = CRat(0, -1)
 
 # Canonical order used when convention tuples are enumerated and compared.
 UNIT_VALUES = (CR_ONE, CR_MINUS_ONE, CR_I, CR_MINUS_I)
@@ -199,7 +293,7 @@ class Scalar:
         if isinstance(value, Scalar):
             return value
         c = CRat.of(value)
-        return Scalar.make({_ZERO_EXP: c})
+        return S_ZERO if c.is_zero else Scalar(((_ZERO_EXP, c),))
 
     @staticmethod
     def symbol(name: str, power: int = 1) -> "Scalar":
@@ -231,6 +325,9 @@ class Scalar:
             return o
         if o.is_zero:
             return self
+        if _constants(self, o):
+            c = self.num[0][1] + o.num[0][1]
+            return S_ZERO if c.is_zero else Scalar(((_ZERO_EXP, c),))
         den = tuple(max(self.den[j], o.den[j]) for j in range(3))
         out: dict = {}
         for part in (self, o):
@@ -255,6 +352,9 @@ class Scalar:
         o = Scalar.of(other)
         if self.is_zero or o.is_zero:
             return S_ZERO
+        if _constants(self, o):
+            # a product of nonzero complex rationals is nonzero
+            return Scalar(((_ZERO_EXP, self.num[0][1] * o.num[0][1]),))
         out: dict = {}
         for e1, c1 in self.num:
             for e2, c2 in o.num:
@@ -403,6 +503,13 @@ class Scalar:
 
 S_ZERO = Scalar()
 S_ONE = Scalar(((_ZERO_EXP, CR_ONE),))
+
+
+def _constants(x: Scalar, y: Scalar) -> bool:
+    """Whether both are h-free constants: one term at exponent (0, 0, 0)
+    over denominator (0, 0, 0)."""
+    return (len(x.num) == 1 == len(y.num) and x.den == _ZERO_EXP == y.den
+            and x.num[0][0] == _ZERO_EXP == y.num[0][0])
 
 
 def scalar(value: Union[Scalar, CRatLike]) -> Scalar:

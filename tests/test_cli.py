@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from pbracket import cli
 from pbracket.cli import main
 from pbracket.config import EngineConfig, load_config, save_config
 
@@ -100,6 +101,17 @@ def test_heff_singular_exit_code(capsys):
     code, _, err = run(capsys, "heff", "1", "-1")
     assert code == 1
     assert "zero" in err
+
+
+def test_unexpected_exception_is_one_line_error(capsys, monkeypatch):
+    def broken(ns, cfg):
+        raise RuntimeError("engine defect")
+
+    monkeypatch.setitem(cli._HANDLERS, "heff", broken)
+    code, out, err = run(capsys, "heff", "1", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: internal RuntimeError: engine defect\n"
 
 
 def test_heff_bad_fraction_is_usage_error(capsys):

@@ -1,11 +1,16 @@
 """Algebraic laws checked as random properties."""
 
+import copy
+import operator
+import pickle
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
+import pytest
 
-from pbracket.scalars import CRat, CR_ONE, S_ONE
+from pbracket.scalars import (CRat, CR_ONE, S_ONE, UNIT_VALUES, Scalar,
+                              scalar, unit_to_str)
 from pbracket.group_algebra import (Element, GroupSignature, commutator,
                                     delta_to_element, element_to_delta)
 from pbracket.pmech import (ClassicalPoly, mechanise_weyl, universal_bracket,
@@ -19,6 +24,17 @@ nonzero_coeffs = st.builds(
     lambda re, im: CRat(Fraction(re), Fraction(im)),
     st.integers(-3, 3), st.integers(-1, 1),
 ).filter(lambda c: not c.is_zero)
+
+# General complex rationals, and the int / Fraction operands CRat mixes with.
+rationals = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+crats = st.one_of(
+    nonzero_coeffs,
+    st.builds(CRat, rationals, rationals),
+    st.builds(CRat, st.integers(-9, 9)),
+    st.builds(lambda im: CRat(0, im), rationals),
+    st.builds(lambda re, im: CRat(-abs(re), im), rationals, rationals),
+)
+operands = st.one_of(crats, st.integers(-9, 9), rationals)
 
 
 @st.composite
@@ -145,3 +161,150 @@ def test_qc_bracket_antisymmetric(f, g):
     K1 = rep_qc(mechanise_weyl(SIG, f))
     K2 = rep_qc(mechanise_weyl(SIG, g))
     assert qc_bracket(K1, K2) == -qc_bracket(K2, K1)
+
+
+# -- CRat against the Fraction-pair formulas it replaced ----------------------
+#
+# A value is (re, im), a pair of Fractions; these are the formulas CRat used
+# when it stored two Fractions, kept here as the reference.
+
+
+def ref(x):
+    if isinstance(x, CRat):
+        return (x.re, x.im)
+    return (Fraction(x), Fraction(0))
+
+
+def ref_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def ref_sub(x, y):
+    return ref_add(x, (-y[0], -y[1]))
+
+
+def ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def ref_div(x, y):
+    norm = y[0] * y[0] + y[1] * y[1]
+    if norm == 0:
+        raise ZeroDivisionError
+    return ((x[0] * y[0] + x[1] * y[1]) / norm, (x[1] * y[0] - x[0] * y[1]) / norm)
+
+
+def ref_pow(x, k):
+    if k < 0:
+        return ref_div((Fraction(1), Fraction(0)), ref_pow(x, -k))
+    out = (Fraction(1), Fraction(0))
+    for _ in range(k):
+        out = ref_mul(out, x)
+    return out
+
+
+def ref_str(x):
+    re, im = x
+    if re == 0 and im == 0:
+        return "0"
+    if im == 0:
+        return str(re)
+    if re == 0:
+        if im == 1:
+            return "i"
+        if im == -1:
+            return "-i"
+        if im.denominator == 1:
+            return f"{im}i"
+        return f"({im})i"
+    im_abs = abs(im)
+    im_str = "i" if im_abs == 1 else (f"{im_abs}i" if im_abs.denominator == 1 else f"({im_abs})i")
+    sign = "+" if im > 0 else "-"
+    return f"({re}{sign}{im_str})"
+
+
+_BINARY = [(operator.add, ref_add), (operator.sub, ref_sub),
+           (operator.mul, ref_mul), (operator.truediv, ref_div)]
+
+
+def assert_matches(got, want):
+    assert type(got) is CRat
+    assert (got.re, got.im) == want
+    assert type(got.re) is Fraction and type(got.im) is Fraction
+    assert str(got) == ref_str(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(crats, operands)
+def test_crat_arithmetic_matches_fraction_pairs(x, y):
+    # y on the right, then on the left (int and Fraction operands take the
+    # reflected path)
+    for a, b in ((x, y), (y, x)):
+        for op, ref_op in _BINARY:
+            try:
+                want = ref_op(ref(a), ref(b))
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    op(a, b)
+                continue
+            assert_matches(op(a, b), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(crats, st.integers(-4, 4))
+def test_crat_powers_match_fraction_pairs(x, k):
+    if k < 0 and x.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            x ** k
+        return
+    assert_matches(x ** k, ref_pow(ref(x), k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(crats)
+def test_crat_unary_and_queries_match_fraction_pairs(x):
+    re, im = ref(x)
+    assert_matches(-x, (-re, -im))
+    assert_matches(x.conjugate(), (re, -im))
+    assert x.is_zero == (re == 0 and im == 0)
+    assert x.is_real == (im == 0)
+    assert str(x) == ref_str((re, im))
+    assert x.to_complex() == complex(re) + 1j * complex(im)
+
+
+@settings(max_examples=200, deadline=None)
+@given(crats, crats)
+def test_crat_equal_values_hash_equal(x, y):
+    assume(not y.is_zero)
+    same = (x * y) / y
+    assert same == x and hash(same) == hash(x)
+    again = CRat(x.re) + CRat(0, x.im)
+    assert again == x and hash(again) == hash(x)
+    assert (x == y) == (ref(x) == ref(y))
+    for u in UNIT_VALUES:
+        assert unit_to_str(u * y / y) == unit_to_str(u)
+
+
+@settings(max_examples=100, deadline=None)
+@given(crats)
+def test_crat_is_immutable_and_round_trips(x):
+    for name in ("re", "im", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, Fraction(1))
+    for back in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+        assert type(back) is CRat
+        assert back == x and hash(back) == hash(x)
+        assert str(back) == str(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(crats, crats)
+def test_constant_scalars_match_general_form(x, y):
+    # constant Scalars take a shortcut in + and *; Scalar.make is the
+    # general canonical form
+    zero = (0, 0, 0)
+    assert scalar(x) + scalar(y) == Scalar.make({zero: x + y})
+    assert scalar(x) * scalar(y) == Scalar.make({zero: x * y})
+    assert (scalar(x) - scalar(x)).is_zero
+    h = Scalar.symbol("h")
+    assert (scalar(x) * h + scalar(y) * h) / h == Scalar.make({zero: x + y})

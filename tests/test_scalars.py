@@ -19,6 +19,16 @@ def test_crat_construction_and_equality():
         CRat.of(0.5)
 
 
+def test_crat_rejects_non_rational_parts():
+    # a float part would make every later result inexact
+    for re, im in ((0.5, 0), (1, 0.5), (Fraction(1, 2), 1j), ("1", 0)):
+        with pytest.raises(TypeError):
+            CRat(re, im)
+    assert type(CRat(1).re) is Fraction
+    assert type(CRat(1).im) is Fraction
+    assert CRat(True) == CR_ONE
+
+
 def test_crat_field_operations():
     a = CRat(Fraction(1), Fraction(2))
     b = CRat(Fraction(3), Fraction(-1))
