@@ -23,6 +23,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -84,21 +85,6 @@ class GroupPoly:
     def scale(self, factor: CRat) -> "GroupPoly":
         return GroupPoly(self.sig, {m: c * factor for m, c in self.terms.items()})
 
-    def diff(self, idx: int) -> "GroupPoly":
-        out: Dict[Tuple[int, ...], CRat] = {}
-        for m, c in self.terms.items():
-            if m[idx]:
-                key = m[:idx] + (m[idx] - 1,) + m[idx + 1:]
-                out[key] = out.get(key, CR_ZERO) + c * m[idx]
-        return GroupPoly(self.sig, out)
-
-    def mul_var(self, idx: int) -> "GroupPoly":
-        out: Dict[Tuple[int, ...], CRat] = {}
-        for m, c in self.terms.items():
-            key = m[:idx] + (m[idx] + 1,) + m[idx + 1:]
-            out[key] = out.get(key, CR_ZERO) + c
-        return GroupPoly(self.sig, out)
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -112,26 +98,52 @@ class GroupPoly:
         return hash((self.sig, tuple(sorted(self.terms.items()))))
 
 
-def _act_generator(sig: GroupSignature, idx: int, f: GroupPoly) -> GroupPoly:
-    """Left-invariant vector field of generator ``idx`` applied to ``f``.
+@lru_cache(maxsize=None)
+def _generator_fields(sig: GroupSignature) -> Tuple[Tuple[int, int, int, CRat], ...]:
+    """Left-invariant vector field of each generator, indexed like Element
+    exponents, as ``(idx, s_idx, partner_idx, coeff)``:
 
-    S_sigma   -> d/ds_sigma
-    X_{s,i}   -> d/dx - eps*(y/2) d/ds_sigma
-    Y_{s,i}   -> d/dy + eps*(x/2) d/ds_sigma
+    S_sigma   -> d/ds_sigma                        (partner_idx = -1)
+    X_{s,i}   -> d/dx - eps*(y/2) d/ds_sigma       (partner y, coeff -eps/2)
+    Y_{s,i}   -> d/dy + eps*(x/2) d/ds_sigma       (partner x, coeff +eps/2)
     """
-    if idx < 2:
-        return f.diff(idx)
-    eps = sig.convention.eps_comm
-    half = CRat.of(Fraction(1, 2))
-    slot = (idx - 2) // 2
-    sector = sig.slot_sector(slot)
-    s_idx = sector - 1
-    ds = f.diff(s_idx)
-    if (idx - 2) % 2 == 0:
-        y_idx = idx + 1
-        return f.diff(idx) + ds.mul_var(y_idx).scale(CR_ZERO - eps * half)
-    x_idx = idx - 1
-    return f.diff(idx) + ds.mul_var(x_idx).scale(eps * half)
+    half_eps = sig.convention.eps_comm * CRat(Fraction(1, 2))
+    fields = [(0, 0, -1, CR_ZERO), (1, 1, -1, CR_ZERO)]
+    for idx in range(2, sig.width):
+        s_idx = sig.slot_sector((idx - 2) // 2) - 1
+        if (idx - 2) % 2 == 0:
+            fields.append((idx, s_idx, idx + 1, -half_eps))
+        else:
+            fields.append((idx, s_idx, idx - 1, half_eps))
+    return tuple(fields)
+
+
+def _apply_field(field: Tuple[int, int, int, CRat],
+                 terms: Dict[Tuple[int, ...], CRat]) -> Dict[Tuple[int, ...], CRat]:
+    """One generator's field applied to a term map, in one pass: the
+    derivative along the generator's own coordinate and, for X and Y, the
+    partner coordinate times the derivative along its sector's s."""
+    idx, s_idx, partner, coeff = field
+    out: Dict[Tuple[int, ...], CRat] = {}
+    get = out.get
+    for m, c in terms.items():
+        k = m[idx]
+        if k:
+            key = m[:idx] + (k - 1,) + m[idx + 1:]
+            v = c if k == 1 else c * k
+            prev = get(key)
+            out[key] = v if prev is None else prev + v
+        if partner >= 0:
+            ks = m[s_idx]
+            if ks:
+                shifted = list(m)
+                shifted[s_idx] = ks - 1
+                shifted[partner] += 1
+                key = tuple(shifted)
+                v = c * coeff if ks == 1 else c * coeff * ks
+                prev = get(key)
+                out[key] = v if prev is None else prev + v
+    return out
 
 
 def vector_field_action(e: Element, f: GroupPoly) -> GroupPoly:
@@ -140,19 +152,24 @@ def vector_field_action(e: Element, f: GroupPoly) -> GroupPoly:
     A monomial S1^a S2^b X^c Y^d ... acts as the composition of the fields in
     written order, the rightmost generator hitting ``f`` first.  Coefficients
     must be constants (no formal Planck symbols survive numeric checking).
+    Intermediate results stay plain term maps; zero terms are dropped once,
+    when the result is built.
     """
     if e.signature != f.sig:
         raise ValueError("element and polynomial signatures differ")
-    total = GroupPoly.zero(f.sig)
+    fields = _generator_fields(f.sig)
+    total: Dict[Tuple[int, ...], CRat] = {}
     for mono, coeff in e.terms.items():
-        g = f
-        word: List[int] = []
-        for idx, power in enumerate(mono):
-            word.extend([idx] * power)
-        for idx in reversed(word):
-            g = _act_generator(e.signature, idx, g)
-        total = total + g.scale(coeff.as_crat())
-    return total
+        scale = coeff.as_crat()
+        g = {m: c * scale for m, c in f.terms.items()}
+        for idx in range(len(mono) - 1, -1, -1):
+            for _ in range(mono[idx]):
+                if g:
+                    g = _apply_field(fields[idx], g)
+        for m, c in g.items():
+            prev = total.get(m)
+            total[m] = c if prev is None else prev + c
+    return GroupPoly(f.sig, total)
 
 
 # ---------------------------------------------------------------------------
