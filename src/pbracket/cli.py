@@ -227,6 +227,8 @@ def _cmd_oracle(ns: argparse.Namespace, cfg: EngineConfig) -> int:
         for r in reports:
             print(f"{r.status:4s} {r.check} (max error {r.max_abs_error:.3e}, "
                   f"inputs-hash {r.inputs_hash})")
+            if r.failures:
+                print(f"     {r.failures} failing instances; first: {r.counterexample}")
     return 0 if all(r.ok for r in reports) else 1
 
 

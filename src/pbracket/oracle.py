@@ -98,7 +98,7 @@ class GroupPoly:
         return hash((self.sig, tuple(sorted(self.terms.items()))))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _generator_fields(sig: GroupSignature) -> Tuple[Tuple[int, int, int, CRat], ...]:
     """Left-invariant vector field of each generator, indexed like Element
     exponents, as ``(idx, s_idx, partner_idx, coeff)``:
@@ -238,8 +238,27 @@ def matrix_realize(w: WeylOperator, hbar: float, n: int,
         block = factors[0]
         for m in factors[1:]:
             block = np.kron(block, m)
-        total = total + complex(coeff.evalf(h=hv, h1=h1v, h2=h2v)) * block
+        if block is eye:
+            block = eye.copy()
+        block *= complex(coeff.evalf(h=hv, h1=h1v, h2=h2v))
+        total += block
     return total
+
+
+def _exact_columns(n: int, keep: int, dofs: int) -> List[int]:
+    """Indices of the basis columns whose every factor index is < keep."""
+    cols = [0]
+    for _ in range(dofs):
+        cols = [c * n + j for c in cols for j in range(keep)]
+    return cols
+
+
+def _max_abs_on_columns(m: np.ndarray, cols: List[int]) -> float:
+    """Largest entry modulus of ``m`` on the given columns, taken one column
+    at a time so no column subset is copied."""
+    if not cols:
+        return 0.0
+    return float(np.max([np.abs(m[:, j]).max() for j in cols]))
 
 
 def matrix_max_error(wa: WeylOperator, wb: WeylOperator, hbar: float, n: int,
@@ -256,15 +275,9 @@ def matrix_max_error(wa: WeylOperator, wb: WeylOperator, hbar: float, n: int,
     if n < deg + 2:
         raise DimensionTooSmall(
             f"need matrix dimension >= degree + 2 = {deg + 2}, got {n}")
-    ma = matrix_realize(wa, hbar, n, h1, h2)
-    mb = matrix_realize(wb, hbar, n, h1, h2)
-    dofs = wa.algebra.dofs
-    keep = n - deg
-    cols = [0]
-    for _ in range(dofs):
-        cols = [c * n + j for c in cols for j in range(keep)]
-    diff = ma[:, cols] - mb[:, cols]
-    return float(np.max(np.abs(diff))) if diff.size else 0.0
+    diff = matrix_realize(wa, hbar, n, h1, h2)
+    diff -= matrix_realize(wb, hbar, n, h1, h2)
+    return _max_abs_on_columns(diff, _exact_columns(n, n - deg, wa.algebra.dofs))
 
 
 # ---------------------------------------------------------------------------
@@ -273,18 +286,27 @@ def matrix_max_error(wa: WeylOperator, wb: WeylOperator, hbar: float, n: int,
 
 @dataclass(frozen=True)
 class OracleReport:
+    """One oracle check.  The exact suites also record how many instances
+    failed and a reproducer for the first; both are empty on a pass."""
+
     check: str
     inputs_hash: str
     status: str
     max_abs_error: float
+    failures: int = 0
+    counterexample: str = ""
 
     def to_json(self) -> dict:
-        return {
+        data = {
             "check": self.check,
             "inputs-hash": self.inputs_hash,
             "status": self.status,
             "max-abs-error": self.max_abs_error,
         }
+        if self.failures:
+            data["failures"] = self.failures
+            data["counterexample"] = self.counterexample
+        return data
 
     @property
     def ok(self) -> bool:
@@ -296,35 +318,52 @@ def _hash_inputs(*parts: object) -> str:
     return digest[:16]
 
 
+def _exact_report(check: str, inputs_hash: str, failed: List[str]) -> OracleReport:
+    """Report of an exact suite from the descriptions of its failing instances."""
+    return OracleReport(
+        check=check,
+        inputs_hash=inputs_hash,
+        status="fail" if failed else "pass",
+        max_abs_error=1.0 if failed else 0.0,
+        failures=len(failed),
+        counterexample=failed[0] if failed else "",
+    )
+
+
+def _coordinate_str(sig: GroupSignature, mono: Tuple[int, ...]) -> str:
+    """A group-coordinate monomial in variable syntax, e.g. ``s1^2*x_1_1``."""
+    names = [name.lower() for name in sig.generator_names()]
+    parts = [name if k == 1 else f"{name}^{k}" for name, k in zip(names, mono) if k]
+    return "*".join(parts) or "1"
+
+
 def check_vector_field_suite(sig: GroupSignature, seed: int, pairs: int = 100,
                              max_degree: int = 4, probes: int = 30) -> OracleReport:
     """Product-versus-composition check on random element pairs.
 
     Exact rational arithmetic throughout: any mismatch is a hard failure, so
-    max_abs_error is 0.0 on pass and 1.0 on failure.
+    max_abs_error is 0.0 on pass and 1.0 on failure.  Both sides are computed
+    from scratch for every probe.
     """
     rng = random.Random(seed)
-    failures = 0
-    for _ in range(pairs):
+    failed: List[str] = []
+    for i in range(pairs):
         a = sampling.rand_element(rng, sig, max_degree=max_degree)
         b = sampling.rand_element(rng, sig, max_degree=max_degree)
         ab = multiply(a, b)
         probe_deg = a.degree() + b.degree() + 2
-        for _ in range(probes):
+        for j in range(probes):
             mono = sampling.rand_group_monomial(rng, sig, probe_deg)
             f = GroupPoly.monomial(sig, mono)
             lhs = vector_field_action(ab, f)
             rhs = vector_field_action(a, vector_field_action(b, f))
             if lhs != rhs:
-                failures += 1
-    status = "pass" if failures == 0 else "fail"
-    return OracleReport(
-        check="vector-field-composition",
-        inputs_hash=_hash_inputs("vf", sig.dof, str(sig.convention), seed,
-                                 pairs, max_degree, probes),
-        status=status,
-        max_abs_error=0.0 if failures == 0 else 1.0,
-    )
+                failed.append(f"seed {seed}, pair {i}, probe {j}: a = {a}; b = {b}; "
+                              f"probe monomial {_coordinate_str(sig, mono)}")
+    return _exact_report(
+        "vector-field-composition",
+        _hash_inputs("vf", sig.dof, str(sig.convention), seed, pairs, max_degree, probes),
+        failed)
 
 
 def check_algebra_laws(sig: GroupSignature, seed: int, assoc: int = 80,
@@ -333,14 +372,15 @@ def check_algebra_laws(sig: GroupSignature, seed: int, assoc: int = 80,
     """Associativity, Jacobi, antisymmetry and normal-form idempotence on
     random elements.  Exact arithmetic; pass means every instance held."""
     rng = random.Random(seed)
-    failures = 0
-    for _ in range(assoc):
+    failed: List[str] = []
+    for i in range(assoc):
         a = sampling.rand_element(rng, sig, max_degree=4, terms=2)
         b = sampling.rand_element(rng, sig, max_degree=4, terms=2)
         c = sampling.rand_element(rng, sig, max_degree=4, terms=2)
         if multiply(multiply(a, b), c) != multiply(a, multiply(b, c)):
-            failures += 1
-    for _ in range(jacobi):
+            failed.append(f"seed {seed}, associativity instance {i}: "
+                          f"a = {a}; b = {b}; c = {c}")
+    for i in range(jacobi):
         a = sampling.rand_element(rng, sig, max_degree=3, terms=2)
         b = sampling.rand_element(rng, sig, max_degree=3, terms=2)
         c = sampling.rand_element(rng, sig, max_degree=3, terms=2)
@@ -348,24 +388,21 @@ def check_algebra_laws(sig: GroupSignature, seed: int, assoc: int = 80,
                  + commutator(b, commutator(c, a))
                  + commutator(c, commutator(a, b)))
         if not total.is_zero:
-            failures += 1
-    for _ in range(antisym):
+            failed.append(f"seed {seed}, Jacobi instance {i}: a = {a}; b = {b}; c = {c}")
+    for i in range(antisym):
         a = sampling.rand_element(rng, sig, max_degree=4, terms=2)
         b = sampling.rand_element(rng, sig, max_degree=4, terms=2)
         if not (commutator(a, b) + commutator(b, a)).is_zero:
-            failures += 1
-    for _ in range(idem):
+            failed.append(f"seed {seed}, antisymmetry instance {i}: a = {a}; b = {b}")
+    for i in range(idem):
         a = sampling.rand_element(rng, sig, max_degree=4, terms=3)
         if Element(sig, dict(a.terms)) != a:
-            failures += 1
-    status = "pass" if failures == 0 else "fail"
-    return OracleReport(
-        check="algebra-laws",
-        inputs_hash=_hash_inputs("laws", sig.dof, str(sig.convention), seed,
-                                 assoc, jacobi, antisym, idem),
-        status=status,
-        max_abs_error=0.0 if failures == 0 else 1.0,
-    )
+            failed.append(f"seed {seed}, idempotence instance {i}: a = {a}")
+    return _exact_report(
+        "algebra-laws",
+        _hash_inputs("laws", sig.dof, str(sig.convention), seed,
+                     assoc, jacobi, antisym, idem),
+        failed)
 
 
 def check_matrix_suite(sig: GroupSignature, hbar: float = 1.0, n: int = 32,
@@ -399,6 +436,9 @@ def check_matrix_suite(sig: GroupSignature, hbar: float = 1.0, n: int = 32,
     qm, pm = _canonical_pair(gval, n)
     words = [("q", "p"), ("p", "q"), ("q", "q", "p", "p"),
              ("p", "p", "q", "q"), ("q", "p", "q", "p")]
+    # the word acts on the first tensor factor only: compare with num (x) I,
+    # subtracted in place one diagonal block of the other factors at a time
+    rest = n ** (alg.dofs - 1)
     worst = 0.0
     for word in words:
         sym = ident
@@ -406,9 +446,12 @@ def check_matrix_suite(sig: GroupSignature, hbar: float = 1.0, n: int = 32,
         for ch in word:
             sym = sym * (q if ch == "q" else p)
             num = num @ (qm if ch == "q" else pm)
-        realized = matrix_realize(sym, hbar, n)
-        keep = n - len(word)
-        worst = max(worst, float(np.max(np.abs(realized[:, :keep] - num[:, :keep]))))
+        diff = matrix_realize(sym, hbar, n)
+        blocks = diff.reshape(n, rest, n, rest)
+        for r in range(rest):
+            blocks[:, r, :, r] -= num
+        cols = _exact_columns(n, n - len(word), alg.dofs)
+        worst = max(worst, _max_abs_on_columns(diff, cols))
     reports.append(OracleReport(
         check="matrix-word-products",
         inputs_hash=_hash_inputs("mx-words", sig.dof, str(sig.convention),

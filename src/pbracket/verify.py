@@ -24,7 +24,7 @@ from .representations import (WeylOperator, hybrid_from_sector2_poly,
                               rep_qc, rep_qq)
 from .qc_bracket import (bracket_via_universal, h_eff, qc_bracket,
                          qc_bracket_terms)
-from .oracle import (check_algebra_laws, check_matrix_suite,
+from .oracle import (OracleReport, check_algebra_laws, check_matrix_suite,
                      check_vector_field_suite, matrix_max_error)
 from .calibration import calibration_report
 from .config import EngineConfig
@@ -104,6 +104,14 @@ def _guard(name: str, fn: Callable[[], VerifyItem]) -> VerifyItem:
 
 def _status(ok: bool) -> str:
     return "pass" if ok else "fail"
+
+
+def _failure_detail(rep: OracleReport) -> Tuple[str, ...]:
+    """Detail lines naming an exact oracle's failures; empty on a pass."""
+    if not rep.failures:
+        return ()
+    return (f"failing instances: {rep.failures}",
+            f"first counterexample: {rep.counterexample}")
 
 
 def run_verify(seed: int = 2024, config: Optional[EngineConfig] = None,
@@ -300,7 +308,8 @@ def run_verify(seed: int = 2024, config: Optional[EngineConfig] = None,
             expected=f"convolution acts as composed differential operators "
                      f"on {oracle_pairs} random pairs",
             actual=f"status {rep.status}, max deviation {rep.max_abs_error:.3e}",
-            detail=(f"seed: {seed + 3}", f"inputs-hash: {rep.inputs_hash}"),
+            detail=(f"seed: {seed + 3}", f"inputs-hash: {rep.inputs_hash}")
+            + _failure_detail(rep),
         )
 
     def item_laws() -> VerifyItem:
@@ -310,7 +319,8 @@ def run_verify(seed: int = 2024, config: Optional[EngineConfig] = None,
             expected="associativity, Jacobi, antisymmetry and normal-form "
                      "idempotence on 200 random instances",
             actual=f"status {rep.status}, max deviation {rep.max_abs_error:.3e}",
-            detail=(f"seed: {seed + 4}", f"inputs-hash: {rep.inputs_hash}"),
+            detail=(f"seed: {seed + 4}", f"inputs-hash: {rep.inputs_hash}")
+            + _failure_detail(rep),
         )
 
     def item_matrix() -> VerifyItem:

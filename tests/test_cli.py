@@ -163,6 +163,15 @@ def test_oracle_check_text_and_json(capsys):
     assert all(row["status"] == "pass" for row in data)
 
 
+def test_signature_n2_oracle_check_and_verify_pass(capsys):
+    code, out, _ = run(capsys, "--signature", "n=2", "oracle", "check", "--seed", "3")
+    assert code == 0
+    assert all(l.startswith("pass ") for l in out.splitlines() if l.strip())
+    code, out, _ = run(capsys, "--signature", "n=2", "verify", "paper")
+    assert code == 0
+    assert out.rstrip().endswith("summary: 12 of 12 items pass")
+
+
 def test_calibrate_writes_config(tmp_path, capsys):
     target = tmp_path / "conv.json"
     code, out, _ = run(capsys, "calibrate", "--out", str(target))

@@ -1,20 +1,82 @@
 """Independent oracles: right-invariant vector fields acting on polynomial
 functions, and finite-dimensional matrix truncations."""
 
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from pbracket import oracle, sampling
 from pbracket.errors import DimensionTooSmall
-from pbracket.scalars import CR_I, CR_ONE, Scalar
-from pbracket.group_algebra import Element, GroupSignature, commutator
+from pbracket.scalars import CR_I, CR_MINUS_I, CR_ONE, CR_ZERO, CRat, S_ONE, Scalar
+from pbracket.group_algebra import (ConventionTuple, Element, GroupSignature,
+                                    commutator, multiply)
 from pbracket.oracle import (GroupPoly, OracleReport, check_algebra_laws,
                              check_matrix_suite, check_vector_field_suite,
                              matrix_max_error, matrix_realize, oracle_check,
                              vector_field_action)
 from pbracket.representations import qc_algebra, rep_qc
 from pbracket.pmech import ClassicalPoly, mechanise_weyl
+from pbracket.verify import run_verify
 
 SIG = GroupSignature(dof=1)
+
+# Conventions with eps_comm = -1 (standard), +1 and +i.
+CONVENTIONS = [
+    ConventionTuple.standard(),
+    ConventionTuple(eps_comm=CR_ONE, kappa_x=CR_ONE, kappa_y=CR_ONE,
+                    kappa_s=CR_ONE, orient=1, rep_s_sign=1),
+    ConventionTuple(eps_comm=CR_I, kappa_x=CR_MINUS_I, kappa_y=CR_ONE,
+                    kappa_s=CR_I, orient=-1, rep_s_sign=1),
+]
+
+
+# Reference action: each generator's field built from GroupPoly operations
+# (differentiate, multiply by a coordinate, scale, add), one generator at a
+# time, as the oracle computed it before it worked on flat term maps.
+
+def _ref_diff(f, idx):
+    out = {}
+    for m, c in f.terms.items():
+        if m[idx]:
+            key = m[:idx] + (m[idx] - 1,) + m[idx + 1:]
+            out[key] = out.get(key, CR_ZERO) + c * m[idx]
+    return GroupPoly(f.sig, out)
+
+
+def _ref_mul_var(f, idx):
+    out = {}
+    for m, c in f.terms.items():
+        key = m[:idx] + (m[idx] + 1,) + m[idx + 1:]
+        out[key] = out.get(key, CR_ZERO) + c
+    return GroupPoly(f.sig, out)
+
+
+def _ref_act_generator(sig, idx, f):
+    """S -> d/ds, X -> d/dx - eps*(y/2) d/ds, Y -> d/dy + eps*(x/2) d/ds."""
+    if idx < 2:
+        return _ref_diff(f, idx)
+    eps = sig.convention.eps_comm
+    half = CRat.of(Fraction(1, 2))
+    s_idx = sig.slot_sector((idx - 2) // 2) - 1
+    ds = _ref_diff(f, s_idx)
+    if (idx - 2) % 2 == 0:
+        return _ref_diff(f, idx) + _ref_mul_var(ds, idx + 1).scale(CR_ZERO - eps * half)
+    return _ref_diff(f, idx) + _ref_mul_var(ds, idx - 1).scale(eps * half)
+
+
+def reference_action(e, f):
+    total = GroupPoly.zero(f.sig)
+    for mono, coeff in e.terms.items():
+        g = f
+        word = []
+        for idx, power in enumerate(mono):
+            word.extend([idx] * power)
+        for idx in reversed(word):
+            g = _ref_act_generator(e.signature, idx, g)
+        total = total + g.scale(coeff.as_crat())
+    return total
 
 
 def gen(name):
@@ -135,3 +197,125 @@ def test_suites_deterministic_for_seed():
     b = [check_vector_field_suite(SIG, seed=9, pairs=10).to_json(),
          check_algebra_laws(SIG, seed=9, assoc=8, jacobi=4, antisym=4, idem=4).to_json()]
     assert a == b
+
+
+@pytest.mark.parametrize("dof", [1, 2])
+@pytest.mark.parametrize("conv", CONVENTIONS, ids=["eps-1", "eps+1", "eps+i"])
+def test_vector_field_action_matches_reference(dof, conv):
+    sig = GroupSignature(dof, conv)
+    rng = random.Random(100 + dof)
+    s1, s2 = Element.generator(sig, "S1"), Element.generator(sig, "S2")
+    nonzero = 0
+    for _ in range(15):
+        a = sampling.rand_element(rng, sig)
+        b = sampling.rand_element(rng, sig)
+        mono = sampling.rand_group_monomial(rng, sig, a.degree() + b.degree() + 3)
+        probe = GroupPoly.monomial(sig, mono)
+        polys = [probe, reference_action(b, probe)]
+        for e in (a, b, multiply(a, b), multiply(s1, a), multiply(b, s2 * s2)):
+            for f in polys:
+                got = vector_field_action(e, f)
+                assert got == reference_action(e, f)
+                nonzero += not got.is_zero
+    assert nonzero >= 60
+
+
+@pytest.mark.parametrize("conv", CONVENTIONS[1:], ids=["eps+1", "eps+i"])
+def test_vector_field_suite_passes_for_other_conventions(conv):
+    sig = GroupSignature(2, conv)
+    assert check_vector_field_suite(sig, seed=4, pairs=6, probes=5).ok
+
+
+def _off_by_one_multiply(a, b):
+    """A wrong product: a*b with one coefficient raised by one."""
+    ab = multiply(a, b)
+    if ab.is_zero:
+        return ab
+    terms = dict(ab.terms)
+    mono = max(terms)
+    terms[mono] = terms[mono] + S_ONE
+    return Element(ab.signature, terms)
+
+
+def test_vector_field_suite_catches_wrong_product(monkeypatch):
+    monkeypatch.setattr(oracle, "multiply", _off_by_one_multiply)
+    rep = check_vector_field_suite(SIG, seed=7, pairs=10)
+    assert rep.status == "fail"
+    assert rep.max_abs_error == 1.0
+    assert 0 < rep.failures <= 10 * 30
+    assert rep.counterexample.startswith("seed 7, pair ")
+    assert "probe monomial " in rep.counterexample
+    data = rep.to_json()
+    assert data["failures"] == rep.failures
+    assert data["counterexample"] == rep.counterexample
+
+
+def test_algebra_laws_report_first_counterexample(monkeypatch):
+    monkeypatch.setattr(oracle, "multiply", _off_by_one_multiply)
+    rep = check_algebra_laws(SIG, seed=11, assoc=10, jacobi=0, antisym=0, idem=0)
+    assert rep.status == "fail"
+    assert rep.failures > 0
+    assert rep.counterexample.startswith("seed 11, associativity instance ")
+    assert "; c = " in rep.counterexample
+
+
+def test_cli_oracle_check_prints_first_counterexample(monkeypatch, capsys):
+    from pbracket.cli import main
+    monkeypatch.setattr(oracle, "multiply", _off_by_one_multiply)
+    assert main(["oracle", "check", "--seed", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("fail vector-field-composition ")
+    assert " failing instances; first: seed 3, pair " in lines[1]
+
+
+def test_passing_report_has_no_failure_fields():
+    rep = check_vector_field_suite(SIG, seed=3, pairs=3)
+    assert rep.failures == 0 and rep.counterexample == ""
+    assert "failures" not in rep.to_json()
+
+
+def test_failing_verify_items_print_reproducer(monkeypatch):
+    monkeypatch.setattr(oracle, "multiply", _off_by_one_multiply)
+    report = run_verify(seed=5, decoupling_instances=1, path_pairs=1,
+                        reduction_pairs=1, oracle_pairs=4)
+    items = {item.name: item for item in report.items}
+    for name, seed in (("vector-field oracle", 8), ("algebra-law suite", 9)):
+        item = items[name]
+        assert not item.ok
+        assert item.detail[2].startswith("failing instances: ")
+        assert item.detail[3].startswith(f"first counterexample: seed {seed}, ")
+    text = report.render()
+    assert "       - first counterexample: seed 8, pair " in text
+
+
+def test_probe_monomial_is_printed_in_variable_syntax():
+    sig = GroupSignature(dof=2)
+    mono = [0] * sig.width
+    mono[0], mono[sig.x_index(2, 1)], mono[sig.y_index(1, 2)] = 2, 1, 3
+    assert oracle._coordinate_str(sig, tuple(mono)) == "s1^2*y_1_2^3*x_2_1"
+    assert oracle._coordinate_str(sig, (0,) * sig.width) == "1"
+
+
+def test_oracle_check_passes_at_dof_2():
+    reports = oracle_check(seed=5, dof=2)
+    assert [r.check for r in reports] == [
+        "vector-field-composition", "algebra-laws", "matrix-canonical-commutator",
+        "matrix-word-products", "matrix-biquadratic-identity"]
+    assert all(r.ok for r in reports)
+
+
+def test_matrix_word_products_catch_wrong_factor_at_dof_2(monkeypatch):
+    # a realization that puts the word on the second tensor factor instead
+    # of the first must fail the comparison against num (x) I
+    sig = GroupSignature(dof=2)
+    n = 12
+    assert {r.check: r for r in check_matrix_suite(sig, n=n)}["matrix-word-products"].ok
+    real = oracle.matrix_realize
+
+    def swapped(w, hbar, dim, h1=None, h2=None):
+        m = real(w, hbar, dim, h1, h2)
+        return m.reshape(dim, dim, dim, dim).transpose(1, 0, 3, 2).reshape(dim ** 2, dim ** 2)
+
+    monkeypatch.setattr(oracle, "matrix_realize", swapped)
+    reports = {r.check: r for r in check_matrix_suite(sig, n=n)}
+    assert not reports["matrix-word-products"].ok
