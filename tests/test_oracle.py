@@ -34,7 +34,7 @@ CONVENTIONS = [
 
 # Reference action: each generator's field built from GroupPoly operations
 # (differentiate, multiply by a coordinate, scale, add), one generator at a
-# time, as the oracle computed it before it worked on flat term maps.
+# time.  vector_field_action must agree with it exactly.
 
 def _ref_diff(f, idx):
     out = {}
