@@ -17,12 +17,10 @@ kappa factors of the ConventionTuple (one factor per derivative).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
-from .errors import SignatureMismatch
 from .scalars import (
     CR_I,
     CR_MINUS_I,
@@ -31,11 +29,12 @@ from .scalars import (
     CRat,
     Scalar,
     S_ONE,
-    S_ZERO,
     scalar,
     unit_from_str,
     unit_to_str,
 )
+from .terms import (TermMap, accumulate, clean_terms, coeff_str, exponent_map,
+                    normal_order, render_terms)
 
 __all__ = [
     "ConventionTuple",
@@ -186,47 +185,24 @@ class GroupSignature:
         return cls(int(data["dof_per_sector"]), ConventionTuple.from_json(data["convention"]))
 
 
-def _check_same_signature(a: "Element", b: "Element") -> None:
-    if a.signature != b.signature:
-        raise SignatureMismatch("elements built over different signatures")
-
-
-def _reorder_pairs(m: int, n: int, eps: CRat) -> List[Tuple[int, CRat]]:
-    """Expansion of Y^m X^n in normal order:
-
-        Y^m X^n = sum_k  k! C(m,k) C(n,k) (-eps)^k  S^k X^(n-k) Y^(m-k).
-    """
-    out = []
-    for k in range(min(m, n) + 1):
-        c = CRat.of(math.factorial(k) * math.comb(m, k) * math.comb(n, k))
-        out.append((k, c * (-eps) ** k))
-    return out
-
-
-class Element:
+class Element(TermMap):
     """Exact linear combination of PBW-ordered generator monomials.
 
-    Immutable by convention: no method mutates self, and the term map is
-    normalized (no zero coefficients) on construction.
+    Immutable: no method mutates self, and the term map is normalized (no
+    zero coefficients) on construction.
     """
 
-    __slots__ = ("signature", "terms")
+    __slots__ = ("signature",)
+
+    _coerce = staticmethod(scalar)
+    _mismatch = "elements built over different signatures"
 
     def __init__(self, signature: GroupSignature, terms: Mapping[Monomial, Scalar]):
-        clean = {}
-        for mono, coeff in terms.items():
-            if len(mono) != signature.width:
-                raise ValueError(f"monomial width {len(mono)} != {signature.width}")
-            if any(e < 0 for e in mono):
-                raise ValueError("negative exponent in monomial")
-            c = scalar(coeff)
-            if not c.is_zero:
-                clean[tuple(mono)] = c
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "terms", clean)
+        self._freeze(signature=signature,
+                     terms=clean_terms(terms, signature.width, scalar))
 
-    def __setattr__(self, *args):
-        raise AttributeError("Element is immutable")
+    def _context(self) -> tuple:
+        return (self.signature,)
 
     # -- constructors ------------------------------------------------------
 
@@ -254,75 +230,13 @@ class Element:
                  coeff: Union[Scalar, CRat, int, Fraction] = 1) -> "Element":
         return cls(sig, {tuple(mono): scalar(coeff)})
 
-    # -- ring operations ----------------------------------------------------
+    def _product(self, other: "Element") -> "Element":
+        return multiply(self, other)
 
-    def __add__(self, other: "Element") -> "Element":
-        _check_same_signature(self, other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            acc = out.get(mono, S_ZERO) + c
-            if acc.is_zero:
-                out.pop(mono, None)
-            else:
-                out[mono] = acc
-        return Element(self.signature, out)
-
-    def __neg__(self) -> "Element":
-        return Element(self.signature, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "Element") -> "Element":
-        return self + (-other)
-
-    def scale(self, factor: Union[Scalar, CRat, int, Fraction]) -> "Element":
-        f = scalar(factor)
-        if f.is_zero:
-            return Element.zero(self.signature)
-        return Element(self.signature, {m: c * f for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, Element):
-            return multiply(self, other)
-        if isinstance(other, (Scalar, CRat, int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (Scalar, CRat, int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __truediv__(self, other):
-        return self.scale(S_ONE / scalar(other))
-
-    def __pow__(self, k: int) -> "Element":
-        if k < 0:
-            raise ValueError("negative powers are not defined")
-        out = Element.one(self.signature)
-        for _ in range(k):
-            out = multiply(out, self)
-        return out
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Element)
-                and self.signature == other.signature
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.signature, frozenset(self.terms.items())))
+    def _identity(self) -> "Element":
+        return Element.one(self.signature)
 
     # -- queries -------------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
-
-    def s_exponent_range(self, sector: int) -> Tuple[int, int]:
-        idx = sector - 1
-        exps = [m[idx] for m in self.terms]
-        return (min(exps, default=0), max(exps, default=0))
 
     def uses_sector(self, sector: int) -> bool:
         sig = self.signature
@@ -334,9 +248,6 @@ class Element:
                 if sig.slot_sector(t) == sector and (mono[2 + 2 * t] or mono[3 + 2 * t]):
                     return True
         return False
-
-    def coefficient(self, mono: Sequence[int]) -> Scalar:
-        return self.terms.get(tuple(mono), S_ZERO)
 
     # -- display ---------------------------------------------------------------
 
@@ -350,45 +261,29 @@ class Element:
 def multiply(a: Element, b: Element) -> Element:
     """Product in PBW normal form.
 
-    Per degree of freedom the cross factor Y^b1 X^a2 is expanded with
-    _reorder_pairs; different degrees of freedom and the central generators
-    commute, so slots combine independently.
+    Each (X, Y) slot is put in normal order by the shared kernel; a slot's k
+    contractions become k powers of its sector's S and the factor
+    (-eps)^k.  The central generators commute with everything.
     """
-    _check_same_signature(a, b)
+    a._check(b)
     sig = a.signature
-    eps = sig.convention.eps_comm
+    dof = sig.dof
+    neg_eps = -sig.convention.eps_comm
     acc: Dict[Monomial, Scalar] = {}
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
             base = c1 * c2
-            partial = [((m1[0] + m2[0], m1[1] + m2[1]), (), CR_ONE)]
-            for t in range(sig.slots):
-                px, py = 2 + 2 * t, 3 + 2 * t
-                a1, b1 = m1[px], m1[py]
-                a2, b2 = m2[px], m2[py]
-                if b1 == 0 or a2 == 0:
-                    partial = [(s, xy + ((a1 + a2, b1 + b2),), u) for s, xy, u in partial]
-                    continue
-                sector = sig.slot_sector(t)
-                nxt = []
-                for s, xy, u in partial:
-                    for k, ck in _reorder_pairs(b1, a2, eps):
-                        s_new = (s[0] + k, s[1]) if sector == 1 else (s[0], s[1] + k)
-                        nxt.append((s_new, xy + ((a1 + a2 - k, b1 + b2 - k),), u * ck))
-                partial = nxt
-            for s, xy, u in partial:
-                mono = s + tuple(e for pair in xy for e in pair)
-                coeff = acc.get(mono, S_ZERO) + base * u
-                if coeff.is_zero:
-                    acc.pop(mono, None)
-                else:
-                    acc[mono] = coeff
+            s1, s2 = m1[0] + m2[0], m1[1] + m2[1]
+            for xy, ks, weight in normal_order(m1, m2, 2, sig.slots):
+                k, k1 = sum(ks), sum(ks[:dof])
+                accumulate(acc, (s1 + k1, s2 + k - k1) + xy,
+                           base * (neg_eps ** k * weight) if k else base)
     return Element(sig, acc)
 
 
 def commutator(a: Element, b: Element) -> Element:
     """orient * (a*b - b*a)."""
-    _check_same_signature(a, b)
+    a._check(b)
     orient = a.signature.convention.orient
     return (multiply(a, b) - multiply(b, a)).scale(orient)
 
@@ -483,17 +378,8 @@ def element_to_delta(e: Element) -> Tuple[Scalar, Dict[str, int]]:
     return coeff / scalar(kappa), alpha
 
 
-def _coeff_str(c: Scalar) -> str:
-    s = str(c)
-    if " " in s or "/" in s:
-        return f"({s})"
-    return s
-
-
 def delta_str(e: Element) -> str:
     """Human-readable delta notation, e.g. '4*delta[x1,y1] + 2*delta[s1]'."""
-    if e.is_zero:
-        return "0"
     sig = e.signature
     rendered = []
     for mono in sorted(e.terms, key=lambda m: (-sum(m), m)):
@@ -503,19 +389,8 @@ def delta_str(e: Element) -> str:
             names.extend([_var_name(sig, idx)] * mono[idx])
         names.extend(["s1"] * mono[0])
         names.extend(["s2"] * mono[1])
-        cs = _coeff_str(coeff)
-        if not names:
-            rendered.append(cs)
-        elif cs == "1":
-            rendered.append(f"delta[{','.join(names)}]")
-        elif cs == "-1":
-            rendered.append(f"-delta[{','.join(names)}]")
-        else:
-            rendered.append(f"{cs}*delta[{','.join(names)}]")
-    out = rendered[0]
-    for r in rendered[1:]:
-        out += f" - {r[1:]}" if r.startswith("-") else f" + {r}"
-    return out
+        rendered.append((coeff_str(coeff), f"delta[{','.join(names)}]" if names else ""))
+    return render_terms(rendered)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +419,7 @@ def element_to_json(e: Element) -> dict:
     names = sig.generator_names()
     terms = []
     for mono in sorted(e.terms):
-        exps = {names[i]: mono[i] for i in range(sig.width) if mono[i]}
+        exps = exponent_map(names, mono)
         for cj in _coeff_terms_json(e.terms[mono]):
             terms.append({"coeff": cj, "exponents": exps})
     return {"signature": sig.to_json(), "terms": terms}
@@ -562,6 +437,5 @@ def element_from_json(data: Mapping) -> Element:
         cj = term["coeff"]
         c = CRat(Fraction(cj["re"][0], cj["re"][1]), Fraction(cj["im"][0], cj["im"][1]))
         part = Scalar.make({(0, int(cj.get("h1_pow", 0)), int(cj.get("h2_pow", 0))): c})
-        key = tuple(mono)
-        acc[key] = acc.get(key, S_ZERO) + part
+        accumulate(acc, tuple(mono), part)
     return Element(sig, acc)

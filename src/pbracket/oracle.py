@@ -33,6 +33,7 @@ from .errors import DimensionTooSmall
 from .scalars import CRat, CR_ZERO, CR_ONE, CR_I, Scalar, S_ONE, scalar
 from .group_algebra import Element, GroupSignature, commutator, multiply
 from .representations import WeylOperator, qc_algebra
+from .terms import TermMap, accumulate, power_str
 from . import sampling
 
 __all__ = [
@@ -52,15 +53,20 @@ __all__ = [
 # polynomials in group coordinates
 
 
-class GroupPoly:
+class GroupPoly(TermMap):
     """Polynomial on the group: coordinates ordered like Element exponents,
     (s1, s2, x_{1,1}, y_{1,1}, ..., x_{2,n}, y_{2,n})."""
 
-    __slots__ = ("sig", "terms")
+    __slots__ = ("sig",)
+
+    _coerce = staticmethod(CRat.of)
+    _mismatch = "polynomials over different signatures"
 
     def __init__(self, sig: GroupSignature, terms: Dict[Tuple[int, ...], CRat]):
-        self.sig = sig
-        self.terms = {m: c for m, c in terms.items() if not c.is_zero}
+        self._freeze(sig=sig, terms={m: c for m, c in terms.items() if not c.is_zero})
+
+    def _context(self) -> tuple:
+        return (self.sig,)
 
     @classmethod
     def zero(cls, sig: GroupSignature) -> "GroupPoly":
@@ -72,30 +78,6 @@ class GroupPoly:
         if len(mono) != sig.width:
             raise ValueError("monomial width does not match signature")
         return cls(sig, {tuple(mono): coeff})
-
-    def __add__(self, other: "GroupPoly") -> "GroupPoly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, CR_ZERO) + c
-        return GroupPoly(self.sig, out)
-
-    def __sub__(self, other: "GroupPoly") -> "GroupPoly":
-        return self + other.scale(CRat.of(-1))
-
-    def scale(self, factor: CRat) -> "GroupPoly":
-        return GroupPoly(self.sig, {m: c * factor for m, c in self.terms.items()})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GroupPoly):
-            return NotImplemented
-        return self.sig == other.sig and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.sig, tuple(sorted(self.terms.items()))))
 
 
 @lru_cache(maxsize=32)
@@ -125,24 +107,17 @@ def _apply_field(field: Tuple[int, int, int, CRat],
     partner coordinate times the derivative along its sector's s."""
     idx, s_idx, partner, coeff = field
     out: Dict[Tuple[int, ...], CRat] = {}
-    get = out.get
     for m, c in terms.items():
         k = m[idx]
         if k:
-            key = m[:idx] + (k - 1,) + m[idx + 1:]
-            v = c if k == 1 else c * k
-            prev = get(key)
-            out[key] = v if prev is None else prev + v
+            accumulate(out, m[:idx] + (k - 1,) + m[idx + 1:], c if k == 1 else c * k)
         if partner >= 0:
             ks = m[s_idx]
             if ks:
                 shifted = list(m)
                 shifted[s_idx] = ks - 1
                 shifted[partner] += 1
-                key = tuple(shifted)
-                v = c * coeff if ks == 1 else c * coeff * ks
-                prev = get(key)
-                out[key] = v if prev is None else prev + v
+                accumulate(out, tuple(shifted), c * coeff if ks == 1 else c * coeff * ks)
     return out
 
 
@@ -152,8 +127,7 @@ def vector_field_action(e: Element, f: GroupPoly) -> GroupPoly:
     A monomial S1^a S2^b X^c Y^d ... acts as the composition of the fields in
     written order, the rightmost generator hitting ``f`` first.  Coefficients
     must be constants (no formal Planck symbols survive numeric checking).
-    Intermediate results stay plain term maps; zero terms are dropped once,
-    when the result is built.
+    Intermediate results stay plain term maps.
     """
     if e.signature != f.sig:
         raise ValueError("element and polynomial signatures differ")
@@ -167,8 +141,7 @@ def vector_field_action(e: Element, f: GroupPoly) -> GroupPoly:
                 if g:
                     g = _apply_field(fields[idx], g)
         for m, c in g.items():
-            prev = total.get(m)
-            total[m] = c if prev is None else prev + c
+            accumulate(total, m, c)
     return GroupPoly(f.sig, total)
 
 
@@ -332,9 +305,7 @@ def _exact_report(check: str, inputs_hash: str, failed: List[str]) -> OracleRepo
 
 def _coordinate_str(sig: GroupSignature, mono: Tuple[int, ...]) -> str:
     """A group-coordinate monomial in variable syntax, e.g. ``s1^2*x_1_1``."""
-    names = [name.lower() for name in sig.generator_names()]
-    parts = [name if k == 1 else f"{name}^{k}" for name, k in zip(names, mono) if k]
-    return "*".join(parts) or "1"
+    return power_str((name.lower() for name in sig.generator_names()), mono) or "1"
 
 
 def check_vector_field_suite(sig: GroupSignature, seed: int, pairs: int = 100,

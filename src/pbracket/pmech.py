@@ -17,8 +17,9 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Tuple, Union
 
 from .errors import AObservableProductError, NotMechanised, SignatureMismatch, UnknownRule
-from .scalars import CR_ONE, CR_ZERO, CRat, Scalar, S_ZERO
+from .scalars import CR_ONE, CRat, Scalar
 from .group_algebra import Element, GroupSignature, commutator, delta_str, element_to_json, multiply
+from .terms import TermMap, accumulate, clean_terms, power_str, render_terms
 
 __all__ = [
     "ClassicalPoly",
@@ -36,32 +37,24 @@ __all__ = [
 CMonomial = Tuple[int, ...]
 
 
-class ClassicalPoly:
+class ClassicalPoly(TermMap):
     """Commutative polynomial in q_{s,i}, p_{s,i} with CRat coefficients.
 
     Exponent vectors run over (q_11, p_11, ..., q_1n, p_1n, q_21, ..., p_2n).
     """
 
-    __slots__ = ("dof", "terms")
+    __slots__ = ("dof",)
+
+    _coerce = staticmethod(CRat.of)
+    _mismatch = "classical polynomials over different dof counts"
 
     def __init__(self, dof: int, terms: Mapping[CMonomial, Union[CRat, int, Fraction]]):
         if dof < 1:
             raise ValueError("dof must be a positive integer")
-        width = 4 * dof
-        clean = {}
-        for mono, coeff in terms.items():
-            if len(mono) != width:
-                raise ValueError(f"monomial width {len(mono)} != {width}")
-            if any(e < 0 for e in mono):
-                raise ValueError("negative exponent in monomial")
-            c = CRat.of(coeff)
-            if not c.is_zero:
-                clean[tuple(mono)] = c
-        object.__setattr__(self, "dof", dof)
-        object.__setattr__(self, "terms", clean)
+        self._freeze(dof=dof, terms=clean_terms(terms, 4 * dof, CRat.of))
 
-    def __setattr__(self, *args):
-        raise AttributeError("ClassicalPoly is immutable")
+    def _context(self) -> tuple:
+        return (self.dof,)
 
     @property
     def width(self) -> int:
@@ -94,74 +87,18 @@ class ClassicalPoly:
         slot = (sector - 1) * dof + (i - 1)
         return 2 * slot + (0 if kind == "q" else 1)
 
-    # -- ring operations ---------------------------------------------------
-
-    def _check(self, other: "ClassicalPoly") -> None:
-        if self.dof != other.dof:
-            raise SignatureMismatch("classical polynomials over different dof counts")
-
-    def __add__(self, other: "ClassicalPoly") -> "ClassicalPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = out.get(m, CR_ZERO) + c
-            if acc.is_zero:
-                out.pop(m, None)
-            else:
-                out[m] = acc
-        return ClassicalPoly(self.dof, out)
-
-    def __neg__(self) -> "ClassicalPoly":
-        return ClassicalPoly(self.dof, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "ClassicalPoly") -> "ClassicalPoly":
-        return self + (-other)
-
-    def scale(self, factor: Union[CRat, int, Fraction]) -> "ClassicalPoly":
-        f = CRat.of(factor)
-        return ClassicalPoly(self.dof, {m: c * f for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, ClassicalPoly):
-            return self.scale(other)
+    def _product(self, other: "ClassicalPoly") -> "ClassicalPoly":
         self._check(other)
         out: Dict[CMonomial, CRat] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(m1, m2))
-                acc = out.get(key, CR_ZERO) + c1 * c2
-                if acc.is_zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
+                accumulate(out, tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
         return ClassicalPoly(self.dof, out)
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def __pow__(self, k: int) -> "ClassicalPoly":
-        if k < 0:
-            raise ValueError("negative powers are not defined")
-        out = ClassicalPoly.constant(self.dof, 1)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ClassicalPoly)
-                and self.dof == other.dof and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.dof, frozenset(self.terms.items())))
+    def _identity(self) -> "ClassicalPoly":
+        return ClassicalPoly.constant(self.dof, 1)
 
     # -- queries ------------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
 
     def uses_sector(self, sector: int) -> bool:
         lo = (sector - 1) * 2 * self.dof
@@ -172,8 +109,7 @@ class ClassicalPoly:
         out = {}
         for m, c in self.terms.items():
             if m[idx]:
-                key = m[:idx] + (m[idx] - 1,) + m[idx + 1:]
-                out[key] = out.get(key, CR_ZERO) + c * m[idx]
+                accumulate(out, m[:idx] + (m[idx] - 1,) + m[idx + 1:], c * m[idx])
         return ClassicalPoly(self.dof, out)
 
     # -- display --------------------------------------------------------------
@@ -186,31 +122,9 @@ class ClassicalPoly:
         return f"{letter}{sector}" if self.dof == 1 else f"{letter}{sector}{i}"
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        rendered = []
-        for mono in sorted(self.terms, key=lambda m: (-sum(m), m)):
-            c = self.terms[mono]
-            parts = []
-            for idx, e in enumerate(mono):
-                if e == 1:
-                    parts.append(self._var_name(idx))
-                elif e > 1:
-                    parts.append(f"{self._var_name(idx)}^{e}")
-            body = "*".join(parts)
-            cs = str(c)
-            if not body:
-                rendered.append(cs)
-            elif cs == "1":
-                rendered.append(body)
-            elif cs == "-1":
-                rendered.append(f"-{body}")
-            else:
-                rendered.append(f"{cs}*{body}")
-        out = rendered[0]
-        for r in rendered[1:]:
-            out += f" - {r[1:]}" if r.startswith("-") else f" + {r}"
-        return out
+        names = [self._var_name(idx) for idx in range(self.width)]
+        return render_terms((str(self.terms[m]), power_str(names, m))
+                            for m in sorted(self.terms, key=lambda m: (-sum(m), m)))
 
     __repr__ = __str__
 
@@ -435,10 +349,9 @@ def apply_antiderivative(e: Element, sector: int) -> AObservable:
     formal: Dict[Tuple[int, ...], Scalar] = {}
     for mono, coeff in e.terms.items():
         if mono[idx] >= 1:
-            key = mono[:idx] + (mono[idx] - 1,) + mono[idx + 1:]
-            plain[key] = plain.get(key, S_ZERO) + coeff
+            accumulate(plain, mono[:idx] + (mono[idx] - 1,) + mono[idx + 1:], coeff)
         else:
-            formal[mono] = formal.get(mono, S_ZERO) + coeff
+            accumulate(formal, mono, coeff)
     z = Element.zero(sig)
     fe = Element(sig, formal)
     return AObservable(Element(sig, plain),

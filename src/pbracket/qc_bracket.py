@@ -19,15 +19,16 @@ Poisson part split out; the three terms then sum to
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from .errors import DivisionByZero, NotLocalized, SignatureMismatch, SingularTransformation
-from .scalars import CR_I, CR_MINUS_I, CRat, Scalar, S_ONE, S_ZERO, scalar
+from .scalars import CR_I, CR_MINUS_I, CR_ZERO, CRat, Scalar, S_ONE, scalar
 from .group_algebra import Element
 from .pmech import ClassicalPoly, poisson_classical, universal_bracket, weyl_symbol
 from .representations import (
     HybridObservable,
     WeylOperator,
+    _hybrid_product,
     multiply_hybrid,
     qc_algebra,
     rep_qc,
@@ -43,39 +44,19 @@ __all__ = [
 ]
 
 
-def _plain_product(a: HybridObservable, b: HybridObservable) -> HybridObservable:
-    """Weyl parts in written order, classical parts multiplied commutatively
-    with no star correction; jet degree > 1 discarded."""
-    a._check(b)
-    acc: Dict = {}
-    for (w1, c1, j1), v1 in a.terms.items():
-        for (w2, c2, j2), v2 in b.terms.items():
-            if j1 + j2 > 1:
-                continue
-            base = v1 * v2
-            cm = tuple(x + y for x, y in zip(c1, c2))
-            for wm, wc in a.algebra.mul_mono(w1, w2):
-                key = (wm, cm, j1 + j2)
-                got = acc.get(key, S_ZERO) + base * wc
-                if got.is_zero:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = got
-    return HybridObservable(a.algebra, a.dof, a.convention, acc)
-
-
 def poisson_ordered(K1: HybridObservable, K2: HybridObservable) -> HybridObservable:
     """One ordering of the hybrid Poisson sum:
 
         sum_i dK1/dq_i * dK2/dp_i - dK1/dp_i * dK2/dq_i,
 
     derivatives on the classical parts only, operator factors multiplied in
-    the written order."""
+    the written order.  The classical parts multiply commutatively, without
+    the star correction (the hybrid product at star unit zero)."""
     K1._check(K2)
     out = HybridObservable.zero_like(K1)
     for i in range(K1.dof):
-        out = out + _plain_product(K1.derivative_q(i), K2.derivative_p(i))
-        out = out - _plain_product(K1.derivative_p(i), K2.derivative_q(i))
+        out = out + _hybrid_product(K1.derivative_q(i), K2.derivative_p(i), CR_ZERO)
+        out = out - _hybrid_product(K1.derivative_p(i), K2.derivative_q(i), CR_ZERO)
     return out
 
 

@@ -14,13 +14,14 @@ homomorphism to first jet order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .errors import SignatureMismatch, ZeroPlanck
-from .scalars import CR_I, CR_ONE, CRat, Scalar, S_ONE, S_ZERO, scalar
+from .scalars import CR_I, CR_ONE, CRat, Scalar, S_ONE, scalar
+from .terms import (TermMap, accumulate, clean_terms, coeff_str, exponent_map,
+                    normal_order, power_str, render_terms)
 from .group_algebra import ConventionTuple, Element, GroupSignature
 from .pmech import AObservable, ClassicalPoly
 
@@ -59,52 +60,38 @@ class WeylAlgebra:
     def width(self) -> int:
         return 2 * len(self.labels)
 
+    @property
+    def names(self) -> Tuple[str, ...]:
+        """Generator names in exponent order: Q and P of each pair."""
+        return tuple(f"{letter}{lab}" for lab in self.labels for letter in "QP")
+
     def mul_mono(self, m1: WMonomial, m2: WMonomial) -> List[Tuple[WMonomial, Scalar]]:
-        """Normal-ordered product of two monomials.
-
-        Per pair the cross factor P^b1 Q^a2 expands as
-        sum_k k! C(b1,k) C(a2,k) (-gamma)^k Q^(a2-k) P^(b1-k).
-        """
-        partial: List[Tuple[Tuple[int, ...], Scalar]] = [((), S_ONE)]
-        for d in range(self.dofs):
-            qx, px = 2 * d, 2 * d + 1
-            a1, b1 = m1[qx], m1[px]
-            a2, b2 = m2[qx], m2[px]
-            if b1 == 0 or a2 == 0:
-                partial = [(xy + (a1 + a2, b1 + b2), u) for xy, u in partial]
-                continue
-            neg_gamma = -self.gammas[d]
-            nxt = []
-            for xy, u in partial:
-                for k in range(min(b1, a2) + 1):
-                    c = math.factorial(k) * math.comb(b1, k) * math.comb(a2, k)
-                    coeff = u * (neg_gamma ** k) * c
-                    nxt.append((xy + (a1 + a2 - k, b1 + b2 - k), coeff))
-            partial = nxt
-        return [(xy, u) for xy, u in partial]
+        """Normal-ordered product of two monomials: the shared kernel, with
+        each pair's k contractions weighted by (-gamma)^k."""
+        out = []
+        for mono, ks, weight in normal_order(m1, m2, 0, self.dofs):
+            u = scalar(weight)
+            for gamma, k in zip(self.gammas, ks):
+                if k:
+                    u = u * (-gamma) ** k
+            out.append((mono, u))
+        return out
 
 
-class WeylOperator:
+class WeylOperator(TermMap):
     """Noncommutative polynomial in the algebra generators, kept in normal
     form with Q before P inside each pair."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra",)
+
+    _coerce = staticmethod(scalar)
+    _mismatch = "operators over different Weyl algebras"
 
     def __init__(self, algebra: WeylAlgebra, terms: Mapping[WMonomial, Union[Scalar, CRat, int, Fraction]]):
-        clean = {}
-        for mono, coeff in terms.items():
-            if len(mono) != algebra.width:
-                raise ValueError(f"monomial width {len(mono)} != {algebra.width}")
-            if any(e < 0 for e in mono):
-                raise ValueError("negative exponent in monomial")
-            c = scalar(coeff)
-            if not c.is_zero:
-                clean[tuple(mono)] = c
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "terms", clean)
+        self._freeze(algebra=algebra, terms=clean_terms(terms, algebra.width, scalar))
 
-    def __setattr__(self, *args):
-        raise AttributeError("WeylOperator is immutable")
+    def _context(self) -> tuple:
+        return (self.algebra,)
 
     # -- constructors -----------------------------------------------------
 
@@ -126,148 +113,38 @@ class WeylOperator:
         mono[2 * d + (0 if kind == "Q" else 1)] = 1
         return cls(algebra, {tuple(mono): S_ONE})
 
-    # -- ring operations ----------------------------------------------------
-
-    def _check(self, other: "WeylOperator") -> None:
-        if self.algebra != other.algebra:
-            raise SignatureMismatch("operators over different Weyl algebras")
-
-    def __add__(self, other: "WeylOperator") -> "WeylOperator":
+    def _product(self, other: "WeylOperator") -> "WeylOperator":
         self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = out.get(m, S_ZERO) + c
-            if acc.is_zero:
-                out.pop(m, None)
-            else:
-                out[m] = acc
-        return WeylOperator(self.algebra, out)
+        acc: Dict[WMonomial, Scalar] = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                base = c1 * c2
+                for mono, u in self.algebra.mul_mono(m1, m2):
+                    accumulate(acc, mono, base * u)
+        return WeylOperator(self.algebra, acc)
 
-    def __neg__(self) -> "WeylOperator":
-        return WeylOperator(self.algebra, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "WeylOperator") -> "WeylOperator":
-        return self + (-other)
-
-    def scale(self, factor) -> "WeylOperator":
-        f = scalar(factor)
-        return WeylOperator(self.algebra, {m: c * f for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, WeylOperator):
-            self._check(other)
-            acc: Dict[WMonomial, Scalar] = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    base = c1 * c2
-                    for mono, u in self.algebra.mul_mono(m1, m2):
-                        coeff = acc.get(mono, S_ZERO) + base * u
-                        if coeff.is_zero:
-                            acc.pop(mono, None)
-                        else:
-                            acc[mono] = coeff
-            return WeylOperator(self.algebra, acc)
-        if isinstance(other, (Scalar, CRat, int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (Scalar, CRat, int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __truediv__(self, other):
-        return self.scale(S_ONE / scalar(other))
-
-    def __pow__(self, k: int) -> "WeylOperator":
-        if k < 0:
-            raise ValueError("negative powers are not defined")
-        out = WeylOperator.identity(self.algebra)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, WeylOperator)
-                and self.algebra == other.algebra
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.algebra, frozenset(self.terms.items())))
+    def _identity(self) -> "WeylOperator":
+        return WeylOperator.identity(self.algebra)
 
     # -- queries ---------------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
 
     def substitute(self, **values) -> "WeylOperator":
         return WeylOperator(self.algebra,
                             {m: c.substitute(**values) for m, c in self.terms.items()})
 
     def to_json(self) -> dict:
-        terms = []
-        for mono in sorted(self.terms):
-            coeff = self.terms[mono]
-            names = {}
-            for d in range(self.algebra.dofs):
-                lab = self.algebra.labels[d]
-                if mono[2 * d]:
-                    names[f"Q{lab}"] = mono[2 * d]
-                if mono[2 * d + 1]:
-                    names[f"P{lab}"] = mono[2 * d + 1]
-            num = []
-            for (eh, e1, e2), c in coeff.num:
-                num.append({"re": [c.re.numerator, c.re.denominator],
-                            "im": [c.im.numerator, c.im.denominator],
-                            "h_pow": eh, "h1_pow": e1, "h2_pow": e2})
-            terms.append({
-                "coeff": {"numerator": num,
-                          "denominator": {"h_pow": coeff.den[0],
-                                          "h1_pow": coeff.den[1],
-                                          "h2_pow": coeff.den[2]}},
-                "exponents": names,
-            })
-        return {"labels": list(self.algebra.labels), "terms": terms}
+        names = self.algebra.names
+        return {"labels": list(self.algebra.labels),
+                "terms": [{"coeff": self.terms[mono].to_json(),
+                           "exponents": exponent_map(names, mono)}
+                          for mono in sorted(self.terms)]}
 
     # -- display -----------------------------------------------------------------
 
-    def _mono_str(self, mono: WMonomial) -> str:
-        parts = []
-        for d in range(self.algebra.dofs):
-            lab = self.algebra.labels[d]
-            for off, letter in ((0, "Q"), (1, "P")):
-                e = mono[2 * d + off]
-                if e == 1:
-                    parts.append(f"{letter}{lab}")
-                elif e > 1:
-                    parts.append(f"{letter}{lab}^{e}")
-        return "*".join(parts)
-
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        rendered = []
-        for mono in sorted(self.terms, key=lambda m: (-sum(m), m)):
-            body = self._mono_str(mono)
-            cs = str(self.terms[mono])
-            if " " in cs or "/" in cs:
-                cs = f"({cs})"
-            if not body:
-                rendered.append(f"{cs}*I" if cs not in ("1", "-1") else ("I" if cs == "1" else "-I"))
-            elif cs == "1":
-                rendered.append(body)
-            elif cs == "-1":
-                rendered.append(f"-{body}")
-            else:
-                rendered.append(f"{cs}*{body}")
-        out = rendered[0]
-        for r in rendered[1:]:
-            out += f" - {r[1:]}" if r.startswith("-") else f" + {r}"
-        return out
+        names = self.algebra.names
+        return render_terms((coeff_str(self.terms[m]), power_str(names, m) or "I")
+                            for m in sorted(self.terms, key=lambda m: (-sum(m), m)))
 
     __repr__ = __str__
 
@@ -275,7 +152,14 @@ class WeylOperator:
 # ---------------------------------------------------------------------------
 # Hybrid observables
 
-class HybridObservable:
+def _classical_names(dof: int, numbered: bool) -> Tuple[str, ...]:
+    """Names of (q_1, p_1, ..., q_n, p_n); unnumbered 'q', 'p' at one dof."""
+    if dof == 1 and not numbered:
+        return ("q", "p")
+    return tuple(f"{letter}{i}" for i in range(1, dof + 1) for letter in "qp")
+
+
+class HybridObservable(TermMap):
     """Sum of (Weyl operator part) x (classical polynomial part) terms.
 
     Terms are keyed by (weyl monomial, classical monomial, jet degree), where
@@ -284,7 +168,10 @@ class HybridObservable:
     of the h2 symbol; the jet flag is the only carrier of h2.
     """
 
-    __slots__ = ("algebra", "dof", "convention", "terms")
+    __slots__ = ("algebra", "dof", "convention")
+
+    _coerce = staticmethod(scalar)
+    _mismatch = "hybrid observables over different contexts"
 
     def __init__(self, algebra: WeylAlgebra, dof: int, convention: ConventionTuple,
                  terms: Mapping[Tuple[WMonomial, WMonomial, int], Union[Scalar, CRat, int, Fraction]]):
@@ -301,13 +188,10 @@ class HybridObservable:
                 raise ValueError("coefficients must not use h2; the jet flag carries it")
             if not c.is_zero:
                 clean[(tuple(wm), tuple(cm), jet)] = c
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "dof", dof)
-        object.__setattr__(self, "convention", convention)
-        object.__setattr__(self, "terms", clean)
+        self._freeze(algebra=algebra, dof=dof, convention=convention, terms=clean)
 
-    def __setattr__(self, *args):
-        raise AttributeError("HybridObservable is immutable")
+    def _context(self) -> tuple:
+        return (self.algebra, self.dof, self.convention)
 
     # -- constructors ------------------------------------------------------
 
@@ -325,69 +209,18 @@ class HybridObservable:
         zc = (0,) * (2 * dof)
         return cls(w.algebra, dof, convention, {(m, zc, 0): c for m, c in w.terms.items()})
 
-    # -- structure ----------------------------------------------------------
+    def _product(self, other: "HybridObservable") -> "HybridObservable":
+        return multiply_hybrid(self, other)
 
-    def _check(self, other: "HybridObservable") -> None:
-        if (self.algebra != other.algebra or self.dof != other.dof
-                or self.convention != other.convention):
-            raise SignatureMismatch("hybrid observables over different contexts")
-
-    def __add__(self, other: "HybridObservable") -> "HybridObservable":
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            acc = out.get(k, S_ZERO) + c
-            if acc.is_zero:
-                out.pop(k, None)
-            else:
-                out[k] = acc
-        return HybridObservable(self.algebra, self.dof, self.convention, out)
-
-    def __neg__(self) -> "HybridObservable":
-        return HybridObservable(self.algebra, self.dof, self.convention,
-                                {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "HybridObservable") -> "HybridObservable":
-        return self + (-other)
-
-    def scale(self, factor) -> "HybridObservable":
-        f = scalar(factor)
-        return HybridObservable(self.algebra, self.dof, self.convention,
-                                {k: c * f for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, HybridObservable):
-            return multiply_hybrid(self, other)
-        if isinstance(other, (Scalar, CRat, int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (Scalar, CRat, int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, HybridObservable)
-                and self.algebra == other.algebra and self.dof == other.dof
-                and self.convention == other.convention and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.algebra, self.dof, frozenset(self.terms.items())))
+    def _identity(self) -> "HybridObservable":
+        return HybridObservable.identity(self.algebra, self.dof, self.convention)
 
     # -- queries ---------------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def jet_part(self, jet: int) -> "HybridObservable":
         """Coefficient of h2^jet, returned at jet degree zero."""
         return HybridObservable(self.algebra, self.dof, self.convention,
                                 {(wm, cm, 0): c for (wm, cm, j), c in self.terms.items() if j == jet})
-
-    def weyl_degree(self) -> int:
-        return max((sum(wm) for (wm, _, _) in self.terms), default=0)
 
     def uses_classical(self) -> bool:
         return any(any(cm) or jet for (_, cm, jet) in self.terms)
@@ -409,7 +242,7 @@ class HybridObservable:
         for (wm, cm, jet), c in self.terms.items():
             if cm[idx]:
                 key = (wm, cm[:idx] + (cm[idx] - 1,) + cm[idx + 1:], jet)
-                out[key] = out.get(key, S_ZERO) + c * cm[idx]
+                accumulate(out, key, c * cm[idx])
         return HybridObservable(self.algebra, self.dof, self.convention, out)
 
     def substitute(self, **values) -> "HybridObservable":
@@ -418,84 +251,24 @@ class HybridObservable:
 
     # -- display -----------------------------------------------------------------
 
-    def _cmono_str(self, cm: WMonomial) -> str:
-        parts = []
-        for i in range(self.dof):
-            lab = str(i + 1) if self.dof > 1 else ""
-            for off, letter in ((0, "q"), (1, "p")):
-                e = cm[2 * i + off]
-                if e == 1:
-                    parts.append(f"{letter}{lab}" if lab else letter)
-                elif e > 1:
-                    parts.append(f"{letter}{lab}^{e}" if lab else f"{letter}^{e}")
-        return "*".join(parts)
-
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        rendered = []
-        for (wm, cm, jet) in sorted(self.terms, key=lambda k: (k[2], -sum(k[0]) - sum(k[1]), k[0], k[1])):
-            bits = []
-            w = WeylOperator(self.algebra, {wm: S_ONE})._mono_str(wm)
-            if w:
-                bits.append(w)
-            c = self._cmono_str(cm)
-            if c:
-                bits.append(c)
-            if jet:
-                bits.append("h2")
-            body = "*".join(bits)
-            cs = str(self.terms[(wm, cm, jet)])
-            if " " in cs or "/" in cs:
-                cs = f"({cs})"
-            if not body:
-                rendered.append(f"{cs}*I" if cs not in ("1", "-1") else ("I" if cs == "1" else "-I"))
-            elif cs == "1":
-                rendered.append(body)
-            elif cs == "-1":
-                rendered.append(f"-{body}")
-            else:
-                rendered.append(f"{cs}*{body}")
-        out = rendered[0]
-        for r in rendered[1:]:
-            out += f" - {r[1:]}" if r.startswith("-") else f" + {r}"
-        return out
+        names = self.algebra.names + _classical_names(self.dof, numbered=False) + ("h2",)
+        keys = sorted(self.terms, key=lambda k: (k[2], -sum(k[0]) - sum(k[1]), k[0], k[1]))
+        return render_terms((coeff_str(self.terms[(wm, cm, jet)]),
+                             power_str(names, wm + cm + (jet,)) or "I")
+                            for wm, cm, jet in keys)
 
     __repr__ = __str__
 
     def to_json(self) -> dict:
+        wnames = self.algebra.names
+        cnames = _classical_names(self.dof, numbered=True)
         terms = []
         for (wm, cm, jet) in sorted(self.terms):
-            coeff = self.terms[(wm, cm, jet)]
-            wnames = {}
-            for d in range(self.algebra.dofs):
-                lab = self.algebra.labels[d]
-                if wm[2 * d]:
-                    wnames[f"Q{lab}"] = wm[2 * d]
-                if wm[2 * d + 1]:
-                    wnames[f"P{lab}"] = wm[2 * d + 1]
-            cnames = {}
-            for i in range(self.dof):
-                if cm[2 * i]:
-                    cnames[f"q{i + 1}"] = cm[2 * i]
-                if cm[2 * i + 1]:
-                    cnames[f"p{i + 1}"] = cm[2 * i + 1]
-            num = []
-            for (eh, e1, e2), c in coeff.num:
-                num.append({"re": [c.re.numerator, c.re.denominator],
-                            "im": [c.im.numerator, c.im.denominator],
-                            "h_pow": eh, "h1_pow": e1, "h2_pow": e2})
-            terms.append({
-                "weyl": {"exponents": wnames},
-                "classical": {
-                    "coeffs": {"monomial": cnames,
-                               "numerator": num,
-                               "denominator": {"h_pow": coeff.den[0],
-                                               "h1_pow": coeff.den[1],
-                                               "h2_pow": coeff.den[2]}},
-                    "h2_deg": jet,
-                },
-            })
+            coeffs = {"monomial": exponent_map(cnames, cm)}
+            coeffs.update(self.terms[(wm, cm, jet)].to_json())
+            terms.append({"weyl": {"exponents": exponent_map(wnames, wm)},
+                          "classical": {"coeffs": coeffs, "h2_deg": jet}})
         return {"terms": terms}
 
 
@@ -557,12 +330,7 @@ def rep_qq(k: Union[Element, AObservable],
         for mono, coeff in e.terms.items():
             c = coeff * extra
             c = c * _central_scalar(conv, "h1", mono[0]) * _central_scalar(conv, "h2", mono[1])
-            wm = tuple(mono[2:])
-            got = acc.get(wm, S_ZERO) + c
-            if got.is_zero:
-                acc.pop(wm, None)
-            else:
-                acc[wm] = got
+            accumulate(acc, tuple(mono[2:]), c)
         return WeylOperator(alg, acc)
 
     out = image(a.plain, S_ONE)
@@ -602,21 +370,12 @@ def rep_qc(k: Union[Element, AObservable]) -> HybridObservable:
                 c = c * unit_s2
             wm = tuple(mono[2:2 + 2 * n])
             cm = tuple(mono[2 + 2 * n:])
-            key = (wm, cm, jet)
-            got = acc.get(key, S_ZERO) + c
-            if got.is_zero:
-                acc.pop(key, None)
-            else:
-                acc[key] = got
+            accumulate(acc, (wm, cm, jet), c)
         return acc
 
     terms = image(a.plain, S_ONE)
     for key, c in image(a.a1_part, _antiderivative_factor(conv, "h")).items():
-        got = terms.get(key, S_ZERO) + c
-        if got.is_zero:
-            terms.pop(key, None)
-        else:
-            terms[key] = got
+        accumulate(terms, key, c)
     return HybridObservable(alg, n, conv, terms)
 
 
@@ -624,35 +383,34 @@ def multiply_hybrid(a: HybridObservable, b: HybridObservable) -> HybridObservabl
     """Product of hybrid observables: Weyl parts multiply noncommutatively,
     classical parts with the one-sided jet star product, jet degree > 1 is
     discarded."""
+    return _hybrid_product(a, b, a.convention.star_unit)
+
+
+def _hybrid_product(a: HybridObservable, b: HybridObservable,
+                    star_unit: CRat) -> HybridObservable:
+    """multiply_hybrid with the given star unit; a zero unit multiplies the
+    classical parts commutatively, with no star correction."""
     a._check(b)
-    kappa = a.convention.star_unit
     acc: Dict[Tuple[WMonomial, WMonomial, int], Scalar] = {}
-
-    def put(key, val):
-        got = acc.get(key, S_ZERO) + val
-        if got.is_zero:
-            acc.pop(key, None)
-        else:
-            acc[key] = got
-
     for (w1, c1, j1), v1 in a.terms.items():
         for (w2, c2, j2), v2 in b.terms.items():
+            jet = j1 + j2
+            if jet > 1:
+                continue
             base = v1 * v2
-            wterms = a.algebra.mul_mono(w1, w2)
-            star: List[Tuple[WMonomial, int, Union[CRat, int]]] = []
-            if j1 + j2 <= 1:
-                star.append((tuple(x + y for x, y in zip(c1, c2)), j1 + j2, CR_ONE))
-            if j1 + j2 == 0:
+            cm = tuple(x + y for x, y in zip(c1, c2))
+            star: List[Tuple[WMonomial, int, CRat]] = [(cm, jet, CR_ONE)]
+            if jet == 0 and not star_unit.is_zero:
                 for i in range(a.dof):
                     qx, px = 2 * i, 2 * i + 1
                     if c1[px] and c2[qx]:
-                        cm = list(x + y for x, y in zip(c1, c2))
-                        cm[px] -= 1
-                        cm[qx] -= 1
-                        star.append((tuple(cm), 1, kappa * (c1[px] * c2[qx])))
-            for wm, wc in wterms:
-                for cm, jet, sf in star:
-                    put((wm, cm, jet), base * wc * sf)
+                        lowered = list(cm)
+                        lowered[px] -= 1
+                        lowered[qx] -= 1
+                        star.append((tuple(lowered), 1, star_unit * (c1[px] * c2[qx])))
+            for wm, wc in a.algebra.mul_mono(w1, w2):
+                for sm, sj, sf in star:
+                    accumulate(acc, (wm, sm, sj), base * wc * sf)
     return HybridObservable(a.algebra, a.dof, a.convention, acc)
 
 

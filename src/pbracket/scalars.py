@@ -12,6 +12,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Union
 
+from .terms import accumulate, power_str, render_terms
+
 __all__ = [
     "CRat",
     "Scalar",
@@ -313,12 +315,6 @@ class Scalar:
     def is_one(self) -> bool:
         return self == S_ONE
 
-    def is_monomial(self) -> bool:
-        return len(self.num) <= 1
-
-    def _num_dict(self) -> dict:
-        return dict(self.num)
-
     def __add__(self, other) -> "Scalar":
         o = Scalar.of(other)
         if self.is_zero:
@@ -333,8 +329,7 @@ class Scalar:
         for part in (self, o):
             lift = tuple(den[j] - part.den[j] for j in range(3))
             for e, c in part.num:
-                key = tuple(e[j] + lift[j] for j in range(3))
-                out[key] = out.get(key, CR_ZERO) + c
+                accumulate(out, tuple(e[j] + lift[j] for j in range(3)), c)
         return Scalar.make(out, den)
 
     __radd__ = __add__
@@ -358,8 +353,7 @@ class Scalar:
         out: dict = {}
         for e1, c1 in self.num:
             for e2, c2 in o.num:
-                key = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                out[key] = out.get(key, CR_ZERO) + c1 * c2
+                accumulate(out, (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2]), c1 * c2)
         den = tuple(self.den[j] + o.den[j] for j in range(3))
         return Scalar.make(out, den)
 
@@ -394,13 +388,6 @@ class Scalar:
 
     # -- queries ---------------------------------------------------------
 
-    def coefficient(self, e_h: int, e_h1: int, e_h2: int) -> CRat:
-        """Numerator coefficient at the given exponent triple."""
-        for e, c in self.num:
-            if e == (e_h, e_h1, e_h2):
-                return c
-        return CR_ZERO
-
     def uses_symbol(self, name: str) -> bool:
         idx = _SYMS.index(name)
         return self.den[idx] != 0 or any(e[idx] != 0 for e, _ in self.num)
@@ -430,8 +417,7 @@ class Scalar:
             for idx, v in vals.items():
                 c = c * v ** key[idx]
                 key[idx] = 0
-            k = tuple(key)
-            num[k] = num.get(k, CR_ZERO) + c
+            accumulate(num, tuple(key), c)
         den = list(self.den)
         den_scale = CR_ONE
         for idx, v in vals.items():
@@ -458,38 +444,23 @@ class Scalar:
             d *= vals[j] ** self.den[j]
         return total / d
 
+    def to_json(self) -> dict:
+        """Numerator terms and monomial denominator, the coefficient schema
+        of the operator and hybrid JSON writers."""
+        return {
+            "numerator": [{"re": [c.re.numerator, c.re.denominator],
+                           "im": [c.im.numerator, c.im.denominator],
+                           "h_pow": e[0], "h1_pow": e[1], "h2_pow": e[2]}
+                          for e, c in self.num],
+            "denominator": {"h_pow": self.den[0], "h1_pow": self.den[1],
+                            "h2_pow": self.den[2]},
+        }
+
     # -- display ---------------------------------------------------------
 
-    @staticmethod
-    def _mono_str(e: tuple) -> str:
-        parts = []
-        for j, s in enumerate(_SYMS):
-            if e[j] == 1:
-                parts.append(s)
-            elif e[j] > 1:
-                parts.append(f"{s}^{e[j]}")
-        return "*".join(parts)
-
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        terms = []
-        for e, c in sorted(self.num, reverse=True):
-            mono = self._mono_str(e)
-            cs = str(c)
-            if mono:
-                if cs == "1":
-                    terms.append(mono)
-                elif cs == "-1":
-                    terms.append(f"-{mono}")
-                else:
-                    terms.append(f"{cs}*{mono}")
-            else:
-                terms.append(cs)
-        out = terms[0]
-        for t in terms[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        dstr = self._mono_str(self.den)
+        out = render_terms((str(c), power_str(_SYMS, e)) for e, c in sorted(self.num, reverse=True))
+        dstr = power_str(_SYMS, self.den)
         if dstr:
             if len(self.num) > 1 or " " in out or "*" in out:
                 out = f"({out})"

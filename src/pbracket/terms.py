@@ -1,0 +1,224 @@
+"""Sparse term maps: what every polynomial type of the engine shares.
+
+Element, WeylOperator, HybridObservable, ClassicalPoly and the oracle's
+GroupPoly are all immutable maps from exponent keys to nonzero coefficients.
+This module holds their common parts: the term-map base class with its
+linear operations, the accumulate step, the Heisenberg normal-ordering
+kernel that both noncommutative products expand with, and the term printer.
+
+It sits at the bottom of the package and imports no other pbracket module
+except errors, so scalars.py can use the printer.
+"""
+
+from __future__ import annotations
+
+from math import comb, factorial
+from typing import Dict, Iterable, List, Sequence, Tuple
+
+from .errors import SignatureMismatch
+
+__all__ = [
+    "TermMap",
+    "accumulate",
+    "clean_terms",
+    "normal_order",
+    "power_str",
+    "coeff_str",
+    "render_terms",
+    "exponent_map",
+]
+
+
+def accumulate(acc: dict, key, value) -> None:
+    """Add value to acc[key], removing the key when the sum is zero."""
+    prev = acc.get(key)
+    total = value if prev is None else prev + value
+    if total.is_zero:
+        acc.pop(key, None)
+    else:
+        acc[key] = total
+
+
+def clean_terms(terms, width: int, coerce) -> dict:
+    """Validated copy of a flat term map: every key has ``width``
+    nonnegative exponents; coefficients are coerced, zeros dropped."""
+    clean = {}
+    for mono, coeff in terms.items():
+        if len(mono) != width:
+            raise ValueError(f"monomial width {len(mono)} != {width}")
+        if any(e < 0 for e in mono):
+            raise ValueError("negative exponent in monomial")
+        c = coerce(coeff)
+        if not c.is_zero:
+            clean[tuple(mono)] = c
+    return clean
+
+
+def normal_order(m1: Sequence[int], m2: Sequence[int], first: int,
+                 pairs: int) -> List[Tuple[Tuple[int, ...], Tuple[int, ...], int]]:
+    """Normal-ordered product of the (X, Y) pair parts of two monomials.
+
+    Pair t has its X exponent at index ``first + 2*t`` and its Y exponent
+    right after; within a pair [X, Y] = c is central, different pairs
+    commute.  The cross factor Y^m X^n of each pair expands as
+
+        Y^m X^n = sum_k  k! C(m,k) C(n,k) (-c)^k  X^(n-k) Y^(m-k).
+
+    Returns one entry per term: the flattened (X, Y) exponents of all pairs,
+    the number k of contractions per pair, and the integer weight (the
+    product of the k! C(m,k) C(n,k) factors).  The caller supplies the
+    factor (-c_t)^k_t of each pair.
+    """
+    out = [((), (), 1)]
+    for t in range(pairs):
+        ix = first + 2 * t
+        a1, b1, a2, b2 = m1[ix], m1[ix + 1], m2[ix], m2[ix + 1]
+        if b1 == 0 or a2 == 0:
+            out = [(e + (a1 + a2, b1 + b2), ks + (0,), w) for e, ks, w in out]
+            continue
+        expansion = [(k, factorial(k) * comb(b1, k) * comb(a2, k))
+                     for k in range(min(b1, a2) + 1)]
+        out = [(e + (a1 + a2 - k, b1 + b2 - k), ks + (k,), w * ck)
+               for e, ks, w in out for k, ck in expansion]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# printing
+
+
+def power_str(names: Iterable[str], exps: Iterable[int]) -> str:
+    """Product of powers, e.g. ``Q1*P1^2``; zero exponents are skipped."""
+    return "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e)
+
+
+def exponent_map(names: Iterable[str], exps: Iterable[int]) -> Dict[str, int]:
+    """The nonzero exponents of a monomial by name, as the JSON writers emit them."""
+    return {n: e for n, e in zip(names, exps) if e}
+
+
+def coeff_str(c) -> str:
+    """A coefficient's text, parenthesised when it holds a space or a slash."""
+    s = str(c)
+    return f"({s})" if " " in s or "/" in s else s
+
+
+def render_terms(terms: Iterable[Tuple[str, str]]) -> str:
+    """Join (coefficient text, body) pairs into a signed sum.
+
+    A coefficient of 1 or -1 prints as the bare or negated body, an empty
+    body as the coefficient alone; a term that starts with '-' is joined
+    with ' - '.  No terms at all print as '0'.
+    """
+    out = ""
+    for cs, body in terms:
+        if not body:
+            term = cs
+        elif cs == "1":
+            term = body
+        elif cs == "-1":
+            term = f"-{body}"
+        else:
+            term = f"{cs}*{body}"
+        if not out:
+            out = term
+        elif term.startswith("-"):
+            out += f" - {term[1:]}"
+        else:
+            out += f" + {term}"
+    return out or "0"
+
+
+# ---------------------------------------------------------------------------
+# the term-map base
+
+
+class TermMap:
+    """Immutable map ``terms`` from exponent keys to nonzero coefficients.
+
+    A subclass stores the fields that fix its space (signature, algebra,
+    ...), returns them from ``_context`` in its constructor's argument
+    order, and validates input in ``__init__(*context, terms)``.  It sets
+    ``_coerce`` (coefficient coercion, raising TypeError on foreign types)
+    and ``_mismatch`` (the message when spaces differ), and defines
+    ``_product`` and ``_identity`` when it has a product.
+    """
+
+    __slots__ = ("terms",)
+
+    def _freeze(self, **fields) -> None:
+        """Set the fields once, from ``__init__``."""
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *args):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _like(self, terms: dict) -> "TermMap":
+        return type(self)(*self._context(), terms)
+
+    def _check(self, other: "TermMap") -> None:
+        if self._context() != other._context():
+            raise SignatureMismatch(self._mismatch)
+
+    # -- linear structure ------------------------------------------------
+
+    def __add__(self, other: "TermMap") -> "TermMap":
+        self._check(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            accumulate(out, key, c)
+        return self._like(out)
+
+    def __neg__(self) -> "TermMap":
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other: "TermMap") -> "TermMap":
+        return self + (-other)
+
+    def scale(self, factor) -> "TermMap":
+        f = self._coerce(factor)
+        if f.is_zero:
+            return self._like({})
+        return self._like({k: c * f for k, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            return self._product(other)
+        return self.__rmul__(other)
+
+    def __rmul__(self, other):
+        try:
+            factor = self._coerce(other)
+        except TypeError:
+            return NotImplemented
+        return self.scale(factor)
+
+    def __truediv__(self, other):
+        return self.scale(1 / self._coerce(other))
+
+    def __pow__(self, k: int) -> "TermMap":
+        if k < 0:
+            raise ValueError("negative powers are not defined")
+        out = self._identity()
+        for _ in range(k):
+            out = out * self
+        return out
+
+    # -- comparison and queries ------------------------------------------
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._context() == other._context() and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self._context(), frozenset(self.terms.items())))
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def degree(self) -> int:
+        """Largest total exponent over the terms (0 when empty)."""
+        return max((sum(m) for m in self.terms), default=0)

@@ -9,7 +9,9 @@ machine-dependent is printed.
 
 from __future__ import annotations
 
+import os
 import random
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
@@ -99,7 +101,19 @@ def _guard(name: str, fn: Callable[[], VerifyItem]) -> VerifyItem:
         return fn()
     except Exception as exc:                          # noqa: BLE001 - report, never panic
         return VerifyItem(name, "fail", expected="computation completes",
-                          actual=f"{type(exc).__name__}: {exc}")
+                          actual=f"{type(exc).__name__}: {exc}",
+                          detail=(_raised_at(exc),))
+
+
+def _raised_at(exc: Exception) -> str:
+    """Where an exception was raised: the innermost traceback frame inside
+    this package, by file basename so the report stays machine-independent."""
+    package = os.path.dirname(os.path.abspath(__file__))
+    inside = [(frame, line) for frame, line in traceback.walk_tb(exc.__traceback__)
+              if os.path.dirname(os.path.abspath(frame.f_code.co_filename)) == package]
+    frame, line = inside[-1]          # _guard's own frame is always there
+    return (f"raised at {os.path.basename(frame.f_code.co_filename)}:{line} "
+            f"in {frame.f_code.co_name}")
 
 
 def _status(ok: bool) -> str:

@@ -1,0 +1,100 @@
+"""Both noncommutative products against a word rewriter.
+
+Element and Weyl products expand through one normal-ordering kernel, so
+comparing them with each other (the rep_qq homomorphism) no longer checks
+two independent implementations.  The reference here knows nothing of the
+closed-form expansion: it writes the product of two monomials as a word of
+generators and sorts it by adjacent swaps, one at a time.  Generators of
+different pairs commute; swapping Y X inside a pair gives X Y plus the
+central term, Y X = X Y - [X, Y].
+"""
+
+import random
+
+import pytest
+
+from pbracket.group_algebra import ConventionTuple, Element, GroupSignature, multiply
+from pbracket.representations import WeylOperator, qq_algebra
+from pbracket.scalars import CR_I, CR_MINUS_ONE, CR_ONE, S_ZERO, scalar
+
+# eps_comm = -1 (standard), +1 and +i
+CONVENTIONS = [
+    ConventionTuple.standard(),
+    ConventionTuple(eps_comm=CR_ONE, kappa_x=CR_ONE, kappa_y=CR_ONE,
+                    kappa_s=CR_ONE, orient=1, rep_s_sign=1),
+    ConventionTuple(eps_comm=CR_I, kappa_x=CR_ONE, kappa_y=CR_ONE,
+                    kappa_s=CR_ONE, orient=-1, rep_s_sign=-1),
+]
+
+
+def _word(mono):
+    """Generator indices in exponent order, each repeated by its exponent."""
+    return tuple(idx for idx, e in enumerate(mono) for _ in range(e))
+
+
+def rewrite(word, width, first, contraction):
+    """Sort a word of generator indices by adjacent swaps.
+
+    Pair t has X at index first + 2*t and Y right after.  For an adjacent
+    (Y_t, X_t) the swap also emits the word with that pair replaced by
+    ``contraction(t) = (generators, factor)``, the factor being -[X, Y].
+    Returns {exponent vector: coefficient}, zeros dropped.
+    """
+    done = {}
+    todo = [(word, 1)]
+    while todo:
+        w, c = todo.pop()
+        for p in range(len(w) - 1):
+            left, right = w[p], w[p + 1]
+            if left > right:
+                todo.append((w[:p] + (right, left) + w[p + 2:], c))
+                if left == right + 1 and right >= first and (right - first) % 2 == 0:
+                    gens, factor = contraction((right - first) // 2)
+                    todo.append((w[:p] + gens + w[p + 2:], c * factor))
+                break
+        else:
+            mono = [0] * width
+            for idx in w:
+                mono[idx] += 1
+            key = tuple(mono)
+            done[key] = done.get(key, S_ZERO) + scalar(c)
+    return {m: c for m, c in done.items() if not c.is_zero}
+
+
+def _rand_mono(rng, width, first, max_exp=2):
+    mono = [rng.randint(0, max_exp) if idx >= first else rng.randint(0, 1)
+            for idx in range(width)]
+    return tuple(mono)
+
+
+@pytest.mark.parametrize("dof", [1, 2])
+@pytest.mark.parametrize("conv", CONVENTIONS, ids=["eps-1", "eps+1", "eps+i"])
+def test_element_multiply_matches_word_rewriter(dof, conv):
+    sig = GroupSignature(dof=dof, convention=conv)
+    neg_eps = CR_MINUS_ONE * conv.eps_comm
+
+    def contraction(t):
+        return (sig.slot_sector(t) - 1,), neg_eps
+
+    rng = random.Random(1000 * dof + CONVENTIONS.index(conv))
+    for _ in range(60):
+        m1 = _rand_mono(rng, sig.width, 2)
+        m2 = _rand_mono(rng, sig.width, 2)
+        expected = Element(sig, rewrite(_word(m1) + _word(m2), sig.width, 2, contraction))
+        assert multiply(Element.monomial(sig, m1), Element.monomial(sig, m2)) == expected, (m1, m2)
+
+
+@pytest.mark.parametrize("dof", [1, 2])
+def test_weyl_product_matches_word_rewriter(dof):
+    alg = qq_algebra(GroupSignature(dof=dof))
+
+    def contraction(t):
+        return (), -alg.gammas[t]
+
+    rng = random.Random(77 + dof)
+    for _ in range(60):
+        m1 = _rand_mono(rng, alg.width, 0)
+        m2 = _rand_mono(rng, alg.width, 0)
+        expected = WeylOperator(alg, rewrite(_word(m1) + _word(m2), alg.width, 0, contraction))
+        product = WeylOperator(alg, {m1: 1}) * WeylOperator(alg, {m2: 1})
+        assert product == expected, (m1, m2)

@@ -2,6 +2,7 @@
 functions, and finite-dimensional matrix truncations."""
 
 import random
+from pathlib import Path
 from fractions import Fraction
 
 import numpy as np
@@ -319,3 +320,23 @@ def test_matrix_word_products_catch_wrong_factor_at_dof_2(monkeypatch):
     monkeypatch.setattr(oracle, "matrix_realize", swapped)
     reports = {r.check: r for r in check_matrix_suite(sig, n=n)}
     assert not reports["matrix-word-products"].ok
+
+
+def test_verify_item_exception_names_where_it_was_raised(monkeypatch):
+    def broken(n, keep, dofs):
+        raise IndexError("column out of range")
+
+    monkeypatch.setattr(oracle, "_exact_columns", broken)
+    report = run_verify(seed=5, decoupling_instances=1, path_pairs=1,
+                        reduction_pairs=1, oracle_pairs=1)
+    item = {item.name: item for item in report.items}["matrix oracle"]
+    assert item.actual == "IndexError: column out of range"
+    (detail,) = item.detail
+    prefix = "raised at oracle.py:"
+    assert detail.startswith(prefix) and detail.endswith(" in matrix_max_error")
+    line = int(detail[len(prefix):].split(" ")[0])
+    source = Path(oracle.__file__).read_text().splitlines()
+    assert "_exact_columns(" in source[line - 1]
+    assert f"       - {detail}\n" in report.render()
+    assert report.to_json()["items"][-1]["detail"] == [detail]
+    assert not [d for i in report.items if i.ok for d in i.detail if d.startswith("raised at ")]
