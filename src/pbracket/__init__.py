@@ -18,6 +18,7 @@ from .errors import (
     NotLocalized,
     NotMechanised,
     DimensionTooSmall,
+    MatrixTooLarge,
     AObservableProductError,
     ExprError,
     ExprSyntaxError,
@@ -89,7 +90,7 @@ __version__ = "0.1.0"
 __all__ = [
     "PBracketError", "SignatureMismatch", "NoConsistentConvention",
     "UnknownRule", "ZeroPlanck", "SingularTransformation", "DivisionByZero",
-    "NotLocalized", "NotMechanised", "DimensionTooSmall",
+    "NotLocalized", "NotMechanised", "DimensionTooSmall", "MatrixTooLarge",
     "AObservableProductError", "ExprError", "ExprSyntaxError",
     "UnknownSymbol", "IndexOutOfRange",
     "CRat", "Scalar", "scalar",

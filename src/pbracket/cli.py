@@ -54,6 +54,18 @@ class _UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser that reads a token starting with a single '-' as an
+    option only when it is one ('-h'), so negative expressions such as -1/2
+    or -q1 need no '--' in front.  Subcommand parsers inherit the class."""
+
+    def _parse_optional(self, arg_string):
+        if (arg_string.startswith("-") and not arg_string.startswith("--")
+                and arg_string not in self._option_string_actions):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
@@ -63,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="PATH", default=argparse.SUPPRESS,
                         help="configuration file (overrides PBRACKET_CONFIG)")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pbracket", parents=[common],
         description="Convolution-algebra bracket engine for coupled "
                     "quantum-quantum and quantum-classical systems.")

@@ -45,6 +45,10 @@ class DimensionTooSmall(PBracketError):
     """A matrix truncation is too small for the requested operator degree."""
 
 
+class MatrixTooLarge(PBracketError):
+    """A dense matrix realization would exceed the oracle's size limit."""
+
+
 class AObservableProductError(PBracketError):
     """Products of antiderivative-carrying observables are undefined."""
 

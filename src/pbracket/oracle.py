@@ -25,16 +25,22 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-import numpy as np
-
-from .errors import DimensionTooSmall
+from .errors import DimensionTooSmall, MatrixTooLarge
 from .scalars import CRat, CR_ZERO, CR_ONE, CR_I, Scalar, S_ONE, scalar
 from .group_algebra import Element, GroupSignature, commutator, multiply
 from .representations import WeylOperator, qc_algebra
 from .terms import TermMap, accumulate, power_str
 from . import sampling
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# Largest dense realization, n ** dofs basis states: the dof=2 size at
+# n = 32 that verify runs.  One complex matrix of that size is 16 MB; at
+# dof=3, n = 32 (32768 states) it would be 17 GB.
+MAX_MATRIX_DIM = 1024
 
 __all__ = [
     "GroupPoly",
@@ -150,6 +156,7 @@ def vector_field_action(e: Element, f: GroupPoly) -> GroupPoly:
 
 
 def _ladder(n: int) -> np.ndarray:
+    import numpy as np
     a = np.zeros((n, n), dtype=complex)
     for j in range(1, n):
         a[j - 1, j] = math.sqrt(j)
@@ -179,9 +186,21 @@ def matrix_realize(w: WeylOperator, hbar: float, n: int,
     degree of freedom.
 
     Each canonical pair gets an independent tensor factor; identities fill the
-    others.  Raises DimensionTooSmall when the truncation cannot hold even one
-    exact column for the operator degree.
+    others.  A term is added one slab of rows at a time, the rows whose
+    first-factor index is i, so no full-size temporary is built per term (at
+    dimension 1024 one is 16 MB); the entries are the Kronecker product's.
+
+    Raises DimensionTooSmall when the truncation cannot hold even one exact
+    column for the operator degree, and MatrixTooLarge before any allocation
+    when n ** dofs exceeds MAX_MATRIX_DIM.
     """
+    import numpy as np
+    dofs = w.algebra.dofs
+    dim = n ** dofs
+    if dim > MAX_MATRIX_DIM:
+        raise MatrixTooLarge(
+            f"matrix realization of dimension {n}**{dofs} = {dim} exceeds "
+            f"the limit {MAX_MATRIX_DIM}")
     deg = w.degree()
     if n < deg + 2:
         raise DimensionTooSmall(
@@ -193,9 +212,8 @@ def matrix_realize(w: WeylOperator, hbar: float, n: int,
     for gamma in w.algebra.gammas:
         gval = complex(gamma.evalf(h=hv, h1=h1v, h2=h2v))
         pairs.append(_canonical_pair(gval, n))
-    dofs = w.algebra.dofs
-    dim = n ** dofs
     total = np.zeros((dim, dim), dtype=complex)
+    rows = dim // n
     eye = np.eye(n, dtype=complex)
     for mono, coeff in w.terms.items():
         factors = []
@@ -208,13 +226,12 @@ def matrix_realize(w: WeylOperator, hbar: float, n: int,
             if b:
                 m = m @ np.linalg.matrix_power(pd, b)
             factors.append(m)
-        block = factors[0]
-        for m in factors[1:]:
-            block = np.kron(block, m)
-        if block is eye:
-            block = eye.copy()
-        block *= complex(coeff.evalf(h=hv, h1=h1v, h2=h2v))
-        total += block
+        c = complex(coeff.evalf(h=hv, h1=h1v, h2=h2v))
+        for i in range(n):
+            block = factors[0][i:i + 1]
+            for m in factors[1:]:
+                block = np.kron(block, m)
+            total[i * rows:(i + 1) * rows] += block * c
     return total
 
 
@@ -229,6 +246,7 @@ def _exact_columns(n: int, keep: int, dofs: int) -> List[int]:
 def _max_abs_on_columns(m: np.ndarray, cols: List[int]) -> float:
     """Largest entry modulus of ``m`` on the given columns, taken one column
     at a time so no column subset is copied."""
+    import numpy as np
     if not cols:
         return 0.0
     return float(np.max([np.abs(m[:, j]).max() for j in cols]))
@@ -387,6 +405,7 @@ def check_matrix_suite(sig: GroupSignature, hbar: float = 1.0, n: int = 32,
       * the biquadratic identity (1/(i hbar))[Q^2, P^2] against its
         closed form 4*gu*QP - 2*gu^2*i*hbar, gu the commutator unit
     """
+    import numpy as np
     alg = qc_algebra(sig)
     q = WeylOperator.generator(alg, "Q", 0)
     p = WeylOperator.generator(alg, "P", 0)

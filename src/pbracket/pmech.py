@@ -2,24 +2,28 @@
 the universal bracket.
 
 A classical polynomial in q_{s,i}, p_{s,i} is mechanised into the group
-algebra by full symmetrization: each monomial becomes the average over all
-distinct orderings of its generator multiset, with one kappa factor per
-generator.  The universal bracket is the commutator followed by the two
-antiderivative operators, which strip one central factor per monomial where
-possible and retain a formal linear A1/A2 factor where not.
+algebra by full symmetrization, with one kappa factor per generator.  The
+symmetrized product of a monomial is computed in closed form (McCoy's
+formula): per (X, Y) slot, the normal-ordering kernel applied to Y^b X^a
+with half the contraction.  Every correction term carries a central factor,
+so the S-free part of an image is the symbol, which inverts the map.
+
+The universal bracket is the commutator followed by the two antiderivative
+operators, which strip one central factor per monomial where possible and
+retain a formal linear A1/A2 factor where not.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, Tuple, Union
+from typing import Callable, Dict, Mapping, Tuple, Union
 
 from .errors import AObservableProductError, NotMechanised, SignatureMismatch, UnknownRule
 from .scalars import CR_ONE, CRat, Scalar
-from .group_algebra import Element, GroupSignature, commutator, delta_str, element_to_json, multiply
-from .terms import TermMap, accumulate, clean_terms, power_str, render_terms
+from .group_algebra import Element, GroupSignature, commutator, delta_str, element_to_json
+from .terms import (TermMap, accumulate, clean_terms, normal_order, pair_halves,
+                    power_str, render_terms)
 
 __all__ = [
     "ClassicalPoly",
@@ -143,55 +147,32 @@ def poisson_classical(f: ClassicalPoly, g: ClassicalPoly) -> ClassicalPoly:
 # ---------------------------------------------------------------------------
 # Mechanisation
 
-_sym_cache: Dict[Tuple[GroupSignature, Tuple[int, ...]], Element] = {}
-
-
-def _symmetrized_word(sig: GroupSignature, word: Tuple[int, ...]) -> Element:
-    """Average of all distinct orderings of the generator index multiset."""
-    key = (sig, tuple(sorted(word)))
-    cached = _sym_cache.get(key)
-    if cached is not None:
-        return cached
-    orderings = set(itertools.permutations(sorted(word)))
-    total = Element.zero(sig)
-    for order in sorted(orderings):
-        prod = Element.one(sig)
-        for idx in order:
-            mono = [0] * sig.width
-            mono[idx] = 1
-            prod = multiply(prod, Element.monomial(sig, mono))
-        total = total + prod
-    result = total.scale(Fraction(1, len(orderings)))
-    _sym_cache[key] = result
-    return result
-
-
 def mechanise_weyl(sig: GroupSignature, f: ClassicalPoly) -> Element:
     """Symmetric (Weyl) mechanisation of a classical polynomial.
 
     q_{s,i} contributes kappa_x * X_{s,i} and p_{s,i} contributes
     kappa_y * Y_{s,i}; a monomial maps to the kappa-weighted average over all
     distinct orderings of its generators, and the map extends linearly.
+    Different slots commute, so the average factors over slots, and per slot
+    McCoy's closed form gives
+
+        sym(X^a Y^b) = sum_k  k! C(a,k) C(b,k) (-eps S/2)^k  X^(a-k) Y^(b-k),
+
+    which is the normal-ordering kernel applied to Y^b X^a with half the
+    contraction; S is the slot's sector generator.
     """
     if f.dof != sig.dof:
         raise SignatureMismatch("polynomial dof does not match signature")
     conv = sig.convention
-    out = Element.zero(sig)
+    half_neg_eps = -conv.eps_comm * CRat.of(Fraction(1, 2))
+    out: Dict[Tuple[int, ...], CRat] = {}
     for mono, coeff in f.terms.items():
-        word: List[int] = []
-        kappa = CR_ONE
-        for idx, e in enumerate(mono):
-            if not e:
-                continue
-            slot, off = divmod(idx, 2)
-            gen_idx = 2 + 2 * slot + off
-            word.extend([gen_idx] * e)
-            kappa = kappa * (conv.kappa_x if off == 0 else conv.kappa_y) ** e
-        if not word:
-            out = out + Element.one(sig).scale(coeff)
-            continue
-        out = out + _symmetrized_word(sig, tuple(word)).scale(coeff * kappa)
-    return out
+        xs, ys = pair_halves(mono)
+        c = coeff * conv.kappa_x ** sum(xs) * conv.kappa_y ** sum(ys)
+        for xy, ks, weight in normal_order(ys, xs, 0, sig.slots):
+            k, k1 = sum(ks), sum(ks[:sig.dof])
+            accumulate(out, (k1, k - k1) + xy, c * half_neg_eps ** k * weight)
+    return Element(sig, out)
 
 
 _RULES: Dict[str, Callable[[GroupSignature, ClassicalPoly], Element]] = {}
@@ -222,38 +203,29 @@ register_rule("weyl", mechanise_weyl)
 def weyl_symbol(e: Element) -> ClassicalPoly:
     """Inverse of mechanise_weyl.
 
-    Peels monomials from the top degree down: the leading monomial of
-    mechanise_weyl(q^a p^b) is the directly transported one, and every
-    correction carries a central factor and strictly lower degree, so the
-    system is triangular.  Raises NotMechanised when the input is not in the
-    image (a leading monomial carries a central factor, or a coefficient is
-    not constant).
+    Every correction term of the closed form carries a central factor, so
+    the S-free terms of an image, divided by their kappa factors, are the
+    symbol itself.  Raises NotMechanised when the input is not in the image:
+    a coefficient is not constant, or mechanising the symbol does not give
+    the input back.
     """
     sig = e.signature
     conv = sig.convention
-    residue = e
-    out = ClassicalPoly.zero(sig.dof)
-    while not residue.is_zero:
-        top = max(sum(m) for m in residue.terms)
-        mono = min(m for m in residue.terms if sum(m) == top)
+    terms: Dict[CMonomial, CRat] = {}
+    for mono, coeff in e.terms.items():
         if mono[0] or mono[1]:
-            raise NotMechanised(
-                f"leading monomial {mono} carries a central generator")
-        kappa = CR_ONE
-        cmono = [0] * (4 * sig.dof)
-        for t in range(sig.slots):
-            a, b = mono[2 + 2 * t], mono[3 + 2 * t]
-            cmono[2 * t], cmono[2 * t + 1] = a, b
-            kappa = kappa * conv.kappa_x ** a * conv.kappa_y ** b
+            continue
+        cmono = mono[2:]
+        kappa = conv.kappa_x ** sum(cmono[0::2]) * conv.kappa_y ** sum(cmono[1::2])
         try:
-            c = residue.terms[mono].as_crat() / kappa
+            terms[cmono] = coeff.as_crat() / kappa
         except ValueError:
             raise NotMechanised(
                 "coefficient with formal parameters is outside the mechanisation image") from None
-        piece = ClassicalPoly(sig.dof, {tuple(cmono): c})
-        out = out + piece
-        residue = residue - mechanise_weyl(sig, piece)
-    return out
+    f = ClassicalPoly(sig.dof, terms)
+    if mechanise_weyl(sig, f) != e:
+        raise NotMechanised("element is not in the image of the symmetric mechanisation")
+    return f
 
 
 # ---------------------------------------------------------------------------

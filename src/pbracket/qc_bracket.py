@@ -19,11 +19,12 @@ Poisson part split out; the three terms then sum to
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from .errors import DivisionByZero, NotLocalized, SignatureMismatch, SingularTransformation
 from .scalars import CR_I, CR_MINUS_I, CR_ZERO, CRat, Scalar, S_ONE, scalar
 from .group_algebra import Element
+from .terms import accumulate, pair_halves
 from .pmech import ClassicalPoly, poisson_classical, universal_bracket, weyl_symbol
 from .representations import (
     HybridObservable,
@@ -99,23 +100,19 @@ def bracket_via_universal(k1: Element, k2: Element,
 
 def _ordered_weyl_transport(k_sig, f: ClassicalPoly) -> WeylOperator:
     """Replace each commuting monomial q^a p^b of a sector-1 polynomial with
-    the Weyl monomial in the calibrated order."""
+    the Weyl monomial in the calibrated order, Q^a P^b or P^b Q^a, in
+    normal form."""
     alg = qc_algebra(k_sig)
     conv = k_sig.convention
     anti = conv.anti_normal_order
     if not anti and conv.gamma_unit != CRat.of(-1):
         raise ValueError("ordered transport is undefined for this convention tuple")
-    n = k_sig.dof
-    out = WeylOperator.zero(alg)
+    out: Dict[Tuple[int, ...], Scalar] = {}
     for mono, c in f.terms.items():
-        op = WeylOperator.identity(alg)
-        for i in range(n):
-            a, b = mono[2 * i], mono[2 * i + 1]
-            Q = WeylOperator.generator(alg, "Q", i)
-            P = WeylOperator.generator(alg, "P", i)
-            op = op * (P ** b * Q ** a if anti else Q ** a * P ** b)
-        out = out + op.scale(c)
-    return out
+        qs, ps = pair_halves(mono[:alg.width])
+        for m, u in alg.mul_mono(*((ps, qs) if anti else (qs, ps))):
+            accumulate(out, m, u * c)
+    return WeylOperator(alg, out)
 
 
 def classicality_gap(k1: Element, k2: Element,

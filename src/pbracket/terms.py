@@ -4,7 +4,8 @@ Element, WeylOperator, HybridObservable, ClassicalPoly and the oracle's
 GroupPoly are all immutable maps from exponent keys to nonzero coefficients.
 This module holds their common parts: the term-map base class with its
 linear operations, the accumulate step, the Heisenberg normal-ordering
-kernel that both noncommutative products expand with, and the term printer.
+kernel that both noncommutative products, the Weyl mechanisation and the
+ordered transport expand with, and the term printer.
 
 It sits at the bottom of the package and imports no other pbracket module
 except errors, so scalars.py can use the printer.
@@ -22,6 +23,7 @@ __all__ = [
     "accumulate",
     "clean_terms",
     "normal_order",
+    "pair_halves",
     "power_str",
     "coeff_str",
     "render_terms",
@@ -81,6 +83,14 @@ def normal_order(m1: Sequence[int], m2: Sequence[int], first: int,
         out = [(e + (a1 + a2 - k, b1 + b2 - k), ks + (k,), w * ck)
                for e, ks, w in out for k, ck in expansion]
     return out
+
+
+def pair_halves(mono: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The X half and the Y half of a monomial laid out as (X, Y) pairs,
+    each at full width with the other half's exponents zeroed."""
+    xs = tuple(e if i % 2 == 0 else 0 for i, e in enumerate(mono))
+    ys = tuple(e if i % 2 else 0 for i, e in enumerate(mono))
+    return xs, ys
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Command-line interface: output strings, JSON mode, exit codes, config."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -146,6 +149,38 @@ def test_signature_flag_after_subcommand(capsys):
     assert out.strip() == "delta[x12]"
 
 
+def test_negative_expressions_need_no_double_dash(capsys):
+    assert run(capsys, "mechanise", "-1/2") == (0, "(-1/2)\n", "")
+    assert run(capsys, "bracket", "qc", "-q1", "p1") == (0, "-I\n", "")
+    assert run(capsys, "rep", "qq", "-p1") == (0, "-P1\n", "")
+    assert run(capsys, "mechanise", "--", "-1/2") == (0, "(-1/2)\n", "")
+    code, out, _ = run(capsys, "mechanise", "-q1^2", "--json")
+    assert code == 0 and json.loads(out)["terms"][0]["exponents"] == {"X_1_1": 2}
+    code, out, _ = run(capsys, "mechanise", "-h")
+    assert code == 0 and out.startswith("usage: pbracket mechanise")
+    code, _, err = run(capsys, "mechanise", "-x")
+    assert code == 2 and err.startswith("error: unknown symbol 'x'")
+
+
+def test_matrix_oracle_size_bound_is_one_error_line(capsys, monkeypatch):
+    import numpy
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense matrix allocated past the size bound")
+
+    monkeypatch.setattr(numpy, "zeros", refuse)
+    monkeypatch.setattr(numpy, "eye", refuse)
+    code, out, err = run(capsys, "--signature", "n=3", "oracle", "check")
+    assert (code, out) == (1, "")
+    assert err == ("error: matrix realization of dimension 32**3 = 32768 "
+                   "exceeds the limit 1024\n")
+    code, out, err = run(capsys, "--signature", "n=3", "verify", "paper")
+    assert code == 1 and err == ""
+    assert "[FAIL] matrix oracle\n" in out
+    assert "actual:   MatrixTooLarge: matrix realization" in out
+    assert out.rstrip().endswith("summary: 10 of 12 items pass")
+
+
 def test_missing_command_is_usage_error(capsys):
     assert run(capsys, )[0] == 2
     assert run(capsys, "frobnicate")[0] == 2
@@ -213,3 +248,15 @@ def test_verify_paper_json(capsys):
     assert data["seed"] == 7
     assert len(data["items"]) == 12
     assert all(item["status"] == "pass" for item in data["items"])
+
+
+def test_import_and_heff_leave_numpy_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import pbracket, pbracket.cli; "
+            "rc = pbracket.cli.main(['heff', '1/2', '1/3']); "
+            "print('numpy' in sys.modules, rc)")
+    done = subprocess.run([sys.executable, "-c", code, src],
+                          capture_output=True, text=True, timeout=60)
+    assert done.stderr == ""
+    assert done.stdout == "1/5\nFalse 0\n"

@@ -1,13 +1,20 @@
-"""Byte-for-byte lock on the `pbracket verify paper` report.
+"""Byte-for-byte lock on the `pbracket verify paper` report and on the
+output of `scripts/explore_conventions.py`.
 
-The files under tests/golden/ are the stdout of `pbracket verify paper
---seed N` and `pbracket --json verify paper --seed N`, and of the same
-commands with `--signature n=2` for the `dof2` files.  Any change to the
-exact arithmetic that alters a single character of either rendering fails
-here; regenerate the files only for an intended change of output.
+The verify_paper files under tests/golden/ are the stdout of `pbracket
+verify paper --seed N` and `pbracket --json verify paper --seed N`, and of
+the same commands with `--signature n=2` for the `dof2` files.  The
+explore_conventions files are the script's stdout at `--dof 1` and
+`--dof 2`; it mechanises, brackets and takes the classicality gap for
+every passing convention tuple.  Any change to the exact arithmetic that
+alters a single character of these outputs fails here; regenerate the files
+only for an intended change of output.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +23,7 @@ from pbracket.config import EngineConfig
 from pbracket.verify import run_verify
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("seed", [2024, 99])
@@ -36,3 +44,13 @@ def test_verify_paper_dof2_matches_golden():
     assert text.endswith("summary: 12 of 12 items pass\n")
     assert text == (GOLDEN / "verify_paper_dof2_seed2024.txt").read_text()
     assert as_json == (GOLDEN / "verify_paper_dof2_seed2024.json").read_text()
+
+
+@pytest.mark.parametrize("dof", [1, 2])
+def test_explore_conventions_matches_golden(dof):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "explore_conventions.py"), "--dof", str(dof)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (GOLDEN / f"explore_conventions_dof{dof}.txt").read_text()

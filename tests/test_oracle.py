@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pbracket import oracle, sampling
-from pbracket.errors import DimensionTooSmall
+from pbracket.errors import DimensionTooSmall, MatrixTooLarge
 from pbracket.scalars import CR_I, CR_MINUS_I, CR_ONE, CR_ZERO, CRat, S_ONE, Scalar
 from pbracket.group_algebra import (ConventionTuple, Element, GroupSignature,
                                     commutator, multiply)
@@ -162,6 +162,41 @@ def test_matrix_dimension_guard():
     Q = WeylOperator.generator(alg, "Q", 0)
     with pytest.raises(DimensionTooSmall):
         matrix_realize(Q ** 4, hbar=1.0, n=5)
+
+
+def test_matrix_size_bound_raises_before_allocating(monkeypatch):
+    from pbracket.representations import WeylOperator
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense matrix allocated past the size bound")
+
+    monkeypatch.setattr(np, "zeros", refuse)
+    monkeypatch.setattr(np, "eye", refuse)
+    assert oracle.MAX_MATRIX_DIM == 1024
+    q2 = WeylOperator.generator(qc_algebra(GroupSignature(2)), "Q", 0)
+    with pytest.raises(MatrixTooLarge, match="33\\*\\*2 = 1089"):
+        matrix_realize(q2, hbar=1.0, n=33)
+    with pytest.raises(MatrixTooLarge, match="32\\*\\*3 = 32768"):
+        check_matrix_suite(GroupSignature(3))
+
+
+def test_matrix_realize_builds_no_full_size_temporary():
+    import tracemalloc
+
+    from pbracket.representations import WeylOperator
+    alg = qc_algebra(GroupSignature(2))
+    q1, p1 = WeylOperator.generator(alg, "Q", 0), WeylOperator.generator(alg, "P", 0)
+    q2, p2 = WeylOperator.generator(alg, "Q", 1), WeylOperator.generator(alg, "P", 1)
+    w = q1 * p2 + p1 * p1 * q2 + q2 * q2 * p2 - WeylOperator.identity(alg)
+    matrix_realize(w, hbar=1.0, n=8)   # numpy loads on first use; keep that out
+    tracemalloc.start()
+    try:
+        m = matrix_realize(w, hbar=1.0, n=32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m.shape == (1024, 1024)
+    assert peak < m.nbytes * 1.25      # the result plus slab-sized temporaries
 
 
 def test_matrix_max_error_flags_wrong_operator():
