@@ -152,27 +152,23 @@ def _pipeline_identity(sig: GroupSignature,
     return matched, image
 
 
-def _passes(conv: ConventionTuple, dof: int, pipeline_sign: int) -> Optional[str]:
-    sig = GroupSignature(dof, conv)
-    ok, _, _ = _commutator_identity(sig)
-    if not ok:
-        return None
-    result = _pipeline_identity(sig, pipeline_sign)
-    return None if result is None else result[0]
-
-
 def calibration_report(dof: int = 1, pipeline_sign: int = 1) -> CalibrationReport:
     passing: List[ConventionTuple] = []
     orders: List[str] = []
     count = 0
-    for eps, kx, ky, ks, orient, rss in itertools.product(
-            UNIT_VALUES, UNIT_VALUES, UNIT_VALUES, UNIT_VALUES, _SIGNS, _SIGNS):
-        count += 1
-        conv = ConventionTuple(eps, kx, ky, ks, orient, rss)
-        matched = _passes(conv, dof, pipeline_sign)
-        if matched is not None:
-            passing.append(conv)
-            orders.append(matched)
+    for eps, kx, ky, ks, orient in itertools.product(
+            UNIT_VALUES, UNIT_VALUES, UNIT_VALUES, UNIT_VALUES, _SIGNS):
+        # rep_s_sign acts only through the representations, so the
+        # commutator identity is the same for both of its values
+        ok, _, _ = _commutator_identity(
+            GroupSignature(dof, ConventionTuple(eps, kx, ky, ks, orient, 1)))
+        for rss in _SIGNS:
+            count += 1
+            conv = ConventionTuple(eps, kx, ky, ks, orient, rss)
+            result = _pipeline_identity(GroupSignature(dof, conv), pipeline_sign) if ok else None
+            if result is not None:
+                passing.append(conv)
+                orders.append(result[0])
     if not passing:
         raise NoConsistentConvention(
             "no convention tuple satisfies both anchor identities")

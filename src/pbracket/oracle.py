@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from .errors import DimensionTooSmall, MatrixTooLarge
 from .scalars import CRat, CR_ZERO, CR_ONE, CR_I, Scalar, S_ONE, scalar
@@ -180,21 +180,13 @@ def _canonical_pair(gamma: complex, n: int) -> Tuple[np.ndarray, np.ndarray]:
     return q, p
 
 
-def matrix_realize(w: WeylOperator, hbar: float, n: int,
-                   h1: Optional[float] = None, h2: Optional[float] = None) -> np.ndarray:
-    """Truncated matrix of ``w`` on the oscillator basis, dimension n per
-    degree of freedom.
-
-    Each canonical pair gets an independent tensor factor; identities fill the
-    others.  A term is added one slab of rows at a time, the rows whose
-    first-factor index is i, so no full-size temporary is built per term (at
-    dimension 1024 one is 16 MB); the entries are the Kronecker product's.
+def _realization_dim(w: WeylOperator, n: int) -> int:
+    """The dimension n ** dofs of the realization of ``w``.
 
     Raises DimensionTooSmall when the truncation cannot hold even one exact
-    column for the operator degree, and MatrixTooLarge before any allocation
-    when n ** dofs exceeds MAX_MATRIX_DIM.
+    column for the operator degree, and MatrixTooLarge when n ** dofs exceeds
+    MAX_MATRIX_DIM.
     """
-    import numpy as np
     dofs = w.algebra.dofs
     dim = n ** dofs
     if dim > MAX_MATRIX_DIM:
@@ -205,6 +197,28 @@ def matrix_realize(w: WeylOperator, hbar: float, n: int,
     if n < deg + 2:
         raise DimensionTooSmall(
             f"need matrix dimension >= degree + 2 = {deg + 2}, got {n}")
+    return dim
+
+
+def _row_slabs(w: WeylOperator, hbar: float, n: int,
+               h1: Optional[float] = None, h2: Optional[float] = None,
+               out: Optional[np.ndarray] = None) -> Iterator[np.ndarray]:
+    """The truncated matrix of ``w`` one slab of rows at a time, dimension n
+    per degree of freedom.
+
+    Each canonical pair gets an independent tensor factor; identities fill the
+    others.  Slab i holds the n ** (dofs - 1) rows whose first-factor index is
+    i, with the Kronecker product's entries, so no caller holds a full
+    matrix (at dimension 1024 one is 16 MB).  Given ``out``, slab i is
+    written into its rows; otherwise every slab is one buffer, overwritten
+    by the next.  The Kronecker blocks go into buffers made once per call:
+    a fresh slab-sized array per term costs a page-faulting allocation.
+
+    Checks the size when called, before any allocation (_realization_dim).
+    """
+    import numpy as np
+    dim = _realization_dim(w, n)
+    dofs = w.algebra.dofs
     hv = float(hbar)
     h1v = hv if h1 is None else float(h1)
     h2v = hv if h2 is None else float(h2)
@@ -212,9 +226,8 @@ def matrix_realize(w: WeylOperator, hbar: float, n: int,
     for gamma in w.algebra.gammas:
         gval = complex(gamma.evalf(h=hv, h1=h1v, h2=h2v))
         pairs.append(_canonical_pair(gval, n))
-    total = np.zeros((dim, dim), dtype=complex)
-    rows = dim // n
     eye = np.eye(n, dtype=complex)
+    terms = []
     for mono, coeff in w.terms.items():
         factors = []
         for d in range(dofs):
@@ -226,12 +239,41 @@ def matrix_realize(w: WeylOperator, hbar: float, n: int,
             if b:
                 m = m @ np.linalg.matrix_power(pd, b)
             factors.append(m)
-        c = complex(coeff.evalf(h=hv, h1=h1v, h2=h2v))
+        terms.append((factors, complex(coeff.evalf(h=hv, h1=h1v, h2=h2v))))
+    rows = dim // n
+    levels = [np.empty((n ** k, n ** (k + 1)), dtype=complex) for k in range(1, dofs)]
+    scaled = np.empty((rows, dim), dtype=complex)
+    own = np.empty((rows, dim), dtype=complex) if out is None else None
+
+    def slabs() -> Iterator[np.ndarray]:
         for i in range(n):
-            block = factors[0][i:i + 1]
-            for m in factors[1:]:
-                block = np.kron(block, m)
-            total[i * rows:(i + 1) * rows] += block * c
+            slab = own if out is None else out[i * rows:(i + 1) * rows]
+            slab.fill(0)
+            for factors, c in terms:
+                block = factors[0][i:i + 1]
+                for m, level in zip(factors[1:], levels):
+                    # level = block (x) m, the entries np.kron gives
+                    r, k = block.shape
+                    np.multiply(block[:, None, :, None], m[None, :, None, :],
+                                out=level.reshape(r, n, k, n))
+                    block = level
+                np.multiply(block, c, out=scaled)
+                slab += scaled
+            yield slab
+
+    return slabs()
+
+
+def matrix_realize(w: WeylOperator, hbar: float, n: int,
+                   h1: Optional[float] = None, h2: Optional[float] = None) -> np.ndarray:
+    """Truncated matrix of ``w`` on the oscillator basis, dimension n per
+    degree of freedom, filled in place one row slab at a time (see
+    _row_slabs)."""
+    import numpy as np
+    dim = _realization_dim(w, n)
+    total = np.empty((dim, dim), dtype=complex)
+    for _ in _row_slabs(w, hbar, n, h1, h2, out=total):
+        pass
     return total
 
 
@@ -243,15 +285,6 @@ def _exact_columns(n: int, keep: int, dofs: int) -> List[int]:
     return cols
 
 
-def _max_abs_on_columns(m: np.ndarray, cols: List[int]) -> float:
-    """Largest entry modulus of ``m`` on the given columns, taken one column
-    at a time so no column subset is copied."""
-    import numpy as np
-    if not cols:
-        return 0.0
-    return float(np.max([np.abs(m[:, j]).max() for j in cols]))
-
-
 def matrix_max_error(wa: WeylOperator, wb: WeylOperator, hbar: float, n: int,
                      h1: Optional[float] = None, h2: Optional[float] = None) -> float:
     """Max entrywise deviation between the realizations of two operators,
@@ -260,15 +293,19 @@ def matrix_max_error(wa: WeylOperator, wb: WeylOperator, hbar: float, n: int,
     A degree-d operator maps basis column j into levels <= j + d per factor,
     so columns with every factor index < n - d are free of truncation error.
     """
+    import numpy as np
     if wa.algebra is not wb.algebra and wa.algebra != wb.algebra:
         raise ValueError("operators live in different algebras")
     deg = max(wa.degree(), wb.degree())
     if n < deg + 2:
         raise DimensionTooSmall(
             f"need matrix dimension >= degree + 2 = {deg + 2}, got {n}")
-    diff = matrix_realize(wa, hbar, n, h1, h2)
-    diff -= matrix_realize(wb, hbar, n, h1, h2)
-    return _max_abs_on_columns(diff, _exact_columns(n, n - deg, wa.algebra.dofs))
+    cols = _exact_columns(n, n - deg, wa.algebra.dofs)
+    worst = 0.0
+    for sa, sb in zip(_row_slabs(wa, hbar, n, h1, h2), _row_slabs(wb, hbar, n, h1, h2)):
+        sa -= sb
+        worst = max(worst, float(np.abs(sa[:, cols]).max()))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +464,8 @@ def check_matrix_suite(sig: GroupSignature, hbar: float = 1.0, n: int = 32,
     words = [("q", "p"), ("p", "q"), ("q", "q", "p", "p"),
              ("p", "p", "q", "q"), ("q", "p", "q", "p")]
     # the word acts on the first tensor factor only: compare with num (x) I,
-    # subtracted in place one diagonal block of the other factors at a time
-    rest = n ** (alg.dofs - 1)
+    # subtracted in place from each row slab on the diagonal of the others
+    rest = np.arange(n ** (alg.dofs - 1))
     worst = 0.0
     for word in words:
         sym = ident
@@ -436,12 +473,10 @@ def check_matrix_suite(sig: GroupSignature, hbar: float = 1.0, n: int = 32,
         for ch in word:
             sym = sym * (q if ch == "q" else p)
             num = num @ (qm if ch == "q" else pm)
-        diff = matrix_realize(sym, hbar, n)
-        blocks = diff.reshape(n, rest, n, rest)
-        for r in range(rest):
-            blocks[:, r, :, r] -= num
         cols = _exact_columns(n, n - len(word), alg.dofs)
-        worst = max(worst, _max_abs_on_columns(diff, cols))
+        for i, slab in enumerate(_row_slabs(sym, hbar, n)):
+            slab.reshape(len(rest), n, len(rest))[rest, :, rest] -= num[i]
+            worst = max(worst, float(np.abs(slab[:, cols]).max()))
     reports.append(OracleReport(
         check="matrix-word-products",
         inputs_hash=_hash_inputs("mx-words", sig.dof, str(sig.convention),

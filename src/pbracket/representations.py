@@ -294,9 +294,8 @@ def qc_algebra(sig: GroupSignature) -> WeylAlgebra:
 
 
 def _central_scalar(conv: ConventionTuple, symbol: str, power: int) -> Scalar:
-    """(rep_s_sign * i * h_sym)^power."""
-    unit = CRat.of(conv.rep_s_sign) * CR_I
-    return scalar(unit ** power) * Scalar.symbol(symbol, power)
+    """(rep_s_sign * i * h_sym)^power, built as its one term."""
+    return Scalar.symbol(symbol, power, (CR_I * conv.rep_s_sign) ** power)
 
 
 def _antiderivative_factor(conv: ConventionTuple, symbol: str) -> Scalar:

@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: complex rationals and rational functions in the
+"""Exact scalar arithmetic: complex rationals and Laurent polynomials in the
 formal parameters h, h1, h2.
 
 Everything downstream of this module stays exact; floating point enters only
@@ -7,12 +7,11 @@ in the numerical oracle, through :meth:`Scalar.evalf`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
-from .terms import accumulate, power_str, render_terms
+from .terms import TermMap, accumulate, power_str, render_terms
 
 __all__ = [
     "CRat",
@@ -260,113 +259,87 @@ def unit_from_str(s: str) -> CRat:
 
 
 # Exponent triples index the formal parameters in the fixed order (h, h1, h2).
-Expo = "tuple[int, int, int]"
 _SYMS = ("h", "h1", "h2")
 _ZERO_EXP = (0, 0, 0)
 
 
-@dataclass(frozen=True)
-class Scalar:
-    """Rational function in h, h1, h2 with CRat coefficients.
+class Scalar(TermMap):
+    """Laurent polynomial in h, h1, h2 with CRat coefficients.
 
-    Stored as a polynomial numerator over a single monomial denominator:
-    num is a sorted tuple of ((e_h, e_h1, e_h2), CRat) pairs, den an exponent
-    triple.  The form is canonical: no zero coefficients, and the common
-    monomial factor between numerator and denominator is cancelled, so
-    structural equality is mathematical equality.
+    ``terms`` maps signed exponent triples (e_h, e_h1, e_h2) to nonzero
+    CRats; nonzero terms are the whole canonical form, so equal values have
+    equal maps.  The numerator over monomial denominator that printing, JSON
+    and ``evalf`` use is derived: ``den`` has den_j = max(0, -min_e e_j) and
+    ``num`` holds the terms shifted by it, sorted.
     """
 
-    num: tuple = ()
-    den: tuple = _ZERO_EXP
+    __slots__ = ()
+
+    _coerce = staticmethod(CRat.of)
+
+    def __init__(self, terms: Mapping[tuple, CRatLike]):
+        clean: dict = {}
+        for e, c in terms.items():
+            if len(e) != 3:
+                raise ValueError(f"Scalar exponents are (h, h1, h2) triples, got {e!r}")
+            accumulate(clean, tuple(e), CRat.of(c))
+        self._freeze(terms=clean)
+
+    def _context(self) -> tuple:
+        return ()
+
+    def _like(self, terms: dict) -> "Scalar":
+        return _from_terms(terms)
+
+    def __reduce__(self):
+        return (Scalar, (self.terms,))
 
     @staticmethod
-    def make(num: Mapping[tuple, CRat], den: tuple = _ZERO_EXP) -> "Scalar":
-        clean = {e: c for e, c in num.items() if not c.is_zero}
-        if not clean:
-            return S_ZERO
-        red = tuple(min(den[j], min(e[j] for e in clean)) for j in range(3))
-        if any(red):
-            den = tuple(den[j] - red[j] for j in range(3))
-            clean = {tuple(e[j] - red[j] for j in range(3)): c for e, c in clean.items()}
-        return Scalar(tuple(sorted(clean.items())), tuple(den))
+    def make(num: Mapping[tuple, CRatLike], den: tuple = _ZERO_EXP) -> "Scalar":
+        """The Scalar num/den, from numerator terms over a monomial denominator."""
+        return Scalar({(e[0] - den[0], e[1] - den[1], e[2] - den[2]): c
+                       for e, c in num.items()})
 
     @staticmethod
     def of(value: Union["Scalar", CRatLike]) -> "Scalar":
         if isinstance(value, Scalar):
             return value
         c = CRat.of(value)
-        return S_ZERO if c.is_zero else Scalar(((_ZERO_EXP, c),))
+        return _from_terms({} if c.is_zero else {_ZERO_EXP: c})
 
     @staticmethod
-    def symbol(name: str, power: int = 1) -> "Scalar":
-        idx = _SYMS.index(name)
+    def symbol(name: str, power: int = 1, coeff: CRatLike = CR_ONE) -> "Scalar":
+        """The single term coeff * name^power; power may be negative."""
         e = [0, 0, 0]
-        if power >= 0:
-            e[idx] = power
-            return Scalar.make({tuple(e): CR_ONE})
-        e[idx] = -power
-        return Scalar.make({_ZERO_EXP: CR_ONE}, tuple(e))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.num
-
-    @property
-    def is_one(self) -> bool:
-        return self == S_ONE
+        e[_SYMS.index(name)] = power
+        return Scalar({tuple(e): coeff})
 
     def __add__(self, other) -> "Scalar":
-        o = Scalar.of(other)
-        if self.is_zero:
-            return o
-        if o.is_zero:
-            return self
-        if _constants(self, o):
-            c = self.num[0][1] + o.num[0][1]
-            return S_ZERO if c.is_zero else Scalar(((_ZERO_EXP, c),))
-        den = tuple(max(self.den[j], o.den[j]) for j in range(3))
-        out: dict = {}
-        for part in (self, o):
-            lift = tuple(den[j] - part.den[j] for j in range(3))
-            for e, c in part.num:
-                accumulate(out, tuple(e[j] + lift[j] for j in range(3)), c)
-        return Scalar.make(out, den)
+        o = other if type(other) is Scalar else Scalar.of(other)
+        out = dict(self.terms)
+        for e, c in o.terms.items():
+            accumulate(out, e, c)
+        return _from_terms(out)
 
     __radd__ = __add__
-
-    def __neg__(self) -> "Scalar":
-        return Scalar(tuple((e, -c) for e, c in self.num), self.den)
-
-    def __sub__(self, other) -> "Scalar":
-        return self + (-Scalar.of(other))
 
     def __rsub__(self, other) -> "Scalar":
         return Scalar.of(other) + (-self)
 
-    def __mul__(self, other) -> "Scalar":
-        o = Scalar.of(other)
-        if self.is_zero or o.is_zero:
-            return S_ZERO
-        if _constants(self, o):
-            # a product of nonzero complex rationals is nonzero
-            return Scalar(((_ZERO_EXP, self.num[0][1] * o.num[0][1]),))
+    def _product(self, other: "Scalar") -> "Scalar":
         out: dict = {}
-        for e1, c1 in self.num:
-            for e2, c2 in o.num:
-                accumulate(out, (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2]), c1 * c2)
-        den = tuple(self.den[j] + o.den[j] for j in range(3))
-        return Scalar.make(out, den)
-
-    __rmul__ = __mul__
+        for (a0, a1, a2), x in self.terms.items():
+            for (b0, b1, b2), y in other.terms.items():
+                accumulate(out, (a0 + b0, a1 + b1, a2 + b2), x * y)
+        return _from_terms(out)
 
     def inverse(self) -> "Scalar":
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero Scalar")
-        if len(self.num) != 1:
+        if len(self.terms) != 1:
             raise ZeroDivisionError(
-                "can only invert a single-term Scalar (monomial denominator)")
-        (e, c), = self.num
-        return Scalar.make({self.den: CR_ONE / c}, e)
+                "can only invert a single-term Scalar (monomial denominator)"
+                if self.terms else "inverse of zero Scalar")
+        ((e0, e1, e2), c), = self.terms.items()
+        return _from_terms({(-e0, -e1, -e2): CR_ONE / c})
 
     def __truediv__(self, other) -> "Scalar":
         return self * Scalar.of(other).inverse()
@@ -390,15 +363,16 @@ class Scalar:
 
     def uses_symbol(self, name: str) -> bool:
         idx = _SYMS.index(name)
-        return self.den[idx] != 0 or any(e[idx] != 0 for e, _ in self.num)
+        return any(e[idx] for e in self.terms)
 
     def as_crat(self) -> CRat:
         """The value of a constant Scalar; raises if any symbol is present."""
-        if self.is_zero:
+        if not self.terms:
             return CR_ZERO
-        if self.den != _ZERO_EXP or len(self.num) != 1 or self.num[0][0] != _ZERO_EXP:
+        c = self.terms.get(_ZERO_EXP)
+        if c is None or len(self.terms) != 1:
             raise ValueError(f"Scalar {self} is not constant")
-        return self.num[0][1]
+        return c
 
     def substitute(self, **values: CRatLike) -> "Scalar":
         """Substitute exact values for symbols, e.g. substitute(h1=Fraction(1,2)).
@@ -411,58 +385,70 @@ class Scalar:
             if name not in _SYMS:
                 raise ValueError(f"unknown symbol {name!r}")
             vals[_SYMS.index(name)] = CRat.of(v)
-        num: dict = {}
-        for e, c in self.num:
+        out: dict = {}
+        for e, c in self.terms.items():
             key = list(e)
             for idx, v in vals.items():
+                if key[idx] < 0 and v.is_zero:
+                    raise ZeroDivisionError(f"substituting 0 for {_SYMS[idx]} in denominator")
                 c = c * v ** key[idx]
                 key[idx] = 0
-            accumulate(num, tuple(key), c)
-        den = list(self.den)
-        den_scale = CR_ONE
-        for idx, v in vals.items():
-            if den[idx]:
-                if v.is_zero:
-                    raise ZeroDivisionError(f"substituting 0 for {_SYMS[idx]} in denominator")
-                den_scale = den_scale * v ** den[idx]
-                den[idx] = 0
-        result = Scalar.make(num, tuple(den))
-        if den_scale != CR_ONE:
-            result = result / den_scale
-        return result
+            accumulate(out, tuple(key), c)
+        return _from_terms(out)
+
+    # -- the numerator / denominator form --------------------------------
+
+    def _fraction(self) -> tuple:
+        """(num, den): sorted nonnegative numerator terms over the monomial
+        denominator, the reduced form with no common monomial factor."""
+        if not self.terms:
+            return (), _ZERO_EXP
+        den = tuple(max(0, -min(e[j] for e in self.terms)) for j in range(3))
+        return tuple(sorted(((e[0] + den[0], e[1] + den[1], e[2] + den[2]), c)
+                            for e, c in self.terms.items())), den
+
+    @property
+    def num(self) -> tuple:
+        return self._fraction()[0]
+
+    @property
+    def den(self) -> tuple:
+        return self._fraction()[1]
 
     def evalf(self, h: complex = 1.0, h1: complex = 1.0, h2: complex = 1.0) -> complex:
         vals = (complex(h), complex(h1), complex(h2))
+        num, den = self._fraction()
         total = 0j
-        for e, c in self.num:
+        for e, c in num:
             term = c.to_complex()
             for j in range(3):
                 term *= vals[j] ** e[j]
             total += term
         d = 1.0 + 0j
         for j in range(3):
-            d *= vals[j] ** self.den[j]
+            d *= vals[j] ** den[j]
         return total / d
 
     def to_json(self) -> dict:
         """Numerator terms and monomial denominator, the coefficient schema
         of the operator and hybrid JSON writers."""
+        num, den = self._fraction()
         return {
             "numerator": [{"re": [c.re.numerator, c.re.denominator],
                            "im": [c.im.numerator, c.im.denominator],
                            "h_pow": e[0], "h1_pow": e[1], "h2_pow": e[2]}
-                          for e, c in self.num],
-            "denominator": {"h_pow": self.den[0], "h1_pow": self.den[1],
-                            "h2_pow": self.den[2]},
+                          for e, c in num],
+            "denominator": {"h_pow": den[0], "h1_pow": den[1], "h2_pow": den[2]},
         }
 
     # -- display ---------------------------------------------------------
 
     def __str__(self) -> str:
-        out = render_terms((str(c), power_str(_SYMS, e)) for e, c in sorted(self.num, reverse=True))
-        dstr = power_str(_SYMS, self.den)
+        num, den = self._fraction()
+        out = render_terms((str(c), power_str(_SYMS, e)) for e, c in reversed(num))
+        dstr = power_str(_SYMS, den)
         if dstr:
-            if len(self.num) > 1 or " " in out or "*" in out:
+            if len(num) > 1 or " " in out or "*" in out:
                 out = f"({out})"
             if "*" in dstr:
                 dstr = f"({dstr})"
@@ -472,15 +458,18 @@ class Scalar:
     __repr__ = __str__
 
 
-S_ZERO = Scalar()
-S_ONE = Scalar(((_ZERO_EXP, CR_ONE),))
+_set_terms = TermMap.terms.__set__
 
 
-def _constants(x: Scalar, y: Scalar) -> bool:
-    """Whether both are h-free constants: one term at exponent (0, 0, 0)
-    over denominator (0, 0, 0)."""
-    return (len(x.num) == 1 == len(y.num) and x.den == _ZERO_EXP == y.den
-            and x.num[0][0] == _ZERO_EXP == y.num[0][0])
+def _from_terms(terms: dict) -> Scalar:
+    """Scalar over a term map that already has no zero coefficients."""
+    s = _object_new(Scalar)
+    _set_terms(s, terms)
+    return s
+
+
+S_ZERO = _from_terms({})
+S_ONE = _from_terms({_ZERO_EXP: CR_ONE})
 
 
 def scalar(value: Union[Scalar, CRatLike]) -> Scalar:

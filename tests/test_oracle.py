@@ -346,15 +346,48 @@ def test_matrix_word_products_catch_wrong_factor_at_dof_2(monkeypatch):
     sig = GroupSignature(dof=2)
     n = 12
     assert {r.check: r for r in check_matrix_suite(sig, n=n)}["matrix-word-products"].ok
-    real = oracle.matrix_realize
+    real = oracle._row_slabs
 
     def swapped(w, hbar, dim, h1=None, h2=None):
-        m = real(w, hbar, dim, h1, h2)
-        return m.reshape(dim, dim, dim, dim).transpose(1, 0, 3, 2).reshape(dim ** 2, dim ** 2)
+        m = np.concatenate([s.copy() for s in real(w, hbar, dim, h1, h2)])
+        m = m.reshape(dim, dim, dim, dim).transpose(1, 0, 3, 2).reshape(dim ** 2, dim ** 2)
+        return iter(np.split(m, dim))
 
-    monkeypatch.setattr(oracle, "matrix_realize", swapped)
+    monkeypatch.setattr(oracle, "_row_slabs", swapped)
     reports = {r.check: r for r in check_matrix_suite(sig, n=n)}
     assert not reports["matrix-word-products"].ok
+
+
+def test_matrix_suite_holds_no_full_size_matrix():
+    # dimension 1024: one dense matrix is 16 MB, a row slab 0.5 MB
+    import tracemalloc
+
+    sig = GroupSignature(dof=2)
+    check_matrix_suite(sig, n=8)   # numpy loads on first use; keep that out
+    tracemalloc.start()
+    try:
+        reports = check_matrix_suite(sig)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(r.ok for r in reports)
+    assert peak < 8 * 2 ** 20
+
+
+def test_row_slabs_stack_to_the_realization():
+    from pbracket.representations import WeylOperator
+    alg = qc_algebra(GroupSignature(2))
+    q1, p2 = WeylOperator.generator(alg, "Q", 0), WeylOperator.generator(alg, "P", 1)
+    w = q1 * q1 * p2 - p2.scale(CR_I)
+    slabs = [s.copy() for s in oracle._row_slabs(w, 1.0, 6)]
+    assert len(slabs) == 6 and all(s.shape == (6, 36) for s in slabs)
+    qm, _ = oracle._canonical_pair(complex(alg.gammas[0].evalf()), 6)
+    _, pm = oracle._canonical_pair(complex(alg.gammas[1].evalf()), 6)
+    direct = np.kron(qm @ qm, pm) - 1j * np.kron(np.eye(6), pm)
+    assert np.allclose(np.concatenate(slabs), direct, atol=1e-12)
+    assert np.array_equal(matrix_realize(w, hbar=1.0, n=6), np.concatenate(slabs))
+    with pytest.raises(MatrixTooLarge):
+        oracle._row_slabs(w, 1.0, 33)
 
 
 def test_verify_item_exception_names_where_it_was_raised(monkeypatch):

@@ -300,11 +300,223 @@ def test_crat_is_immutable_and_round_trips(x):
 @settings(max_examples=200, deadline=None)
 @given(crats, crats)
 def test_constant_scalars_match_general_form(x, y):
-    # constant Scalars take a shortcut in + and *; Scalar.make is the
-    # general canonical form
+    # constant sums and products are the single term at exponent (0, 0, 0)
+    # that Scalar.make builds
     zero = (0, 0, 0)
     assert scalar(x) + scalar(y) == Scalar.make({zero: x + y})
     assert scalar(x) * scalar(y) == Scalar.make({zero: x * y})
     assert (scalar(x) - scalar(x)).is_zero
     h = Scalar.symbol("h")
     assert (scalar(x) * h + scalar(y) * h) / h == Scalar.make({zero: x + y})
+
+
+# ---------------------------------------------------------------------------
+# Scalar against the numerator / denominator form it was stored in before it
+# became a Laurent term map.  The reference keeps those formulas: a value is
+# (num, den), num a sorted tuple of (exponent triple, CRat) with nonnegative
+# exponents and den a monomial, the common monomial factor cancelled.
+
+ZERO_EXP = (0, 0, 0)
+SYMS = ("h", "h1", "h2")
+
+
+def frac_make(num, den=ZERO_EXP):
+    clean = {e: c for e, c in num.items() if not c.is_zero}
+    if not clean:
+        return (), ZERO_EXP
+    red = tuple(min(den[j], min(e[j] for e in clean)) for j in range(3))
+    den = tuple(den[j] - red[j] for j in range(3))
+    clean = {tuple(e[j] - red[j] for j in range(3)): c for e, c in clean.items()}
+    return tuple(sorted(clean.items())), den
+
+
+def frac_add(x, y):
+    den = tuple(max(x[1][j], y[1][j]) for j in range(3))
+    out = {}
+    for num, d in x, y:
+        for e, c in num:
+            key = tuple(e[j] + den[j] - d[j] for j in range(3))
+            out[key] = out.get(key, CRat(0)) + c
+    return frac_make(out, den)
+
+
+def frac_mul(x, y):
+    out = {}
+    for e1, c1 in x[0]:
+        for e2, c2 in y[0]:
+            key = tuple(a + b for a, b in zip(e1, e2))
+            out[key] = out.get(key, CRat(0)) + c1 * c2
+    return frac_make(out, tuple(a + b for a, b in zip(x[1], y[1])))
+
+
+def frac_inverse(x):
+    (e, c), = x[0]
+    return frac_make({x[1]: CR_ONE / c}, e)
+
+
+def frac_pow(x, k):
+    if k < 0:
+        x, k = frac_inverse(x), -k
+    out = frac_make({ZERO_EXP: CR_ONE})
+    for _ in range(k):
+        out = frac_mul(out, x)
+    return out
+
+
+def frac_substitute(x, values):
+    vals = {SYMS.index(name): CRat.of(v) for name, v in values.items()}
+    out = {}
+    for e, c in x[0]:
+        key = list(e)
+        for idx, v in vals.items():
+            c = c * v ** key[idx]
+            key[idx] = 0
+        out[tuple(key)] = out.get(tuple(key), CRat(0)) + c
+    den = list(x[1])
+    scale = CR_ONE
+    for idx, v in vals.items():
+        if den[idx]:
+            if v.is_zero:
+                raise ZeroDivisionError
+            scale = scale * v ** den[idx]
+            den[idx] = 0
+    return frac_mul(frac_make(out, tuple(den)), frac_make({ZERO_EXP: CR_ONE / scale}))
+
+
+def frac_evalf(x, vals):
+    total = 0j
+    for e, c in x[0]:
+        term = c.to_complex()
+        for j in range(3):
+            term *= vals[j] ** e[j]
+        total += term
+    d = 1.0 + 0j
+    for j in range(3):
+        d *= vals[j] ** x[1][j]
+    return total / d
+
+
+def frac_str(x):
+    def powers(e):
+        return "*".join(n if k == 1 else f"{n}^{k}" for n, k in zip(SYMS, e) if k)
+
+    out = ""
+    for e, c in sorted(x[0], reverse=True):
+        cs, body = str(c), powers(e)
+        term = cs if not body else body if cs == "1" else f"-{body}" if cs == "-1" else f"{cs}*{body}"
+        if not out:
+            out = term
+        elif term.startswith("-"):
+            out += f" - {term[1:]}"
+        else:
+            out += f" + {term}"
+    out = out or "0"
+    dstr = powers(x[1])
+    if dstr:
+        if len(x[0]) > 1 or " " in out or "*" in out:
+            out = f"({out})"
+        if "*" in dstr:
+            dstr = f"({dstr})"
+        out = f"{out}/{dstr}"
+    return out
+
+
+def frac_to_json(x):
+    return {
+        "numerator": [{"re": [c.re.numerator, c.re.denominator],
+                       "im": [c.im.numerator, c.im.denominator],
+                       "h_pow": e[0], "h1_pow": e[1], "h2_pow": e[2]}
+                      for e, c in x[0]],
+        "denominator": {"h_pow": x[1][0], "h1_pow": x[1][1], "h2_pow": x[1][2]},
+    }
+
+
+small_crats = st.one_of(nonzero_coeffs, crats, st.just(CRat(0)))
+triples = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+
+
+@st.composite
+def fraction_forms(draw):
+    """(numerator terms, denominator): the input of Scalar.make, zeros and
+    uncancelled common factors included."""
+    num = draw(st.dictionaries(triples, small_crats, max_size=3))
+    den = draw(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)))
+    return num, den
+
+
+def both(form):
+    """The Scalar and the reference value of one (num, den) input."""
+    return Scalar.make(*form), frac_make(*form)
+
+
+def fraction_of(s):
+    return s.num, s.den
+
+
+@settings(max_examples=300, deadline=None)
+@given(fraction_forms(), fraction_forms(), st.integers(-3, 3))
+def test_scalar_arithmetic_matches_fraction_form(fx, fy, k):
+    (x, rx), (y, ry) = both(fx), both(fy)
+    assert fraction_of(x) == rx
+    assert fraction_of(x + y) == frac_add(rx, ry)
+    assert fraction_of(x - y) == frac_add(rx, frac_mul(ry, frac_make({ZERO_EXP: CRat(-1)})))
+    assert fraction_of(-x) == frac_mul(rx, frac_make({ZERO_EXP: CRat(-1)}))
+    assert fraction_of(x * y) == frac_mul(rx, ry)
+    assert (x == y) == (rx == ry)
+    if len(ry[0]) == 1:
+        assert fraction_of(y.inverse()) == frac_inverse(ry)
+        assert fraction_of(x / y) == frac_mul(rx, frac_inverse(ry))
+        assert fraction_of(y ** k) == frac_pow(ry, k)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            y.inverse()
+        with pytest.raises(ZeroDivisionError):
+            x / y
+        assert fraction_of(y ** abs(k)) == frac_pow(ry, abs(k))
+
+
+substitutions = st.dictionaries(
+    st.sampled_from(SYMS), st.one_of(st.just(0), nonzero_coeffs, rationals), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fraction_forms(), substitutions)
+def test_scalar_substitute_matches_fraction_form(fx, values):
+    x, rx = both(fx)
+    try:
+        expected = frac_substitute(rx, values)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            x.substitute(**values)
+        return
+    assert fraction_of(x.substitute(**values)) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(fraction_forms(), st.tuples(*[st.complex_numbers(min_magnitude=0.5, max_magnitude=2)] * 3))
+def test_scalar_queries_and_output_match_fraction_form(fx, vals):
+    x, rx = both(fx)
+    for j, name in enumerate(SYMS):
+        assert x.uses_symbol(name) == (rx[1][j] != 0 or any(e[j] for e, _ in rx[0]))
+    if rx[1] == ZERO_EXP and all(e == ZERO_EXP for e, _ in rx[0]):
+        assert x.as_crat() == (rx[0][0][1] if rx[0] else CRat(0))
+    else:
+        with pytest.raises(ValueError):
+            x.as_crat()
+    assert str(x) == frac_str(rx)
+    assert x.to_json() == frac_to_json(rx)
+    assert x.evalf(*vals) == frac_evalf(rx, vals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fraction_forms(), fraction_forms(), triples)
+def test_scalar_equal_values_hash_equal(fx, fy, lift):
+    x, y = Scalar.make(*fx), Scalar.make(*fy)
+    # the same value by other routes: an uncancelled common monomial, a
+    # product and quotient by a monomial, a sum and difference
+    num, den = fx
+    lifted = Scalar.make({tuple(a + b for a, b in zip(e, lift)): c for e, c in num.items()},
+                         tuple(a + b for a, b in zip(den, lift)))
+    mono = Scalar.make({lift: CRat(3)})
+    for same in (lifted, x * mono / mono, (x + y) - y, pickle.loads(pickle.dumps(x))):
+        assert same == x and hash(same) == hash(x)
