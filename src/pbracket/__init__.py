@@ -24,6 +24,7 @@ from .errors import (
     ExprSyntaxError,
     UnknownSymbol,
     IndexOutOfRange,
+    ExpressionTooLarge,
 )
 from .scalars import CRat, Scalar, scalar
 from .group_algebra import (
@@ -81,7 +82,7 @@ from .oracle import (
     oracle_check,
 )
 from .calibration import CalibrationReport, calibrate_conventions, calibration_report
-from .expressions import parse, expr_str, evaluate
+from .expressions import evaluate
 from .config import EngineConfig, load_config, save_config, resolve_config
 from .verify import VerifyItem, VerifyReport, run_verify
 
@@ -92,7 +93,7 @@ __all__ = [
     "UnknownRule", "ZeroPlanck", "SingularTransformation", "DivisionByZero",
     "NotLocalized", "NotMechanised", "DimensionTooSmall", "MatrixTooLarge",
     "AObservableProductError", "ExprError", "ExprSyntaxError",
-    "UnknownSymbol", "IndexOutOfRange",
+    "UnknownSymbol", "IndexOutOfRange", "ExpressionTooLarge",
     "CRat", "Scalar", "scalar",
     "ConventionTuple", "GroupSignature", "Element", "multiply", "commutator",
     "delta_to_element", "element_to_delta", "element_to_json",
@@ -109,7 +110,7 @@ __all__ = [
     "OracleReport", "check_vector_field_suite", "check_algebra_laws",
     "check_matrix_suite", "oracle_check",
     "CalibrationReport", "calibrate_conventions", "calibration_report",
-    "parse", "expr_str", "evaluate",
+    "evaluate",
     "EngineConfig", "load_config", "save_config", "resolve_config",
     "VerifyItem", "VerifyReport", "run_verify",
     "__version__",

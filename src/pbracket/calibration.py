@@ -33,14 +33,13 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import NoConsistentConvention
-from .scalars import (CRat, CR_I, S_ONE, Scalar, scalar, UNIT_VALUES,
-                      unit_to_str)
+from .scalars import CRat, CR_I, Scalar, scalar, UNIT_VALUES
 from .group_algebra import (ConventionTuple, Element, GroupSignature,
                             commutator, delta_to_element)
-from .pmech import ClassicalPoly, mechanise_weyl, universal_bracket
-from .representations import (HybridObservable, WeylOperator, multiply_hybrid,
-                              qc_algebra, rep_qc)
-from .qc_bracket import classicality_gap
+from .pmech import AObservable, ClassicalPoly, mechanise_weyl, universal_bracket
+from .representations import (HybridObservable, WeylAlgebra, WeylOperator,
+                              multiply_hybrid, qc_algebra, rep_qc)
+from .qc_bracket import INV_IH, classicality_gap
 
 __all__ = [
     "CalibrationReport",
@@ -94,12 +93,37 @@ class CalibrationReport:
         return "\n".join(lines)
 
 
+def commutator_target(sig: GroupSignature) -> Element:
+    """4*delta[x1,y1,s1] + 2*delta[s1,s1], the commutator of the mechanised
+    q1^2 and p1^2 (anchor (i))."""
+    return (delta_to_element(sig, {"x1": 1, "y1": 1, "s1": 1}).scale(CRat.of(4))
+            + delta_to_element(sig, {"s1": 2}).scale(CRat.of(2)))
+
+
+def bracket_target(sig: GroupSignature) -> AObservable:
+    """The universal bracket of the mechanised q1^2 and p1^2 (checkpoint
+    (a)): plain part 4*delta[x1,y1] + 2*delta[s1], no A1 part, and the
+    commutator target as the A2 part."""
+    plain = (delta_to_element(sig, {"x1": 1, "y1": 1}).scale(CRat.of(4))
+             + delta_to_element(sig, {"s1": 1}).scale(CRat.of(2)))
+    return AObservable(plain, Element.zero(sig), commutator_target(sig))
+
+
+def ordered_image(alg: WeylAlgebra, order: str) -> WeylOperator:
+    """4*(Q*P or P*Q) + 2i*h*Identity on sector 1, the closed form of the
+    biquadratic image for the written order "QP" or "PQ" (checkpoint (b))."""
+    q = WeylOperator.generator(alg, "Q", 0)
+    p = WeylOperator.generator(alg, "P", 0)
+    product = q * p if order == "QP" else p * q
+    return (product.scale(CRat.of(4))
+            + WeylOperator.identity(alg).scale(scalar(CR_I * CRat.of(2)) * Scalar.symbol("h")))
+
+
 def _commutator_identity(sig: GroupSignature) -> Tuple[bool, Element, Element]:
     b1 = delta_to_element(sig, {"x1": 2})
     b2 = delta_to_element(sig, {"y1": 2})
     actual = commutator(b1, b2)
-    target = (delta_to_element(sig, {"x1": 1, "y1": 1, "s1": 1}).scale(CRat.of(4))
-              + delta_to_element(sig, {"s1": 2}).scale(CRat.of(2)))
+    target = commutator_target(sig)
     return actual == target, actual, target
 
 
@@ -116,12 +140,7 @@ def _pipeline_identity(sig: GroupSignature,
     k1 = mechanise_weyl(sig, ClassicalPoly.var(dof, "q", 1) ** 2)
     k2 = mechanise_weyl(sig, ClassicalPoly.var(dof, "p", 1) ** 2)
     ub = universal_bracket(k1, k2)
-
-    plain_target = (delta_to_element(sig, {"x1": 1, "y1": 1}).scale(CRat.of(4))
-                    + delta_to_element(sig, {"s1": 1}).scale(CRat.of(2)))
-    a2_target = (delta_to_element(sig, {"x1": 1, "y1": 1, "s1": 1}).scale(CRat.of(4))
-                 + delta_to_element(sig, {"s1": 2}).scale(CRat.of(2)))
-    if ub.plain != plain_target or not ub.a1_part.is_zero or ub.a2_part != a2_target:
+    if ub != bracket_target(sig):
         return None
 
     image = rep_qc(ub)
@@ -131,23 +150,15 @@ def _pipeline_identity(sig: GroupSignature,
         return None
 
     alg = qc_algebra(sig)
-    q = WeylOperator.generator(alg, "Q", 0)
-    p = WeylOperator.generator(alg, "P", 0)
-    ident = WeylOperator.identity(alg)
-    const = ident.scale(scalar(CR_I * CRat.of(2 * pipeline_sign)) * Scalar.symbol("h"))
-    matched = None
-    if image_w == (q * p).scale(CRat.of(4 * pipeline_sign)) + const:
-        matched = "QP"
-    elif image_w == (p * q).scale(CRat.of(4 * pipeline_sign)) + const:
-        matched = "PQ"
+    matched = next((order for order in ("QP", "PQ")
+                    if image_w == ordered_image(alg, order).scale(pipeline_sign)), None)
     if matched is None:
         return None
 
-    ih = scalar(CR_I) * Scalar.symbol("h")
     w1 = rep_qc(k1)
     w2 = rep_qc(k2)
     comm = multiply_hybrid(w1, w2) - multiply_hybrid(w2, w1)
-    if comm.scale(S_ONE / ih) != image:
+    if comm.scale(INV_IH) != image:
         return None
     return matched, image
 

@@ -17,8 +17,8 @@ output, --signature n=<dof> to size the group, --config <path> for a stored
 configuration (the PBRACKET_CONFIG environment variable is the fallback).
 
 Exit codes: 0 on success, 1 when a verification or computation fails (an
-unexpected internal exception included), 2 on usage or expression-parse
-errors.
+unexpected internal exception included), 2 on usage or expression errors
+(an expression over the size bounds of expressions.py included).
 
 Expression arguments accept both classical phase-space polynomials (q1, p2,
 ...) and delta kernels (delta[x1,y1]); classical inputs to bracket and rep

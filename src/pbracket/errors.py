@@ -73,3 +73,8 @@ class UnknownSymbol(ExprError):
 
 class IndexOutOfRange(ExprError):
     """A sector or degree-of-freedom index is outside the signature."""
+
+
+class ExpressionTooLarge(ExprError):
+    """An expression exceeds a size bound: a product or power would grow
+    past the parser's limits, or a number has too many digits."""

@@ -61,8 +61,8 @@ def poisson_ordered(K1: HybridObservable, K2: HybridObservable) -> HybridObserva
     return out
 
 
-def _inv_ih() -> Scalar:
-    return S_ONE / (scalar(CR_I) * Scalar.symbol("h"))
+# The factor 1/(i*h) of term1.
+INV_IH = S_ONE / (scalar(CR_I) * Scalar.symbol("h"))
 
 
 def qc_bracket_terms(K1: HybridObservable, K2: HybridObservable,
@@ -70,7 +70,7 @@ def qc_bracket_terms(K1: HybridObservable, K2: HybridObservable,
                      ) -> Tuple[HybridObservable, HybridObservable, HybridObservable]:
     """The three bracket terms separately, each at jet degree zero."""
     comm = multiply_hybrid(K1, K2) - multiply_hybrid(K2, K1)
-    term1 = comm.jet_part(0).scale(_inv_ih())
+    term1 = comm.jet_part(0).scale(INV_IH)
     term2 = (poisson_ordered(K1, K2) - poisson_ordered(K2, K1)).jet_part(0).scale(Fraction(1, 2))
     term3 = comm.jet_part(1).scale(CR_MINUS_I) - term2
     if hbar is not None:

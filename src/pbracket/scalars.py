@@ -312,7 +312,8 @@ class Scalar(TermMap):
         """The single term coeff * name^power; power may be negative."""
         e = [0, 0, 0]
         e[_SYMS.index(name)] = power
-        return Scalar({tuple(e): coeff})
+        c = CRat.of(coeff)
+        return _from_terms({} if c.is_zero else {tuple(e): c})
 
     def __add__(self, other) -> "Scalar":
         o = other if type(other) is Scalar else Scalar.of(other)

@@ -17,18 +17,18 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
 from .errors import DivisionByZero, SingularTransformation
-from .scalars import CRat, CR_I, Scalar, S_ONE, scalar
-from .group_algebra import Element, GroupSignature, commutator, delta_to_element
-from .pmech import (AObservable, ClassicalPoly, mechanise_weyl,
-                    poisson_classical, universal_bracket)
+from .scalars import Scalar
+from .group_algebra import Element, commutator
+from .pmech import ClassicalPoly, mechanise_weyl, poisson_classical, universal_bracket
 from .representations import (WeylOperator, hybrid_from_sector2_poly,
                               multiply_hybrid, qc_algebra, qq_algebra,
                               rep_qc, rep_qq)
-from .qc_bracket import (bracket_via_universal, h_eff, qc_bracket,
+from .qc_bracket import (INV_IH, bracket_via_universal, h_eff, qc_bracket,
                          qc_bracket_terms)
 from .oracle import (OracleReport, check_algebra_laws, check_matrix_suite,
                      check_vector_field_suite, matrix_max_error)
-from .calibration import calibration_report
+from .calibration import (bracket_target, calibration_report, commutator_target,
+                          ordered_image)
 from .config import EngineConfig
 from . import sampling
 
@@ -155,18 +155,13 @@ def run_verify(seed: int = 2024, config: Optional[EngineConfig] = None,
 
     def item_commutator() -> VerifyItem:
         actual = commutator(mech(q1sq), mech(p1sq))
-        target = (delta_to_element(sig, {"x1": 1, "y1": 1, "s1": 1}).scale(CRat.of(4))
-                  + delta_to_element(sig, {"s1": 2}).scale(CRat.of(2)))
+        target = commutator_target(sig)
         return VerifyItem("biquadratic commutator", _status(actual == target),
                           expected=str(target), actual=str(actual))
 
     def item_universal_bracket() -> VerifyItem:
         actual = universal_bracket(mech(q1sq), mech(p1sq))
-        plain = (delta_to_element(sig, {"x1": 1, "y1": 1}).scale(CRat.of(4))
-                 + delta_to_element(sig, {"s1": 1}).scale(CRat.of(2)))
-        a2 = (delta_to_element(sig, {"x1": 1, "y1": 1, "s1": 1}).scale(CRat.of(4))
-              + delta_to_element(sig, {"s1": 2}).scale(CRat.of(2)))
-        target = AObservable(plain, Element.zero(sig), a2)
+        target = bracket_target(sig)
         return VerifyItem("biquadratic universal bracket",
                           _status(actual == target),
                           expected=str(target), actual=str(actual))
@@ -175,17 +170,10 @@ def run_verify(seed: int = 2024, config: Optional[EngineConfig] = None,
         k1, k2 = mech(q1sq), mech(p1sq)
         image = bracket_via_universal(k1, k2)
         image_w = image.as_weyl()
-        alg = qc_algebra(sig)
-        qg = WeylOperator.generator(alg, "Q", 0)
-        pg = WeylOperator.generator(alg, "P", 0)
-        ordered = pg * qg if sig.convention.anti_normal_order else qg * pg
         order_name = "PQ" if sig.convention.anti_normal_order else "QP"
-        closed = (ordered.scale(CRat.of(4))
-                  + WeylOperator.identity(alg).scale(
-                      scalar(CR_I * CRat.of(2)) * Scalar.symbol("h")))
-        ih = scalar(CR_I) * Scalar.symbol("h")
+        closed = ordered_image(qc_algebra(sig), order_name)
         w1, w2 = rep_qc(k1), rep_qc(k2)
-        comm = (multiply_hybrid(w1, w2) - multiply_hybrid(w2, w1)).scale(S_ONE / ih)
+        comm = (multiply_hybrid(w1, w2) - multiply_hybrid(w2, w1)).scale(INV_IH)
         comm_ok = comm == image
         deviation = matrix_max_error(image_w, closed, 1.0, 32)
         ok = image_w == closed and comm_ok and deviation <= 1e-10

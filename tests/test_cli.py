@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,18 @@ def test_expression_errors_are_usage_errors(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err
+
+
+def test_oversized_expression_is_one_error_line(capsys):
+    for argv in (("--signature", "n=2", "mechanise", "(q1+p1+q2+p2)^24"),
+                 ("mechanise", "q1^100000000"),
+                 ("mechanise", "3^100000000"),
+                 ("bracket", "qc", "q1", "((9^4)^4)^4")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
 def test_unknown_rule_is_usage_error(capsys):

@@ -71,6 +71,18 @@ def test_scalar_symbols_and_cancellation():
     assert (h1 * h1) / h1 == h1
 
 
+def test_scalar_symbol_equals_validated_construction():
+    for name, slot in (("h", 0), ("h1", 1), ("h2", 2)):
+        for power in range(-3, 4):
+            e = [0, 0, 0]
+            e[slot] = power
+            for coeff in (3, -1, Fraction(-2, 5), CRat(Fraction(1, 2), 1), 0, CR_ZERO):
+                assert Scalar.symbol(name, power, coeff) == Scalar({tuple(e): coeff})
+    assert Scalar.symbol("h", 2, 0).terms == {}
+    with pytest.raises(ValueError):
+        Scalar.symbol("hbar")
+
+
 def test_scalar_division_restrictions():
     h1 = Scalar.symbol("h1")
     h2 = Scalar.symbol("h2")
