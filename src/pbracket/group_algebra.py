@@ -278,7 +278,7 @@ def multiply(a: Element, b: Element) -> Element:
                 k, k1 = sum(ks), sum(ks[:dof])
                 accumulate(acc, (s1 + k1, s2 + k - k1) + xy,
                            base * (neg_eps ** k * weight) if k else base)
-    return Element(sig, acc)
+    return a._like(acc)
 
 
 def commutator(a: Element, b: Element) -> Element:

@@ -11,7 +11,9 @@ Two oracles, built on different mathematics than the symbolic engine:
 
 * matrix oracle: realizes canonical pairs as truncated harmonic-oscillator
   ladder matrices and compares operator identities entrywise on the columns
-  that truncation leaves exact.
+  that truncation leaves exact.  A check realizes only the pairs its
+  operators act on, n ** (pairs acted on) basis states: every other pair
+  carries the identity on both sides and cannot tell them apart.
 
 Both produce :class:`OracleReport` rows with a deterministic input hash so a
 verification run is reproducible byte for byte.
@@ -25,7 +27,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .errors import DimensionTooSmall, MatrixTooLarge
 from .scalars import CRat, CR_ZERO, CR_ONE, CR_I, Scalar, S_ONE, scalar
@@ -37,9 +39,10 @@ from . import sampling
 if TYPE_CHECKING:
     import numpy as np
 
-# Largest dense realization, n ** dofs basis states: the dof=2 size at
-# n = 32 that verify runs.  One complex matrix of that size is 16 MB; at
-# dof=3, n = 32 (32768 states) it would be 17 GB.
+# Largest dense realization, n ** (pairs realized) basis states: two pairs
+# at n = 32.  One complex matrix of that size is 16 MB; three pairs at
+# n = 32 (32768 states) would be 17 GB.  The checks verify runs act on one
+# pair, 32 states, at every dof.
 MAX_MATRIX_DIM = 1024
 
 __all__ = [
@@ -155,24 +158,17 @@ def vector_field_action(e: Element, f: GroupPoly) -> GroupPoly:
 # truncated ladder-matrix realization
 
 
-def _ladder(n: int) -> np.ndarray:
-    import numpy as np
-    a = np.zeros((n, n), dtype=complex)
-    for j in range(1, n):
-        a[j - 1, j] = math.sqrt(j)
-    return a
-
-
 def _canonical_pair(gamma: complex, n: int) -> Tuple[np.ndarray, np.ndarray]:
     """Matrices Q, P with [Q, P] = gamma * I exactly on low columns.
 
     Requires gamma purely imaginary and nonzero; built from oscillator
     ladders scaled by |Im gamma| with the sign carried by P.
     """
+    import numpy as np
     if abs(gamma.real) > 1e-14 or gamma.imag == 0:
         raise ValueError(f"canonical-pair weight must be purely imaginary, got {gamma}")
     t = gamma.imag
-    a = _ladder(n)
+    a = np.diag(np.sqrt(np.arange(1, n)), 1).astype(complex)   # the lowering ladder
     ad = a.conj().T
     root = math.sqrt(abs(t) / 2.0)
     q = root * (a + ad)
@@ -180,101 +176,49 @@ def _canonical_pair(gamma: complex, n: int) -> Tuple[np.ndarray, np.ndarray]:
     return q, p
 
 
-def _realization_dim(w: WeylOperator, n: int) -> int:
-    """The dimension n ** dofs of the realization of ``w``.
+def _support(*ops: WeylOperator) -> List[int]:
+    """The pairs on which some term of the operators has a nonzero exponent."""
+    return sorted({d for w in ops for mono in w.terms
+                   for d in range(len(mono) // 2) if mono[2 * d] or mono[2 * d + 1]})
 
-    Raises DimensionTooSmall when the truncation cannot hold even one exact
-    column for the operator degree, and MatrixTooLarge when n ** dofs exceeds
-    MAX_MATRIX_DIM.
+
+def _realize(w: WeylOperator, pairs: Sequence[int], hbar: float, n: int,
+             h1: Optional[float] = None, h2: Optional[float] = None) -> np.ndarray:
+    """Truncated matrix of ``w`` on the listed canonical pairs: the Kronecker
+    product of one oscillator factor of dimension n per pair, in list order.
+    Exponents on unlisted pairs are not realized; list those ``w`` acts on
+    (_support).  Checks the size before allocating: MatrixTooLarge above
+    MAX_MATRIX_DIM states, DimensionTooSmall below degree + 2 per pair.
     """
-    dofs = w.algebra.dofs
-    dim = n ** dofs
+    import numpy as np
+    dim = n ** len(pairs)
     if dim > MAX_MATRIX_DIM:
         raise MatrixTooLarge(
-            f"matrix realization of dimension {n}**{dofs} = {dim} exceeds "
+            f"matrix realization of dimension {n}**{len(pairs)} = {dim} exceeds "
             f"the limit {MAX_MATRIX_DIM}")
     deg = w.degree()
     if n < deg + 2:
         raise DimensionTooSmall(
             f"need matrix dimension >= degree + 2 = {deg + 2}, got {n}")
-    return dim
-
-
-def _row_slabs(w: WeylOperator, hbar: float, n: int,
-               h1: Optional[float] = None, h2: Optional[float] = None,
-               out: Optional[np.ndarray] = None) -> Iterator[np.ndarray]:
-    """The truncated matrix of ``w`` one slab of rows at a time, dimension n
-    per degree of freedom.
-
-    Each canonical pair gets an independent tensor factor; identities fill the
-    others.  Slab i holds the n ** (dofs - 1) rows whose first-factor index is
-    i, with the Kronecker product's entries, so no caller holds a full
-    matrix (at dimension 1024 one is 16 MB).  Given ``out``, slab i is
-    written into its rows; otherwise every slab is one buffer, overwritten
-    by the next.  The Kronecker blocks go into buffers made once per call:
-    a fresh slab-sized array per term costs a page-faulting allocation.
-
-    Checks the size when called, before any allocation (_realization_dim).
-    """
-    import numpy as np
-    dim = _realization_dim(w, n)
-    dofs = w.algebra.dofs
     hv = float(hbar)
-    h1v = hv if h1 is None else float(h1)
-    h2v = hv if h2 is None else float(h2)
-    pairs = []
-    for gamma in w.algebra.gammas:
-        gval = complex(gamma.evalf(h=hv, h1=h1v, h2=h2v))
-        pairs.append(_canonical_pair(gval, n))
-    eye = np.eye(n, dtype=complex)
-    terms = []
+    vals = {"h": hv, "h1": hv if h1 is None else h1, "h2": hv if h2 is None else h2}
+    ladders = [_canonical_pair(complex(w.algebra.gammas[d].evalf(**vals)), n)
+               for d in pairs]
+    power = np.linalg.matrix_power
+    total = np.zeros((dim, dim), dtype=complex)
     for mono, coeff in w.terms.items():
-        factors = []
-        for d in range(dofs):
-            qd, pd = pairs[d]
-            a, b = mono[2 * d], mono[2 * d + 1]
-            m = eye
-            if a:
-                m = m @ np.linalg.matrix_power(qd, a)
-            if b:
-                m = m @ np.linalg.matrix_power(pd, b)
-            factors.append(m)
-        terms.append((factors, complex(coeff.evalf(h=hv, h1=h1v, h2=h2v))))
-    rows = dim // n
-    levels = [np.empty((n ** k, n ** (k + 1)), dtype=complex) for k in range(1, dofs)]
-    scaled = np.empty((rows, dim), dtype=complex)
-    own = np.empty((rows, dim), dtype=complex) if out is None else None
-
-    def slabs() -> Iterator[np.ndarray]:
-        for i in range(n):
-            slab = own if out is None else out[i * rows:(i + 1) * rows]
-            slab.fill(0)
-            for factors, c in terms:
-                block = factors[0][i:i + 1]
-                for m, level in zip(factors[1:], levels):
-                    # level = block (x) m, the entries np.kron gives
-                    r, k = block.shape
-                    np.multiply(block[:, None, :, None], m[None, :, None, :],
-                                out=level.reshape(r, n, k, n))
-                    block = level
-                np.multiply(block, c, out=scaled)
-                slab += scaled
-            yield slab
-
-    return slabs()
+        block = np.ones((1, 1), dtype=complex)
+        for d, (qd, pd) in zip(pairs, ladders):
+            block = np.kron(block, power(qd, mono[2 * d]) @ power(pd, mono[2 * d + 1]))
+        total += block * complex(coeff.evalf(**vals))
+    return total
 
 
 def matrix_realize(w: WeylOperator, hbar: float, n: int,
                    h1: Optional[float] = None, h2: Optional[float] = None) -> np.ndarray:
     """Truncated matrix of ``w`` on the oscillator basis, dimension n per
-    degree of freedom, filled in place one row slab at a time (see
-    _row_slabs)."""
-    import numpy as np
-    dim = _realization_dim(w, n)
-    total = np.empty((dim, dim), dtype=complex)
-    for _ in _row_slabs(w, hbar, n, h1, h2, out=total):
-        pass
-    return total
+    degree of freedom of its algebra."""
+    return _realize(w, range(w.algebra.dofs), hbar, n, h1, h2)
 
 
 def _exact_columns(n: int, keep: int, dofs: int) -> List[int]:
@@ -290,8 +234,10 @@ def matrix_max_error(wa: WeylOperator, wb: WeylOperator, hbar: float, n: int,
     """Max entrywise deviation between the realizations of two operators,
     restricted to the columns the truncation computes exactly.
 
-    A degree-d operator maps basis column j into levels <= j + d per factor,
-    so columns with every factor index < n - d are free of truncation error.
+    Both are realized on the pairs either acts on; on every other pair both
+    are the identity, which cannot tell them apart.  A degree-d operator
+    maps basis column j into levels <= j + d per factor, so columns with
+    every factor index < n - d are free of truncation error.
     """
     import numpy as np
     if wa.algebra is not wb.algebra and wa.algebra != wb.algebra:
@@ -300,12 +246,10 @@ def matrix_max_error(wa: WeylOperator, wb: WeylOperator, hbar: float, n: int,
     if n < deg + 2:
         raise DimensionTooSmall(
             f"need matrix dimension >= degree + 2 = {deg + 2}, got {n}")
-    cols = _exact_columns(n, n - deg, wa.algebra.dofs)
-    worst = 0.0
-    for sa, sb in zip(_row_slabs(wa, hbar, n, h1, h2), _row_slabs(wb, hbar, n, h1, h2)):
-        sa -= sb
-        worst = max(worst, float(np.abs(sa[:, cols]).max()))
-    return worst
+    pairs = _support(wa, wb)
+    cols = _exact_columns(n, n - deg, len(pairs))
+    diff = _realize(wa, pairs, hbar, n, h1, h2) - _realize(wb, pairs, hbar, n, h1, h2)
+    return float(np.abs(diff[:, cols]).max())
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +379,8 @@ def check_matrix_suite(sig: GroupSignature, hbar: float = 1.0, n: int = 32,
                        tol: float = 1e-10) -> List[OracleReport]:
     """Operator identities on truncated ladder matrices.
 
-    Checks, in the single-Planck algebra at the given hbar:
+    Each check realizes n ** (pairs acted on) states, one pair here at every
+    dof.  Checks, in the single-Planck algebra at the given hbar:
       * canonical commutation [Q, P] = gamma I
       * symbolic normal forms of short words against direct numeric
         matrix products of the untouched factors
@@ -459,13 +404,10 @@ def check_matrix_suite(sig: GroupSignature, hbar: float = 1.0, n: int = 32,
         max_abs_error=err,
     ))
 
-    gval = complex(gamma.evalf(h=float(hbar), h1=float(hbar), h2=float(hbar)))
-    qm, pm = _canonical_pair(gval, n)
+    hv = float(hbar)
+    qm, pm = _canonical_pair(complex(gamma.evalf(h=hv, h1=hv, h2=hv)), n)
     words = [("q", "p"), ("p", "q"), ("q", "q", "p", "p"),
              ("p", "p", "q", "q"), ("q", "p", "q", "p")]
-    # the word acts on the first tensor factor only: compare with num (x) I,
-    # subtracted in place from each row slab on the diagonal of the others
-    rest = np.arange(n ** (alg.dofs - 1))
     worst = 0.0
     for word in words:
         sym = ident
@@ -473,10 +415,8 @@ def check_matrix_suite(sig: GroupSignature, hbar: float = 1.0, n: int = 32,
         for ch in word:
             sym = sym * (q if ch == "q" else p)
             num = num @ (qm if ch == "q" else pm)
-        cols = _exact_columns(n, n - len(word), alg.dofs)
-        for i, slab in enumerate(_row_slabs(sym, hbar, n)):
-            slab.reshape(len(rest), n, len(rest))[rest, :, rest] -= num[i]
-            worst = max(worst, float(np.abs(slab[:, cols]).max()))
+        diff = _realize(sym, _support(sym), hbar, n) - num
+        worst = max(worst, float(np.abs(diff[:, :n - len(word)]).max()))
     reports.append(OracleReport(
         check="matrix-word-products",
         inputs_hash=_hash_inputs("mx-words", sig.dof, str(sig.convention),

@@ -97,7 +97,7 @@ class ClassicalPoly(TermMap):
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 accumulate(out, tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
-        return ClassicalPoly(self.dof, out)
+        return self._like(out)
 
     def _identity(self) -> "ClassicalPoly":
         return ClassicalPoly.constant(self.dof, 1)

@@ -121,7 +121,7 @@ class WeylOperator(TermMap):
                 base = c1 * c2
                 for mono, u in self.algebra.mul_mono(m1, m2):
                     accumulate(acc, mono, base * u)
-        return WeylOperator(self.algebra, acc)
+        return self._like(acc)
 
     def _identity(self) -> "WeylOperator":
         return WeylOperator.identity(self.algebra)
@@ -159,6 +159,14 @@ def _classical_names(dof: int, numbered: bool) -> Tuple[str, ...]:
     return tuple(f"{letter}{i}" for i in range(1, dof + 1) for letter in "qp")
 
 
+def _h2_free(value) -> Scalar:
+    """A hybrid coefficient: a Scalar without h2, which the jet flag carries."""
+    c = scalar(value)
+    if c.uses_symbol("h2"):
+        raise ValueError("coefficients must not use h2; the jet flag carries it")
+    return c
+
+
 class HybridObservable(TermMap):
     """Sum of (Weyl operator part) x (classical polynomial part) terms.
 
@@ -170,7 +178,7 @@ class HybridObservable(TermMap):
 
     __slots__ = ("algebra", "dof", "convention")
 
-    _coerce = staticmethod(scalar)
+    _coerce = staticmethod(_h2_free)
     _mismatch = "hybrid observables over different contexts"
 
     def __init__(self, algebra: WeylAlgebra, dof: int, convention: ConventionTuple,
@@ -183,9 +191,7 @@ class HybridObservable(TermMap):
                 raise ValueError("classical monomial width mismatch")
             if jet not in (0, 1):
                 raise ValueError("jet degree must be 0 or 1")
-            c = scalar(coeff)
-            if c.uses_symbol("h2"):
-                raise ValueError("coefficients must not use h2; the jet flag carries it")
+            c = _h2_free(coeff)
             if not c.is_zero:
                 clean[(tuple(wm), tuple(cm), jet)] = c
         self._freeze(algebra=algebra, dof=dof, convention=convention, terms=clean)
@@ -219,8 +225,7 @@ class HybridObservable(TermMap):
 
     def jet_part(self, jet: int) -> "HybridObservable":
         """Coefficient of h2^jet, returned at jet degree zero."""
-        return HybridObservable(self.algebra, self.dof, self.convention,
-                                {(wm, cm, 0): c for (wm, cm, j), c in self.terms.items() if j == jet})
+        return self._like({(wm, cm, 0): c for (wm, cm, j), c in self.terms.items() if j == jet})
 
     def uses_classical(self) -> bool:
         return any(any(cm) or jet for (_, cm, jet) in self.terms)
@@ -243,7 +248,7 @@ class HybridObservable(TermMap):
             if cm[idx]:
                 key = (wm, cm[:idx] + (cm[idx] - 1,) + cm[idx + 1:], jet)
                 accumulate(out, key, c * cm[idx])
-        return HybridObservable(self.algebra, self.dof, self.convention, out)
+        return self._like(out)
 
     def substitute(self, **values) -> "HybridObservable":
         return HybridObservable(self.algebra, self.dof, self.convention,
@@ -410,7 +415,7 @@ def _hybrid_product(a: HybridObservable, b: HybridObservable,
             for wm, wc in a.algebra.mul_mono(w1, w2):
                 for sm, sj, sf in star:
                     accumulate(acc, (wm, sm, sj), base * wc * sf)
-    return HybridObservable(a.algebra, a.dof, a.convention, acc)
+    return a._like(acc)
 
 
 def hybrid_from_sector2_poly(template: HybridObservable, f: ClassicalPoly) -> HybridObservable:

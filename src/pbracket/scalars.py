@@ -288,9 +288,6 @@ class Scalar(TermMap):
     def _context(self) -> tuple:
         return ()
 
-    def _like(self, terms: dict) -> "Scalar":
-        return _from_terms(terms)
-
     def __reduce__(self):
         return (Scalar, (self.terms,))
 

@@ -147,8 +147,9 @@ class TermMap:
     """Immutable map ``terms`` from exponent keys to nonzero coefficients.
 
     A subclass stores the fields that fix its space (signature, algebra,
-    ...), returns them from ``_context`` in its constructor's argument
-    order, and validates input in ``__init__(*context, terms)``.  It sets
+    ...) in its own ``__slots__``, which ``_like`` copies, returns them from
+    ``_context`` in its constructor's argument order, and validates input
+    in ``__init__(*context, terms)``.  It sets
     ``_coerce`` (coefficient coercion, raising TypeError on foreign types)
     and ``_mismatch`` (the message when spaces differ), and defines
     ``_product`` and ``_identity`` when it has a product.
@@ -165,7 +166,15 @@ class TermMap:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _like(self, terms: dict) -> "TermMap":
-        return type(self)(*self._context(), terms)
+        """A map in this one's space over terms that arithmetic on valid
+        maps built: keys of the right width, nonzero coefficients of the
+        coerced type.  Skips the constructor's validation."""
+        cls = type(self)
+        out = object.__new__(cls)
+        for name in cls.__slots__:
+            object.__setattr__(out, name, getattr(self, name))
+        object.__setattr__(out, "terms", terms)
+        return out
 
     def _check(self, other: "TermMap") -> None:
         if self._context() != other._context():

@@ -3,7 +3,8 @@ output of `scripts/explore_conventions.py`.
 
 The verify_paper files under tests/golden/ are the stdout of `pbracket
 verify paper --seed N` and `pbracket --json verify paper --seed N`, and of
-the same commands with `--signature n=2` for the `dof2` files.  The
+`pbracket [--json] --signature n=2 verify paper` for the `dof2` files and
+`pbracket [--json] --signature n=3 verify paper` for the `dof3` files.  The
 explore_conventions files are the script's stdout at `--dof 1` and
 `--dof 2`; it mechanises, brackets and takes the classicality gap for
 every passing convention tuple.  Any change to the exact arithmetic that
@@ -35,15 +36,16 @@ def test_verify_paper_matches_golden(seed):
     assert as_json == (GOLDEN / f"verify_paper_seed{seed}.json").read_text()
 
 
-def test_verify_paper_dof2_matches_golden():
-    config = EngineConfig(EngineConfig.default().convention, dof=2)
+@pytest.mark.parametrize("dof", [2, 3])
+def test_verify_paper_at_higher_dof_matches_golden(dof):
+    config = EngineConfig(EngineConfig.default().convention, dof=dof)
     report = run_verify(seed=2024, config=config)
     text = report.render() + "\n"
     as_json = json.dumps(report.to_json(), sort_keys=True) + "\n"
     assert report.ok
     assert text.endswith("summary: 12 of 12 items pass\n")
-    assert text == (GOLDEN / "verify_paper_dof2_seed2024.txt").read_text()
-    assert as_json == (GOLDEN / "verify_paper_dof2_seed2024.json").read_text()
+    assert text == (GOLDEN / f"verify_paper_dof{dof}_seed2024.txt").read_text()
+    assert as_json == (GOLDEN / f"verify_paper_dof{dof}_seed2024.json").read_text()
 
 
 @pytest.mark.parametrize("dof", [1, 2])

@@ -170,33 +170,21 @@ def test_matrix_size_bound_raises_before_allocating(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("dense matrix allocated past the size bound")
 
-    monkeypatch.setattr(np, "zeros", refuse)
-    monkeypatch.setattr(np, "eye", refuse)
     assert oracle.MAX_MATRIX_DIM == 1024
     q2 = WeylOperator.generator(qc_algebra(GroupSignature(2)), "Q", 0)
-    with pytest.raises(MatrixTooLarge, match="33\\*\\*2 = 1089"):
-        matrix_realize(q2, hbar=1.0, n=33)
-    with pytest.raises(MatrixTooLarge, match="32\\*\\*3 = 32768"):
-        check_matrix_suite(GroupSignature(3))
-
-
-def test_matrix_realize_builds_no_full_size_temporary():
-    import tracemalloc
-
-    from pbracket.representations import WeylOperator
-    alg = qc_algebra(GroupSignature(2))
-    q1, p1 = WeylOperator.generator(alg, "Q", 0), WeylOperator.generator(alg, "P", 0)
-    q2, p2 = WeylOperator.generator(alg, "Q", 1), WeylOperator.generator(alg, "P", 1)
-    w = q1 * p2 + p1 * p1 * q2 + q2 * q2 * p2 - WeylOperator.identity(alg)
-    matrix_realize(w, hbar=1.0, n=8)   # numpy loads on first use; keep that out
-    tracemalloc.start()
-    try:
-        m = matrix_realize(w, hbar=1.0, n=32)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert m.shape == (1024, 1024)
-    assert peak < m.nbytes * 1.25      # the result plus slab-sized temporaries
+    alg3 = qc_algebra(GroupSignature(3))
+    two_pairs = WeylOperator.generator(alg3, "Q", 0) * WeylOperator.generator(alg3, "P", 2)
+    with monkeypatch.context() as m:
+        m.setattr(np, "zeros", refuse)
+        m.setattr(np, "eye", refuse)
+        with pytest.raises(MatrixTooLarge, match="33\\*\\*2 = 1089"):
+            matrix_realize(q2, hbar=1.0, n=33)
+        with pytest.raises(MatrixTooLarge, match="33\\*\\*2 = 1089"):
+            matrix_max_error(two_pairs, two_pairs, hbar=1.0, n=33)
+        with pytest.raises(MatrixTooLarge, match="32\\*\\*3 = 32768"):
+            matrix_realize(two_pairs, hbar=1.0, n=32)
+    # each check realizes only the one pair it acts on
+    assert all(r.ok for r in check_matrix_suite(GroupSignature(3)))
 
 
 def test_matrix_max_error_flags_wrong_operator():
@@ -341,19 +329,12 @@ def test_oracle_check_passes_at_dof_2():
 
 
 def test_matrix_word_products_catch_wrong_factor_at_dof_2(monkeypatch):
-    # a realization that puts the word on the second tensor factor instead
-    # of the first must fail the comparison against num (x) I
+    # realizing the word on the second pair instead of the first, the one
+    # it acts on, must fail the comparison against the direct product
     sig = GroupSignature(dof=2)
     n = 12
     assert {r.check: r for r in check_matrix_suite(sig, n=n)}["matrix-word-products"].ok
-    real = oracle._row_slabs
-
-    def swapped(w, hbar, dim, h1=None, h2=None):
-        m = np.concatenate([s.copy() for s in real(w, hbar, dim, h1, h2)])
-        m = m.reshape(dim, dim, dim, dim).transpose(1, 0, 3, 2).reshape(dim ** 2, dim ** 2)
-        return iter(np.split(m, dim))
-
-    monkeypatch.setattr(oracle, "_row_slabs", swapped)
+    monkeypatch.setattr(oracle, "_support", lambda *ops: [1])
     reports = {r.check: r for r in check_matrix_suite(sig, n=n)}
     assert not reports["matrix-word-products"].ok
 
@@ -374,20 +355,22 @@ def test_matrix_suite_holds_no_full_size_matrix():
     assert peak < 8 * 2 ** 20
 
 
-def test_row_slabs_stack_to_the_realization():
+def test_matrix_realize_is_the_kronecker_product():
     from pbracket.representations import WeylOperator
     alg = qc_algebra(GroupSignature(2))
     q1, p2 = WeylOperator.generator(alg, "Q", 0), WeylOperator.generator(alg, "P", 1)
     w = q1 * q1 * p2 - p2.scale(CR_I)
-    slabs = [s.copy() for s in oracle._row_slabs(w, 1.0, 6)]
-    assert len(slabs) == 6 and all(s.shape == (6, 36) for s in slabs)
     qm, _ = oracle._canonical_pair(complex(alg.gammas[0].evalf()), 6)
     _, pm = oracle._canonical_pair(complex(alg.gammas[1].evalf()), 6)
     direct = np.kron(qm @ qm, pm) - 1j * np.kron(np.eye(6), pm)
-    assert np.allclose(np.concatenate(slabs), direct, atol=1e-12)
-    assert np.array_equal(matrix_realize(w, hbar=1.0, n=6), np.concatenate(slabs))
+    assert np.allclose(matrix_realize(w, hbar=1.0, n=6), direct, atol=1e-12)
     with pytest.raises(MatrixTooLarge):
-        oracle._row_slabs(w, 1.0, 33)
+        matrix_realize(w, hbar=1.0, n=33)
+    # on the pairs it acts on alone, an operator has its own factor's matrix
+    assert oracle._support(w) == [0, 1]
+    assert oracle._support(p2, WeylOperator.identity(alg)) == [1]
+    assert oracle._support(WeylOperator.identity(alg)) == []
+    assert np.array_equal(oracle._realize(p2, oracle._support(p2), 1.0, 6), pm)
 
 
 def test_verify_item_exception_names_where_it_was_raised(monkeypatch):
