@@ -60,6 +60,7 @@ from .representations import (
     rep_qq,
     rep_qc,
     multiply_hybrid,
+    commutator_hybrid,
     hybrid_from_sector2_poly,
 )
 from .qc_bracket import (
@@ -103,7 +104,7 @@ __all__ = [
     "AObservable", "apply_antiderivative", "universal_bracket",
     "WeylAlgebra", "WeylOperator", "HybridObservable", "qq_algebra",
     "qc_algebra", "rep_qq", "rep_qc", "multiply_hybrid",
-    "hybrid_from_sector2_poly",
+    "commutator_hybrid", "hybrid_from_sector2_poly",
     "qc_bracket", "qc_bracket_terms", "bracket_via_universal",
     "poisson_ordered", "classicality_gap", "h_eff",
     "GroupPoly", "vector_field_action", "matrix_realize", "matrix_max_error",

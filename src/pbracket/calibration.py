@@ -38,7 +38,7 @@ from .group_algebra import (ConventionTuple, Element, GroupSignature,
                             commutator, delta_to_element)
 from .pmech import AObservable, ClassicalPoly, mechanise_weyl, universal_bracket
 from .representations import (HybridObservable, WeylAlgebra, WeylOperator,
-                              multiply_hybrid, qc_algebra, rep_qc)
+                              commutator_hybrid, qc_algebra, rep_qc)
 from .qc_bracket import INV_IH, classicality_gap
 
 __all__ = [
@@ -157,7 +157,7 @@ def _pipeline_identity(sig: GroupSignature,
 
     w1 = rep_qc(k1)
     w2 = rep_qc(k2)
-    comm = multiply_hybrid(w1, w2) - multiply_hybrid(w2, w1)
+    comm = commutator_hybrid(w1, w2)
     if comm.scale(INV_IH) != image:
         return None
     return matched, image

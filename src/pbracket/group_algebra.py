@@ -282,10 +282,26 @@ def multiply(a: Element, b: Element) -> Element:
 
 
 def commutator(a: Element, b: Element) -> Element:
-    """orient * (a*b - b*a)."""
+    """orient * (a*b - b*a), never building the leading term both orders cancel."""
     a._check(b)
-    orient = a.signature.convention.orient
-    return (multiply(a, b) - multiply(b, a)).scale(orient)
+    sig = a.signature
+    dof = sig.dof
+    neg_eps = -sig.convention.eps_comm
+    orient = sig.convention.orient
+    acc: Dict[Monomial, Scalar] = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            ab, ba = normal_order(m1, m2, 2, sig.slots), normal_order(m2, m1, 2, sig.slots)
+            if len(ab) == len(ba) == 1:
+                continue
+            base = c1 * c2
+            s1, s2 = m1[0] + m2[0], m1[1] + m2[1]
+            for sign, expansion in ((orient, ab), (-orient, ba)):
+                for xy, ks, weight in expansion[1:]:
+                    k, k1 = sum(ks), sum(ks[:dof])
+                    accumulate(acc, (s1 + k1, s2 + k - k1) + xy,
+                               base * (neg_eps ** k * (sign * weight)))
+    return a._like(acc)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""The three-term quantum-classical bracket on hybrid observables, the
-bracket computed through the universal route, the classicality gap, and the
-effective Planck constant.
+"""The quantum-classical bracket on hybrid observables, the bracket computed
+through the universal route, the classicality gap, and the effective Planck
+constant.
 
-Term conventions.  For hybrid K1, K2 write [K1,K2] for the star commutator
-and c_j for its h2^j coefficient.  The bracket is assembled as
+For hybrid K1, K2 write [K1,K2] for the star commutator and c_j for its
+h2^j coefficient.  qc_bracket evaluates (1/(i h)) c_0 - i c_1 directly from
+commutator_hybrid.  qc_bracket_terms is for inspection: it splits the same
+value into three terms,
 
     term1 = (1/(i h)) * c_0([K1, K2])
     term2 = (1/2) * (po(K1,K2) - po(K2,K1))      at h2 = 0
@@ -12,8 +14,7 @@ and c_j for its h2^j coefficient.  The bracket is assembled as
 where po is the ordered Poisson sum below.  The h2-linear part of the star
 commutator already contains the full antisymmetrized Poisson content plus
 the genuine jet correction, so term3 is that coefficient with the ordered
-Poisson part split out; the three terms then sum to
-(1/(i h)) c_0 - i c_1, with term2 isolated for inspection.
+Poisson part split out, and the three terms sum to qc_bracket.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .representations import (
     HybridObservable,
     WeylOperator,
     _hybrid_product,
-    multiply_hybrid,
+    commutator_hybrid,
     qc_algebra,
     rep_qc,
 )
@@ -69,22 +70,20 @@ def qc_bracket_terms(K1: HybridObservable, K2: HybridObservable,
                      hbar: Optional[Union[int, Fraction]] = None,
                      ) -> Tuple[HybridObservable, HybridObservable, HybridObservable]:
     """The three bracket terms separately, each at jet degree zero."""
-    comm = multiply_hybrid(K1, K2) - multiply_hybrid(K2, K1)
+    comm = commutator_hybrid(K1, K2)
     term1 = comm.jet_part(0).scale(INV_IH)
     term2 = (poisson_ordered(K1, K2) - poisson_ordered(K2, K1)).jet_part(0).scale(Fraction(1, 2))
     term3 = comm.jet_part(1).scale(CR_MINUS_I) - term2
-    if hbar is not None:
-        term1 = term1.substitute(h=Fraction(hbar))
-        term2 = term2.substitute(h=Fraction(hbar))
-        term3 = term3.substitute(h=Fraction(hbar))
-    return term1, term2, term3
+    terms = (term1, term2, term3)
+    return terms if hbar is None else tuple(t.substitute(h=Fraction(hbar)) for t in terms)
 
 
 def qc_bracket(K1: HybridObservable, K2: HybridObservable,
                hbar: Optional[Union[int, Fraction]] = None) -> HybridObservable:
-    """Sum of the three terms; the result has jet degree zero."""
-    t1, t2, t3 = qc_bracket_terms(K1, K2, hbar)
-    return t1 + t2 + t3
+    """(1/(i h)) c_0 - i c_1 of the star commutator, at jet degree zero."""
+    c = commutator_hybrid(K1, K2)
+    out = c.jet_part(0).scale(INV_IH) + c.jet_part(1).scale(CR_MINUS_I)
+    return out if hbar is None else out.substitute(h=Fraction(hbar))
 
 
 def bracket_via_universal(k1: Element, k2: Element,

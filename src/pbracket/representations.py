@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .errors import SignatureMismatch, ZeroPlanck
-from .scalars import CR_I, CR_ONE, CRat, Scalar, S_ONE, scalar
+from .scalars import CR_I, CRat, Scalar, S_ONE, scalar
 from .terms import (TermMap, accumulate, clean_terms, coeff_str, exponent_map,
                     normal_order, power_str, render_terms)
 from .group_algebra import ConventionTuple, Element, GroupSignature
@@ -34,6 +34,7 @@ __all__ = [
     "rep_qq",
     "rep_qc",
     "multiply_hybrid",
+    "commutator_hybrid",
     "hybrid_from_sector2_poly",
 ]
 
@@ -67,7 +68,8 @@ class WeylAlgebra:
 
     def mul_mono(self, m1: WMonomial, m2: WMonomial) -> List[Tuple[WMonomial, Scalar]]:
         """Normal-ordered product of two monomials: the shared kernel, with
-        each pair's k contractions weighted by (-gamma)^k."""
+        each pair's k contractions weighted by (-gamma)^k.  Entry 0 is the
+        uncontracted term, the exponent sum with coefficient 1."""
         out = []
         for mono, ks, weight in normal_order(m1, m2, 0, self.dofs):
             u = scalar(weight)
@@ -402,20 +404,48 @@ def _hybrid_product(a: HybridObservable, b: HybridObservable,
             if jet > 1:
                 continue
             base = v1 * v2
-            cm = tuple(x + y for x, y in zip(c1, c2))
-            star: List[Tuple[WMonomial, int, CRat]] = [(cm, jet, CR_ONE)]
-            if jet == 0 and not star_unit.is_zero:
-                for i in range(a.dof):
-                    qx, px = 2 * i, 2 * i + 1
-                    if c1[px] and c2[qx]:
-                        lowered = list(cm)
-                        lowered[px] -= 1
-                        lowered[qx] -= 1
-                        star.append((tuple(lowered), 1, star_unit * (c1[px] * c2[qx])))
-            for wm, wc in a.algebra.mul_mono(w1, w2):
-                for sm, sj, sf in star:
-                    accumulate(acc, (wm, sm, sj), base * wc * sf)
+            for key, f in _pair_product(a, w1, c1, w2, c2, jet, star_unit):
+                accumulate(acc, key, base * f)
     return a._like(acc)
+
+
+def commutator_hybrid(a: HybridObservable, b: HybridObservable) -> HybridObservable:
+    """a*b - b*a, never building the uncontracted leading term both orders cancel."""
+    a._check(b)
+    star_unit = a.convention.star_unit
+    acc: Dict[Tuple[WMonomial, WMonomial, int], Scalar] = {}
+    for (w1, c1, j1), v1 in a.terms.items():
+        for (w2, c2, j2), v2 in b.terms.items():
+            jet = j1 + j2
+            if jet > 1:
+                continue
+            ab = _pair_product(a, w1, c1, w2, c2, jet, star_unit)
+            ba = _pair_product(a, w2, c2, w1, c1, jet, star_unit)
+            if len(ab) == len(ba) == 1:
+                continue
+            base = v1 * v2
+            for signed, entries in ((base, ab), (-base, ba)):
+                for key, f in entries[1:]:
+                    accumulate(acc, key, signed * f)
+    return a._like(acc)
+
+
+def _pair_product(a: HybridObservable, w1: WMonomial, c1: WMonomial, w2: WMonomial,
+                  c2: WMonomial, jet: int, star_unit: CRat) -> List[tuple]:
+    """One term pair's product over its coefficient product, as (key, factor)
+    entries of Weyl times star entries; the uncontracted term comes first."""
+    cm = tuple(x + y for x, y in zip(c1, c2))
+    star: List[Tuple[WMonomial, int, Optional[CRat]]] = [(cm, jet, None)]
+    if jet == 0 and not star_unit.is_zero:
+        for i in range(a.dof):
+            qx, px = 2 * i, 2 * i + 1
+            if c1[px] and c2[qx]:
+                lowered = list(cm)
+                lowered[px] -= 1
+                lowered[qx] -= 1
+                star.append((tuple(lowered), 1, star_unit * (c1[px] * c2[qx])))
+    return [((wm, sm, sj), wc if sf is None else wc * sf)
+            for wm, wc in a.algebra.mul_mono(w1, w2) for sm, sj, sf in star]
 
 
 def hybrid_from_sector2_poly(template: HybridObservable, f: ClassicalPoly) -> HybridObservable:

@@ -69,7 +69,9 @@ def normal_order(m1: Sequence[int], m2: Sequence[int], first: int,
     Returns one entry per term: the flattened (X, Y) exponents of all pairs,
     the number k of contractions per pair, and the integer weight (the
     product of the k! C(m,k) C(n,k) factors).  The caller supplies the
-    factor (-c_t)^k_t of each pair.
+    factor (-c_t)^k_t of each pair.  Entry 0 is always the uncontracted
+    term, every k zero and weight 1, so it is the same for either order of
+    m1 and m2; the commutators skip it.
     """
     out = [((), (), 1)]
     for t in range(pairs):

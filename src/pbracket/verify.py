@@ -20,8 +20,8 @@ from .errors import DivisionByZero, SingularTransformation
 from .scalars import Scalar
 from .group_algebra import Element, commutator
 from .pmech import ClassicalPoly, mechanise_weyl, poisson_classical, universal_bracket
-from .representations import (WeylOperator, hybrid_from_sector2_poly,
-                              multiply_hybrid, qc_algebra, qq_algebra,
+from .representations import (WeylOperator, commutator_hybrid,
+                              hybrid_from_sector2_poly, qc_algebra, qq_algebra,
                               rep_qc, rep_qq)
 from .qc_bracket import (INV_IH, bracket_via_universal, h_eff, qc_bracket,
                          qc_bracket_terms)
@@ -173,7 +173,7 @@ def run_verify(seed: int = 2024, config: Optional[EngineConfig] = None,
         order_name = "PQ" if sig.convention.anti_normal_order else "QP"
         closed = ordered_image(qc_algebra(sig), order_name)
         w1, w2 = rep_qc(k1), rep_qc(k2)
-        comm = (multiply_hybrid(w1, w2) - multiply_hybrid(w2, w1)).scale(INV_IH)
+        comm = commutator_hybrid(w1, w2).scale(INV_IH)
         comm_ok = comm == image
         deviation = matrix_max_error(image_w, closed, 1.0, 32)
         ok = image_w == closed and comm_ok and deviation <= 1e-10

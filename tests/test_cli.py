@@ -146,6 +146,33 @@ def test_oversized_expression_is_one_error_line(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
+def test_oversized_bracket_is_one_error_line(capsys):
+    big = "(q1+p1+q2+p2)^10"     # accepted input, 1 064 terms once mechanised
+    for variant in ("qc", "universal"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "--signature", "n=2", "bracket", variant, big, big)
+        assert time.perf_counter() - start < 5.0, variant
+        assert (code, out) == (2, ""), variant
+        assert err.startswith("error: ") and err.count("\n") == 1, variant
+        assert "1132096 term pairs" in err
+
+
+def test_bracket_up_to_the_pair_bound_succeeds(capsys, monkeypatch):
+    fifth, sixth = "(q1+p1+q2+p2)^5", "(q1+p1+q2+p2)^6"    # 108 and 188 terms
+    code, out, _ = run(capsys, "--signature", "n=2", "bracket", "qc", fifth, fifth)
+    assert code == 0 and out.strip() == "0"
+    code, _, err = run(capsys, "--signature", "n=2", "bracket", "qc", fifth, sixth)
+    assert code == 2 and "20304 term pairs" in err
+    cube = "(q1+p1+q2+p2)^3"     # 28 terms
+    monkeypatch.setattr(cli, "MAX_BRACKET_PAIRS", 28 * 28)
+    for variant in ("qc", "universal"):
+        code, out, _ = run(capsys, "--signature", "n=2", "bracket", variant, cube, "q1*p2")
+        assert code == 0 and out, variant
+        assert run(capsys, "--signature", "n=2", "bracket", variant, cube, cube)[0] == 0
+    monkeypatch.setattr(cli, "MAX_BRACKET_PAIRS", 28 * 28 - 1)
+    assert run(capsys, "--signature", "n=2", "bracket", "qc", cube, cube)[0] == 2
+
+
 def test_unknown_rule_is_usage_error(capsys):
     code, _, _ = run(capsys, "mechanise", "q1", "--rule", "nosuch")
     assert code == 2

@@ -1,12 +1,16 @@
 """Convolution algebra on the two-sector group: normal ordering, commutators
 and the delta-kernel correspondence."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+import pbracket.group_algebra as group_algebra
 from pbracket.errors import SignatureMismatch
-from pbracket.scalars import CRat, CR_I, CR_MINUS_ONE, CR_ONE
+from pbracket.sampling import rand_element
+from pbracket.scalars import CRat, CR_I, CR_MINUS_ONE, CR_ONE, UNIT_VALUES
 from pbracket.group_algebra import (ConventionTuple, Element, GroupSignature,
                                     commutator, delta_str, delta_to_element,
                                     element_from_json, element_to_delta,
@@ -76,6 +80,46 @@ def test_commutator_antisymmetry_and_self():
     b = multiply(x, y) - Element.one(SIG).scale(3)
     assert commutator(a, a).is_zero
     assert (commutator(a, b) + commutator(b, a)).is_zero
+
+
+def _products_commutator(a, b):
+    """The definition the one-pass commutator replaces."""
+    return (multiply(a, b) - multiply(b, a)).scale(a.signature.convention.orient)
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3])
+def test_commutator_matches_products(dof):
+    sig = GroupSignature(dof=dof)
+    rng = random.Random(4100 + dof)
+    for _ in range(40):
+        a = rand_element(rng, sig, max_degree=4, terms=3)
+        b = rand_element(rng, sig, max_degree=4, terms=3)
+        assert commutator(a, b) == _products_commutator(a, b), (a, b)
+
+
+def test_commutator_matches_products_under_every_convention():
+    """All 1024 tuples: both orientations and every eps_comm."""
+    for eps, kx, ky, ks, orient, rep_s in itertools.product(
+            UNIT_VALUES, UNIT_VALUES, UNIT_VALUES, UNIT_VALUES, (1, -1), (1, -1)):
+        sig = GroupSignature(2, ConventionTuple(eps, kx, ky, ks, orient, rep_s))
+        a = (Element.monomial(sig, (1, 0, 1, 2, 0, 1, 1, 0, 0, 0), 3)
+             + Element.monomial(sig, (0, 0, 0, 1, 0, 0, 0, 1, 0, 0), CR_I))
+        b = (Element.monomial(sig, (0, 1, 2, 1, 1, 0, 0, 0, 0, 0), -2)
+             + Element.monomial(sig, (0, 0, 0, 0, 0, 0, 1, 1, 0, 0), 1))
+        assert commutator(a, b) == _products_commutator(a, b), sig.convention
+        assert not commutator(a, b).is_zero
+
+
+def test_commutator_never_builds_the_products(monkeypatch):
+    x, y, s = gen("X_1_1"), gen("Y_1_1"), gen("S1")
+    a, b = x * y * y, x * x + s
+    expected = _products_commutator(a, b)
+
+    def refuse(a, b):
+        raise AssertionError("commutator called multiply")
+
+    monkeypatch.setattr(group_algebra, "multiply", refuse)
+    assert commutator(a, b) == expected
 
 
 def test_central_generators_commute():

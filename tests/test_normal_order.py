@@ -14,8 +14,9 @@ import random
 import pytest
 
 from pbracket.group_algebra import ConventionTuple, Element, GroupSignature, multiply
+from pbracket.terms import normal_order
 from pbracket.representations import WeylOperator, qq_algebra
-from pbracket.scalars import CR_I, CR_MINUS_ONE, CR_ONE, S_ZERO, scalar
+from pbracket.scalars import CR_I, CR_MINUS_ONE, CR_ONE, S_ONE, S_ZERO, scalar
 
 # eps_comm = -1 (standard), +1 and +i
 CONVENTIONS = [
@@ -98,3 +99,21 @@ def test_weyl_product_matches_word_rewriter(dof):
         expected = WeylOperator(alg, rewrite(_word(m1) + _word(m2), alg.width, 0, contraction))
         product = WeylOperator(alg, {m1: 1}) * WeylOperator(alg, {m2: 1})
         assert product == expected, (m1, m2)
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3])
+def test_entry_zero_is_the_uncontracted_term(dof):
+    """The commutators cancel entry 0 of the two orders without computing
+    it: it must be the exponent sum, no contraction, weight 1, in both."""
+    sig = GroupSignature(dof=dof)
+    alg = qq_algebra(sig)
+    rng = random.Random(500 + dof)
+    for _ in range(60):
+        m1 = _rand_mono(rng, sig.width, 2, max_exp=3)
+        m2 = _rand_mono(rng, sig.width, 2, max_exp=3)
+        pairs = tuple(x + y for x, y in zip(m1[2:], m2[2:]))
+        for a, b in ((m1, m2), (m2, m1)):
+            expansion = normal_order(a, b, 2, sig.slots)
+            assert expansion[0] == (pairs, (0,) * sig.slots, 1)
+            assert all(any(ks) for _, ks, _ in expansion[1:])
+            assert alg.mul_mono(a[2:], b[2:])[0] == (pairs, S_ONE)

@@ -1,6 +1,8 @@
 """Quantum-classical bracket: term structure, universal route agreement,
 classicality gap and the effective Planck constant."""
 
+import importlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from pbracket.pmech import ClassicalPoly, mechanise_weyl, poisson_classical
 from pbracket.qc_bracket import (bracket_via_universal, classicality_gap,
                                  h_eff, poisson_ordered, qc_bracket,
                                  qc_bracket_terms)
+from pbracket.sampling import rand_classical
 from pbracket.representations import (HybridObservable,
                                       hybrid_from_sector2_poly, rep_qc)
 
@@ -70,6 +73,36 @@ def test_term3_carries_the_jet_defect():
     total = qc_bracket(K1, K2)
     assert total == t1 + t2 + t3
     assert not t3.is_zero
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3])
+def test_qc_bracket_is_the_sum_of_its_terms(dof):
+    sig = GroupSignature(dof=dof)
+    rng = random.Random(4300 + dof)
+    for _ in range(12):
+        K1 = rep_qc(mechanise_weyl(sig, rand_classical(rng, dof, max_degree=4)))
+        K2 = rep_qc(mechanise_weyl(sig, rand_classical(rng, dof, max_degree=4)))
+        for hbar in (None, 3, Fraction(-1, 2)):
+            t1, t2, t3 = qc_bracket_terms(K1, K2, hbar)
+            assert qc_bracket(K1, K2, hbar) == t1 + t2 + t3, (K1, K2, hbar)
+
+
+def test_qc_bracket_skips_the_ordered_poisson_sum(monkeypatch):
+    K1, K2 = rep(q(1) * q(2) + p(2) ** 2), rep(p(1) * p(2) + q(2))
+    expected = {}
+    for hbar in (None, 2):
+        t1, t2, t3 = qc_bracket_terms(K1, K2, hbar)
+        expected[hbar] = t1 + t2 + t3
+
+    def refuse(*args):
+        raise AssertionError("poisson_ordered called")
+
+    # the package binds the name qc_bracket to the function, not the module
+    monkeypatch.setattr(importlib.import_module("pbracket.qc_bracket"), "poisson_ordered", refuse)
+    for hbar, value in expected.items():
+        assert qc_bracket(K1, K2, hbar) == value
+    with pytest.raises(AssertionError, match="poisson_ordered called"):
+        qc_bracket_terms(K1, K2)
 
 
 def test_bracket_is_antisymmetric_and_bilinear():

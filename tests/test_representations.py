@@ -1,16 +1,19 @@
 """Quantum-quantum and first-jet quantum-classical representations."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from pbracket.errors import SignatureMismatch, ZeroPlanck
+from pbracket.sampling import rand_element
 from pbracket.scalars import CR_I, CR_ONE, S_ONE, Scalar, scalar
 from pbracket.group_algebra import Element, GroupSignature
 from pbracket.pmech import (AObservable, ClassicalPoly, mechanise_weyl,
                             universal_bracket)
 from pbracket.representations import (HybridObservable, WeylAlgebra,
-                                      WeylOperator, hybrid_from_sector2_poly,
+                                      WeylOperator, commutator_hybrid,
+                                      hybrid_from_sector2_poly, multiply_hybrid,
                                       qc_algebra, qq_algebra, rep_qc, rep_qq)
 
 SIG = GroupSignature(dof=1)
@@ -197,6 +200,17 @@ def test_rep_qc_jet_star_is_one_sided():
     comm = qh * ph - ph * qh
     assert comm.jet_part(0).is_zero
     assert str(comm) == "i*h2"
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3])
+def test_commutator_hybrid_matches_products(dof):
+    """Images with jet-one terms (S2) and star corrections in both orders."""
+    sig = GroupSignature(dof=dof)
+    rng = random.Random(4200 + dof)
+    for _ in range(40):
+        a = rep_qc(rand_element(rng, sig, max_degree=4, terms=4))
+        b = rep_qc(rand_element(rng, sig, max_degree=4, terms=4))
+        assert commutator_hybrid(a, b) == multiply_hybrid(a, b) - multiply_hybrid(b, a), (a, b)
 
 
 def test_hybrid_from_sector2_poly_rejects_sector1():
