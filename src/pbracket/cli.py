@@ -197,7 +197,7 @@ def _cmd_bracket(ns: argparse.Namespace, cfg: EngineConfig) -> int:
     pairs = len(k1.terms) * len(k2.terms)
     if pairs > MAX_BRACKET_PAIRS:
         raise ExpressionTooLarge(f"bracket would reach {pairs} term pairs, above the "
-                                 f"limit of {MAX_BRACKET_PAIRS}", 1, 1)
+                                 f"limit of {MAX_BRACKET_PAIRS}")
     if ns.variant == "universal":
         result = universal_bracket(k1, k2)
         _emit(ns, result.to_json(), str(result))

@@ -4,6 +4,8 @@ Every error raised on a documented contract boundary lives here so callers
 can catch one hierarchy instead of hunting per-module classes.
 """
 
+from typing import Optional
+
 
 class PBracketError(Exception):
     """Base class for all engine errors."""
@@ -54,10 +56,11 @@ class AObservableProductError(PBracketError):
 
 
 class ExprError(PBracketError):
-    """Base for expression-language errors; carries line and column."""
+    """Base for expression-language errors; carries the line and column of
+    the offending text when there is one, else None for both."""
 
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{message} (line {line}, column {col})")
+    def __init__(self, message: str, line: Optional[int] = None, col: Optional[int] = None):
+        super().__init__(message if line is None else f"{message} (line {line}, column {col})")
         self.line = line
         self.col = col
 
@@ -77,4 +80,6 @@ class IndexOutOfRange(ExprError):
 
 class ExpressionTooLarge(ExprError):
     """An expression exceeds a size bound: a product or power would grow
-    past the parser's limits, or a number has too many digits."""
+    past the parser's limits, or a number has too many digits.  The bracket
+    command's bound on term pairs is on two parsed inputs, not on a place in
+    either text, so it carries no position."""

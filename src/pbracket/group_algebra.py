@@ -18,6 +18,7 @@ kappa factors of the ConventionTuple (one factor per derivative).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
@@ -90,12 +91,12 @@ class ConventionTuple:
             rep_s_sign=-1,
         )
 
-    @property
+    @cached_property
     def gamma_unit(self) -> CRat:
         """Unit u in the represented relation [Q, P] = u * i * hbar."""
         return self.rep_s_sign * self.eps_comm
 
-    @property
+    @cached_property
     def star_unit(self) -> CRat:
         """Coefficient kappa in the one-sided jet star product
         f * g = fg + kappa * h2 * sum_i d_p f d_q g."""
@@ -230,8 +231,21 @@ class Element(TermMap):
                  coeff: Union[Scalar, CRat, int, Fraction] = 1) -> "Element":
         return cls(sig, {tuple(mono): scalar(coeff)})
 
-    def _product(self, other: "Element") -> "Element":
-        return multiply(self, other)
+    def _expand(self, m1: Monomial, m2: Monomial) -> list:
+        """Each (X, Y) slot put in normal order by the shared kernel; a
+        slot's k contractions become k powers of its sector's S and the
+        factor (-eps)^k.  The central generators commute with everything."""
+        sig = self.signature
+        s1, s2 = m1[0] + m2[0], m1[1] + m2[1]
+        (xy, _, _), *contracted = normal_order(m1, m2, 2, sig.slots)
+        out = [((s1, s2) + xy, None)]
+        if contracted:
+            dof = sig.dof
+            neg_eps = -sig.convention.eps_comm
+            for xy, ks, weight in contracted:
+                k, k1 = sum(ks), sum(ks[:dof])
+                out.append(((s1 + k1, s2 + k - k1) + xy, neg_eps ** k * weight))
+        return out
 
     def _identity(self) -> "Element":
         return Element.one(self.signature)
@@ -259,49 +273,14 @@ class Element(TermMap):
 
 
 def multiply(a: Element, b: Element) -> Element:
-    """Product in PBW normal form.
-
-    Each (X, Y) slot is put in normal order by the shared kernel; a slot's k
-    contractions become k powers of its sector's S and the factor
-    (-eps)^k.  The central generators commute with everything.
-    """
-    a._check(b)
-    sig = a.signature
-    dof = sig.dof
-    neg_eps = -sig.convention.eps_comm
-    acc: Dict[Monomial, Scalar] = {}
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
-            base = c1 * c2
-            s1, s2 = m1[0] + m2[0], m1[1] + m2[1]
-            for xy, ks, weight in normal_order(m1, m2, 2, sig.slots):
-                k, k1 = sum(ks), sum(ks[:dof])
-                accumulate(acc, (s1 + k1, s2 + k - k1) + xy,
-                           base * (neg_eps ** k * weight) if k else base)
-    return a._like(acc)
+    """Product in PBW normal form."""
+    return a._product(b)
 
 
 def commutator(a: Element, b: Element) -> Element:
-    """orient * (a*b - b*a), never building the leading term both orders cancel."""
-    a._check(b)
-    sig = a.signature
-    dof = sig.dof
-    neg_eps = -sig.convention.eps_comm
-    orient = sig.convention.orient
-    acc: Dict[Monomial, Scalar] = {}
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
-            ab, ba = normal_order(m1, m2, 2, sig.slots), normal_order(m2, m1, 2, sig.slots)
-            if len(ab) == len(ba) == 1:
-                continue
-            base = c1 * c2
-            s1, s2 = m1[0] + m2[0], m1[1] + m2[1]
-            for sign, expansion in ((orient, ab), (-orient, ba)):
-                for xy, ks, weight in expansion[1:]:
-                    k, k1 = sum(ks), sum(ks[:dof])
-                    accumulate(acc, (s1 + k1, s2 + k - k1) + xy,
-                               base * (neg_eps ** k * (sign * weight)))
-    return a._like(acc)
+    """orient * (a*b - b*a); orient is +1 or -1, so the orientation only
+    picks the order."""
+    return a._commutator(b) if a.signature.convention.orient == 1 else b._commutator(a)
 
 
 # ---------------------------------------------------------------------------

@@ -237,15 +237,13 @@ def matrix_max_error(wa: WeylOperator, wb: WeylOperator, hbar: float, n: int,
     Both are realized on the pairs either acts on; on every other pair both
     are the identity, which cannot tell them apart.  A degree-d operator
     maps basis column j into levels <= j + d per factor, so columns with
-    every factor index < n - d are free of truncation error.
+    every factor index < n - d are free of truncation error.  Raises as
+    _realize does, for either operator.
     """
     import numpy as np
     if wa.algebra is not wb.algebra and wa.algebra != wb.algebra:
         raise ValueError("operators live in different algebras")
     deg = max(wa.degree(), wb.degree())
-    if n < deg + 2:
-        raise DimensionTooSmall(
-            f"need matrix dimension >= degree + 2 = {deg + 2}, got {n}")
     pairs = _support(wa, wb)
     cols = _exact_columns(n, n - deg, len(pairs))
     diff = _realize(wa, pairs, hbar, n, h1, h2) - _realize(wb, pairs, hbar, n, h1, h2)

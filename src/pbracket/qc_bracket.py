@@ -30,7 +30,7 @@ from .pmech import ClassicalPoly, poisson_classical, universal_bracket, weyl_sym
 from .representations import (
     HybridObservable,
     WeylOperator,
-    _hybrid_product,
+    _pair_product,
     commutator_hybrid,
     qc_algebra,
     rep_qc,
@@ -55,10 +55,14 @@ def poisson_ordered(K1: HybridObservable, K2: HybridObservable) -> HybridObserva
     the written order.  The classical parts multiply commutatively, without
     the star correction (the hybrid product at star unit zero)."""
     K1._check(K2)
+
+    def flat(k1: tuple, k2: tuple) -> list:
+        return _pair_product(K1, k1, k2, CR_ZERO)
+
     out = HybridObservable.zero_like(K1)
     for i in range(K1.dof):
-        out = out + _hybrid_product(K1.derivative_q(i), K2.derivative_p(i), CR_ZERO)
-        out = out - _hybrid_product(K1.derivative_p(i), K2.derivative_q(i), CR_ZERO)
+        out = out + K1.derivative_q(i)._product(K2.derivative_p(i), flat)
+        out = out - K1.derivative_p(i)._product(K2.derivative_q(i), flat)
     return out
 
 
@@ -110,7 +114,7 @@ def _ordered_weyl_transport(k_sig, f: ClassicalPoly) -> WeylOperator:
     for mono, c in f.terms.items():
         qs, ps = pair_halves(mono[:alg.width])
         for m, u in alg.mul_mono(*((ps, qs) if anti else (qs, ps))):
-            accumulate(out, m, u * c)
+            accumulate(out, m, scalar(c) if u is None else u * c)
     return WeylOperator(alg, out)
 
 

@@ -66,12 +66,13 @@ class WeylAlgebra:
         """Generator names in exponent order: Q and P of each pair."""
         return tuple(f"{letter}{lab}" for lab in self.labels for letter in "QP")
 
-    def mul_mono(self, m1: WMonomial, m2: WMonomial) -> List[Tuple[WMonomial, Scalar]]:
+    def mul_mono(self, m1: WMonomial, m2: WMonomial) -> List[Tuple[WMonomial, Optional[Scalar]]]:
         """Normal-ordered product of two monomials: the shared kernel, with
         each pair's k contractions weighted by (-gamma)^k.  Entry 0 is the
-        uncontracted term, the exponent sum with coefficient 1."""
-        out = []
-        for mono, ks, weight in normal_order(m1, m2, 0, self.dofs):
+        uncontracted term, the exponent sum with factor None, meaning one."""
+        (mono, _, _), *contracted = normal_order(m1, m2, 0, self.dofs)
+        out = [(mono, None)]
+        for mono, ks, weight in contracted:
             u = scalar(weight)
             for gamma, k in zip(self.gammas, ks):
                 if k:
@@ -115,15 +116,8 @@ class WeylOperator(TermMap):
         mono[2 * d + (0 if kind == "Q" else 1)] = 1
         return cls(algebra, {tuple(mono): S_ONE})
 
-    def _product(self, other: "WeylOperator") -> "WeylOperator":
-        self._check(other)
-        acc: Dict[WMonomial, Scalar] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                base = c1 * c2
-                for mono, u in self.algebra.mul_mono(m1, m2):
-                    accumulate(acc, mono, base * u)
-        return self._like(acc)
+    def _expand(self, m1: WMonomial, m2: WMonomial) -> list:
+        return self.algebra.mul_mono(m1, m2)
 
     def _identity(self) -> "WeylOperator":
         return WeylOperator.identity(self.algebra)
@@ -217,8 +211,8 @@ class HybridObservable(TermMap):
         zc = (0,) * (2 * dof)
         return cls(w.algebra, dof, convention, {(m, zc, 0): c for m, c in w.terms.items()})
 
-    def _product(self, other: "HybridObservable") -> "HybridObservable":
-        return multiply_hybrid(self, other)
+    def _expand(self, k1: tuple, k2: tuple) -> list:
+        return _pair_product(self, k1, k2, self.convention.star_unit)
 
     def _identity(self) -> "HybridObservable":
         return HybridObservable.identity(self.algebra, self.dof, self.convention)
@@ -389,51 +383,23 @@ def multiply_hybrid(a: HybridObservable, b: HybridObservable) -> HybridObservabl
     """Product of hybrid observables: Weyl parts multiply noncommutatively,
     classical parts with the one-sided jet star product, jet degree > 1 is
     discarded."""
-    return _hybrid_product(a, b, a.convention.star_unit)
-
-
-def _hybrid_product(a: HybridObservable, b: HybridObservable,
-                    star_unit: CRat) -> HybridObservable:
-    """multiply_hybrid with the given star unit; a zero unit multiplies the
-    classical parts commutatively, with no star correction."""
-    a._check(b)
-    acc: Dict[Tuple[WMonomial, WMonomial, int], Scalar] = {}
-    for (w1, c1, j1), v1 in a.terms.items():
-        for (w2, c2, j2), v2 in b.terms.items():
-            jet = j1 + j2
-            if jet > 1:
-                continue
-            base = v1 * v2
-            for key, f in _pair_product(a, w1, c1, w2, c2, jet, star_unit):
-                accumulate(acc, key, base * f)
-    return a._like(acc)
+    return a._product(b)
 
 
 def commutator_hybrid(a: HybridObservable, b: HybridObservable) -> HybridObservable:
     """a*b - b*a, never building the uncontracted leading term both orders cancel."""
-    a._check(b)
-    star_unit = a.convention.star_unit
-    acc: Dict[Tuple[WMonomial, WMonomial, int], Scalar] = {}
-    for (w1, c1, j1), v1 in a.terms.items():
-        for (w2, c2, j2), v2 in b.terms.items():
-            jet = j1 + j2
-            if jet > 1:
-                continue
-            ab = _pair_product(a, w1, c1, w2, c2, jet, star_unit)
-            ba = _pair_product(a, w2, c2, w1, c1, jet, star_unit)
-            if len(ab) == len(ba) == 1:
-                continue
-            base = v1 * v2
-            for signed, entries in ((base, ab), (-base, ba)):
-                for key, f in entries[1:]:
-                    accumulate(acc, key, signed * f)
-    return a._like(acc)
+    return a._commutator(b)
 
 
-def _pair_product(a: HybridObservable, w1: WMonomial, c1: WMonomial, w2: WMonomial,
-                  c2: WMonomial, jet: int, star_unit: CRat) -> List[tuple]:
+def _pair_product(a: HybridObservable, k1: tuple, k2: tuple, star_unit: CRat) -> list:
     """One term pair's product over its coefficient product, as (key, factor)
-    entries of Weyl times star entries; the uncontracted term comes first."""
+    entries of Weyl times star entries; the uncontracted term comes first,
+    with factor None.  Empty past jet degree 1; a zero star unit multiplies
+    the classical parts commutatively, with no star correction."""
+    (w1, c1, j1), (w2, c2, j2) = k1, k2
+    jet = j1 + j2
+    if jet > 1:
+        return []
     cm = tuple(x + y for x, y in zip(c1, c2))
     star: List[Tuple[WMonomial, int, Optional[CRat]]] = [(cm, jet, None)]
     if jet == 0 and not star_unit.is_zero:
@@ -444,7 +410,7 @@ def _pair_product(a: HybridObservable, w1: WMonomial, c1: WMonomial, w2: WMonomi
                 lowered[px] -= 1
                 lowered[qx] -= 1
                 star.append((tuple(lowered), 1, star_unit * (c1[px] * c2[qx])))
-    return [((wm, sm, sj), wc if sf is None else wc * sf)
+    return [((wm, sm, sj), sf if wc is None else wc if sf is None else wc * sf)
             for wm, wc in a.algebra.mul_mono(w1, w2) for sm, sj, sf in star]
 
 

@@ -324,6 +324,9 @@ class Scalar(TermMap):
     def __rsub__(self, other) -> "Scalar":
         return Scalar.of(other) + (-self)
 
+    # Scalar is the coefficient ring of every other term map, so this is the
+    # innermost loop of the engine; it keeps its own product rather than
+    # paying TermMap._product's method call per term pair.
     def _product(self, other: "Scalar") -> "Scalar":
         out: dict = {}
         for (a0, a1, a2), x in self.terms.items():

@@ -3,9 +3,11 @@
 Element, WeylOperator, HybridObservable, ClassicalPoly and the oracle's
 GroupPoly are all immutable maps from exponent keys to nonzero coefficients.
 This module holds their common parts: the term-map base class with its
-linear operations, the accumulate step, the Heisenberg normal-ordering
-kernel that both noncommutative products, the Weyl mechanisation and the
-ordered transport expand with, and the term printer.
+linear operations and the one product loop and one commutator loop that
+every type runs (a type states only how one term pair expands), the
+accumulate step, the Heisenberg normal-ordering kernel that both
+noncommutative products, the Weyl mechanisation and the ordered transport
+expand with, and the term printer.
 
 It sits at the bottom of the package and imports no other pbracket module
 except errors, so scalars.py can use the printer.
@@ -71,7 +73,7 @@ def normal_order(m1: Sequence[int], m2: Sequence[int], first: int,
     product of the k! C(m,k) C(n,k) factors).  The caller supplies the
     factor (-c_t)^k_t of each pair.  Entry 0 is always the uncontracted
     term, every k zero and weight 1, so it is the same for either order of
-    m1 and m2; the commutators skip it.
+    m1 and m2; TermMap._commutator skips it.
     """
     out = [((), (), 1)]
     for t in range(pairs):
@@ -154,7 +156,14 @@ class TermMap:
     in ``__init__(*context, terms)``.  It sets
     ``_coerce`` (coefficient coercion, raising TypeError on foreign types)
     and ``_mismatch`` (the message when spaces differ), and defines
-    ``_product`` and ``_identity`` when it has a product.
+    ``_expand`` and ``_identity`` when it has a product.
+
+    ``_expand(k1, k2)`` is the product of one term pair over its
+    coefficient product c1*c2, as a list of ``(key, factor)`` entries.
+    Entry 0 is the uncontracted term, the same for either order of the
+    pair, and its factor is None, meaning one; every later entry carries
+    its factor.  An empty list means the pair contributes nothing.
+    ``_product`` and ``_commutator`` are built on it.
     """
 
     __slots__ = ("terms",)
@@ -217,6 +226,39 @@ class TermMap:
 
     def __truediv__(self, other):
         return self.scale(1 / self._coerce(other))
+
+    def _product(self, other: "TermMap", expand=None) -> "TermMap":
+        """self * other: every term pair's coefficient product times each
+        entry of its expansion, by ``expand`` or else ``self._expand``."""
+        self._check(other)
+        expand = expand or self._expand
+        acc: dict = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                entries = expand(k1, k2)
+                if entries:
+                    base = c1 * c2
+                    for key, f in entries:
+                        accumulate(acc, key, base if f is None else base * f)
+        return self._like(acc)
+
+    def _commutator(self, other: "TermMap") -> "TermMap":
+        """self*other - other*self, never building entry 0: both orders of a
+        pair share it, so they cancel there, and a pair whose two orders
+        have nothing past it contributes nothing."""
+        self._check(other)
+        expand = self._expand
+        acc: dict = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                ab, ba = expand(k1, k2), expand(k2, k1)
+                if len(ab) <= 1 and len(ba) <= 1:
+                    continue
+                base = c1 * c2
+                for signed, entries in ((base, ab), (-base, ba)):
+                    for key, f in entries[1:]:
+                        accumulate(acc, key, signed * f)
+        return self._like(acc)
 
     def __pow__(self, k: int) -> "TermMap":
         if k < 0:

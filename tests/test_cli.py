@@ -155,6 +155,7 @@ def test_oversized_bracket_is_one_error_line(capsys):
         assert (code, out) == (2, ""), variant
         assert err.startswith("error: ") and err.count("\n") == 1, variant
         assert "1132096 term pairs" in err
+        assert "(line" not in err    # the bound is on two inputs, not a place in either
 
 
 def test_bracket_up_to_the_pair_bound_succeeds(capsys, monkeypatch):

@@ -15,8 +15,9 @@ import pytest
 
 from pbracket.group_algebra import ConventionTuple, Element, GroupSignature, multiply
 from pbracket.terms import normal_order
-from pbracket.representations import WeylOperator, qq_algebra
-from pbracket.scalars import CR_I, CR_MINUS_ONE, CR_ONE, S_ONE, S_ZERO, scalar
+from pbracket.pmech import ClassicalPoly
+from pbracket.representations import HybridObservable, WeylOperator, qc_algebra, qq_algebra
+from pbracket.scalars import CR_I, CR_MINUS_ONE, CR_ONE, S_ZERO, scalar
 
 # eps_comm = -1 (standard), +1 and +i
 CONVENTIONS = [
@@ -103,17 +104,43 @@ def test_weyl_product_matches_word_rewriter(dof):
 
 @pytest.mark.parametrize("dof", [1, 2, 3])
 def test_entry_zero_is_the_uncontracted_term(dof):
-    """The commutators cancel entry 0 of the two orders without computing
-    it: it must be the exponent sum, no contraction, weight 1, in both."""
-    sig = GroupSignature(dof=dof)
+    """TermMap._commutator cancels entry 0 of the two orders without
+    computing it: in every type's _expand it must be the exponent sum with
+    factor None, in both orders, and every later entry a contraction with
+    its factor."""
+    sig = GroupSignature(dof)
     alg = qq_algebra(sig)
+    weyl = WeylOperator.zero(alg)
+    element = Element.zero(sig)
+    hybrid = HybridObservable.identity(qc_algebra(sig), dof, sig.convention)
+    classical = ClassicalPoly.zero(dof)
+    n = 2 * dof
+
+    def hybrid_key(m):
+        return m[2:2 + n], m[2 + n:], m[1]
+
     rng = random.Random(500 + dof)
     for _ in range(60):
         m1 = _rand_mono(rng, sig.width, 2, max_exp=3)
         m2 = _rand_mono(rng, sig.width, 2, max_exp=3)
         pairs = tuple(x + y for x, y in zip(m1[2:], m2[2:]))
+        total = tuple(x + y for x, y in zip(m1, m2))
         for a, b in ((m1, m2), (m2, m1)):
             expansion = normal_order(a, b, 2, sig.slots)
             assert expansion[0] == (pairs, (0,) * sig.slots, 1)
             assert all(any(ks) for _, ks, _ in expansion[1:])
-            assert alg.mul_mono(a[2:], b[2:])[0] == (pairs, S_ONE)
+            entries = weyl._expand(a[2:], b[2:])
+            assert entries == alg.mul_mono(a[2:], b[2:])
+            assert entries[0] == (pairs, None)
+            assert all(f is not None for _, f in entries[1:])
+            entries = element._expand(a, b)
+            assert entries[0] == (total, None)
+            assert len(entries) == len(expansion)
+            assert all(f is not None and k != total for k, f in entries[1:])
+            assert classical._expand(a[2:], b[2:]) == [(total[2:], None)]
+            entries = hybrid._expand(hybrid_key(a), hybrid_key(b))
+            if a[1] + b[1] > 1:
+                assert entries == []
+            else:
+                assert entries[0] == (hybrid_key(total), None)
+                assert all(f is not None and k != entries[0][0] for k, f in entries[1:])

@@ -164,6 +164,14 @@ def test_matrix_dimension_guard():
         matrix_realize(Q ** 4, hbar=1.0, n=5)
 
 
+def test_matrix_max_error_dimension_guard_covers_both_operators():
+    from pbracket.representations import WeylOperator
+    Q = WeylOperator.generator(qc_algebra(SIG), "Q", 0)
+    for wa, wb in ((Q, Q ** 4), (Q ** 4, Q)):
+        with pytest.raises(DimensionTooSmall):
+            matrix_max_error(wa, wb, 1.0, 5)
+
+
 def test_matrix_size_bound_raises_before_allocating(monkeypatch):
     from pbracket.representations import WeylOperator
 

@@ -16,8 +16,8 @@ from pbracket.qc_bracket import (bracket_via_universal, classicality_gap,
                                  h_eff, poisson_ordered, qc_bracket,
                                  qc_bracket_terms)
 from pbracket.sampling import rand_classical
-from pbracket.representations import (HybridObservable,
-                                      hybrid_from_sector2_poly, rep_qc)
+from pbracket.representations import (HybridObservable, hybrid_from_sector2_poly,
+                                      multiply_hybrid, rep_qc)
 
 SIG = GroupSignature(dof=1)
 
@@ -131,6 +131,28 @@ def test_poisson_ordered_reduces_to_classical_on_sector2():
     t1, t2, t3 = qc_bracket_terms(K1, K2)
     assert t1.is_zero and t3.is_zero
     assert qc_bracket(K1, K2) == expected
+
+
+def test_poisson_ordered_is_star_free():
+    """The ordered Poisson sum multiplies classical parts commutatively:
+    multiply_hybrid of the same derivatives would add a star correction."""
+    t = rep(q(2))
+    K1 = hybrid_from_sector2_poly(t, q(2) * p(2) ** 2)
+    K2 = hybrid_from_sector2_poly(t, q(2) ** 2 * p(2))
+
+    def hybrid(terms):
+        return HybridObservable(t.algebra, 1, t.convention,
+                                {((0, 0), cm, jet): c for (cm, jet), c in terms.items()})
+
+    assert poisson_ordered(K1, K2) == hybrid({((2, 2), 0): -3})
+    assert str(poisson_ordered(K1, K2)) == "-3*q^2*p^2"
+    assert poisson_ordered(K2, K1) == hybrid({((2, 2), 0): 3})
+    correction = hybrid({((1, 1), 1): -4 * CR_I})
+    assert (multiply_hybrid(K1.derivative_q(0), K2.derivative_p(0))
+            == hybrid({((2, 2), 0): 1}) + correction)
+    starred = (multiply_hybrid(K2.derivative_q(0), K1.derivative_p(0))
+               - multiply_hybrid(K2.derivative_p(0), K1.derivative_q(0)))
+    assert starred == poisson_ordered(K2, K1) + correction
 
 
 def test_universal_route_matches_direct_on_mixed_pairs():

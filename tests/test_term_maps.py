@@ -1,18 +1,26 @@
 """Arithmetic on term maps builds its results directly (TermMap._like),
 without the constructors' validation.  Each such result must still be what
 the validating constructor builds from the same terms, and the public
-constructors must still reject bad input."""
+constructors must still reject bad input.
+
+Every product and commutator runs the one loop of TermMap._product and
+TermMap._commutator over its type's _expand; the last tests here check the
+commutator loop against the products and that no type writes its own loop.
+"""
 
 import random
 
 import pytest
 
-from pbracket.group_algebra import Element, GroupSignature, multiply
-from pbracket.pmech import ClassicalPoly
-from pbracket.representations import (HybridObservable, WeylOperator, multiply_hybrid,
-                                      qc_algebra, rep_qc, rep_qq)
+import pbracket.oracle  # noqa: F401  (defines the GroupPoly term map)
+from pbracket.group_algebra import Element, GroupSignature, commutator, multiply
+from pbracket.pmech import ClassicalPoly, mechanise_weyl
+from pbracket.qc_bracket import qc_bracket
+from pbracket.representations import (HybridObservable, WeylOperator, commutator_hybrid,
+                                      multiply_hybrid, qc_algebra, rep_qc, rep_qq)
 from pbracket.sampling import rand_classical, rand_element
 from pbracket.scalars import S_ONE, Scalar
+from pbracket.terms import TermMap
 
 
 def assert_revalidates(x):
@@ -70,3 +78,58 @@ def test_public_constructors_still_validate():
         one.scale(Scalar.symbol("h2"))
     with pytest.raises(ValueError, match="h2"):
         Scalar.symbol("h2") * one
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3])
+def test_commutator_loop_is_the_difference_of_products(dof):
+    rng = random.Random(900 + dof)
+    sig = GroupSignature(dof)
+    nonzero = set()
+    for _ in range(5):
+        a = rand_element(rng, sig, max_degree=3)
+        b = rand_element(rng, sig, max_degree=3)
+        f = rand_classical(rng, dof, max_degree=3)
+        g = rand_classical(rng, dof, max_degree=3)
+        pairs = [(a, b), (rep_qq(a), rep_qq(b)), (rep_qc(a), rep_qc(b)), (f, g)]
+        for x, y in pairs:
+            c = x._commutator(y)
+            assert c == x * y - y * x, type(x).__name__
+            if not c.is_zero:
+                nonzero.add(type(x))
+        assert f._commutator(g).is_zero
+    assert nonzero == {Element, WeylOperator, HybridObservable}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_commutator_runs_the_shared_loop(monkeypatch):
+    sig = GroupSignature(1)
+    q1, p1, q2, p2 = (ClassicalPoly.var(1, kind, sector)
+                      for sector in (1, 2) for kind in "qp")
+    k1 = mechanise_weyl(sig, q1 ** 2 * p2 + q2)
+    k2 = mechanise_weyl(sig, p1 ** 2 * q2 + p2 ** 2)
+    h1, h2 = rep_qc(k1), rep_qc(k2)
+
+    def refuse(self, other):
+        raise AssertionError("TermMap._commutator called")
+
+    monkeypatch.setattr(TermMap, "_commutator", refuse)
+    for run in (lambda: commutator(k1, k2), lambda: commutator_hybrid(h1, h2),
+                lambda: qc_bracket(h1, h2)):
+        with pytest.raises(AssertionError, match="TermMap._commutator called"):
+            run()
+
+
+def test_no_term_map_writes_its_own_product_loop():
+    """Only Scalar, the innermost coefficient ring, keeps a _product of its
+    own; every other type with a product states only its _expand."""
+    subs = set(_subclasses(TermMap))
+    assert {Element, WeylOperator, HybridObservable, ClassicalPoly, Scalar} <= subs
+    assert {c for c in subs if "_product" in vars(c)} == {Scalar}
+    assert not any("_commutator" in vars(c) for c in subs)
+    assert {c for c in subs if "_identity" in vars(c)} == \
+        {c for c in subs if "_expand" in vars(c)}
