@@ -18,8 +18,9 @@ configuration (the PBRACKET_CONFIG environment variable is the fallback).
 
 Exit codes: 0 on success, 1 when a verification or computation fails (an
 unexpected internal exception included), 2 on usage or expression errors
-(an expression over the size bounds of expressions.py, or a bracket over
-MAX_BRACKET_PAIRS term pairs, included).
+(an expression over the size bounds of expressions.py, a bracket over
+MAX_BRACKET_PAIRS term pairs, a dof over MAX_DOF and a rational argument
+over MAX_RATIONAL_DIGITS digits included).
 
 Expression arguments accept both classical phase-space polynomials (q1, p2,
 ...) and delta kernels (delta[x1,y1]); classical inputs to bracket and rep
@@ -30,12 +31,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import List, Optional
 
 from .errors import ExpressionTooLarge, ExprError, PBracketError, UnknownRule
-from .config import EngineConfig, resolve_config
+from .config import MAX_DOF, EngineConfig, resolve_config
 from .expressions import evaluate
 from .group_algebra import Element, element_to_json
 from .pmech import mechanise_plugin, universal_bracket
@@ -53,6 +55,16 @@ _DEFAULT_SEED = 2024
 # Term pairs of the mechanised inputs a bracket may expand: (q1+p1+q2+p2)^5
 # at n=2 (108 terms, 11 664 pairs) takes about 0.7 s, ^6 (35 344) is refused.
 MAX_BRACKET_PAIRS = 20000
+
+# Digits of the numerator or the denominator of a rational argument (heff,
+# --hbar, --h1, --h2).  A MAX_DEGREE input reaches h^30 in a printed
+# coefficient, and Python turns no int of more than 4 300 digits into text;
+# 30 * 128 digits, and the coefficient's own, stay below that.
+MAX_RATIONAL_DIGITS = 128
+
+# What Fraction(text) accepts, loosened: digits and underscores in every part.
+_RATIONAL_RE = re.compile(r"\s*[-+]?(?P<num>[\d_]*)(?:/(?P<den>\d[\d_]*)"
+                          r"|(?:\.(?P<dec>[\d_]*))?(?:[eE](?P<exp>[-+]?\d[\d_]*))?)\s*")
 
 
 class _UsageError(Exception):
@@ -143,10 +155,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _fraction_arg(text: str, what: str) -> Fraction:
+    _check_rational_size(text, what)
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise _UsageError(f"{what} must be a rational number, got {text!r}") from exc
+
+
+def _check_rational_size(text: str, what: str) -> None:
+    """Refuse a rational whose numerator or denominator could have more than
+    MAX_RATIONAL_DIGITS digits, judged from the text: Fraction would build
+    10**exponent for any exponent it is given.  Text the pattern does not
+    match is not a rational, and Fraction refuses it."""
+    m = _RATIONAL_RE.fullmatch(text)
+    if m is None:
+        return
+    num, den, dec, exp = (part.replace("_", "") if part else ""
+                          for part in m.group("num", "den", "dec", "exp"))
+    if m.group("den") is not None:
+        digits = max(len(num.lstrip("0")), len(den.lstrip("0")))
+    elif len(exp.lstrip("+-").lstrip("0")) > 9:
+        digits = MAX_RATIONAL_DIGITS + 1
+    else:
+        # mantissa * 10**shift: its numerator and its denominator each
+        # have at most len(mantissa) + |shift| digits
+        shift = int(exp or 0) - len(dec)
+        digits = len((num + dec).lstrip("0")) + abs(shift)
+    if digits > MAX_RATIONAL_DIGITS:
+        raise _UsageError(f"{what} is too large: its numerator or denominator would "
+                          f"have more than {MAX_RATIONAL_DIGITS} digits")
 
 
 def _optional_fraction(text: Optional[str], what: str) -> Optional[Fraction]:
@@ -167,8 +204,8 @@ def _signature_dof(text: str) -> int:
         dof = int(tail)
     except ValueError:
         raise _UsageError(f"--signature expects an integer dof, got {tail!r}") from None
-    if dof < 1:
-        raise _UsageError("--signature dof must be positive")
+    if not 1 <= dof <= MAX_DOF:
+        raise _UsageError(f"--signature dof must be from 1 to {MAX_DOF}, got {dof}")
     return dof
 
 

@@ -15,9 +15,13 @@ from typing import Optional
 
 from .group_algebra import ConventionTuple, GroupSignature
 
-__all__ = ["ENV_VAR", "EngineConfig", "load_config", "save_config", "resolve_config"]
+__all__ = ["ENV_VAR", "MAX_DOF", "EngineConfig", "load_config", "save_config", "resolve_config"]
 
 ENV_VAR = "PBRACKET_CONFIG"
+
+# Degrees of freedom per sector a configuration may ask for.  run_verify
+# takes about 3.6 s at 64 and grows faster than linearly past it.
+MAX_DOF = 64
 
 
 @dataclass(frozen=True)
@@ -26,8 +30,8 @@ class EngineConfig:
     dof: int = 1
 
     def __post_init__(self):
-        if self.dof < 1:
-            raise ValueError("dof must be a positive integer")
+        if not 1 <= self.dof <= MAX_DOF:
+            raise ValueError(f"dof must be an integer from 1 to {MAX_DOF}, got {self.dof}")
 
     @classmethod
     def default(cls) -> "EngineConfig":

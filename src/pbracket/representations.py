@@ -14,7 +14,8 @@ homomorphism to first jet order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
@@ -48,6 +49,11 @@ class WeylAlgebra:
 
     labels: Tuple[str, ...]
     gammas: Tuple[Scalar, ...]
+    # The contraction factor of each (ks, weight) that mul_mono has met; it
+    # depends on nothing else, and the keys are bounded by the degrees
+    # multiplied.  Not part of the value: equality and hashing ignore it.
+    _factors: Dict[Tuple[Tuple[int, ...], int], Scalar] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.labels) != len(self.gammas):
@@ -72,11 +78,15 @@ class WeylAlgebra:
         uncontracted term, the exponent sum with factor None, meaning one."""
         (mono, _, _), *contracted = normal_order(m1, m2, 0, self.dofs)
         out = [(mono, None)]
+        factors = self._factors
         for mono, ks, weight in contracted:
-            u = scalar(weight)
-            for gamma, k in zip(self.gammas, ks):
-                if k:
-                    u = u * (-gamma) ** k
+            u = factors.get((ks, weight))
+            if u is None:
+                u = scalar(weight)
+                for gamma, k in zip(self.gammas, ks):
+                    if k:
+                        u = u * (-gamma) ** k
+                factors[ks, weight] = u
             out.append((mono, u))
         return out
 
@@ -276,6 +286,10 @@ class HybridObservable(TermMap):
 # ---------------------------------------------------------------------------
 # The representations
 
+# One algebra per signature, so its contraction-factor table is shared by
+# every call and operands over the same signature hold the same object.  The
+# caches are bounded: a session meets a handful of signatures.
+@lru_cache(maxsize=64)
 def qq_algebra(sig: GroupSignature) -> WeylAlgebra:
     """Two-sector Weyl algebra: gamma = rep_s_sign * eps_comm * i * h_sector."""
     unit = scalar(sig.convention.gamma_unit * CR_I)
@@ -287,6 +301,7 @@ def qq_algebra(sig: GroupSignature) -> WeylAlgebra:
     return WeylAlgebra(tuple(labels), tuple(gammas))
 
 
+@lru_cache(maxsize=64)
 def qc_algebra(sig: GroupSignature) -> WeylAlgebra:
     """Sector-1 Weyl algebra over the generic symbol h."""
     unit = scalar(sig.convention.gamma_unit * CR_I)
@@ -295,13 +310,9 @@ def qc_algebra(sig: GroupSignature) -> WeylAlgebra:
 
 
 def _central_scalar(conv: ConventionTuple, symbol: str, power: int) -> Scalar:
-    """(rep_s_sign * i * h_sym)^power, built as its one term."""
+    """(rep_s_sign * i * h_sym)^power, built as its one term; power -1 is the
+    image of a formal antiderivative factor."""
     return Scalar.symbol(symbol, power, (CR_I * conv.rep_s_sign) ** power)
-
-
-def _antiderivative_factor(conv: ConventionTuple, symbol: str) -> Scalar:
-    """1 / (rep_s_sign * i * h_sym), the right inverse of the central image."""
-    return S_ONE / _central_scalar(conv, symbol, 1)
 
 
 def _as_aobservable(k: Union[Element, AObservable]) -> AObservable:
@@ -326,16 +337,21 @@ def rep_qq(k: Union[Element, AObservable],
     alg = qq_algebra(sig)
 
     def image(e: Element, extra: Scalar) -> WeylOperator:
+        # extra * (S1 image)^s1 * (S2 image)^s2, once per (s1, s2)
+        factors: Dict[Tuple[int, int], Scalar] = {}
         acc: Dict[WMonomial, Scalar] = {}
         for mono, coeff in e.terms.items():
-            c = coeff * extra
-            c = c * _central_scalar(conv, "h1", mono[0]) * _central_scalar(conv, "h2", mono[1])
-            accumulate(acc, tuple(mono[2:]), c)
+            s = mono[0], mono[1]
+            f = factors.get(s)
+            if f is None:
+                f = factors[s] = (extra * _central_scalar(conv, "h1", s[0])
+                                  * _central_scalar(conv, "h2", s[1]))
+            accumulate(acc, mono[2:], coeff * f)
         return WeylOperator(alg, acc)
 
     out = image(a.plain, S_ONE)
-    out = out + image(a.a1_part, _antiderivative_factor(conv, "h1"))
-    out = out + image(a.a2_part, _antiderivative_factor(conv, "h2"))
+    out = out + image(a.a1_part, _central_scalar(conv, "h1", -1))
+    out = out + image(a.a2_part, _central_scalar(conv, "h2", -1))
     subs = {}
     if h1 is not None:
         subs["h1"] = Fraction(h1)
@@ -360,21 +376,25 @@ def rep_qc(k: Union[Element, AObservable]) -> HybridObservable:
     unit_s2 = CRat.of(conv.rep_s_sign) * CR_I
 
     def image(e: Element, extra: Scalar) -> Dict[Tuple[WMonomial, WMonomial, int], Scalar]:
+        # extra * (S1 image)^s1, times the jet's unit when s2 = 1, once per (s1, s2)
+        factors: Dict[Tuple[int, int], Scalar] = {}
         acc: Dict[Tuple[WMonomial, WMonomial, int], Scalar] = {}
         for mono, coeff in e.terms.items():
-            if mono[1] >= 2:
-                continue
             jet = mono[1]
-            c = coeff * extra * _central_scalar(conv, "h", mono[0])
-            if jet:
-                c = c * unit_s2
-            wm = tuple(mono[2:2 + 2 * n])
-            cm = tuple(mono[2 + 2 * n:])
-            accumulate(acc, (wm, cm, jet), c)
+            if jet >= 2:
+                continue
+            s = mono[0], jet
+            f = factors.get(s)
+            if f is None:
+                f = extra * _central_scalar(conv, "h", s[0])
+                if jet:
+                    f = f * unit_s2
+                factors[s] = f
+            accumulate(acc, (mono[2:2 + 2 * n], mono[2 + 2 * n:], jet), coeff * f)
         return acc
 
     terms = image(a.plain, S_ONE)
-    for key, c in image(a.a1_part, _antiderivative_factor(conv, "h")).items():
+    for key, c in image(a.a1_part, _central_scalar(conv, "h", -1)).items():
         accumulate(terms, key, c)
     return HybridObservable(alg, n, conv, terms)
 

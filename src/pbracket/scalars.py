@@ -328,9 +328,21 @@ class Scalar(TermMap):
     # innermost loop of the engine; it keeps its own product rather than
     # paying TermMap._product's method call per term pair.
     def _product(self, other: "Scalar") -> "Scalar":
+        a, b = self.terms, other.terms
+        # Nearly every product has a one-term factor, a monomial.  Times a
+        # monomial the product only shifts exponents, so no two products
+        # share a key, and a product of nonzero CRats is never zero: the map
+        # needs no accumulate step.  The ring is commutative, so the
+        # monomial can be taken as b.
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            ((b0, b1, b2), y), = b.items()
+            return _from_terms({(a0 + b0, a1 + b1, a2 + b2): x * y
+                                for (a0, a1, a2), x in a.items()})
         out: dict = {}
-        for (a0, a1, a2), x in self.terms.items():
-            for (b0, b1, b2), y in other.terms.items():
+        for (a0, a1, a2), x in a.items():
+            for (b0, b1, b2), y in b.items():
                 accumulate(out, (a0 + b0, a1 + b1, a2 + b2), x * y)
         return _from_terms(out)
 

@@ -15,6 +15,7 @@ except errors, so scalars.py can use the printer.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb, factorial
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -82,11 +83,18 @@ def normal_order(m1: Sequence[int], m2: Sequence[int], first: int,
         if b1 == 0 or a2 == 0:
             out = [(e + (a1 + a2, b1 + b2), ks + (0,), w) for e, ks, w in out]
             continue
-        expansion = [(k, factorial(k) * comb(b1, k) * comb(a2, k))
-                     for k in range(min(b1, a2) + 1)]
         out = [(e + (a1 + a2 - k, b1 + b2 - k), ks + (k,), w * ck)
-               for e, ks, w in out for k, ck in expansion]
+               for e, ks, w in out for k, ck in _expansion(b1, a2)]
     return out
+
+
+@lru_cache(maxsize=1024)
+def _expansion(m: int, n: int) -> Tuple[Tuple[int, int], ...]:
+    """The (k, k! C(m,k) C(n,k)) terms of Y^m X^n, k = 0..min(m, n).  The
+    cache is bounded; the exponents products meet are small, so it holds
+    the pairs of a whole session."""
+    return tuple((k, factorial(k) * comb(m, k) * comb(n, k))
+                 for k in range(min(m, n) + 1))
 
 
 def pair_halves(mono: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:

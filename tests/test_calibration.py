@@ -3,9 +3,13 @@ standard tuple and the search is a real discriminator."""
 
 import time
 
+import pytest
+
+from pbracket.config import EngineConfig
 from pbracket.scalars import CR_ONE
 from pbracket.group_algebra import ConventionTuple
 from pbracket.calibration import calibrate_conventions, calibration_report
+from pbracket.verify import run_verify
 
 
 def test_calibration_selects_standard_tuple():
@@ -60,3 +64,18 @@ def test_report_renders_deterministically_and_fast():
 
 def test_calibrate_conventions_shortcut():
     assert calibrate_conventions() == ConventionTuple.standard()
+
+
+@pytest.mark.parametrize("dof", [1, 2])
+def test_every_calibrated_tuple_gives_the_same_verdicts(dof):
+    """The calibrated tuples differ by the canonical map (q, p) -> (kx q, ky p),
+    so each verify item holds under each of them; only the calibration item,
+    which checks that the configured tuple is the chosen one, tells them apart."""
+    report = calibration_report(dof)
+    assert len(report.passing) == 4
+    for conv in report.passing:
+        verdict = run_verify(2024, EngineConfig(conv, dof), decoupling_instances=5,
+                             path_pairs=5, reduction_pairs=8, oracle_pairs=10)
+        failing = [item.name for item in verdict.items if not item.ok]
+        expected = [] if conv == report.chosen else ["convention calibration"]
+        assert failing == expected, conv

@@ -184,6 +184,63 @@ def test_bad_signature_is_usage_error(capsys):
     assert code == 2
 
 
+def _one_error_line_fast(capsys, *argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0, argv
+    assert (code, out) == (2, ""), argv
+    assert err.startswith("error: ") and err.count("\n") == 1, argv
+    return err
+
+
+def test_dof_over_the_bound_is_one_error_line(capsys, tmp_path):
+    assert cli.MAX_DOF == 64
+    for n in (65, 3000):
+        err = _one_error_line_fast(capsys, "--signature", f"n={n}", "verify", "paper")
+        assert "1 to 64" in err
+    path = tmp_path / "cfg.json"
+    data = EngineConfig.default().to_json()
+    data["dof"] = 65
+    path.write_text(json.dumps(data))
+    err = _one_error_line_fast(capsys, "--config", str(path), "mechanise", "q1")
+    assert "cannot load configuration" in err and "1 to 64" in err
+    with pytest.raises(ValueError):
+        EngineConfig(EngineConfig.default().convention, dof=65)
+    code, out, _ = run(capsys, "--signature", "n=64", "mechanise", "q1")
+    assert (code, out.strip()) == (0, "delta[x11]")
+
+
+def test_rational_over_the_digit_bound_is_one_error_line(capsys):
+    assert cli.MAX_RATIONAL_DIGITS == 128
+    for argv in (("heff", "1e10000", "1"),
+                 ("heff", "1e10000000", "1"),
+                 ("heff", "1", "1e-200"),
+                 ("heff", "1", "0." + "0" * 128 + "1"),
+                 ("heff", "1/" + "3" * 129, "1"),
+                 ("heff", "1e" + "9" * 5000, "1"),
+                 ("bracket", "qc", "q1^4", "p1^4", "--hbar", "7" * 4001),
+                 ("rep", "qq", "q1", "--h2", "2" * 129)):
+        err = _one_error_line_fast(capsys, *argv)
+        assert "more than 128 digits" in err, argv
+    # forms Fraction accepts stay accepted below the bound
+    for h1, value in (("1_0e1_0", "100000000000/100000000001"), ("1.5e-3", "3/2003"),
+                      (" -2/4 ", "-1"), ("0" * 300 + "1", "1/2")):
+        code, out, _ = run(capsys, "heff", h1, "1")
+        assert (code, out.strip()) == (0, value), h1
+
+
+def test_rational_at_the_digit_bound_prints_at_the_degree_bound(capsys):
+    """Every accepted --hbar prints: at 128 digits in both parts, the h^30
+    that a degree-16 delta kernel bracket reaches stays printable."""
+    hbar = f"{10 ** 128 - 1}/{10 ** 128 - 3}"
+    for e1, e2 in (("q1^4", "p1^4"), ("q1^16", "p1^16"),
+                   ("delta[s1]^15*delta[x1]", "delta[s1]^15*delta[y1]")):
+        for flags in ((), ("--json",)):
+            code, out, err = run(capsys, *flags, "bracket", "qc", e1, e2, "--hbar", hbar)
+            assert (code, err) == (0, ""), (e1, flags)
+            assert out.strip()
+
+
 def test_signature_flag_after_subcommand(capsys):
     code, out, _ = run(capsys, "mechanise", "q12", "--signature", "n=2")
     assert code == 0

@@ -10,11 +10,12 @@ central term, Y X = X Y - [X, Y].
 """
 
 import random
+from math import comb, factorial
 
 import pytest
 
 from pbracket.group_algebra import ConventionTuple, Element, GroupSignature, multiply
-from pbracket.terms import normal_order
+from pbracket.terms import _expansion, normal_order
 from pbracket.pmech import ClassicalPoly
 from pbracket.representations import HybridObservable, WeylOperator, qc_algebra, qq_algebra
 from pbracket.scalars import CR_I, CR_MINUS_ONE, CR_ONE, S_ZERO, scalar
@@ -144,3 +145,18 @@ def test_entry_zero_is_the_uncontracted_term(dof):
             else:
                 assert entries[0] == (hybrid_key(total), None)
                 assert all(f is not None and k != entries[0][0] for k, f in entries[1:])
+
+
+def test_expansion_weights_match_the_closed_form_and_the_rewriter():
+    """_expansion(m, n) lists the terms of Y^m X^n: k contractions with
+    weight k! C(m,k) C(n,k).  With a contraction factor of one the word
+    rewriter's coefficients are those weights."""
+    for m in range(9):
+        for n in range(9):
+            assert _expansion(m, n) == tuple(
+                (k, factorial(k) * comb(m, k) * comb(n, k)) for k in range(min(m, n) + 1))
+    for m in range(5):
+        for n in range(5):
+            rewritten = rewrite((1,) * m + (0,) * n, 2, 0, lambda t: ((), 1))
+            assert rewritten == {(n - k, m - k): scalar(w) for k, w in _expansion(m, n)}
+    assert _expansion.cache_info().maxsize is not None

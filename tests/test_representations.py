@@ -1,5 +1,6 @@
 """Quantum-quantum and first-jet quantum-classical representations."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,14 +8,17 @@ import pytest
 
 from pbracket.errors import SignatureMismatch, ZeroPlanck
 from pbracket.sampling import rand_element
-from pbracket.scalars import CR_I, CR_ONE, S_ONE, Scalar, scalar
-from pbracket.group_algebra import Element, GroupSignature
+from pbracket.scalars import (CR_I, CR_MINUS_ONE, CR_ONE, S_ONE, UNIT_VALUES,
+                              Scalar, scalar)
+from pbracket.group_algebra import ConventionTuple, Element, GroupSignature
 from pbracket.pmech import (AObservable, ClassicalPoly, mechanise_weyl,
                             universal_bracket)
 from pbracket.representations import (HybridObservable, WeylAlgebra,
                                       WeylOperator, commutator_hybrid,
                                       hybrid_from_sector2_poly, multiply_hybrid,
                                       qc_algebra, qq_algebra, rep_qc, rep_qq)
+from pbracket.representations import _central_scalar
+from pbracket.terms import normal_order
 
 SIG = GroupSignature(dof=1)
 
@@ -224,3 +228,119 @@ def test_hybrid_derivatives():
     dq = k.derivative_q(0)
     expected = hybrid_from_sector2_poly(k, (q(2) * p(2)).scale(2))
     assert dq.jet_part(0) == expected.jet_part(0)
+
+
+# -- constant factors, computed once ----------------------------------------
+
+
+def _rand_weyl_mono(rng, width, max_exp=3):
+    return tuple(rng.randint(0, max_exp) for _ in range(width))
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3])
+def test_mul_mono_factor_is_the_contraction_weight(dof):
+    """Each contracted entry's factor, from the algebra's table, equals
+    weight * prod (-gamma_j)^k_j built afresh: the table key must hold both
+    the contraction counts and the weight."""
+    sig = GroupSignature(dof)
+    rng = random.Random(900 + dof)
+    for alg in (qq_algebra(sig), qc_algebra(sig)):
+        for _ in range(2):          # the second pass reads the table
+            for _ in range(40):
+                m1 = _rand_weyl_mono(rng, alg.width)
+                m2 = _rand_weyl_mono(rng, alg.width)
+                entries = alg.mul_mono(m1, m2)
+                expansion = normal_order(m1, m2, 0, alg.dofs)
+                assert len(entries) == len(expansion)
+                for (mono, factor), (emono, ks, weight) in zip(entries[1:], expansion[1:]):
+                    reference = scalar(weight)
+                    for gamma, k in zip(alg.gammas, ks):
+                        reference = reference * (-gamma) ** k
+                    assert mono == emono
+                    assert factor == reference, (m1, m2, ks, weight)
+
+
+def test_factor_table_is_not_part_of_the_algebra_value():
+    alg = qq_algebra(GroupSignature(2))
+    alg.mul_mono((0, 2, 0, 0, 0, 0, 0, 0), (3, 0, 0, 0, 0, 0, 0, 0))
+    fresh = WeylAlgebra(alg.labels, alg.gammas)
+    assert alg._factors and not fresh._factors
+    assert fresh == alg and hash(fresh) == hash(alg)
+    assert repr(fresh) == repr(alg) and "_factors" not in repr(alg)
+
+
+def test_algebras_are_shared_per_signature_in_bounded_caches():
+    for build in (qq_algebra, qc_algebra):
+        assert build(GroupSignature(2)) is build(GroupSignature(2))
+        assert build(GroupSignature(1)) is not build(GroupSignature(2))
+        assert build.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize("symbol", ["h", "h1", "h2"])
+def test_central_scalar_is_the_power_of_the_central_image(symbol):
+    for rep_s in (1, -1):
+        conv = ConventionTuple(CR_MINUS_ONE, CR_ONE, CR_ONE, CR_ONE, -1, rep_s)
+        image = scalar(CR_I * rep_s) * Scalar.symbol(symbol)
+        for power in range(-1, 9):
+            assert _central_scalar(conv, symbol, power) == image ** power
+
+
+def _all_conventions():
+    for eps, kx, ky, ks in itertools.product(UNIT_VALUES, repeat=4):
+        for orient, rep_s in itertools.product((1, -1), repeat=2):
+            yield ConventionTuple(eps, kx, ky, ks, orient, rep_s)
+
+
+def _fixed_aobservable(sig):
+    """A dof-2 observable whose terms repeat and vary the central powers
+    (s1, s2), including an s2 of 2 that rep_qc truncates."""
+    def el(*terms):
+        return Element(sig, {mono: coeff for mono, coeff in terms})
+    plain = el(((0, 0, 1, 0, 0, 0, 0, 2, 0, 0), Fraction(1, 2)),
+               ((0, 0, 0, 1, 0, 0, 1, 0, 0, 0), 3),
+               ((2, 1, 1, 1, 0, 0, 0, 0, 1, 0), CR_I),
+               ((2, 1, 0, 0, 1, 0, 0, 0, 0, 1), -2),
+               ((1, 2, 0, 0, 0, 1, 0, 0, 0, 0), 5),
+               ((1, 0, 0, 0, 0, 0, 0, 0, 0, 0), Fraction(-3, 4)))
+    a1 = el(((0, 1, 1, 0, 0, 0, 0, 0, 0, 0), 7), ((0, 0, 0, 0, 0, 2, 1, 0, 0, 0), -1))
+    a2 = el(((1, 0, 0, 1, 0, 0, 0, 0, 0, 1), 2), ((3, 0, 0, 0, 0, 0, 0, 0, 0, 0), CR_I))
+    return AObservable(plain, a1, a2)
+
+
+def _reference_rep_qq(a):
+    sig = a.signature
+    unit = scalar(CR_I * sig.convention.rep_s_sign)
+    h1, h2 = unit * Scalar.symbol("h1"), unit * Scalar.symbol("h2")
+    alg = qq_algebra(sig)
+    out = WeylOperator.zero(alg)
+    for part, extra in ((a.plain, S_ONE), (a.a1_part, h1 ** -1), (a.a2_part, h2 ** -1)):
+        for mono, coeff in part.terms.items():
+            c = coeff * extra * h1 ** mono[0] * h2 ** mono[1]
+            out = out + WeylOperator(alg, {mono[2:]: c})
+    return out
+
+
+def _reference_rep_qc(a):
+    sig = a.signature
+    n = sig.dof
+    unit = scalar(CR_I * sig.convention.rep_s_sign)
+    h = unit * Scalar.symbol("h")
+    out = HybridObservable(qc_algebra(sig), n, sig.convention, {})
+    for part, extra in ((a.plain, S_ONE), (a.a1_part, h ** -1)):
+        for mono, coeff in part.terms.items():
+            if mono[1] > 1:
+                continue
+            c = coeff * extra * h ** mono[0] * unit ** mono[1]
+            key = (mono[2:2 + 2 * n], mono[2 + 2 * n:], mono[1])
+            out = out + HybridObservable(qc_algebra(sig), n, sig.convention, {key: c})
+    return out
+
+
+def test_representations_match_a_per_term_reference_under_every_convention():
+    count = 0
+    for conv in _all_conventions():
+        a = _fixed_aobservable(GroupSignature(2, conv))
+        assert rep_qq(a) == _reference_rep_qq(a), conv
+        assert rep_qc(a) == _reference_rep_qc(a), conv
+        count += 1
+    assert count == 1024

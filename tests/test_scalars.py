@@ -1,6 +1,7 @@
 """Exact coefficient arithmetic: complex rationals and Planck-monomial
 fractions."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -124,3 +125,37 @@ def test_scalar_rendering():
     assert str(scalar(CRat(Fraction(0), Fraction(2))) * h) == "2i*h"
     assert str(S_ONE / (scalar(CR_I) * h)) == "-i/h"
     assert str(S_ZERO) == "0"
+
+
+def _rand_scalar(rng, terms):
+    out = {}
+    while len(out) < terms:
+        e = tuple(rng.randint(-2, 3) for _ in range(3))
+        out[e] = CRat(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                      Fraction(rng.choice((0, rng.randint(-3, 3))), rng.randint(1, 3)))
+        if out[e].is_zero:
+            del out[e]
+    return Scalar(out)
+
+
+def test_scalar_product_is_the_sum_of_its_term_products():
+    """The monomial product builds its map without accumulate; on seeded
+    1-4-term Scalars it must agree with the term-by-term sum and with the
+    coefficient products accumulated by hand, and hold no zero."""
+    rng = random.Random(1107)
+    for _ in range(300):
+        a = _rand_scalar(rng, rng.randint(1, 4))
+        b = _rand_scalar(rng, rng.randint(1, 4))
+        product = a * b
+        by_term = S_ZERO
+        for e, c in b.terms.items():
+            by_term = by_term + a * Scalar({e: c})
+        by_hand = {}
+        for ea, x in a.terms.items():
+            for eb, y in b.terms.items():
+                key = tuple(i + j for i, j in zip(ea, eb))
+                by_hand[key] = by_hand.get(key, CR_ZERO) + x * y
+        assert product == by_term == Scalar(by_hand) == b * a
+        assert not any(c.is_zero for c in product.terms.values())
+    h = Scalar.symbol("h")
+    assert ((h + 1) * (h - 1)).terms == (h * h - 1).terms   # cancelling cross terms
