@@ -7,6 +7,8 @@ monomials, and every identity the package verifies is checked structurally,
 with seeded numerical oracles as an independent cross-check.
 """
 
+from importlib import import_module
+
 from .errors import (
     PBracketError,
     SignatureMismatch,
@@ -19,6 +21,7 @@ from .errors import (
     NotMechanised,
     DimensionTooSmall,
     MatrixTooLarge,
+    UnsupportedConvention,
     AObservableProductError,
     ExprError,
     ExprSyntaxError,
@@ -71,30 +74,44 @@ from .qc_bracket import (
     classicality_gap,
     h_eff,
 )
-from .oracle import (
-    GroupPoly,
-    vector_field_action,
-    matrix_realize,
-    matrix_max_error,
-    OracleReport,
-    check_vector_field_suite,
-    check_algebra_laws,
-    check_matrix_suite,
-    oracle_check,
-)
-from .calibration import CalibrationReport, calibrate_conventions, calibration_report
 from .expressions import evaluate
 from .config import EngineConfig, load_config, save_config, resolve_config
-from .verify import VerifyItem, VerifyReport, run_verify
 
 __version__ = "0.1.0"
+
+# The verification layer loads on first use (PEP 562), so a process that only
+# runs the bracket pipeline never imports it.  The core above stays eager: a
+# lazily loaded qc_bracket module would bind pbracket.qc_bracket to the module
+# on import, not to the function.
+_LAZY = {
+    **dict.fromkeys(("GroupPoly", "vector_field_action", "matrix_realize",
+                     "matrix_max_error", "OracleReport", "check_vector_field_suite",
+                     "check_algebra_laws", "check_matrix_suite", "oracle_check"), "oracle"),
+    **dict.fromkeys(("CalibrationReport", "calibrate_conventions",
+                     "calibration_report"), "calibration"),
+    **dict.fromkeys(("VerifyItem", "VerifyReport", "run_verify"), "verify"),
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "PBracketError", "SignatureMismatch", "NoConsistentConvention",
     "UnknownRule", "ZeroPlanck", "SingularTransformation", "DivisionByZero",
     "NotLocalized", "NotMechanised", "DimensionTooSmall", "MatrixTooLarge",
-    "AObservableProductError", "ExprError", "ExprSyntaxError",
-    "UnknownSymbol", "IndexOutOfRange", "ExpressionTooLarge",
+    "UnsupportedConvention", "AObservableProductError", "ExprError",
+    "ExprSyntaxError", "UnknownSymbol", "IndexOutOfRange", "ExpressionTooLarge",
     "CRat", "Scalar", "scalar",
     "ConventionTuple", "GroupSignature", "Element", "multiply", "commutator",
     "delta_to_element", "element_to_delta", "element_to_json",

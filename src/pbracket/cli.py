@@ -43,10 +43,6 @@ from .group_algebra import Element, element_to_json
 from .pmech import mechanise_plugin, universal_bracket
 from .representations import rep_qc, rep_qq
 from .qc_bracket import h_eff, qc_bracket
-from .oracle import oracle_check
-from .calibration import calibration_report
-from .verify import run_verify
-from .config import save_config
 
 __all__ = ["main", "build_parser"]
 
@@ -278,6 +274,7 @@ def _cmd_heff(ns: argparse.Namespace, cfg: EngineConfig) -> int:
 
 
 def _cmd_oracle(ns: argparse.Namespace, cfg: EngineConfig) -> int:
+    from .oracle import oracle_check
     reports = oracle_check(ns.seed, sig=cfg.signature())
     if ns.json:
         print(json.dumps([r.to_json() for r in reports], sort_keys=True))
@@ -291,6 +288,8 @@ def _cmd_oracle(ns: argparse.Namespace, cfg: EngineConfig) -> int:
 
 
 def _cmd_calibrate(ns: argparse.Namespace, cfg: EngineConfig) -> int:
+    from .calibration import calibration_report
+    from .config import save_config
     report = calibration_report(cfg.dof)
     if ns.out:
         save_config(EngineConfig(report.chosen, cfg.dof), ns.out)
@@ -299,6 +298,7 @@ def _cmd_calibrate(ns: argparse.Namespace, cfg: EngineConfig) -> int:
 
 
 def _cmd_verify(ns: argparse.Namespace, cfg: EngineConfig) -> int:
+    from .verify import run_verify
     report = run_verify(seed=ns.seed, config=cfg)
     _emit(ns, report.to_json(), report.render())
     return 0 if report.ok else 1

@@ -51,6 +51,11 @@ class MatrixTooLarge(PBracketError):
     """A dense matrix realization would exceed the oracle's size limit."""
 
 
+class UnsupportedConvention(PBracketError):
+    """A check cannot run under the configured convention tuple, e.g. the
+    matrix oracle's ladders under a real [Q, P] weight."""
+
+
 class AObservableProductError(PBracketError):
     """Products of antiderivative-carrying observables are undefined."""
 

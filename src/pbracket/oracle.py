@@ -29,7 +29,7 @@ from functools import lru_cache
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .errors import DimensionTooSmall, MatrixTooLarge
+from .errors import DimensionTooSmall, MatrixTooLarge, UnsupportedConvention
 from .scalars import CRat, CR_ZERO, CR_ONE, CR_I, Scalar, S_ONE, scalar
 from .group_algebra import Element, GroupSignature, commutator, multiply
 from .representations import WeylOperator, qc_algebra
@@ -161,12 +161,14 @@ def vector_field_action(e: Element, f: GroupPoly) -> GroupPoly:
 def _canonical_pair(gamma: complex, n: int) -> Tuple[np.ndarray, np.ndarray]:
     """Matrices Q, P with [Q, P] = gamma * I exactly on low columns.
 
-    Requires gamma purely imaginary and nonzero; built from oscillator
-    ladders scaled by |Im gamma| with the sign carried by P.
+    Requires gamma purely imaginary and nonzero, else UnsupportedConvention;
+    built from oscillator ladders scaled by |Im gamma| with the sign carried
+    by P.
     """
     import numpy as np
     if abs(gamma.real) > 1e-14 or gamma.imag == 0:
-        raise ValueError(f"canonical-pair weight must be purely imaginary, got {gamma}")
+        raise UnsupportedConvention(
+            f"the matrix oracle needs a purely imaginary canonical-pair weight, got {gamma}")
     t = gamma.imag
     a = np.diag(np.sqrt(np.arange(1, n)), 1).astype(complex)   # the lowering ladder
     ad = a.conj().T

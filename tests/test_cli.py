@@ -287,6 +287,19 @@ def test_oracle_check_text_and_json(capsys):
     assert all(row["status"] == "pass" for row in data)
 
 
+def test_oracle_check_under_a_real_commutator_weight_is_one_error_line(tmp_path, capsys):
+    """[Q, P] = gamma is real under this tuple, so the matrix oracle cannot
+    run: a typed error, not an internal one."""
+    path = tmp_path / "real-gamma.json"
+    path.write_text(json.dumps({"convention": {
+        "eps_comm": "+i", "kappa_x": "+1", "kappa_y": "+1", "kappa_s": "+i",
+        "orient": -1, "rep_s_sign": -1}, "dof": 1}))
+    code, out, err = run(capsys, "--config", str(path), "oracle", "check")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "internal" not in err
+    assert "purely imaginary" in err
+
+
 def test_signature_n2_oracle_check_and_verify_pass(capsys):
     code, out, _ = run(capsys, "--signature", "n=2", "oracle", "check", "--seed", "3")
     assert code == 0
@@ -339,13 +352,32 @@ def test_verify_paper_json(capsys):
     assert all(item["status"] == "pass" for item in data["items"])
 
 
-def test_import_and_heff_leave_numpy_unloaded():
+_VERIFICATION_LAYER = ("numpy", "pbracket.calibration", "pbracket.oracle",
+                       "pbracket.sampling", "pbracket.verify")
+
+
+def _fresh_process(*argvs):
+    """Stdout of a fresh interpreter that imports pbracket and its CLI, runs
+    each argv through main, then prints which modules of _VERIFICATION_LAYER
+    it loaded and the exit codes."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "import pbracket, pbracket.cli; "
-            "rc = pbracket.cli.main(['heff', '1/2', '1/3']); "
-            "print('numpy' in sys.modules, rc)")
+            f"rcs = [pbracket.cli.main(argv) for argv in {list(argvs)!r}]; "
+            f"print([m for m in {_VERIFICATION_LAYER!r} if m in sys.modules], rcs)")
     done = subprocess.run([sys.executable, "-c", code, src],
                           capture_output=True, text=True, timeout=60)
     assert done.stderr == ""
-    assert done.stdout == "1/5\nFalse 0\n"
+    return done.stdout
+
+
+def test_import_and_heff_leave_numpy_unloaded():
+    """The bracket pipeline and heff load neither numpy nor the verification
+    modules; verify paper loads them all."""
+    out = _fresh_process(["heff", "1/2", "1/3"], ["bracket", "qc", "q1^2", "p1^2"],
+                         ["bracket", "universal", "q1", "p1"], ["rep", "qq", "q1*p1"],
+                         ["rep", "qc", "q2*p2"], ["mechanise", "q1*p1"])
+    assert out.startswith("1/5\n4*Q1*P1 - 2i*h*I\n")
+    assert out.endswith("\n[] [0, 0, 0, 0, 0, 0]\n")
+    out = _fresh_process(["verify", "paper", "--seed", "7"])
+    assert out.endswith(f"\n{list(_VERIFICATION_LAYER)} [0]\n")

@@ -1,6 +1,7 @@
 """Independent oracles: right-invariant vector fields acting on polynomial
 functions, and finite-dimensional matrix truncations."""
 
+import itertools
 import random
 from pathlib import Path
 from fractions import Fraction
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 
 from pbracket import oracle, sampling
-from pbracket.errors import DimensionTooSmall, MatrixTooLarge
-from pbracket.scalars import CR_I, CR_MINUS_I, CR_ONE, CR_ZERO, CRat, S_ONE, Scalar
+from pbracket.errors import DimensionTooSmall, MatrixTooLarge, UnsupportedConvention
+from pbracket.scalars import (CR_I, CR_MINUS_I, CR_ONE, CR_ZERO, CRat, S_ONE, Scalar,
+                              UNIT_VALUES)
 from pbracket.group_algebra import (ConventionTuple, Element, GroupSignature,
                                     commutator, multiply)
 from pbracket.oracle import (GroupPoly, OracleReport, check_algebra_laws,
@@ -193,6 +195,27 @@ def test_matrix_size_bound_raises_before_allocating(monkeypatch):
             matrix_realize(two_pairs, hbar=1.0, n=32)
     # each check realizes only the one pair it acts on
     assert all(r.ok for r in check_matrix_suite(GroupSignature(3)))
+
+
+def test_matrix_suite_passes_or_refuses_each_sampled_convention():
+    """The ladders need an imaginary [Q, P] weight: under a convention with a
+    real one the suite raises UnsupportedConvention, and under the rest it
+    passes.  A seeded sample of the 1 024 tuples, plus a real-weight tuple."""
+    tuples = list(itertools.product(UNIT_VALUES, UNIT_VALUES, UNIT_VALUES, UNIT_VALUES,
+                                    (1, -1), (1, -1)))
+    sample = random.Random(12).sample(tuples, 40) + [(CR_I, CR_ONE, CR_ONE, CR_I, -1, -1)]
+    refused = 0
+    for fields in sample:
+        conv = ConventionTuple(*fields)
+        real_weight = conv.gamma_unit.im != 0      # [Q, P] = u * i * hbar
+        try:
+            reports = check_matrix_suite(GroupSignature(1, conv), n=8)
+        except UnsupportedConvention:
+            assert real_weight, conv
+            refused += 1
+        else:
+            assert not real_weight and all(r.ok for r in reports), conv
+    assert 0 < refused < len(sample)
 
 
 def test_matrix_max_error_flags_wrong_operator():
