@@ -19,8 +19,10 @@ configuration (the PBRACKET_CONFIG environment variable is the fallback).
 Exit codes: 0 on success, 1 when a verification or computation fails (an
 unexpected internal exception included), 2 on usage or expression errors
 (an expression over the size bounds of expressions.py, a bracket over
-MAX_BRACKET_PAIRS term pairs, a dof over MAX_DOF and a rational argument
-over MAX_RATIONAL_DIGITS digits included).
+MAX_BRACKET_PAIRS term pairs, a dof over MAX_DOF, a rational argument
+over MAX_RATIONAL_DIGITS digits, a configuration file that cannot be read
+or has a field of the wrong shape, and a calibrate --out path that cannot
+be written included).
 
 Expression arguments accept both classical phase-space polynomials (q1, p2,
 ...) and delta kernels (delta[x1,y1]); classical inputs to bracket and rep
@@ -292,7 +294,10 @@ def _cmd_calibrate(ns: argparse.Namespace, cfg: EngineConfig) -> int:
     from .config import save_config
     report = calibration_report(cfg.dof)
     if ns.out:
-        save_config(EngineConfig(report.chosen, cfg.dof), ns.out)
+        try:
+            save_config(EngineConfig(report.chosen, cfg.dof), ns.out)
+        except OSError as exc:
+            raise _UsageError(f"cannot write configuration: {exc}") from exc
     _emit(ns, report.to_json(), report.render())
     return 0
 

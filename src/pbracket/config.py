@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-from .group_algebra import ConventionTuple, GroupSignature
+from .group_algebra import ConventionTuple, GroupSignature, require_int
 
 __all__ = ["ENV_VAR", "MAX_DOF", "EngineConfig", "load_config", "save_config", "resolve_config"]
 
@@ -45,8 +45,12 @@ class EngineConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "EngineConfig":
+        """Inverse of to_json; a field of the wrong shape is a ValueError
+        that names it."""
+        if not isinstance(data, dict):
+            raise ValueError(f"configuration must be a JSON object, got {type(data).__name__}")
         return cls(ConventionTuple.from_json(data["convention"]),
-                   int(data.get("dof", 1)))
+                   require_int(data.get("dof", 1), "dof"))
 
 
 def load_config(path: str) -> EngineConfig:

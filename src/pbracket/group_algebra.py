@@ -24,9 +24,9 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .scalars import (
     CR_I,
-    CR_MINUS_I,
     CR_MINUS_ONE,
     CR_ONE,
+    UNIT_VALUES,
     CRat,
     Scalar,
     S_ONE,
@@ -53,6 +53,19 @@ __all__ = [
 Monomial = Tuple[int, ...]
 
 
+# The fields of a ConventionTuple: four unit scalars, then two signs.
+_UNIT_FIELDS = ("eps_comm", "kappa_x", "kappa_y", "kappa_s")
+_SIGN_FIELDS = ("orient", "rep_s_sign")
+
+
+def require_int(value, name: str) -> int:
+    """value when it is an integer; a float, a bool or any other type is a
+    ValueError that names the field."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ConventionTuple:
     """Sign and unit choices left free by the algebraic relations.
@@ -71,25 +84,23 @@ class ConventionTuple:
     rep_s_sign: int
 
     def __post_init__(self):
-        units = {CR_ONE, CR_MINUS_ONE, CR_I, CR_MINUS_I}
-        for name in ("eps_comm", "kappa_x", "kappa_y", "kappa_s"):
-            if getattr(self, name) not in units:
+        for name in _UNIT_FIELDS:
+            if getattr(self, name) not in UNIT_VALUES:
                 raise ValueError(f"{name} must be one of +1, -1, +i, -i")
-        for name in ("orient", "rep_s_sign"):
-            if getattr(self, name) not in (1, -1):
+        for name in _SIGN_FIELDS:
+            if require_int(getattr(self, name), name) not in (1, -1):
                 raise ValueError(f"{name} must be +1 or -1")
 
     @classmethod
     def standard(cls) -> "ConventionTuple":
         """The tuple selected by calibrate_conventions (see calibration)."""
-        return cls(
-            eps_comm=CR_MINUS_ONE,
-            kappa_x=CR_ONE,
-            kappa_y=CR_ONE,
-            kappa_s=CR_ONE,
-            orient=-1,
-            rep_s_sign=-1,
-        )
+        return cls(eps_comm=CR_MINUS_ONE, kappa_x=CR_ONE, kappa_y=CR_ONE, kappa_s=CR_ONE,
+                   orient=-1, rep_s_sign=-1)
+
+    def kappa(self, s: int, x: int, y: int) -> CRat:
+        """Unit factor of a generator monomial with s central, x X and y Y
+        generators: one kappa factor per delta derivative."""
+        return self.kappa_s ** s * self.kappa_x ** x * self.kappa_y ** y
 
     @cached_property
     def gamma_unit(self) -> CRat:
@@ -108,30 +119,45 @@ class ConventionTuple:
         return self.gamma_unit == CR_ONE
 
     def to_json(self) -> dict:
-        return {
-            "eps_comm": unit_to_str(self.eps_comm),
-            "kappa_x": unit_to_str(self.kappa_x),
-            "kappa_y": unit_to_str(self.kappa_y),
-            "kappa_s": unit_to_str(self.kappa_s),
-            "orient": self.orient,
-            "rep_s_sign": self.rep_s_sign,
-        }
+        out = {name: unit_to_str(getattr(self, name)) for name in _UNIT_FIELDS}
+        out.update((name, getattr(self, name)) for name in _SIGN_FIELDS)
+        return out
 
     @classmethod
     def from_json(cls, data: Mapping) -> "ConventionTuple":
-        return cls(
-            eps_comm=unit_from_str(data["eps_comm"]),
-            kappa_x=unit_from_str(data["kappa_x"]),
-            kappa_y=unit_from_str(data["kappa_y"]),
-            kappa_s=unit_from_str(data["kappa_s"]),
-            orient=int(data["orient"]),
-            rep_s_sign=int(data["rep_s_sign"]),
-        )
+        """Inverse of to_json; a field of the wrong shape is a ValueError
+        that names it, a missing one a KeyError."""
+        if not isinstance(data, Mapping):
+            raise ValueError(f"convention must be a JSON object, got {type(data).__name__}")
+        fields = {name: data[name] for name in _SIGN_FIELDS}
+        for name in _UNIT_FIELDS:
+            try:
+                fields[name] = unit_from_str(data[name])
+            except ValueError:
+                raise ValueError(f"{name} must be one of +1, -1, +i, -i, "
+                                 f"got {data[name]!r}") from None
+        return cls(**fields)
 
     def __str__(self) -> str:
         return (f"(eps={unit_to_str(self.eps_comm)}, kx={unit_to_str(self.kappa_x)}, "
                 f"ky={unit_to_str(self.kappa_y)}, ks={unit_to_str(self.kappa_s)}, "
                 f"orient={self.orient:+d}, rep_s={self.rep_s_sign:+d})")
+
+
+def slot_index(dof: int, sector: int, i: int) -> int:
+    """Slot of degree of freedom i of a sector: sector 1's slots come first."""
+    if sector not in (1, 2):
+        raise ValueError("sector must be 1 or 2")
+    if not 1 <= i <= dof:
+        raise ValueError(f"dof index {i} outside 1..{dof}")
+    return (sector - 1) * dof + (i - 1)
+
+
+def var_names(dof: int, letters: str) -> Tuple[str, ...]:
+    """Names of the two variables of every slot, in slot order: letter and
+    sector, then the dof index past one degree of freedom ('x1', 'p21')."""
+    return tuple(f"{letter}{sector}" if dof == 1 else f"{letter}{sector}{i}"
+                 for sector in (1, 2) for i in range(1, dof + 1) for letter in letters)
 
 
 @dataclass(frozen=True)
@@ -158,17 +184,22 @@ class GroupSignature:
         return 1 if t < self.dof else 2
 
     def slot_of(self, sector: int, i: int) -> int:
-        if sector not in (1, 2):
-            raise ValueError("sector must be 1 or 2")
-        if not 1 <= i <= self.dof:
-            raise ValueError(f"dof index {i} outside 1..{self.dof}")
-        return (sector - 1) * self.dof + (i - 1)
+        return slot_index(self.dof, sector, i)
 
     def x_index(self, sector: int, i: int) -> int:
         return 2 + 2 * self.slot_of(sector, i)
 
     def y_index(self, sector: int, i: int) -> int:
         return 3 + 2 * self.slot_of(sector, i)
+
+    @cached_property
+    def delta_names(self) -> Tuple[str, ...]:
+        """Delta-derivative variable of each exponent index."""
+        return ("s1", "s2") + var_names(self.dof, "xy")
+
+    def unit_factor(self, mono: Sequence[int]) -> CRat:
+        """The convention's kappa factor of a generator monomial."""
+        return self.convention.kappa(mono[0] + mono[1], sum(mono[2::2]), sum(mono[3::2]))
 
     def generator_names(self) -> List[str]:
         names = ["S1", "S2"]
@@ -253,15 +284,9 @@ class Element(TermMap):
     # -- queries -------------------------------------------------------------
 
     def uses_sector(self, sector: int) -> bool:
-        sig = self.signature
-        idx = sector - 1
-        for mono in self.terms:
-            if mono[idx]:
-                return True
-            for t in range(sig.slots):
-                if sig.slot_sector(t) == sector and (mono[2 + 2 * t] or mono[3 + 2 * t]):
-                    return True
-        return False
+        dof = self.signature.dof
+        lo = 2 + 2 * slot_index(dof, sector, 1)
+        return any(m[sector - 1] or any(m[lo:lo + 2 * dof]) for m in self.terms)
 
     # -- display ---------------------------------------------------------------
 
@@ -292,17 +317,14 @@ def parse_group_var(sig: GroupSignature, name: str) -> int:
     raw = name.strip().lower().replace("_", "")
     if len(raw) < 2 or raw[0] not in "sxy" or not raw[1:].isdigit():
         raise ValueError(f"malformed variable name {name!r}")
-    kind = raw[0]
-    digits = raw[1:]
-    if kind == "s":
-        sector = int(digits)
-        if sector not in (1, 2):
-            raise ValueError(f"sector in {name!r} must be 1 or 2")
-        return sector - 1
-    sector = int(digits[0])
-    i = int(digits[1:]) if len(digits) > 1 else 1
+    kind, digits = raw[0], raw[1:]
+    # an s name's digits are all sector; an x or y name's first digit is
+    sector = int(digits if kind == "s" else digits[0])
     if sector not in (1, 2):
         raise ValueError(f"sector in {name!r} must be 1 or 2")
+    if kind == "s":
+        return sector - 1
+    i = int(digits[1:]) if len(digits) > 1 else 1
     if not 1 <= i <= sig.dof:
         raise ValueError(f"dof index in {name!r} outside 1..{sig.dof}")
     return sig.x_index(sector, i) if kind == "x" else sig.y_index(sector, i)
@@ -316,37 +338,16 @@ def delta_to_element(sig: GroupSignature, alpha: Union[Mapping[str, int], Iterab
     kappa_x factor and one X generator, and likewise for y and s; the empty
     multi-index is the convolution unit.
     """
-    conv = sig.convention
     if isinstance(alpha, Mapping):
         items = [(n, int(k)) for n, k in alpha.items()]
     else:
         items = [(n, 1) for n in alpha]
     mono = [0] * sig.width
-    coeff = CR_ONE
     for name, count in items:
         if count < 0:
             raise ValueError("derivative multiplicities must be nonnegative")
-        idx = parse_group_var(sig, name)
-        mono[idx] += count
-        if idx < 2:
-            coeff = coeff * conv.kappa_s ** count
-        elif idx % 2 == 0:
-            coeff = coeff * conv.kappa_x ** count
-        else:
-            coeff = coeff * conv.kappa_y ** count
-    return Element(sig, {tuple(mono): scalar(coeff)})
-
-
-def _var_name(sig: GroupSignature, idx: int) -> str:
-    if idx == 0:
-        return "s1"
-    if idx == 1:
-        return "s2"
-    t = (idx - 2) // 2
-    sector = sig.slot_sector(t)
-    i = t % sig.dof + 1
-    letter = "x" if idx % 2 == 0 else "y"
-    return f"{letter}{sector}" if sig.dof == 1 else f"{letter}{sector}{i}"
+        mono[parse_group_var(sig, name)] += count
+    return Element(sig, {tuple(mono): scalar(sig.unit_factor(mono))})
 
 
 def element_to_delta(e: Element) -> Tuple[Scalar, Dict[str, int]]:
@@ -359,32 +360,19 @@ def element_to_delta(e: Element) -> Tuple[Scalar, Dict[str, int]]:
         raise ValueError("element_to_delta requires a single-monomial Element")
     (mono, coeff), = e.terms.items()
     sig = e.signature
-    conv = sig.convention
-    kappa = conv.kappa_s ** (mono[0] + mono[1])
-    alpha: Dict[str, int] = {}
-    if mono[0]:
-        alpha["s1"] = mono[0]
-    if mono[1]:
-        alpha["s2"] = mono[1]
-    for idx in range(2, sig.width):
-        if mono[idx]:
-            alpha[_var_name(sig, idx)] = mono[idx]
-            kappa = kappa * (conv.kappa_x if idx % 2 == 0 else conv.kappa_y) ** mono[idx]
-    return coeff / scalar(kappa), alpha
+    alpha = {name: k for name, k in zip(sig.delta_names, mono) if k}
+    return coeff / scalar(sig.unit_factor(mono)), alpha
 
 
 def delta_str(e: Element) -> str:
     """Human-readable delta notation, e.g. '4*delta[x1,y1] + 2*delta[s1]'."""
     sig = e.signature
+    names = sig.delta_names[2:] + sig.delta_names[:2]    # central derivatives last
     rendered = []
     for mono in sorted(e.terms, key=lambda m: (-sum(m), m)):
-        coeff, _ = element_to_delta(Element.monomial(sig, mono, e.terms[mono]))
-        names: List[str] = []
-        for idx in range(2, sig.width):
-            names.extend([_var_name(sig, idx)] * mono[idx])
-        names.extend(["s1"] * mono[0])
-        names.extend(["s2"] * mono[1])
-        rendered.append((coeff_str(coeff), f"delta[{','.join(names)}]" if names else ""))
+        coeff = e.terms[mono] / scalar(sig.unit_factor(mono))
+        kernel = ",".join(n for n, k in zip(names, mono[2:] + mono[:2]) for _ in range(k))
+        rendered.append((coeff_str(coeff), f"delta[{kernel}]" if kernel else ""))
     return render_terms(rendered)
 
 

@@ -21,7 +21,8 @@ from typing import Callable, Dict, Mapping, Tuple, Union
 
 from .errors import AObservableProductError, NotMechanised, SignatureMismatch, UnknownRule
 from .scalars import CR_ONE, CRat, Scalar
-from .group_algebra import Element, GroupSignature, commutator, delta_str, element_to_json
+from .group_algebra import (Element, GroupSignature, commutator, delta_str, element_to_json,
+                            slot_index, var_names)
 from .terms import (TermMap, accumulate, clean_terms, normal_order, pair_halves,
                     power_str, render_terms)
 
@@ -84,12 +85,7 @@ class ClassicalPoly(TermMap):
     def var_index(dof: int, kind: str, sector: int, i: int = 1) -> int:
         if kind not in ("q", "p"):
             raise ValueError("kind must be 'q' or 'p'")
-        if sector not in (1, 2):
-            raise ValueError("sector must be 1 or 2")
-        if not 1 <= i <= dof:
-            raise ValueError(f"dof index {i} outside 1..{dof}")
-        slot = (sector - 1) * dof + (i - 1)
-        return 2 * slot + (0 if kind == "q" else 1)
+        return 2 * slot_index(dof, sector, i) + (0 if kind == "q" else 1)
 
     def _expand(self, m1: CMonomial, m2: CMonomial) -> list:
         return [(tuple(a + b for a, b in zip(m1, m2)), None)]
@@ -100,9 +96,8 @@ class ClassicalPoly(TermMap):
     # -- queries ------------------------------------------------------------
 
     def uses_sector(self, sector: int) -> bool:
-        lo = (sector - 1) * 2 * self.dof
-        hi = lo + 2 * self.dof
-        return any(any(m[lo:hi]) for m in self.terms)
+        lo = 2 * slot_index(self.dof, sector, 1)
+        return any(any(m[lo:lo + 2 * self.dof]) for m in self.terms)
 
     def derivative(self, idx: int) -> "ClassicalPoly":
         out = {}
@@ -113,15 +108,8 @@ class ClassicalPoly(TermMap):
 
     # -- display --------------------------------------------------------------
 
-    def _var_name(self, idx: int) -> str:
-        slot, off = divmod(idx, 2)
-        sector = 1 if slot < self.dof else 2
-        i = slot % self.dof + 1
-        letter = "q" if off == 0 else "p"
-        return f"{letter}{sector}" if self.dof == 1 else f"{letter}{sector}{i}"
-
     def __str__(self) -> str:
-        names = [self._var_name(idx) for idx in range(self.width)]
+        names = var_names(self.dof, "qp")
         return render_terms((str(self.terms[m]), power_str(names, m))
                             for m in sorted(self.terms, key=lambda m: (-sum(m), m)))
 
@@ -163,7 +151,7 @@ def mechanise_weyl(sig: GroupSignature, f: ClassicalPoly) -> Element:
     out: Dict[Tuple[int, ...], CRat] = {}
     for mono, coeff in f.terms.items():
         xs, ys = pair_halves(mono)
-        c = coeff * conv.kappa_x ** sum(xs) * conv.kappa_y ** sum(ys)
+        c = coeff * conv.kappa(0, sum(xs), sum(ys))
         for xy, ks, weight in normal_order(ys, xs, 0, sig.slots):
             k, k1 = sum(ks), sum(ks[:sig.dof])
             accumulate(out, (k1, k - k1) + xy, c * half_neg_eps ** k * weight)
@@ -205,15 +193,12 @@ def weyl_symbol(e: Element) -> ClassicalPoly:
     the input back.
     """
     sig = e.signature
-    conv = sig.convention
     terms: Dict[CMonomial, CRat] = {}
     for mono, coeff in e.terms.items():
         if mono[0] or mono[1]:
             continue
-        cmono = mono[2:]
-        kappa = conv.kappa_x ** sum(cmono[0::2]) * conv.kappa_y ** sum(cmono[1::2])
         try:
-            terms[cmono] = coeff.as_crat() / kappa
+            terms[mono[2:]] = coeff.as_crat() / sig.unit_factor(mono)
         except ValueError:
             raise NotMechanised(
                 "coefficient with formal parameters is outside the mechanisation image") from None

@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Sequence, Tuple
 
 from .scalars import CRat
-from .group_algebra import Element, GroupSignature
+from .group_algebra import Element, GroupSignature, slot_index
 from .pmech import ClassicalPoly
 
 __all__ = [
@@ -31,21 +31,23 @@ def rand_crat(rng: random.Random, allow_imag: bool = True) -> CRat:
             return c
 
 
-def _allowed_indices(sig: GroupSignature, sectors: Sequence[int], allow_s: bool) -> list:
+def _allowed_indices(dof: int, sectors: Sequence[int], allow_s: bool) -> list:
+    """Group exponent indices a draw may raise, in the order the seeded draws
+    depend on: per sector its S, then the X and Y of each slot."""
     idxs = []
     for sector in sectors:
         if allow_s:
             idxs.append(sector - 1)
-        for i in range(1, sig.dof + 1):
-            idxs.append(sig.x_index(sector, i))
-            idxs.append(sig.y_index(sector, i))
+        for i in range(1, dof + 1):
+            x = 2 + 2 * slot_index(dof, sector, i)
+            idxs += (x, x + 1)
     return idxs
 
 
 def rand_group_monomial(rng: random.Random, sig: GroupSignature, max_degree: int,
                         sectors: Sequence[int] = (1, 2), allow_s: bool = True,
                         min_degree: int = 0) -> Tuple[int, ...]:
-    idxs = _allowed_indices(sig, sectors, allow_s)
+    idxs = _allowed_indices(sig.dof, sectors, allow_s)
     mono = [0] * sig.width
     for _ in range(rng.randint(min_degree, max_degree)):
         mono[rng.choice(idxs)] += 1
@@ -67,15 +69,11 @@ def rand_classical(rng: random.Random, dof: int, max_degree: int = 4,
                    allow_imag: bool = False) -> ClassicalPoly:
     """Random classical polynomial; real coefficients by default since
     classical observables in the suites are real."""
-    width = 4 * dof
     acc = ClassicalPoly.zero(dof)
-    allowed = []
-    for sector in sectors:
-        for i in range(1, dof + 1):
-            allowed.append(ClassicalPoly.var_index(dof, "q", sector, i))
-            allowed.append(ClassicalPoly.var_index(dof, "p", sector, i))
+    # a classical index is the group index less the two central ones
+    allowed = [k - 2 for k in _allowed_indices(dof, sectors, False)]
     for _ in range(terms):
-        mono = [0] * width
+        mono = [0] * (4 * dof)
         for _ in range(rng.randint(0, max_degree)):
             mono[rng.choice(allowed)] += 1
         acc = acc + ClassicalPoly(dof, {tuple(mono): rand_crat(rng, allow_imag)})

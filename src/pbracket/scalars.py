@@ -254,7 +254,7 @@ def unit_to_str(u: CRat) -> str:
 def unit_from_str(s: str) -> CRat:
     try:
         return _STR_TO_UNIT[s]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ValueError(f"unknown unit scalar {s!r}") from None
 
 

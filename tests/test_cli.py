@@ -336,6 +336,39 @@ def test_unreadable_config_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+_STANDARD = EngineConfig.default().convention.to_json()
+
+# Configuration documents of the wrong shape, and the field each error names.
+_MALFORMED_CONFIGS = {
+    "array": ([], "configuration"),
+    "null-convention": ({"convention": None}, "convention"),
+    "null-orient": ({"convention": {**_STANDARD, "orient": None}}, "orient"),
+    "array-dof": ({"convention": _STANDARD, "dof": [1]}, "dof"),
+    "array-unit": ({"convention": {**_STANDARD, "eps_comm": ["x"]}}, "eps_comm"),
+    "float-dof": ({"convention": _STANDARD, "dof": 1.5}, "dof"),
+    "bool-dof": ({"convention": _STANDARD, "dof": True}, "dof"),
+}
+
+
+@pytest.mark.parametrize("data, field", _MALFORMED_CONFIGS.values(),
+                         ids=_MALFORMED_CONFIGS.keys())
+def test_config_of_the_wrong_shape_is_one_error_line(data, field, tmp_path, capsys,
+                                                     monkeypatch):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    err = _one_error_line_fast(capsys, "--config", str(path), "heff", "1", "1")
+    assert err.startswith("error: cannot load configuration: ") and field in err, err
+    monkeypatch.setenv("PBRACKET_CONFIG", str(path))
+    assert _one_error_line_fast(capsys, "heff", "1", "1") == err
+
+
+def test_calibrate_to_an_unwritable_path_is_one_error_line(tmp_path, capsys):
+    for target in (tmp_path, tmp_path / "missing" / "conv.json"):
+        err = _one_error_line_fast(capsys, "calibrate", "--out", str(target))
+        assert err.startswith("error: cannot write configuration: "), err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_paper_runs_small(capsys):
     code, out, _ = run(capsys, "verify", "paper", "--seed", "7")
     assert code == 0

@@ -5,8 +5,13 @@ Draws about 200 invocations of ``bracket``, ``rep``, ``mechanise`` and
 -1 to 70) before or after the command, and valid, malformed and over-bound
 rational arguments and expressions.  Every call must end with exit code 0,
 1 or 2, print no ``error: internal`` line and return within a wall bound.
+
+A second, smaller grammar draws ``oracle check``, ``calibrate`` and
+``verify paper`` with their seeds, configuration files and output paths;
+each of those calls takes up to about a second, so it draws 15.
 """
 
+import json
 import random
 import time
 
@@ -129,11 +134,10 @@ def _invocation(rng: random.Random) -> list:
     return command + args + flags
 
 
-def test_cli_fuzz_exits_cleanly_and_in_time(capsys):
-    rng = random.Random(SEED)
+def _run_all(capsys, argvs, wall_bound_s):
+    """Each call that broke the contract, and the exit codes seen."""
     problems, codes = [], {}
-    for _ in range(CALLS):
-        argv = _invocation(rng)
+    for argv in argvs:
         start = time.perf_counter()
         code = main(argv)
         seconds = time.perf_counter() - start
@@ -143,8 +147,73 @@ def test_cli_fuzz_exits_cleanly_and_in_time(capsys):
             problems.append((argv, f"exit {code}"))
         if "error: internal" in out.err:
             problems.append((argv, out.err.strip()))
-        if seconds > WALL_BOUND_S:
+        if seconds > wall_bound_s:
             problems.append((argv, f"{seconds:.1f} s"))
+    return problems, codes
+
+
+def test_cli_fuzz_exits_cleanly_and_in_time(capsys):
+    rng = random.Random(SEED)
+    problems, codes = _run_all(capsys, (_invocation(rng) for _ in range(CALLS)), WALL_BOUND_S)
     assert problems == []
     # the grammar reaches every outcome: results, domain failures, refusals
     assert codes.get(0, 0) >= 40 and codes.get(1, 0) >= 1 and codes.get(2, 0) >= 40, codes
+
+
+VERIFY_SEED = 1313
+VERIFY_CALLS = 15
+VERIFY_WALL_BOUND_S = 10.0
+
+_STANDARD = {"eps_comm": "-1", "kappa_x": "+1", "kappa_y": "+1", "kappa_s": "+1",
+             "orient": -1, "rep_s_sign": -1}
+_CONFIGS = {
+    "dof-2": {"convention": _STANDARD, "dof": 2},
+    # [Q, P] is real under this tuple, so the matrix oracle refuses it
+    "real-gamma": {"convention": {**_STANDARD, "eps_comm": "+i", "kappa_s": "+i"}, "dof": 1},
+    "array": [],
+    "null-convention": {"convention": None},
+    "null-orient": {"convention": {**_STANDARD, "orient": None}},
+    "array-dof": {"convention": _STANDARD, "dof": [1]},
+    "array-unit": {"convention": {**_STANDARD, "eps_comm": ["x"]}},
+    "float-dof": {"convention": _STANDARD, "dof": 1.5},
+    "bool-dof": {"convention": _STANDARD, "dof": True},
+}
+
+
+def _verification_plan(rng: random.Random, tmp_path) -> list:
+    """VERIFY_CALLS invocations.  The configurations are dealt in a seeded
+    order first, so every file is used; the rest of each call is drawn."""
+    paths = {}
+    for name, data in _CONFIGS.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(data))
+    outs = (None, tmp_path / "out.json", tmp_path, tmp_path / "missing" / "out.json")
+    deal = [None] + list(paths)
+    rng.shuffle(deal)
+    plan = []
+    for n in range(VERIFY_CALLS):
+        config = deal[n] if n < len(deal) else rng.choice((None, "dof-2", "real-gamma"))
+        command = rng.choice(("oracle check", "calibrate", "verify paper")).split()
+        args = []
+        if command[0] != "calibrate" and rng.random() < 0.7:
+            args += ["--seed", str(rng.choice((-1, 0, 7, 10 ** 30)))]
+        out = rng.choice(outs) if command[0] == "calibrate" else None
+        if out is not None:
+            args += ["--out", str(out)]
+        flags = []
+        if rng.random() < 0.3:
+            flags.append("--json")
+        if rng.random() < 0.5:
+            flags += ["--signature", f"n={rng.choice((-1, 0, 1, 2, 65))}"]
+        if config is not None:
+            flags += ["--config", str(paths[config])]
+        plan.append(flags + command + args if rng.random() < 0.5 else command + args + flags)
+    return plan
+
+
+def test_verification_commands_fuzz_exit_cleanly_and_in_time(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("PBRACKET_CONFIG", raising=False)
+    plan = _verification_plan(random.Random(VERIFY_SEED), tmp_path)
+    problems, codes = _run_all(capsys, plan, VERIFY_WALL_BOUND_S)
+    assert problems == []
+    assert codes.get(0, 0) >= 1 and codes.get(2, 0) >= 7, codes

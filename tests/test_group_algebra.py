@@ -30,6 +30,10 @@ def test_convention_tuple_validation():
         ConventionTuple(CRat.of(2), CR_ONE, CR_ONE, CR_ONE, 1, 1)
     with pytest.raises(ValueError):
         ConventionTuple(CR_ONE, CR_ONE, CR_ONE, CR_ONE, 0, 1)
+    # a sign that only compares equal to an integer is refused by name
+    for orient, rep_s in ((True, 1), (1, -1.0)):
+        with pytest.raises(ValueError, match=r"must be an integer"):
+            ConventionTuple(CR_ONE, CR_ONE, CR_ONE, CR_ONE, orient, rep_s)
     std = ConventionTuple.standard()
     assert ConventionTuple.from_json(std.to_json()) == std
 
@@ -176,6 +180,63 @@ def test_delta_to_element_kappa_factors():
     assert delta_to_element(SIG, {"x1": 2}) == (gen("X_1_1") ** 2).scale(conv.kappa_x ** 2)
     # iterable form counts repetitions
     assert delta_to_element(SIG, ["x1", "x1"]) == delta_to_element(SIG, {"x1": 2})
+
+
+def _every_convention():
+    for units in itertools.product(UNIT_VALUES, repeat=4):
+        for orient, rep_s in itertools.product((1, -1), repeat=2):
+            yield ConventionTuple(*units, orient, rep_s)
+
+
+def test_every_convention_round_trips_and_carries_its_kappa():
+    """All 1024 tuples: to_json and from_json are inverse, and each single
+    generator's delta kernel carries the tuple's kappa of that generator."""
+    count = 0
+    for conv in _every_convention():
+        count += 1
+        assert ConventionTuple.from_json(conv.to_json()) == conv
+        sig = GroupSignature(2, conv)
+        for name, gen_name, counts in (("s1", "S1", (1, 0, 0)), ("s2", "S2", (1, 0, 0)),
+                                       ("x21", "X_2_1", (0, 1, 0)), ("y12", "Y_1_2", (0, 0, 1))):
+            assert delta_to_element(sig, [name]) == gen(gen_name, sig).scale(conv.kappa(*counts))
+    assert count == 1024
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3])
+def test_classical_and_group_variables_share_slot_and_name(dof):
+    """A classical index is the group index less two, and a classical name
+    is the delta name with x -> q and y -> p."""
+    from pbracket.pmech import ClassicalPoly
+    sig = GroupSignature(dof)
+    for sector in (1, 2):
+        for i in range(1, dof + 1):
+            for kind, letter, group_index in (("q", "x", sig.x_index(sector, i)),
+                                              ("p", "y", sig.y_index(sector, i))):
+                assert ClassicalPoly.var_index(dof, kind, sector, i) + 2 == group_index
+                delta = str(Element.generator(sig, f"{letter.upper()}_{sector}_{i}"))
+                classical = str(ClassicalPoly.var(dof, kind, sector, i))
+                assert delta == f"delta[{classical.replace(kind, letter)}]"
+
+
+def test_out_of_range_slots_keep_their_messages():
+    from pbracket.pmech import ClassicalPoly
+    for call in (lambda: SIG2.slot_of(3, 1), lambda: SIG2.x_index(0, 1),
+                 lambda: SIG2.y_index(-1, 1), lambda: ClassicalPoly.var_index(2, "q", 3, 1),
+                 lambda: ClassicalPoly.var(2, "p", 0)):
+        with pytest.raises(ValueError, match=r"^sector must be 1 or 2$"):
+            call()
+    for call in (lambda: SIG2.slot_of(1, 3), lambda: SIG2.x_index(2, 0),
+                 lambda: ClassicalPoly.var_index(2, "p", 1, 3)):
+        with pytest.raises(ValueError, match=r"^dof index -?\d+ outside 1\.\.2$"):
+            call()
+    with pytest.raises(ValueError, match=r"^kind must be 'q' or 'p'$"):
+        ClassicalPoly.var_index(2, "x", 1, 1)
+    with pytest.raises(ValueError, match=r"^sector in 'x31' must be 1 or 2$"):
+        parse_group_var(SIG2, "x31")
+    with pytest.raises(ValueError, match=r"^sector in 's3' must be 1 or 2$"):
+        parse_group_var(SIG2, "s3")
+    with pytest.raises(ValueError, match=r"^dof index in 'y13' outside 1\.\.2$"):
+        parse_group_var(SIG2, "y13")
 
 
 def test_parse_group_var_forms():
