@@ -292,12 +292,16 @@ def _cmd_oracle(ns: argparse.Namespace, cfg: EngineConfig) -> int:
 def _cmd_calibrate(ns: argparse.Namespace, cfg: EngineConfig) -> int:
     from .calibration import calibration_report
     from .config import save_config
-    report = calibration_report(cfg.dof)
-    if ns.out:
-        try:
+    try:
+        if ns.out:
+            # fails before the report; append mode truncates nothing,
+            # and creates nothing when refused
+            open(ns.out, "a").close()
+        report = calibration_report(cfg.dof)
+        if ns.out:
             save_config(EngineConfig(report.chosen, cfg.dof), ns.out)
-        except OSError as exc:
-            raise _UsageError(f"cannot write configuration: {exc}") from exc
+    except OSError as exc:
+        raise _UsageError(f"cannot write configuration: {exc}") from exc
     _emit(ns, report.to_json(), report.render())
     return 0
 

@@ -39,7 +39,7 @@ from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .errors import ExpressionTooLarge, ExprSyntaxError, IndexOutOfRange, UnknownSymbol
 from .scalars import CRat, CR_I
-from .group_algebra import Element, GroupSignature, delta_to_element
+from .group_algebra import Element, GroupSignature, check_var_indices, delta_to_element
 from .pmech import ClassicalPoly
 
 __all__ = ["evaluate", "EvalResult", "MAX_DEGREE", "MAX_TERMS"]
@@ -259,16 +259,10 @@ class _Parser:
     def indices(self, tok: _Token, d1: str, d2: Optional[str]) -> Tuple[int, int]:
         """Sector and dof index from a name's digits, checked against the
         signature; a missing dof digit means 1."""
-        sector = int(d1)
-        index = int(d2) if d2 is not None else 1
-        if sector not in (1, 2):
-            raise IndexOutOfRange(
-                f"sector in {tok.value!r} must be 1 or 2", tok.line, tok.col)
-        if not 1 <= index <= self.sig.dof:
-            raise IndexOutOfRange(
-                f"dof index in {tok.value!r} outside 1..{self.sig.dof}",
-                tok.line, tok.col)
-        return sector, index
+        try:
+            return check_var_indices(tok.value, int(d1), int(d2 or 1), self.sig.dof)
+        except ValueError as exc:
+            raise IndexOutOfRange(str(exc), tok.line, tok.col) from None
 
     # combining values --------------------------------------------------------
 

@@ -168,7 +168,7 @@ class GroupSignature:
     convention: ConventionTuple = field(default_factory=lambda: ConventionTuple.standard())
 
     def __post_init__(self):
-        if self.dof < 1:
+        if require_int(self.dof, "dof") < 1:
             raise ValueError("dof must be a positive integer")
 
     @property
@@ -197,6 +197,12 @@ class GroupSignature:
         """Delta-derivative variable of each exponent index."""
         return ("s1", "s2") + var_names(self.dof, "xy")
 
+    def central_exponents(self, ks: Sequence[int]) -> Tuple[int, int]:
+        """The S1 and S2 exponents of per-slot contraction counts: a slot's
+        contractions are powers of its sector's central generator."""
+        k1 = sum(ks[:self.dof])
+        return k1, sum(ks) - k1
+
     def unit_factor(self, mono: Sequence[int]) -> CRat:
         """The convention's kappa factor of a generator monomial."""
         return self.convention.kappa(mono[0] + mono[1], sum(mono[2::2]), sum(mono[3::2]))
@@ -214,7 +220,7 @@ class GroupSignature:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "GroupSignature":
-        return cls(int(data["dof_per_sector"]), ConventionTuple.from_json(data["convention"]))
+        return cls(data["dof_per_sector"], ConventionTuple.from_json(data["convention"]))
 
 
 class Element(TermMap):
@@ -271,11 +277,10 @@ class Element(TermMap):
         (xy, _, _), *contracted = normal_order(m1, m2, 2, sig.slots)
         out = [((s1, s2) + xy, None)]
         if contracted:
-            dof = sig.dof
             neg_eps = -sig.convention.eps_comm
             for xy, ks, weight in contracted:
-                k, k1 = sum(ks), sum(ks[:dof])
-                out.append(((s1 + k1, s2 + k - k1) + xy, neg_eps ** k * weight))
+                c1, c2 = sig.central_exponents(ks)
+                out.append(((s1 + c1, s2 + c2) + xy, neg_eps ** (c1 + c2) * weight))
         return out
 
     def _identity(self) -> "Element":
@@ -319,15 +324,19 @@ def parse_group_var(sig: GroupSignature, name: str) -> int:
         raise ValueError(f"malformed variable name {name!r}")
     kind, digits = raw[0], raw[1:]
     # an s name's digits are all sector; an x or y name's first digit is
-    sector = int(digits if kind == "s" else digits[0])
+    if kind == "s":
+        return check_var_indices(name, int(digits), 1, sig.dof)[0] - 1
+    sector, i = check_var_indices(name, int(digits[0]), int(digits[1:] or 1), sig.dof)
+    return sig.x_index(sector, i) if kind == "x" else sig.y_index(sector, i)
+
+
+def check_var_indices(name: str, sector: int, i: int, dof: int) -> Tuple[int, int]:
+    """(sector, i) of the variable called name; out of range, a ValueError naming it."""
     if sector not in (1, 2):
         raise ValueError(f"sector in {name!r} must be 1 or 2")
-    if kind == "s":
-        return sector - 1
-    i = int(digits[1:]) if len(digits) > 1 else 1
-    if not 1 <= i <= sig.dof:
-        raise ValueError(f"dof index in {name!r} outside 1..{sig.dof}")
-    return sig.x_index(sector, i) if kind == "x" else sig.y_index(sector, i)
+    if not 1 <= i <= dof:
+        raise ValueError(f"dof index in {name!r} outside 1..{dof}")
+    return sector, i
 
 
 def delta_to_element(sig: GroupSignature, alpha: Union[Mapping[str, int], Iterable[str]]) -> Element:
@@ -416,9 +425,10 @@ def element_from_json(data: Mapping) -> Element:
     for term in data["terms"]:
         mono = [0] * sig.width
         for name, exp in term["exponents"].items():
-            mono[index[name]] = int(exp)
+            mono[index[name]] = require_int(exp, f"exponent of {name}")
         cj = term["coeff"]
         c = CRat(Fraction(cj["re"][0], cj["re"][1]), Fraction(cj["im"][0], cj["im"][1]))
-        part = Scalar.make({(0, int(cj.get("h1_pow", 0)), int(cj.get("h2_pow", 0))): c})
+        part = Scalar.make({(0, require_int(cj.get("h1_pow", 0), "h1_pow"),
+                             require_int(cj.get("h2_pow", 0), "h2_pow")): c})
         accumulate(acc, tuple(mono), part)
     return Element(sig, acc)

@@ -15,12 +15,11 @@ retain a formal linear A1/A2 factor where not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Mapping, Tuple, Union
 
 from .errors import AObservableProductError, NotMechanised, SignatureMismatch, UnknownRule
-from .scalars import CR_ONE, CRat, Scalar
+from .scalars import CR_ONE, CRat, scalar
 from .group_algebra import (Element, GroupSignature, commutator, delta_str, element_to_json,
                             slot_index, var_names)
 from .terms import (TermMap, accumulate, clean_terms, normal_order, pair_halves,
@@ -153,8 +152,8 @@ def mechanise_weyl(sig: GroupSignature, f: ClassicalPoly) -> Element:
         xs, ys = pair_halves(mono)
         c = coeff * conv.kappa(0, sum(xs), sum(ys))
         for xy, ks, weight in normal_order(ys, xs, 0, sig.slots):
-            k, k1 = sum(ks), sum(ks[:sig.dof])
-            accumulate(out, (k1, k - k1) + xy, c * half_neg_eps ** k * weight)
+            s = sig.central_exponents(ks)
+            accumulate(out, s + xy, c * half_neg_eps ** sum(s) * weight)
     return Element(sig, out)
 
 
@@ -211,56 +210,52 @@ def weyl_symbol(e: Element) -> ClassicalPoly:
 # ---------------------------------------------------------------------------
 # Antiderivatives and the universal bracket
 
-@dataclass(frozen=True)
-class AObservable:
+class AObservable(TermMap):
     """Element extended with at-most-linear formal antiderivative factors:
-    plain + a1_part * A1 + a2_part * A2.
+    plain + a1_part * A1 + a2_part * A2, its terms keyed by (a, monomial),
+    a = 0 for plain and 1 or 2 for A1 or A2.
 
     The antiderivatives are applied greedily, so a1_part never carries an S1
     factor and a2_part never carries an S2 factor.
     """
 
-    plain: Element
-    a1_part: Element
-    a2_part: Element
+    __slots__ = ("signature",)
 
-    def __post_init__(self):
-        if (self.plain.signature != self.a1_part.signature
-                or self.plain.signature != self.a2_part.signature):
+    _coerce = staticmethod(scalar)
+    _mismatch = Element._mismatch
+
+    def __init__(self, plain: Element, a1_part: Element, a2_part: Element):
+        sig = plain.signature
+        if a1_part.signature != sig or a2_part.signature != sig:
             raise SignatureMismatch("AObservable parts over different signatures")
-        if any(m[0] for m in self.a1_part.terms):
+        if any(m[0] for m in a1_part.terms):
             raise ValueError("a1_part must have zero S1 degree")
-        if any(m[1] for m in self.a2_part.terms):
+        if any(m[1] for m in a2_part.terms):
             raise ValueError("a2_part must have zero S2 degree")
+        parts = (plain, a1_part, a2_part)
+        self._freeze(signature=sig, terms={(a, m): c for a, part in enumerate(parts)
+                                           for m, c in part.terms.items()})
+
+    def _context(self) -> tuple:
+        return (self.signature,)
+
+    @classmethod
+    def _over(cls, sig: GroupSignature, terms: dict) -> "AObservable":
+        """An AObservable over keyed terms that are already valid."""
+        out = object.__new__(cls)
+        out._freeze(signature=sig, terms=terms)
+        return out
 
     @classmethod
     def of(cls, e: Element) -> "AObservable":
-        z = Element.zero(e.signature)
-        return cls(e, z, z)
+        return cls._over(e.signature, {(0, m): c for m, c in e.terms.items()})
 
-    @property
-    def signature(self) -> GroupSignature:
-        return self.plain.signature
+    def _part(self, a: int) -> Element:
+        return Element(self.signature, {m: c for (b, m), c in self.terms.items() if b == a})
 
-    @property
-    def is_zero(self) -> bool:
-        return self.plain.is_zero and self.a1_part.is_zero and self.a2_part.is_zero
-
-    def __add__(self, other: "AObservable") -> "AObservable":
-        return AObservable(self.plain + other.plain,
-                           self.a1_part + other.a1_part,
-                           self.a2_part + other.a2_part)
-
-    def __neg__(self) -> "AObservable":
-        return AObservable(-self.plain, -self.a1_part, -self.a2_part)
-
-    def __sub__(self, other: "AObservable") -> "AObservable":
-        return self + (-other)
-
-    def scale(self, factor) -> "AObservable":
-        return AObservable(self.plain.scale(factor),
-                           self.a1_part.scale(factor),
-                           self.a2_part.scale(factor))
+    plain = property(lambda self: self._part(0), doc="The terms without a formal factor.")
+    a1_part = property(lambda self: self._part(1), doc="The coefficient of A1.")
+    a2_part = property(lambda self: self._part(2), doc="The coefficient of A2.")
 
     def __mul__(self, other):
         if isinstance(other, (AObservable, Element)):
@@ -271,15 +266,13 @@ class AObservable:
 
     __rmul__ = __mul__
 
+    def __pow__(self, k):
+        return self * self      # a power is a product: refused as one
+
     def __str__(self) -> str:
-        parts = []
-        if not self.plain.is_zero:
-            parts.append(delta_str(self.plain))
-        if not self.a1_part.is_zero:
-            parts.append(f"({delta_str(self.a1_part)})*A1")
-        if not self.a2_part.is_zero:
-            parts.append(f"({delta_str(self.a2_part)})*A2")
-        return " + ".join(parts) if parts else "0"
+        parts = (self.plain, self.a1_part, self.a2_part)
+        return " + ".join(f"({delta_str(part)})*A{a}" if a else delta_str(part)
+                          for a, part in enumerate(parts) if not part.is_zero) or "0"
 
     __repr__ = __str__
 
@@ -291,24 +284,15 @@ class AObservable:
 
 def apply_antiderivative(e: Element, sector: int) -> AObservable:
     """Antiderivative along the chosen sector, per monomial: strip one S
-    factor when present, otherwise keep the monomial behind a formal factor.
+    factor when present, otherwise keep the monomial behind a formal factor;
+    stripping is one-to-one, so no two terms meet.
     """
     if sector not in (1, 2):
         raise ValueError("sector must be 1 or 2")
-    sig = e.signature
     idx = sector - 1
-    plain: Dict[Tuple[int, ...], Scalar] = {}
-    formal: Dict[Tuple[int, ...], Scalar] = {}
-    for mono, coeff in e.terms.items():
-        if mono[idx] >= 1:
-            accumulate(plain, mono[:idx] + (mono[idx] - 1,) + mono[idx + 1:], coeff)
-        else:
-            accumulate(formal, mono, coeff)
-    z = Element.zero(sig)
-    fe = Element(sig, formal)
-    return AObservable(Element(sig, plain),
-                       fe if sector == 1 else z,
-                       fe if sector == 2 else z)
+    return AObservable._over(e.signature, {
+        (0, m[:idx] + (m[idx] - 1,) + m[idx + 1:]) if m[idx] else (sector, m): c
+        for m, c in e.terms.items()})
 
 
 def universal_bracket(k1: Element, k2: Element) -> AObservable:

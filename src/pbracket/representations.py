@@ -315,8 +315,11 @@ def _central_scalar(conv: ConventionTuple, symbol: str, power: int) -> Scalar:
     return Scalar.symbol(symbol, power, (CR_I * conv.rep_s_sign) ** power)
 
 
-def _as_aobservable(k: Union[Element, AObservable]) -> AObservable:
-    return k if isinstance(k, AObservable) else AObservable.of(k)
+def _keyed_terms(k: Union[Element, AObservable]):
+    """The (a, monomial) terms of k; an Element's terms are all plain, a = 0."""
+    if isinstance(k, AObservable):
+        return k.terms.items()
+    return (((0, mono), c) for mono, c in k.terms.items())
 
 
 def rep_qq(k: Union[Element, AObservable],
@@ -328,35 +331,26 @@ def rep_qq(k: Union[Element, AObservable],
     formal antiderivative factor maps to the inverse scalar.  h1, h2 stay
     formal unless numeric values are supplied.
     """
-    a = _as_aobservable(k)
-    sig = a.signature
+    sig = k.signature
     conv = sig.convention
-    for name, val in (("h1", h1), ("h2", h2)):
-        if val is not None and Fraction(val) == 0:
-            raise ZeroPlanck(f"{name} must be nonzero")
-    alg = qq_algebra(sig)
-
-    def image(e: Element, extra: Scalar) -> WeylOperator:
-        # extra * (S1 image)^s1 * (S2 image)^s2, once per (s1, s2)
-        factors: Dict[Tuple[int, int], Scalar] = {}
-        acc: Dict[WMonomial, Scalar] = {}
-        for mono, coeff in e.terms.items():
-            s = mono[0], mono[1]
-            f = factors.get(s)
-            if f is None:
-                f = factors[s] = (extra * _central_scalar(conv, "h1", s[0])
-                                  * _central_scalar(conv, "h2", s[1]))
-            accumulate(acc, mono[2:], coeff * f)
-        return WeylOperator(alg, acc)
-
-    out = image(a.plain, S_ONE)
-    out = out + image(a.a1_part, _central_scalar(conv, "h1", -1))
-    out = out + image(a.a2_part, _central_scalar(conv, "h2", -1))
     subs = {}
-    if h1 is not None:
-        subs["h1"] = Fraction(h1)
-    if h2 is not None:
-        subs["h2"] = Fraction(h2)
+    for name, val in (("h1", h1), ("h2", h2)):
+        if val is not None:
+            if Fraction(val) == 0:
+                raise ZeroPlanck(f"{name} must be nonzero")
+            subs[name] = Fraction(val)
+    formal = (S_ONE, _central_scalar(conv, "h1", -1), _central_scalar(conv, "h2", -1))
+    # formal[a] (the image of A_a) * (S1 image)^s1 * (S2 image)^s2, once per (a, s1, s2)
+    factors: Dict[Tuple[int, int, int], Scalar] = {}
+    acc: Dict[WMonomial, Scalar] = {}
+    for (a, mono), coeff in _keyed_terms(k):
+        s = a, mono[0], mono[1]
+        f = factors.get(s)
+        if f is None:
+            f = factors[s] = (formal[a] * _central_scalar(conv, "h1", s[1])
+                              * _central_scalar(conv, "h2", s[2]))
+        accumulate(acc, mono[2:], coeff * f)
+    out = WeylOperator(qq_algebra(sig), acc)
     return out.substitute(**subs) if subs else out
 
 
@@ -368,35 +362,24 @@ def rep_qc(k: Union[Element, AObservable]) -> HybridObservable:
     variable: squares and higher powers are truncated to zero.  Formal A2
     factors map to zero; formal A1 factors map to the inverse scalar.
     """
-    a = _as_aobservable(k)
-    sig = a.signature
+    sig = k.signature
     conv = sig.convention
-    alg = qc_algebra(sig)
-    n = sig.dof
+    mid = 2 + 2 * sig.dof
     unit_s2 = CRat.of(conv.rep_s_sign) * CR_I
-
-    def image(e: Element, extra: Scalar) -> Dict[Tuple[WMonomial, WMonomial, int], Scalar]:
-        # extra * (S1 image)^s1, times the jet's unit when s2 = 1, once per (s1, s2)
-        factors: Dict[Tuple[int, int], Scalar] = {}
-        acc: Dict[Tuple[WMonomial, WMonomial, int], Scalar] = {}
-        for mono, coeff in e.terms.items():
-            jet = mono[1]
-            if jet >= 2:
-                continue
-            s = mono[0], jet
-            f = factors.get(s)
-            if f is None:
-                f = extra * _central_scalar(conv, "h", s[0])
-                if jet:
-                    f = f * unit_s2
-                factors[s] = f
-            accumulate(acc, (mono[2:2 + 2 * n], mono[2 + 2 * n:], jet), coeff * f)
-        return acc
-
-    terms = image(a.plain, S_ONE)
-    for key, c in image(a.a1_part, _central_scalar(conv, "h", -1)).items():
-        accumulate(terms, key, c)
-    return HybridObservable(alg, n, conv, terms)
+    formal = (S_ONE, _central_scalar(conv, "h", -1))
+    # formal[a] * (S1 image)^s1 * (the jet's unit)^s2, once per (a, s1, s2)
+    factors: Dict[Tuple[int, int, int], Scalar] = {}
+    acc: Dict[Tuple[WMonomial, WMonomial, int], Scalar] = {}
+    for (a, mono), coeff in _keyed_terms(k):
+        jet = mono[1]
+        if a == 2 or jet >= 2:
+            continue
+        s = a, mono[0], jet
+        f = factors.get(s)
+        if f is None:
+            f = factors[s] = formal[a] * _central_scalar(conv, "h", s[1]) * unit_s2 ** jet
+        accumulate(acc, (mono[2:mid], mono[mid:], jet), coeff * f)
+    return HybridObservable(qc_algebra(sig), sig.dof, conv, acc)
 
 
 def multiply_hybrid(a: HybridObservable, b: HybridObservable) -> HybridObservable:

@@ -1,13 +1,15 @@
 """Sparse term maps: what every polynomial type of the engine shares.
 
-Element, WeylOperator, HybridObservable, ClassicalPoly and the oracle's
-GroupPoly are all immutable maps from exponent keys to nonzero coefficients.
-This module holds their common parts: the term-map base class with its
-linear operations and the one product loop and one commutator loop that
-every type runs (a type states only how one term pair expands), the
-accumulate step, the Heisenberg normal-ordering kernel that both
-noncommutative products, the Weyl mechanisation and the ordered transport
-expand with, and the term printer.
+Element, AObservable, WeylOperator, HybridObservable, ClassicalPoly and the
+oracle's GroupPoly are all immutable maps from exponent keys to nonzero
+coefficients; an AObservable's keys carry its formal antiderivative factor,
+so each representation reads it in one pass.  This module holds their
+common parts: the term-map base class with its linear operations and the
+one product loop and one commutator loop that every type runs (a type
+states only how one term pair expands), the accumulate step, the
+Heisenberg normal-ordering kernel that both noncommutative products, the
+Weyl mechanisation and the ordered transport expand with, and the term
+printer.
 
 It sits at the bottom of the package and imports no other pbracket module
 except errors, so scalars.py can use the printer.
@@ -161,7 +163,8 @@ class TermMap:
     A subclass stores the fields that fix its space (signature, algebra,
     ...) in its own ``__slots__``, which ``_like`` copies, returns them from
     ``_context`` in its constructor's argument order, and validates input
-    in ``__init__(*context, terms)``.  It sets
+    in ``__init__(*context, terms)``; AObservable, which has no product,
+    is built from its three Element parts instead.  It sets
     ``_coerce`` (coefficient coercion, raising TypeError on foreign types)
     and ``_mismatch`` (the message when spaces differ), and defines
     ``_expand`` and ``_identity`` when it has a product.

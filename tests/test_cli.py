@@ -369,6 +369,30 @@ def test_calibrate_to_an_unwritable_path_is_one_error_line(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_calibrate_refuses_an_unwritable_path_before_calibrating(tmp_path, capsys,
+                                                                 monkeypatch):
+    import pbracket.calibration as calibration
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("calibration_report reached")
+
+    monkeypatch.setattr(calibration, "calibration_report", refuse)
+    for target in (tmp_path, tmp_path / "missing" / "conv.json"):
+        err = _one_error_line_fast(capsys, "--signature", "n=64", "calibrate",
+                                   "--out", str(target))
+        assert err.startswith("error: cannot write configuration: "), err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_calibrate_out_replaces_an_existing_file(tmp_path, capsys):
+    target, expected = tmp_path / "conv.json", tmp_path / "expected.json"
+    target.write_text("x" * 4096)
+    code, _, _ = run(capsys, "calibrate", "--out", str(target))
+    assert code == 0
+    save_config(EngineConfig.default(), str(expected))
+    assert target.read_bytes() == expected.read_bytes()
+
+
 def test_verify_paper_runs_small(capsys):
     code, out, _ = run(capsys, "verify", "paper", "--seed", "7")
     assert code == 0

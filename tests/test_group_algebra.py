@@ -10,7 +10,7 @@ import pytest
 import pbracket.group_algebra as group_algebra
 from pbracket.errors import SignatureMismatch
 from pbracket.sampling import rand_element
-from pbracket.scalars import CRat, CR_I, CR_MINUS_ONE, CR_ONE, UNIT_VALUES
+from pbracket.scalars import CRat, CR_I, CR_MINUS_ONE, CR_ONE, UNIT_VALUES, Scalar
 from pbracket.group_algebra import (ConventionTuple, Element, GroupSignature,
                                     commutator, delta_str, delta_to_element,
                                     element_from_json, element_to_delta,
@@ -273,6 +273,39 @@ def test_element_json_carries_planck_powers():
     data = element_to_json(e)
     assert data["terms"][0]["coeff"]["h1_pow"] == 1
     assert element_from_json(data) == e
+
+
+def _json_with(path, value):
+    """The JSON of h1*X_1_1*Y_1_1 with the field at path set to value."""
+    data = element_to_json(multiply(gen("X_1_1"), gen("Y_1_1")).scale(Scalar.symbol("h1")))
+    *outer, last = path
+    owner = data
+    for key in outer:
+        owner = owner[key]
+    owner[last] = value
+    return data
+
+
+_INTEGER_FIELDS = {
+    "dof_per_sector": (("signature", "dof_per_sector"), "dof"),
+    "exponent": (("terms", 0, "exponents", "X_1_1"), "exponent of X_1_1"),
+    "h1_pow": (("terms", 0, "coeff", "h1_pow"), "h1_pow"),
+    "h2_pow": (("terms", 0, "coeff", "h2_pow"), "h2_pow"),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, 2.7, 1.0, True, "1"])
+@pytest.mark.parametrize("path, field", _INTEGER_FIELDS.values(),
+                         ids=_INTEGER_FIELDS.keys())
+def test_element_json_integer_fields_must_be_integers(path, field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        element_from_json(_json_with(path, value))
+
+
+@pytest.mark.parametrize("dof", [1.5, 2.0, True])
+def test_signature_dof_must_be_an_integer(dof):
+    with pytest.raises(ValueError, match="dof must be an integer"):
+        GroupSignature(dof)
 
 
 def test_element_json_rejects_unencodable_coefficients():

@@ -134,6 +134,8 @@ def test_aobservable_products_rejected():
         ao * Element.one(SIG)
     with pytest.raises(AObservableProductError):
         Element.one(SIG) * ao
+    with pytest.raises(AObservableProductError):
+        ao ** 2
 
 
 def test_apply_antiderivative_strip_or_retain():

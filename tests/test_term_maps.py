@@ -3,6 +3,9 @@ without the constructors' validation.  Each such result must still be what
 the validating constructor builds from the same terms, and the public
 constructors must still reject bad input.
 
+AObservable is a term map too, without a product; its constructor takes
+its three Element parts, so its results are checked against that rebuild.
+
 Every product and commutator runs the one loop of TermMap._product and
 TermMap._commutator over its type's _expand; the last tests here check the
 commutator loop against the products and that no type writes its own loop.
@@ -14,7 +17,8 @@ import pytest
 
 import pbracket.oracle  # noqa: F401  (defines the GroupPoly term map)
 from pbracket.group_algebra import Element, GroupSignature, commutator, multiply
-from pbracket.pmech import ClassicalPoly, mechanise_weyl
+from pbracket.pmech import (AObservable, ClassicalPoly, apply_antiderivative, mechanise_weyl,
+                            universal_bracket)
 from pbracket.qc_bracket import qc_bracket
 from pbracket.representations import (HybridObservable, WeylOperator, commutator_hybrid,
                                       multiply_hybrid, qc_algebra, rep_qc, rep_qq)
@@ -81,6 +85,38 @@ def test_public_constructors_still_validate():
 
 
 @pytest.mark.parametrize("dof", [1, 2, 3])
+def test_aobservable_results_equal_their_rebuild_from_parts(dof):
+    """AObservable takes TermMap's arithmetic; its constructor takes the
+    three Element parts, so that is the rebuild each result must equal."""
+    own = set(vars(AObservable))
+    assert not own & {"__add__", "__neg__", "__sub__", "scale", "__eq__", "is_zero"}
+    rng = random.Random(700 + dof)
+    sig = GroupSignature(dof)
+    for _ in range(5):
+        a = rand_element(rng, sig, max_degree=3)
+        b = rand_element(rng, sig, max_degree=3)
+        u, v = universal_bracket(a, b), universal_bracket(b, a)
+        results = [u, v, apply_antiderivative(a, 1), apply_antiderivative(b, 2),
+                   u + v, u - v, -u, u.scale(Scalar.symbol("h1")), u.scale(0), 3 * u,
+                   AObservable.of(a)]
+        for x in results:
+            assert all(not c.is_zero for c in x.terms.values())
+            rebuilt = AObservable(x.plain, x.a1_part, x.a2_part)
+            assert rebuilt == x and hash(rebuilt) == hash(x)
+        assert (u + v).is_zero
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3])
+def test_representations_read_an_element_as_its_plain_part(dof):
+    rng = random.Random(800 + dof)
+    sig = GroupSignature(dof)
+    for _ in range(5):
+        e = rand_element(rng, sig, max_degree=4)
+        assert rep_qq(e) == rep_qq(AObservable.of(e))
+        assert rep_qc(e) == rep_qc(AObservable.of(e))
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3])
 def test_commutator_loop_is_the_difference_of_products(dof):
     rng = random.Random(900 + dof)
     sig = GroupSignature(dof)
@@ -128,7 +164,8 @@ def test_no_term_map_writes_its_own_product_loop():
     """Only Scalar, the innermost coefficient ring, keeps a _product of its
     own; every other type with a product states only its _expand."""
     subs = set(_subclasses(TermMap))
-    assert {Element, WeylOperator, HybridObservable, ClassicalPoly, Scalar} <= subs
+    assert {Element, AObservable, WeylOperator, HybridObservable, ClassicalPoly,
+            Scalar} <= subs
     assert {c for c in subs if "_product" in vars(c)} == {Scalar}
     assert not any("_commutator" in vars(c) for c in subs)
     assert {c for c in subs if "_identity" in vars(c)} == \
