@@ -35,7 +35,7 @@ from .scalars import (
     unit_to_str,
 )
 from .terms import (TermMap, accumulate, clean_terms, coeff_str, exponent_map,
-                    normal_order, render_terms)
+                    normal_order, pair_masks, render_terms)
 
 __all__ = [
     "ConventionTuple",
@@ -283,6 +283,9 @@ class Element(TermMap):
                 out.append(((s1 + c1, s2 + c2) + xy, neg_eps ** (c1 + c2) * weight))
         return out
 
+    def _masks(self, mono: Monomial) -> tuple:
+        return pair_masks(mono, 2, self.signature.slots)
+
     def _identity(self) -> "Element":
         return Element.one(self.signature)
 
@@ -417,6 +420,14 @@ def element_to_json(e: Element) -> dict:
     return {"signature": sig.to_json(), "terms": terms}
 
 
+def _planck_power(coeff: Mapping, name: str) -> int:
+    """A JSON coefficient's h1_pow or h2_pow: element_to_json writes no negative one."""
+    power = require_int(coeff.get(name, 0), name)
+    if power < 0:
+        raise ValueError(f"{name} must be nonnegative, got {power!r}")
+    return power
+
+
 def element_from_json(data: Mapping) -> Element:
     sig = GroupSignature.from_json(data["signature"])
     names = sig.generator_names()
@@ -428,7 +439,6 @@ def element_from_json(data: Mapping) -> Element:
             mono[index[name]] = require_int(exp, f"exponent of {name}")
         cj = term["coeff"]
         c = CRat(Fraction(cj["re"][0], cj["re"][1]), Fraction(cj["im"][0], cj["im"][1]))
-        part = Scalar.make({(0, require_int(cj.get("h1_pow", 0), "h1_pow"),
-                             require_int(cj.get("h2_pow", 0), "h2_pow")): c})
+        part = Scalar.make({(0, _planck_power(cj, "h1_pow"), _planck_power(cj, "h2_pow")): c})
         accumulate(acc, tuple(mono), part)
     return Element(sig, acc)

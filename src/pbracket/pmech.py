@@ -89,6 +89,9 @@ class ClassicalPoly(TermMap):
     def _expand(self, m1: CMonomial, m2: CMonomial) -> list:
         return [(tuple(a + b for a, b in zip(m1, m2)), None)]
 
+    def _masks(self, mono: CMonomial) -> tuple:
+        return 0, 0         # commutative: no pair ever contracts
+
     def _identity(self) -> "ClassicalPoly":
         return ClassicalPoly.constant(self.dof, 1)
 
@@ -268,6 +271,11 @@ class AObservable(TermMap):
 
     def __pow__(self, k):
         return self * self      # a power is a product: refused as one
+
+    def degree(self) -> int:
+        """Largest total exponent over the monomials (0 when empty); the
+        formal factor's tag a is not an exponent."""
+        return max((sum(m) for _, m in self.terms), default=0)
 
     def __str__(self) -> str:
         parts = (self.plain, self.a1_part, self.a2_part)

@@ -22,7 +22,7 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 from .errors import SignatureMismatch, ZeroPlanck
 from .scalars import CR_I, CRat, Scalar, S_ONE, scalar
 from .terms import (TermMap, accumulate, clean_terms, coeff_str, exponent_map,
-                    normal_order, power_str, render_terms)
+                    normal_order, pair_masks, power_str, render_terms)
 from .group_algebra import ConventionTuple, Element, GroupSignature
 from .pmech import AObservable, ClassicalPoly
 
@@ -53,6 +53,12 @@ class WeylAlgebra:
     # depends on nothing else, and the keys are bounded by the degrees
     # multiplied.  Not part of the value: equality and hashing ignore it.
     _factors: Dict[Tuple[Tuple[int, ...], int], Scalar] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
+    # The central factor of each (a, s1, s2) that rep_qq or rep_qc has met,
+    # on the algebra qq_algebra or qc_algebra returns for one signature, so
+    # the convention it depends on is fixed; its keys are bounded by the
+    # central degrees.  Not part of the value either.
+    _central: Dict[Tuple[int, int, int], Scalar] = field(
         default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -128,6 +134,9 @@ class WeylOperator(TermMap):
 
     def _expand(self, m1: WMonomial, m2: WMonomial) -> list:
         return self.algebra.mul_mono(m1, m2)
+
+    def _masks(self, mono: WMonomial) -> tuple:
+        return pair_masks(mono, 0, self.algebra.dofs)
 
     def _identity(self) -> "WeylOperator":
         return WeylOperator.identity(self.algebra)
@@ -223,6 +232,15 @@ class HybridObservable(TermMap):
 
     def _expand(self, k1: tuple, k2: tuple) -> list:
         return _pair_product(self, k1, k2, self.convention.star_unit)
+
+    def _masks(self, key: tuple) -> tuple:
+        """The Weyl pairs' bits, and above them the classical (q, p) pairs'
+        bits, which the star term contracts."""
+        wm, cm, _ = key
+        n = self.algebra.dofs
+        wx, wy = pair_masks(wm, 0, n)
+        cx, cy = pair_masks(cm, 0, self.dof)
+        return wx | cx << n, wy | cy << n
 
     def _identity(self) -> "HybridObservable":
         return HybridObservable.identity(self.algebra, self.dof, self.convention)
@@ -339,18 +357,19 @@ def rep_qq(k: Union[Element, AObservable],
             if Fraction(val) == 0:
                 raise ZeroPlanck(f"{name} must be nonzero")
             subs[name] = Fraction(val)
-    formal = (S_ONE, _central_scalar(conv, "h1", -1), _central_scalar(conv, "h2", -1))
-    # formal[a] (the image of A_a) * (S1 image)^s1 * (S2 image)^s2, once per (a, s1, s2)
-    factors: Dict[Tuple[int, int, int], Scalar] = {}
+    alg = qq_algebra(sig)
+    central = alg._central
     acc: Dict[WMonomial, Scalar] = {}
     for (a, mono), coeff in _keyed_terms(k):
         s = a, mono[0], mono[1]
-        f = factors.get(s)
+        f = central.get(s)
         if f is None:
-            f = factors[s] = (formal[a] * _central_scalar(conv, "h1", s[1])
+            # the image of A_a (none for a = 0) * (S1 image)^s1 * (S2 image)^s2
+            formal = _central_scalar(conv, ("h1", "h2")[a - 1], -1) if a else S_ONE
+            f = central[s] = (formal * _central_scalar(conv, "h1", s[1])
                               * _central_scalar(conv, "h2", s[2]))
         accumulate(acc, mono[2:], coeff * f)
-    out = WeylOperator(qq_algebra(sig), acc)
+    out = WeylOperator(alg, acc)
     return out.substitute(**subs) if subs else out
 
 
@@ -365,21 +384,22 @@ def rep_qc(k: Union[Element, AObservable]) -> HybridObservable:
     sig = k.signature
     conv = sig.convention
     mid = 2 + 2 * sig.dof
-    unit_s2 = CRat.of(conv.rep_s_sign) * CR_I
-    formal = (S_ONE, _central_scalar(conv, "h", -1))
-    # formal[a] * (S1 image)^s1 * (the jet's unit)^s2, once per (a, s1, s2)
-    factors: Dict[Tuple[int, int, int], Scalar] = {}
+    alg = qc_algebra(sig)
+    central = alg._central
     acc: Dict[Tuple[WMonomial, WMonomial, int], Scalar] = {}
     for (a, mono), coeff in _keyed_terms(k):
         jet = mono[1]
         if a == 2 or jet >= 2:
             continue
         s = a, mono[0], jet
-        f = factors.get(s)
+        f = central.get(s)
         if f is None:
-            f = factors[s] = formal[a] * _central_scalar(conv, "h", s[1]) * unit_s2 ** jet
+            # the image of A1 (none for a = 0) * (S1 image)^s1 * (the jet's unit)^jet
+            formal = _central_scalar(conv, "h", -1) if a else S_ONE
+            f = central[s] = (formal * _central_scalar(conv, "h", s[1])
+                              * (CRat.of(conv.rep_s_sign) * CR_I) ** jet)
         accumulate(acc, (mono[2:mid], mono[mid:], jet), coeff * f)
-    return HybridObservable(qc_algebra(sig), sig.dof, conv, acc)
+    return HybridObservable(alg, sig.dof, conv, acc)
 
 
 def multiply_hybrid(a: HybridObservable, b: HybridObservable) -> HybridObservable:

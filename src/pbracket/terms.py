@@ -6,7 +6,8 @@ coefficients; an AObservable's keys carry its formal antiderivative factor,
 so each representation reads it in one pass.  This module holds their
 common parts: the term-map base class with its linear operations and the
 one product loop and one commutator loop that every type runs (a type
-states only how one term pair expands), the accumulate step, the
+states only how one term pair expands, and which pairs of a key can
+contract), the accumulate step, the
 Heisenberg normal-ordering kernel that both noncommutative products, the
 Weyl mechanisation and the ordered transport expand with, and the term
 printer.
@@ -29,6 +30,7 @@ __all__ = [
     "clean_terms",
     "normal_order",
     "pair_halves",
+    "pair_masks",
     "power_str",
     "coeff_str",
     "render_terms",
@@ -99,6 +101,22 @@ def _expansion(m: int, n: int) -> Tuple[Tuple[int, int], ...]:
                  for k in range(min(m, n) + 1))
 
 
+def pair_masks(mono: Sequence[int], first: int, pairs: int) -> Tuple[int, int]:
+    """Contraction masks of a monomial laid out as (X, Y) pairs from index
+    ``first``, as normal_order reads it: bit t of the first mask is set
+    when pair t has an X exponent, of the second when it has a Y exponent.
+    m1*m2 has a contracted entry exactly when Y(m1) & X(m2) is nonzero."""
+    x = y = 0
+    bit = 1
+    for ix in range(first, first + 2 * pairs, 2):
+        if mono[ix]:
+            x |= bit
+        if mono[ix + 1]:
+            y |= bit
+        bit <<= 1
+    return x, y
+
+
 def pair_halves(mono: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """The X half and the Y half of a monomial laid out as (X, Y) pairs,
     each at full width with the other half's exponents zeroed."""
@@ -167,7 +185,7 @@ class TermMap:
     is built from its three Element parts instead.  It sets
     ``_coerce`` (coefficient coercion, raising TypeError on foreign types)
     and ``_mismatch`` (the message when spaces differ), and defines
-    ``_expand`` and ``_identity`` when it has a product.
+    ``_expand``, ``_masks`` and ``_identity`` when it has a product.
 
     ``_expand(k1, k2)`` is the product of one term pair over its
     coefficient product c1*c2, as a list of ``(key, factor)`` entries.
@@ -255,19 +273,26 @@ class TermMap:
 
     def _commutator(self, other: "TermMap") -> "TermMap":
         """self*other - other*self, never building entry 0: both orders of a
-        pair share it, so they cancel there, and a pair whose two orders
-        have nothing past it contributes nothing."""
+        pair share it, so they cancel there.  The masks show which orders
+        have entries past it; only those are expanded, and a pair that
+        contracts in neither order is skipped outright."""
         self._check(other)
-        expand = self._expand
+        expand, masks = self._expand, self._masks
+        right = [(k2, c2) + masks(k2) for k2, c2 in other.terms.items()]
         acc: dict = {}
         for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                ab, ba = expand(k1, k2), expand(k2, k1)
-                if len(ab) <= 1 and len(ba) <= 1:
+            x1, y1 = masks(k1)
+            for k2, c2, x2, y2 in right:
+                ab, ba = y1 & x2, y2 & x1
+                if not (ab or ba):
                     continue
                 base = c1 * c2
-                for signed, entries in ((base, ab), (-base, ba)):
-                    for key, f in entries[1:]:
+                if ab:
+                    for key, f in expand(k1, k2)[1:]:
+                        accumulate(acc, key, base * f)
+                if ba:
+                    signed = -base
+                    for key, f in expand(k2, k1)[1:]:
                         accumulate(acc, key, signed * f)
         return self._like(acc)
 

@@ -302,6 +302,35 @@ def test_element_json_integer_fields_must_be_integers(path, field, value):
         element_from_json(_json_with(path, value))
 
 
+@pytest.mark.parametrize("field", ["h1_pow", "h2_pow"])
+@pytest.mark.parametrize("value", [-1, -3])
+def test_element_json_refuses_negative_planck_powers(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be nonnegative, got {value}"):
+        element_from_json(_json_with(("terms", 0, "coeff", field), value))
+
+
+def test_every_element_json_that_loads_round_trips():
+    """Every document element_from_json accepts, element_to_json writes
+    back, and the written document loads as the same element."""
+    variants = [element_to_json(rand_element(random.Random(seed), GroupSignature(dof),
+                                             max_degree=3).scale(Scalar.symbol(sym)))
+                for seed, dof, sym in ((1, 1, "h1"), (2, 2, "h2"), (3, 1, "h2"))]
+    for path, _ in _INTEGER_FIELDS.values():
+        for value in (-2, -1, 0, 1, 3, 1.5, True, "1"):
+            variants.append(_json_with(path, value))
+    loaded = 0
+    for data in variants:
+        try:
+            e = element_from_json(data)
+        except ValueError:
+            continue
+        loaded += 1
+        written = element_to_json(e)
+        assert element_from_json(written) == e
+        assert element_to_json(element_from_json(written)) == written
+    assert loaded >= len(_INTEGER_FIELDS) * 3
+
+
 @pytest.mark.parametrize("dof", [1.5, 2.0, True])
 def test_signature_dof_must_be_an_integer(dof):
     with pytest.raises(ValueError, match="dof must be an integer"):

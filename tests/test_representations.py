@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from pbracket.errors import SignatureMismatch, ZeroPlanck
-from pbracket.sampling import rand_element
+from pbracket.group_algebra import commutator
+from pbracket.sampling import rand_classical, rand_element
 from pbracket.scalars import (CR_I, CR_MINUS_ONE, CR_ONE, S_ONE, UNIT_VALUES,
                               Scalar, scalar)
 from pbracket.group_algebra import ConventionTuple, Element, GroupSignature
@@ -344,3 +345,56 @@ def test_representations_match_a_per_term_reference_under_every_convention():
         assert rep_qc(a) == _reference_rep_qc(a), conv
         count += 1
     assert count == 1024
+
+
+# -- the central factor tables of rep_qq / rep_qc ---------------------------
+
+
+def test_factor_tables_stay_with_their_signature():
+    """Conventions that differ only in rep_s_sign and eps_comm share
+    gamma_unit, so their algebras compare equal, yet their central factors
+    differ in sign: each signature's images must match the per-term
+    reference, whichever filled a table first."""
+    sigs = [GroupSignature(2, ConventionTuple(eps, CR_ONE, CR_ONE, CR_ONE, -1, rep_s))
+            for eps, rep_s in ((CR_MINUS_ONE, -1), (CR_ONE, 1))]
+    assert sigs[0].convention.gamma_unit == sigs[1].convention.gamma_unit
+    assert qq_algebra(sigs[0]) == qq_algebra(sigs[1])
+    assert qc_algebra(sigs[0]) == qc_algebra(sigs[1])
+    rng = random.Random(1200)
+    for _ in range(3):
+        for sig in sigs + sigs[::-1]:
+            a = rand_element(rng, sig, max_degree=3)
+            b = rand_element(rng, sig, max_degree=3)
+            for x in (_fixed_aobservable(sig), universal_bracket(a, b), AObservable.of(a)):
+                assert rep_qq(x) == _reference_rep_qq(x), sig.convention
+                assert rep_qc(x) == _reference_rep_qc(x), sig.convention
+    for build in (qq_algebra, qc_algebra):
+        assert build(sigs[0])._central is not build(sigs[1])._central
+
+
+def test_factor_tables_are_bounded_by_the_central_degrees():
+    """After 300 session operations (mechanise a pair, universal bracket,
+    rep_qc and rep_qq identities) each table holds at most 3*(d+1)^2 keys,
+    d the largest central exponent of any represented input."""
+    qq_algebra.cache_clear()
+    qc_algebra.cache_clear()
+    rng = random.Random(1300)
+    sigs = {dof: GroupSignature(dof) for dof in (1, 2, 3)}
+    d = 0
+    for index in range(300):
+        sig = sigs[1 + index % 3]
+        k1, k2 = (mechanise_weyl(sig, rand_classical(rng, sig.dof, max_degree=4))
+                  for _ in range(2))
+        u = universal_bracket(k1, k2)
+        c = commutator(k1, k2)
+        for x in (k1, k2, c, u):
+            rep_qc(x)
+            rep_qq(x)
+        monos = [*k1.terms, *k2.terms, *c.terms, *(mono for _, mono in u.terms)]
+        d = max([d] + [max(mono[:2]) for mono in monos])
+    assert d >= 2
+    for sig in sigs.values():
+        for alg in (qq_algebra(sig), qc_algebra(sig)):
+            assert alg._central
+            assert len(alg._central) <= 3 * (d + 1) ** 2
+            assert all(a in (0, 1, 2) and max(s1, s2) <= d for a, s1, s2 in alg._central)

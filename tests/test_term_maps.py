@@ -9,8 +9,12 @@ its three Element parts, so its results are checked against that rebuild.
 Every product and commutator runs the one loop of TermMap._product and
 TermMap._commutator over its type's _expand; the last tests here check the
 commutator loop against the products and that no type writes its own loop.
+The commutator expands only the orders its contraction masks (_masks) show
+to contract, so the tests of the masks count _expand calls and check pairs
+whose only contraction is one the masks must not miss.
 """
 
+import itertools
 import random
 
 import pytest
@@ -23,8 +27,9 @@ from pbracket.qc_bracket import qc_bracket
 from pbracket.representations import (HybridObservable, WeylOperator, commutator_hybrid,
                                       multiply_hybrid, qc_algebra, rep_qc, rep_qq)
 from pbracket.sampling import rand_classical, rand_element
-from pbracket.scalars import S_ONE, Scalar
-from pbracket.terms import TermMap
+from pbracket.scalars import S_ONE, UNIT_VALUES, Scalar
+from pbracket.group_algebra import ConventionTuple
+from pbracket.terms import TermMap, pair_masks
 
 
 def assert_revalidates(x):
@@ -107,6 +112,20 @@ def test_aobservable_results_equal_their_rebuild_from_parts(dof):
 
 
 @pytest.mark.parametrize("dof", [1, 2, 3])
+def test_aobservable_degree_is_over_its_monomials(dof):
+    rng = random.Random(750 + dof)
+    sig = GroupSignature(dof)
+    degrees = set()
+    for _ in range(5):
+        u = universal_bracket(rand_element(rng, sig, max_degree=3),
+                              rand_element(rng, sig, max_degree=3))
+        assert u.degree() == max(part.degree() for part in (u.plain, u.a1_part, u.a2_part))
+        degrees.add(u.degree())
+    assert degrees - {0}
+    assert AObservable.of(Element.zero(sig)).degree() == 0
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3])
 def test_representations_read_an_element_as_its_plain_part(dof):
     rng = random.Random(800 + dof)
     sig = GroupSignature(dof)
@@ -134,6 +153,89 @@ def test_commutator_loop_is_the_difference_of_products(dof):
                 nonzero.add(type(x))
         assert f._commutator(g).is_zero
     assert nonzero == {Element, WeylOperator, HybridObservable}
+
+
+def _all_conventions():
+    for eps, kx, ky, ks in itertools.product(UNIT_VALUES, repeat=4):
+        for orient, rep_s in itertools.product((1, -1), repeat=2):
+            yield ConventionTuple(eps, kx, ky, ks, orient, rep_s)
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3])
+def test_commutators_are_the_difference_of_products_under_sampled_conventions(dof):
+    """The masks decide which orders are expanded; under every sampled
+    convention the commutator must still be the difference of the products."""
+    rng = random.Random(950 + dof)
+    conventions = rng.sample(list(_all_conventions()), 8)
+    for conv in conventions:
+        sig = GroupSignature(dof, conv)
+        a = rand_element(rng, sig, max_degree=3)
+        b = rand_element(rng, sig, max_degree=3)
+        for x, y in [(a, b), (rep_qq(a), rep_qq(b)), (rep_qc(a), rep_qc(b))]:
+            assert x._commutator(y) == x * y - y * x, (type(x).__name__, conv)
+
+
+def test_pair_masks_mark_the_pairs_with_each_exponent():
+    assert pair_masks((9, 9, 1, 0, 0, 2, 3, 4), 2, 3) == (0b101, 0b110)
+    assert pair_masks((0, 1, 2, 0), 0, 2) == (0b10, 0b01)
+    assert pair_masks((7, 7), 2, 0) == (0, 0)
+
+
+def test_a_star_only_contraction_is_not_skipped():
+    """Sector-2 p and q map to classical p and q: their only contraction is
+    the star term, which the hybrid masks carry above the Weyl bits."""
+    sig = GroupSignature(1)
+    a, b = (rep_qc(mechanise_weyl(sig, ClassicalPoly.var(1, kind, 2))) for kind in "pq")
+    assert not any(any(wm) for wm, _, _ in list(a.terms) + list(b.terms))
+    c = commutator_hybrid(a, b)
+    assert not c.is_zero
+    assert c == a * b - b * a
+
+
+def _sector_part(f, sector):
+    """The terms of f that use only the given sector's variables."""
+    n = f.dof
+    other = slice(2 * n, 4 * n) if sector == 1 else slice(0, 2 * n)
+    return ClassicalPoly(n, {m: c for m, c in f.terms.items() if not any(m[other])})
+
+
+def _count_expands(monkeypatch, cls):
+    calls = []
+    original = cls._expand
+
+    def counted(self, k1, k2):
+        calls.append((k1, k2))
+        return original(self, k1, k2)
+
+    monkeypatch.setattr(cls, "_expand", counted)
+    return calls
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3])
+def test_pairs_on_disjoint_slots_are_never_expanded(monkeypatch, dof):
+    """Sector-1 and sector-2 observables contract nowhere: their commutator
+    expands no pair, as an Element pair and as rep_qc images, where sector
+    1 is Weyl and sector 2 classical (bits that must not overlap)."""
+    rng = random.Random(970 + dof)
+    sig = GroupSignature(dof)
+    one, two = [], []
+    while len(one) < 3 or len(two) < 3:
+        f = rand_classical(rng, dof, max_degree=4)
+        for sector, found in ((1, one), (2, two)):
+            part = _sector_part(f, sector)
+            if part.degree() and len(found) < 3:
+                found.append(mechanise_weyl(sig, part))
+    element_calls = _count_expands(monkeypatch, Element)
+    hybrid_calls = _count_expands(monkeypatch, HybridObservable)
+    for k1, k2 in itertools.product(one, two):
+        assert commutator(k1, k2).is_zero
+        assert commutator_hybrid(rep_qc(k1), rep_qc(k2)).is_zero
+        assert commutator_hybrid(rep_qc(k2), rep_qc(k1)).is_zero
+    assert element_calls == [] and hybrid_calls == []
+    # the counters do count: q and p of one slot are expanded
+    q1, p1 = (mechanise_weyl(sig, ClassicalPoly.var(dof, kind, 1)) for kind in "qp")
+    assert not commutator(q1, p1).is_zero and element_calls
+    assert not commutator_hybrid(rep_qc(q1), rep_qc(p1)).is_zero and hybrid_calls
 
 
 def _subclasses(cls):
@@ -169,4 +271,5 @@ def test_no_term_map_writes_its_own_product_loop():
     assert {c for c in subs if "_product" in vars(c)} == {Scalar}
     assert not any("_commutator" in vars(c) for c in subs)
     assert {c for c in subs if "_identity" in vars(c)} == \
+        {c for c in subs if "_masks" in vars(c)} == \
         {c for c in subs if "_expand" in vars(c)}
