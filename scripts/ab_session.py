@@ -19,11 +19,18 @@ defaults to this checkout.  Prints each side's median and 99th percentile
 of the per-operation time, its total, and head/base ratios.  The
 operations and their checks come from this checkout's ``perfbench``, which
 is only read: no bytecode is written.
+
+Outside the timed region, each operation's outputs are also compared
+between the trees: the text and JSON of ``rep_qc(k1)``,
+``qc_bracket(rep_qc(k1), rep_qc(k2))`` and ``rep_qq(k1)``.  The script
+prints the number of operations whose outputs differ and exits 1 when any
+does, or when any operation's checks fail.
 """
 
 import argparse
 import importlib
 import importlib.util
+import json
 import os
 import statistics
 import sys
@@ -46,6 +53,16 @@ def load_tree(root: str, name: str, modules) -> types.SimpleNamespace:
     sys.modules[name] = package
     spec.loader.exec_module(package)
     return types.SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}") for m in modules})
+
+
+def outputs(pb, sig, f, g) -> list:
+    """The text and JSON of rep_qc(k1), qc_bracket(rep_qc(k1), rep_qc(k2))
+    and rep_qq(k1) for one operation's pair."""
+    k1, k2 = (pb.pmech.mechanise_weyl(sig, x) for x in (f, g))
+    rep_qc = pb.representations.rep_qc
+    results = (rep_qc(k1), pb.qc_bracket.qc_bracket(rep_qc(k1), rep_qc(k2)),
+               pb.representations.rep_qq(k1))
+    return [(str(r), json.dumps(r.to_json())) for r in results]
 
 
 def percentile(values, q: float) -> float:
@@ -74,7 +91,9 @@ def main(argv=None) -> int:
             for side, pb in engines.items()}
     times = {side: [] for side in SIDES}
     failed = {side: 0 for side in SIDES}
+    mismatches = 0
     for i in range(args.ops):
+        seen = {}
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
             dof, f, g = next(streams[side])
             pb = engines[side]
@@ -82,6 +101,8 @@ def main(argv=None) -> int:
             verdicts = workloads.bracket_op(pb, sigs[side][dof], f, g)
             times[side].append(time.perf_counter() - t0)
             failed[side] += not all(verdicts)
+            seen[side] = outputs(pb, sigs[side][dof], f, g)
+        mismatches += seen["base"] != seen["head"]
 
     stats = {side: (statistics.median(t) * 1e3, percentile(t, 0.99) * 1e3, sum(t))
              for side, t in times.items()}
@@ -92,7 +113,8 @@ def main(argv=None) -> int:
         print(f"{side:6} {median:10.4f} {p99:10.4f} {total:10.3f} {failed[side]:7d}")
     ratios = [h / b - 1 for b, h in zip(stats["base"], stats["head"])]
     print(f"{'ratio':6} " + " ".join(f"{r:+10.1%}" for r in ratios))
-    return 1 if any(failed.values()) else 0
+    print(f"outputs differ on {mismatches} of {args.ops} operations")
+    return 1 if mismatches or any(failed.values()) else 0
 
 
 if __name__ == "__main__":

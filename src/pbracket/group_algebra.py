@@ -392,19 +392,16 @@ def delta_str(e: Element) -> str:
 # Serialization
 
 def _coeff_terms_json(coeff: Scalar) -> List[dict]:
-    if coeff.den != (0, 0, 0):
+    """The numerator terms of Scalar.to_json without their h_pow field: an
+    Element coefficient has neither a denominator nor a power of h."""
+    data = coeff.to_json()
+    if any(data["denominator"].values()):
         raise ValueError("Element coefficients with denominators are not serializable")
-    out = []
-    for (eh, e1, e2), c in coeff.num:
-        if eh:
+    terms = data["numerator"]
+    for term in terms:
+        if term.pop("h_pow"):
             raise ValueError("Element coefficients must not involve the generic h symbol")
-        out.append({
-            "re": [c.re.numerator, c.re.denominator],
-            "im": [c.im.numerator, c.im.denominator],
-            "h1_pow": e1,
-            "h2_pow": e2,
-        })
-    return out
+    return terms
 
 
 def element_to_json(e: Element) -> dict:

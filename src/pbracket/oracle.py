@@ -33,7 +33,7 @@ from .errors import DimensionTooSmall, MatrixTooLarge, UnsupportedConvention
 from .scalars import CRat, CR_ZERO, CR_ONE, CR_I, Scalar, S_ONE, scalar
 from .group_algebra import Element, GroupSignature, commutator, multiply
 from .representations import WeylOperator, qc_algebra
-from .terms import TermMap, accumulate, power_str
+from .terms import TermMap, accumulate, clean_terms, power_str
 from . import sampling
 
 if TYPE_CHECKING:
@@ -72,7 +72,7 @@ class GroupPoly(TermMap):
     _mismatch = "polynomials over different signatures"
 
     def __init__(self, sig: GroupSignature, terms: Dict[Tuple[int, ...], CRat]):
-        self._freeze(sig=sig, terms={m: c for m, c in terms.items() if not c.is_zero})
+        self._freeze(sig=sig, terms=clean_terms(terms, sig.width, CRat.of))
 
     def _context(self) -> tuple:
         return (self.sig,)
@@ -84,8 +84,6 @@ class GroupPoly(TermMap):
     @classmethod
     def monomial(cls, sig: GroupSignature, mono: Tuple[int, ...],
                  coeff: CRat = CR_ONE) -> "GroupPoly":
-        if len(mono) != sig.width:
-            raise ValueError("monomial width does not match signature")
         return cls(sig, {tuple(mono): coeff})
 
 
@@ -151,7 +149,7 @@ def vector_field_action(e: Element, f: GroupPoly) -> GroupPoly:
                     g = _apply_field(fields[idx], g)
         for m, c in g.items():
             accumulate(total, m, c)
-    return GroupPoly(f.sig, total)
+    return f._like(total)
 
 
 # ---------------------------------------------------------------------------

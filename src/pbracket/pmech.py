@@ -102,11 +102,13 @@ class ClassicalPoly(TermMap):
         return any(any(m[lo:lo + 2 * self.dof]) for m in self.terms)
 
     def derivative(self, idx: int) -> "ClassicalPoly":
+        """d/dx of the variable at exponent index idx.  The loop reads only
+        flat exponent keys, so HybridObservable differentiates with it too."""
         out = {}
         for m, c in self.terms.items():
             if m[idx]:
                 accumulate(out, m[:idx] + (m[idx] - 1,) + m[idx + 1:], c * m[idx])
-        return ClassicalPoly(self.dof, out)
+        return self._like(out)
 
     # -- display --------------------------------------------------------------
 

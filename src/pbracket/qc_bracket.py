@@ -59,7 +59,7 @@ def poisson_ordered(K1: HybridObservable, K2: HybridObservable) -> HybridObserva
     def flat(k1: tuple, k2: tuple) -> list:
         return _pair_product(K1, k1, k2, CR_ZERO)
 
-    out = HybridObservable.zero_like(K1)
+    out = K1._like({})
     for i in range(K1.dof):
         out = out + K1.derivative_q(i)._product(K2.derivative_p(i), flat)
         out = out - K1.derivative_p(i)._product(K2.derivative_q(i), flat)

@@ -81,7 +81,9 @@ class WeylAlgebra:
     def mul_mono(self, m1: WMonomial, m2: WMonomial) -> List[Tuple[WMonomial, Optional[Scalar]]]:
         """Normal-ordered product of two monomials: the shared kernel, with
         each pair's k contractions weighted by (-gamma)^k.  Entry 0 is the
-        uncontracted term, the exponent sum with factor None, meaning one."""
+        uncontracted term, the exponent sum with factor None, meaning one.
+        Only the first ``width`` exponents are read, so a hybrid key serves
+        as its Weyl monomial."""
         (mono, _, _), *contracted = normal_order(m1, m2, 0, self.dofs)
         out = [(mono, None)]
         factors = self._factors
@@ -185,10 +187,11 @@ def _h2_free(value) -> Scalar:
 class HybridObservable(TermMap):
     """Sum of (Weyl operator part) x (classical polynomial part) terms.
 
-    Terms are keyed by (weyl monomial, classical monomial, jet degree), where
-    the classical monomial runs over (q_1, p_1, ..., q_n, p_n) and the jet
-    degree in {0, 1} counts the power of h2.  Coefficients are Scalars free
-    of the h2 symbol; the jet flag is the only carrier of h2.
+    Each term is keyed by one flat exponent tuple: the algebra's (Q_i, P_i)
+    exponents, then the (q_1, p_1, ..., q_n, p_n) exponents, laid out like
+    a ClassicalPoly's sector-2 slots, and last the jet degree in {0, 1},
+    the power of h2.  Coefficients are Scalars free of the h2 symbol; the
+    jet degree is the only carrier of h2.
     """
 
     __slots__ = ("algebra", "dof", "convention")
@@ -197,18 +200,12 @@ class HybridObservable(TermMap):
     _mismatch = "hybrid observables over different contexts"
 
     def __init__(self, algebra: WeylAlgebra, dof: int, convention: ConventionTuple,
-                 terms: Mapping[Tuple[WMonomial, WMonomial, int], Union[Scalar, CRat, int, Fraction]]):
-        clean = {}
-        for (wm, cm, jet), coeff in terms.items():
-            if len(wm) != algebra.width:
-                raise ValueError("weyl monomial width mismatch")
-            if len(cm) != 2 * dof:
-                raise ValueError("classical monomial width mismatch")
-            if jet not in (0, 1):
-                raise ValueError("jet degree must be 0 or 1")
-            c = _h2_free(coeff)
-            if not c.is_zero:
-                clean[(tuple(wm), tuple(cm), jet)] = c
+                 terms: Mapping[Tuple[int, ...], Union[Scalar, CRat, int, Fraction]]):
+        if dof < 0:
+            raise ValueError("dof must be a nonnegative integer")
+        clean = clean_terms(terms, algebra.width + 2 * dof + 1, _h2_free)
+        if any(key[-1] > 1 for key in clean):
+            raise ValueError("jet degree must be 0 or 1")
         self._freeze(algebra=algebra, dof=dof, convention=convention, terms=clean)
 
     def _context(self) -> tuple:
@@ -217,30 +214,21 @@ class HybridObservable(TermMap):
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero_like(cls, other: "HybridObservable") -> "HybridObservable":
-        return cls(other.algebra, other.dof, other.convention, {})
-
-    @classmethod
     def identity(cls, algebra: WeylAlgebra, dof: int, convention: ConventionTuple) -> "HybridObservable":
-        key = ((0,) * algebra.width, (0,) * (2 * dof), 0)
-        return cls(algebra, dof, convention, {key: S_ONE})
+        return cls(algebra, dof, convention, {(0,) * (algebra.width + 2 * dof + 1): S_ONE})
 
     @classmethod
     def from_weyl(cls, w: WeylOperator, dof: int, convention: ConventionTuple) -> "HybridObservable":
-        zc = (0,) * (2 * dof)
-        return cls(w.algebra, dof, convention, {(m, zc, 0): c for m, c in w.terms.items()})
+        zc = (0,) * (2 * dof + 1)
+        return cls(w.algebra, dof, convention, {m + zc: c for m, c in w.terms.items()})
 
     def _expand(self, k1: tuple, k2: tuple) -> list:
         return _pair_product(self, k1, k2, self.convention.star_unit)
 
     def _masks(self, key: tuple) -> tuple:
-        """The Weyl pairs' bits, and above them the classical (q, p) pairs'
-        bits, which the star term contracts."""
-        wm, cm, _ = key
-        n = self.algebra.dofs
-        wx, wy = pair_masks(wm, 0, n)
-        cx, cy = pair_masks(cm, 0, self.dof)
-        return wx | cx << n, wy | cy << n
+        """The Weyl pairs' bits, then the classical (q, p) pairs' bits,
+        which the star term contracts."""
+        return pair_masks(key, 0, self.algebra.dofs + self.dof)
 
     def _identity(self) -> "HybridObservable":
         return HybridObservable.identity(self.algebra, self.dof, self.convention)
@@ -249,32 +237,32 @@ class HybridObservable(TermMap):
 
     def jet_part(self, jet: int) -> "HybridObservable":
         """Coefficient of h2^jet, returned at jet degree zero."""
-        return self._like({(wm, cm, 0): c for (wm, cm, j), c in self.terms.items() if j == jet})
-
-    def uses_classical(self) -> bool:
-        return any(any(cm) or jet for (_, cm, jet) in self.terms)
+        return self._like({k[:-1] + (0,): c for k, c in self.terms.items() if k[-1] == jet})
 
     def as_weyl(self) -> WeylOperator:
         """The pure operator content; raises if any classical part remains."""
-        if self.uses_classical():
+        w = self.algebra.width
+        if any(any(k[w:]) for k in self.terms):
             raise ValueError("observable has classical or jet content")
-        return WeylOperator(self.algebra, {wm: c for (wm, _, _), c in self.terms.items()})
+        return WeylOperator(self.algebra, {k[:w]: c for k, c in self.terms.items()})
 
     def derivative_q(self, i: int) -> "HybridObservable":
-        return self._classical_derivative(2 * i)
+        return ClassicalPoly.derivative(self, self._q_index(i))
 
     def derivative_p(self, i: int) -> "HybridObservable":
-        return self._classical_derivative(2 * i + 1)
+        return ClassicalPoly.derivative(self, self._q_index(i) + 1)
 
-    def _classical_derivative(self, idx: int) -> "HybridObservable":
-        out: Dict[Tuple[WMonomial, WMonomial, int], Scalar] = {}
-        for (wm, cm, jet), c in self.terms.items():
-            if cm[idx]:
-                key = (wm, cm[:idx] + (cm[idx] - 1,) + cm[idx + 1:], jet)
-                accumulate(out, key, c * cm[idx])
-        return self._like(out)
+    def _q_index(self, i: int) -> int:
+        """The key index of q_i, i from 0; any other i would land on a Weyl
+        exponent or on the jet degree."""
+        if not 0 <= i < self.dof:
+            raise ValueError(f"dof index {i} outside 0..{self.dof - 1}")
+        return self.algebra.width + 2 * i
 
     def substitute(self, **values) -> "HybridObservable":
+        if "h2" in values:
+            raise ValueError("h2 is the jet degree of a hybrid observable, not a coefficient "
+                             "symbol; take jet_part(0) and jet_part(1) instead")
         return HybridObservable(self.algebra, self.dof, self.convention,
                                 {k: c.substitute(**values) for k, c in self.terms.items()})
 
@@ -282,22 +270,22 @@ class HybridObservable(TermMap):
 
     def __str__(self) -> str:
         names = self.algebra.names + _classical_names(self.dof, numbered=False) + ("h2",)
-        keys = sorted(self.terms, key=lambda k: (k[2], -sum(k[0]) - sum(k[1]), k[0], k[1]))
-        return render_terms((coeff_str(self.terms[(wm, cm, jet)]),
-                             power_str(names, wm + cm + (jet,)) or "I")
-                            for wm, cm, jet in keys)
+        keys = sorted(self.terms, key=lambda k: (k[-1], k[-1] - sum(k), k))
+        return render_terms((coeff_str(self.terms[k]), power_str(names, k) or "I")
+                            for k in keys)
 
     __repr__ = __str__
 
     def to_json(self) -> dict:
         wnames = self.algebra.names
         cnames = _classical_names(self.dof, numbered=True)
+        w = self.algebra.width
         terms = []
-        for (wm, cm, jet) in sorted(self.terms):
-            coeffs = {"monomial": exponent_map(cnames, cm)}
-            coeffs.update(self.terms[(wm, cm, jet)].to_json())
-            terms.append({"weyl": {"exponents": exponent_map(wnames, wm)},
-                          "classical": {"coeffs": coeffs, "h2_deg": jet}})
+        for k in sorted(self.terms):
+            coeffs = {"monomial": exponent_map(cnames, k[w:-1])}
+            coeffs.update(self.terms[k].to_json())
+            terms.append({"weyl": {"exponents": exponent_map(wnames, k[:w])},
+                          "classical": {"coeffs": coeffs, "h2_deg": k[-1]}})
         return {"terms": terms}
 
 
@@ -383,10 +371,9 @@ def rep_qc(k: Union[Element, AObservable]) -> HybridObservable:
     """
     sig = k.signature
     conv = sig.convention
-    mid = 2 + 2 * sig.dof
     alg = qc_algebra(sig)
     central = alg._central
-    acc: Dict[Tuple[WMonomial, WMonomial, int], Scalar] = {}
+    acc: Dict[Tuple[int, ...], Scalar] = {}
     for (a, mono), coeff in _keyed_terms(k):
         jet = mono[1]
         if a == 2 or jet >= 2:
@@ -398,7 +385,7 @@ def rep_qc(k: Union[Element, AObservable]) -> HybridObservable:
             formal = _central_scalar(conv, "h", -1) if a else S_ONE
             f = central[s] = (formal * _central_scalar(conv, "h", s[1])
                               * (CRat.of(conv.rep_s_sign) * CR_I) ** jet)
-        accumulate(acc, (mono[2:mid], mono[mid:], jet), coeff * f)
+        accumulate(acc, mono[2:] + (jet,), coeff * f)
     return HybridObservable(alg, sig.dof, conv, acc)
 
 
@@ -419,35 +406,32 @@ def _pair_product(a: HybridObservable, k1: tuple, k2: tuple, star_unit: CRat) ->
     entries of Weyl times star entries; the uncontracted term comes first,
     with factor None.  Empty past jet degree 1; a zero star unit multiplies
     the classical parts commutatively, with no star correction."""
-    (w1, c1, j1), (w2, c2, j2) = k1, k2
-    jet = j1 + j2
+    jet = k1[-1] + k2[-1]
     if jet > 1:
         return []
+    w = a.algebra.width
+    c1, c2 = k1[w:], k2[w:]
     cm = tuple(x + y for x, y in zip(c1, c2))
-    star: List[Tuple[WMonomial, int, Optional[CRat]]] = [(cm, jet, None)]
+    star: List[Tuple[Tuple[int, ...], Optional[CRat]]] = [(cm, None)]
     if jet == 0 and not star_unit.is_zero:
-        for i in range(a.dof):
-            qx, px = 2 * i, 2 * i + 1
-            if c1[px] and c2[qx]:
+        for px in range(1, 2 * a.dof, 2):
+            if c1[px] and c2[px - 1]:
                 lowered = list(cm)
+                lowered[px - 1] -= 1
                 lowered[px] -= 1
-                lowered[qx] -= 1
-                star.append((tuple(lowered), 1, star_unit * (c1[px] * c2[qx])))
-    return [((wm, sm, sj), sf if wc is None else wc if sf is None else wc * sf)
-            for wm, wc in a.algebra.mul_mono(w1, w2) for sm, sj, sf in star]
+                lowered[-1] = 1
+                star.append((tuple(lowered), star_unit * (c1[px] * c2[px - 1])))
+    return [(wm + sm, sf if wc is None else wc if sf is None else wc * sf)
+            for wm, wc in a.algebra.mul_mono(k1, k2) for sm, sf in star]
 
 
 def hybrid_from_sector2_poly(template: HybridObservable, f: ClassicalPoly) -> HybridObservable:
     """Embed a sector-2-only classical polynomial into the hybrid context of
-    an existing observable (trivial Weyl part, jet degree zero)."""
+    an existing observable (trivial Weyl part, jet degree zero): its zero
+    sector-1 exponents fill the Weyl slots."""
     if f.uses_sector(1):
         raise ValueError("polynomial must use sector-2 variables only")
     if f.dof != template.dof:
         raise SignatureMismatch("polynomial dof does not match hybrid context")
-    zw = (0,) * template.algebra.width
-    n = template.dof
-    terms = {}
-    for mono, c in f.terms.items():
-        cm = tuple(mono[2 * n:])
-        terms[(zw, cm, 0)] = scalar(c)
-    return HybridObservable(template.algebra, n, template.convention, terms)
+    return HybridObservable(template.algebra, f.dof, template.convention,
+                            {m + (0,): c for m, c in f.terms.items()})

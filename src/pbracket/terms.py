@@ -55,7 +55,7 @@ def clean_terms(terms, width: int, coerce) -> dict:
     for mono, coeff in terms.items():
         if len(mono) != width:
             raise ValueError(f"monomial width {len(mono)} != {width}")
-        if any(e < 0 for e in mono):
+        if mono and min(mono) < 0:
             raise ValueError("negative exponent in monomial")
         c = coerce(coeff)
         if not c.is_zero:

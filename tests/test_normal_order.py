@@ -115,10 +115,9 @@ def test_entry_zero_is_the_uncontracted_term(dof):
     element = Element.zero(sig)
     hybrid = HybridObservable.identity(qc_algebra(sig), dof, sig.convention)
     classical = ClassicalPoly.zero(dof)
-    n = 2 * dof
 
     def hybrid_key(m):
-        return m[2:2 + n], m[2 + n:], m[1]
+        return m[2:] + (m[1],)
 
     rng = random.Random(500 + dof)
     for _ in range(60):

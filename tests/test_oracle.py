@@ -35,6 +35,20 @@ CONVENTIONS = [
 ]
 
 
+def test_group_poly_constructor_validates_like_every_term_map():
+    width = SIG.width
+    one = GroupPoly(SIG, {(0,) * width: 1})
+    assert one == GroupPoly.monomial(SIG, (0,) * width)
+    assert type(one.terms[(0,) * width]) is CRat
+    assert GroupPoly(SIG, {(0,) * width: 0}).is_zero
+    with pytest.raises(ValueError, match="width"):
+        GroupPoly(SIG, {(0,) * (width - 1): 1})
+    with pytest.raises(ValueError, match="width"):
+        GroupPoly.monomial(SIG, (1, 0))
+    with pytest.raises(ValueError, match="negative"):
+        GroupPoly(SIG, {(0, -1) + (0,) * (width - 2): 1})
+
+
 # Reference action: each generator's field built from GroupPoly operations
 # (differentiate, multiply by a coordinate, scale, add), one generator at a
 # time.  vector_field_action must agree with it exactly.

@@ -142,7 +142,7 @@ def test_poisson_ordered_is_star_free():
 
     def hybrid(terms):
         return HybridObservable(t.algebra, 1, t.convention,
-                                {((0, 0), cm, jet): c for (cm, jet), c in terms.items()})
+                                {(0, 0) + cm + (jet,): c for (cm, jet), c in terms.items()})
 
     assert poisson_ordered(K1, K2) == hybrid({((2, 2), 0): -3})
     assert str(poisson_ordered(K1, K2)) == "-3*q^2*p^2"

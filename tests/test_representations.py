@@ -229,6 +229,35 @@ def test_hybrid_derivatives():
     dq = k.derivative_q(0)
     expected = hybrid_from_sector2_poly(k, (q(2) * p(2)).scale(2))
     assert dq.jet_part(0) == expected.jet_part(0)
+    # the indices past the classical slots are the Weyl exponents and the jet
+    for i in (-1, 1):
+        with pytest.raises(ValueError, match="dof index"):
+            k.derivative_q(i)
+        with pytest.raises(ValueError, match="dof index"):
+            k.derivative_p(i)
+
+
+def test_hybrid_degree_counts_h2_like_a_printed_factor():
+    k = rep_qc(mech(q(1) * q(2) * p(2)))
+    assert str(k) == "Q1*q*p + ((-1/2)i)*Q1*h2"
+    assert k.degree() == 3
+    h2_term = k - k.jet_part(0)
+    assert str(h2_term) == "((-1/2)i)*Q1*h2"
+    assert h2_term.degree() == 2
+    assert str(k.jet_part(1)) == "((-1/2)i)*Q1"
+    assert k.jet_part(1).degree() == 1
+    assert HybridObservable.identity(k.algebra, 1, SIG.convention).degree() == 0
+
+
+def test_hybrid_substitute_refuses_h2():
+    """h2 is the jet degree, not a coefficient symbol: substituting it would
+    return the input unchanged, so it is refused."""
+    k = rep_qc(mech(q(1) * q(2) * p(2)))
+    with pytest.raises(ValueError, match="jet_part"):
+        k.substitute(h2=5)
+    with pytest.raises(ValueError, match="jet_part"):
+        k.substitute(h=3, h2=5)
+    assert rep_qc(mech(q(1) ** 3)).substitute(h=3) == rep_qc(mech(q(1) ** 3))
 
 
 # -- constant factors, computed once ----------------------------------------
@@ -332,7 +361,7 @@ def _reference_rep_qc(a):
             if mono[1] > 1:
                 continue
             c = coeff * extra * h ** mono[0] * unit ** mono[1]
-            key = (mono[2:2 + 2 * n], mono[2 + 2 * n:], mono[1])
+            key = mono[2:] + (mono[1],)
             out = out + HybridObservable(qc_algebra(sig), n, sig.convention, {key: c})
     return out
 

@@ -25,7 +25,8 @@ from pbracket.pmech import (AObservable, ClassicalPoly, apply_antiderivative, me
                             universal_bracket)
 from pbracket.qc_bracket import qc_bracket
 from pbracket.representations import (HybridObservable, WeylOperator, commutator_hybrid,
-                                      multiply_hybrid, qc_algebra, rep_qc, rep_qq)
+                                      multiply_hybrid, qc_algebra, qq_algebra, rep_qc,
+                                      rep_qq)
 from pbracket.sampling import rand_classical, rand_element
 from pbracket.scalars import S_ONE, UNIT_VALUES, Scalar
 from pbracket.group_algebra import ConventionTuple
@@ -78,9 +79,21 @@ def test_public_constructors_still_validate():
     with pytest.raises(ValueError, match="negative"):
         ClassicalPoly(2, {(0, 0, 0, 0, 0, 0, 0, -2): 1})
     conv = sig.convention
-    key = ((0,) * alg.width, (0,) * 4, 0)
+    key = (0,) * (alg.width + 4 + 1)
     with pytest.raises(ValueError, match="h2"):
         HybridObservable(alg, 2, conv, {key: Scalar.symbol("h2")})
+    # a hybrid key is one flat tuple: Weyl exponents, classical exponents, jet
+    with pytest.raises(ValueError, match="negative"):
+        HybridObservable(alg, 2, conv, {(-1,) + key[1:]: 1})
+    with pytest.raises(ValueError, match="width 3 != 9"):
+        HybridObservable(alg, 2, conv, {((-1, 0, 0, 0), (0, 0, 0, 0), 0): 1})
+    with pytest.raises(ValueError, match="width"):
+        HybridObservable(alg, 2, conv, {key[1:]: 1})
+    with pytest.raises(ValueError, match="jet degree"):
+        HybridObservable(alg, 2, conv, {key[:-1] + (2,): 1})
+    # a negative dof would shorten the key into the Weyl exponents
+    with pytest.raises(ValueError, match="dof"):
+        HybridObservable(alg, -1, conv, {(0,) * (alg.width - 1): 1})
     # scaling skips the constructor, so it checks its factor itself
     one = HybridObservable.identity(alg, 2, conv)
     with pytest.raises(ValueError, match="h2"):
@@ -186,7 +199,7 @@ def test_a_star_only_contraction_is_not_skipped():
     the star term, which the hybrid masks carry above the Weyl bits."""
     sig = GroupSignature(1)
     a, b = (rep_qc(mechanise_weyl(sig, ClassicalPoly.var(1, kind, 2))) for kind in "pq")
-    assert not any(any(wm) for wm, _, _ in list(a.terms) + list(b.terms))
+    assert not any(any(k[:2]) for k in list(a.terms) + list(b.terms))
     c = commutator_hybrid(a, b)
     assert not c.is_zero
     assert c == a * b - b * a
@@ -236,6 +249,34 @@ def test_pairs_on_disjoint_slots_are_never_expanded(monkeypatch, dof):
     q1, p1 = (mechanise_weyl(sig, ClassicalPoly.var(dof, kind, 1)) for kind in "qp")
     assert not commutator(q1, p1).is_zero and element_calls
     assert not commutator_hybrid(rep_qc(q1), rep_qc(p1)).is_zero and hybrid_calls
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3])
+def test_every_term_key_is_a_flat_int_tuple_of_its_width(dof):
+    """Every type with an _expand, and Scalar, keys a term by one flat tuple
+    of ints, so validation, masks and degree read every key alike."""
+    sig = GroupSignature(dof)
+    widths = {Element: sig.width, WeylOperator: qq_algebra(sig).width,
+              HybridObservable: qc_algebra(sig).width + 2 * dof + 1,
+              ClassicalPoly: 4 * dof, Scalar: 3}
+    assert {c for c in _subclasses(TermMap) if "_expand" in vars(c)} | {Scalar} == set(widths)
+    rng = random.Random(1100 + dof)
+    seen = set()
+    for _ in range(5):
+        a = rand_element(rng, sig, max_degree=3)
+        b = rand_element(rng, sig, max_degree=3)
+        f = rand_classical(rng, dof, max_degree=3)
+        ha, hb = rep_qc(a), rep_qc(b)
+        maps = [a, commutator(a, b), f, f * f, rep_qq(a), rep_qq(a) * rep_qq(b),
+                ha, multiply_hybrid(ha, hb), commutator_hybrid(ha, hb), qc_bracket(ha, hb),
+                rep_qc(universal_bracket(a, b))]
+        maps += [c for x in maps for c in x.terms.values() if isinstance(c, Scalar)]
+        for x in maps:
+            seen.add(type(x))
+            for key in x.terms:
+                assert type(key) is tuple and len(key) == widths[type(x)], (type(x), key)
+                assert all(type(e) is int for e in key), (type(x), key)
+    assert seen == set(widths)
 
 
 def _subclasses(cls):
