@@ -84,9 +84,9 @@ __version__ = "0.1.0"
 # lazily loaded qc_bracket module would bind pbracket.qc_bracket to the module
 # on import, not to the function.
 _LAZY = {
-    **dict.fromkeys(("GroupPoly", "vector_field_action", "matrix_realize",
-                     "matrix_max_error", "OracleReport", "check_vector_field_suite",
-                     "check_algebra_laws", "check_matrix_suite", "oracle_check"), "oracle"),
+    **dict.fromkeys(("vector_field_action", "matrix_realize", "matrix_max_error",
+                     "OracleReport", "check_vector_field_suite", "check_algebra_laws",
+                     "check_matrix_suite", "oracle_check"), "oracle"),
     **dict.fromkeys(("CalibrationReport", "calibrate_conventions",
                      "calibration_report"), "calibration"),
     **dict.fromkeys(("VerifyItem", "VerifyReport", "run_verify"), "verify"),
@@ -124,7 +124,7 @@ __all__ = [
     "commutator_hybrid", "hybrid_from_sector2_poly",
     "qc_bracket", "qc_bracket_terms", "bracket_via_universal",
     "poisson_ordered", "classicality_gap", "h_eff",
-    "GroupPoly", "vector_field_action", "matrix_realize", "matrix_max_error",
+    "vector_field_action", "matrix_realize", "matrix_max_error",
     "OracleReport", "check_vector_field_suite", "check_algebra_laws",
     "check_matrix_suite", "oracle_check",
     "CalibrationReport", "calibrate_conventions", "calibration_report",

@@ -33,7 +33,7 @@ from .errors import DimensionTooSmall, MatrixTooLarge, UnsupportedConvention
 from .scalars import CRat, CR_ZERO, CR_ONE, CR_I, Scalar, S_ONE, scalar
 from .group_algebra import Element, GroupSignature, commutator, multiply
 from .representations import WeylOperator, qc_algebra
-from .terms import TermMap, accumulate, clean_terms, power_str
+from .terms import accumulate, clean_terms, power_str
 from . import sampling
 
 if TYPE_CHECKING:
@@ -46,7 +46,6 @@ if TYPE_CHECKING:
 MAX_MATRIX_DIM = 1024
 
 __all__ = [
-    "GroupPoly",
     "vector_field_action",
     "matrix_realize",
     "matrix_max_error",
@@ -59,32 +58,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# polynomials in group coordinates
-
-
-class GroupPoly(TermMap):
-    """Polynomial on the group: coordinates ordered like Element exponents,
-    (s1, s2, x_{1,1}, y_{1,1}, ..., x_{2,n}, y_{2,n})."""
-
-    __slots__ = ("sig",)
-
-    _coerce = staticmethod(CRat.of)
-    _mismatch = "polynomials over different signatures"
-
-    def __init__(self, sig: GroupSignature, terms: Dict[Tuple[int, ...], CRat]):
-        self._freeze(sig=sig, terms=clean_terms(terms, sig.width, CRat.of))
-
-    def _context(self) -> tuple:
-        return (self.sig,)
-
-    @classmethod
-    def zero(cls, sig: GroupSignature) -> "GroupPoly":
-        return cls(sig, {})
-
-    @classmethod
-    def monomial(cls, sig: GroupSignature, mono: Tuple[int, ...],
-                 coeff: CRat = CR_ONE) -> "GroupPoly":
-        return cls(sig, {tuple(mono): coeff})
+# generator fields on polynomials in group coordinates
 
 
 @lru_cache(maxsize=32)
@@ -128,28 +102,31 @@ def _apply_field(field: Tuple[int, int, int, CRat],
     return out
 
 
-def vector_field_action(e: Element, f: GroupPoly) -> GroupPoly:
+def vector_field_action(e: Element,
+                        f: Dict[Tuple[int, ...], CRat]) -> Dict[Tuple[int, ...], CRat]:
     """Apply the differential-operator realization of ``e`` to ``f``.
 
-    A monomial S1^a S2^b X^c Y^d ... acts as the composition of the fields in
-    written order, the rightmost generator hitting ``f`` first.  Coefficients
-    must be constants (no formal Planck symbols survive numeric checking).
-    Intermediate results stay plain term maps.
+    ``f`` is a polynomial on the group: a term dict keyed like Element
+    exponents, (s1, s2, x_{1,1}, y_{1,1}, ..., x_{2,n}, y_{2,n}); the
+    result is one too.  A monomial S1^a S2^b X^c Y^d ... acts as the
+    composition of the fields in written order, the rightmost generator
+    hitting ``f`` first.  Coefficients must be constants (no formal Planck
+    symbols survive numeric checking).
     """
-    if e.signature != f.sig:
-        raise ValueError("element and polynomial signatures differ")
-    fields = _generator_fields(f.sig)
+    sig = e.signature
+    f = clean_terms(f, sig.width, CRat.of)
+    fields = _generator_fields(sig)
     total: Dict[Tuple[int, ...], CRat] = {}
     for mono, coeff in e.terms.items():
         scale = coeff.as_crat()
-        g = {m: c * scale for m, c in f.terms.items()}
+        g = {m: c * scale for m, c in f.items()}
         for idx in range(len(mono) - 1, -1, -1):
             for _ in range(mono[idx]):
                 if g:
                     g = _apply_field(fields[idx], g)
         for m, c in g.items():
             accumulate(total, m, c)
-    return f._like(total)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +299,7 @@ def check_vector_field_suite(sig: GroupSignature, seed: int, pairs: int = 100,
         probe_deg = a.degree() + b.degree() + 2
         for j in range(probes):
             mono = sampling.rand_group_monomial(rng, sig, probe_deg)
-            f = GroupPoly.monomial(sig, mono)
+            f = {mono: CR_ONE}
             lhs = vector_field_action(ab, f)
             rhs = vector_field_action(a, vector_field_action(b, f))
             if lhs != rhs:
@@ -441,11 +418,8 @@ def check_matrix_suite(sig: GroupSignature, hbar: float = 1.0, n: int = 32,
     return reports
 
 
-def oracle_check(seed: int, dof: int = 1,
-                 sig: Optional[GroupSignature] = None) -> List[OracleReport]:
+def oracle_check(seed: int, sig: GroupSignature = GroupSignature(1)) -> List[OracleReport]:
     """Full oracle battery: vector-field pairs, law suite, matrix identities."""
-    if sig is None:
-        sig = GroupSignature(dof=dof)
     reports = [
         check_vector_field_suite(sig, seed),
         check_algebra_laws(sig, seed + 1),

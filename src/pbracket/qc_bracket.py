@@ -135,8 +135,8 @@ def classicality_gap(k1: Element, k2: Element,
     f1 = weyl_symbol(k1)
     f2 = weyl_symbol(k2)
     pb = poisson_classical(f1, f2)
-    surrogate = HybridObservable.from_weyl(
-        _ordered_weyl_transport(k1.signature, pb), k1.signature.dof, k1.signature.convention)
+    surrogate = HybridObservable.from_weyl(_ordered_weyl_transport(k1.signature, pb),
+                                           k1.signature)
     out = bracket_via_universal(k1, k2) - surrogate
     if hbar is not None:
         out = out.substitute(h=Fraction(hbar))

@@ -191,47 +191,54 @@ class HybridObservable(TermMap):
     exponents, then the (q_1, p_1, ..., q_n, p_n) exponents, laid out like
     a ClassicalPoly's sector-2 slots, and last the jet degree in {0, 1},
     the power of h2.  Coefficients are Scalars free of the h2 symbol; the
-    jet degree is the only carrier of h2.
+    jet degree is the only carrier of h2.  The signature is the whole
+    context: it fixes the algebra qc_algebra(signature), dof and star unit.
     """
 
-    __slots__ = ("algebra", "dof", "convention")
+    __slots__ = ("signature", "algebra")
 
     _coerce = staticmethod(_h2_free)
-    _mismatch = "hybrid observables over different contexts"
+    _mismatch = "hybrid observables over different signatures"
 
-    def __init__(self, algebra: WeylAlgebra, dof: int, convention: ConventionTuple,
+    def __init__(self, signature: GroupSignature,
                  terms: Mapping[Tuple[int, ...], Union[Scalar, CRat, int, Fraction]]):
-        if dof < 0:
-            raise ValueError("dof must be a nonnegative integer")
-        clean = clean_terms(terms, algebra.width + 2 * dof + 1, _h2_free)
+        clean = clean_terms(terms, 4 * signature.dof + 1, _h2_free)
         if any(key[-1] > 1 for key in clean):
             raise ValueError("jet degree must be 0 or 1")
-        self._freeze(algebra=algebra, dof=dof, convention=convention, terms=clean)
+        self._freeze(signature=signature, algebra=qc_algebra(signature), terms=clean)
 
     def _context(self) -> tuple:
-        return (self.algebra, self.dof, self.convention)
+        return (self.signature,)
+
+    @property
+    def dof(self) -> int:
+        return self.signature.dof
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def identity(cls, algebra: WeylAlgebra, dof: int, convention: ConventionTuple) -> "HybridObservable":
-        return cls(algebra, dof, convention, {(0,) * (algebra.width + 2 * dof + 1): S_ONE})
+    def identity(cls, sig: GroupSignature) -> "HybridObservable":
+        return cls(sig, {(0,) * (4 * sig.dof + 1): S_ONE})
 
     @classmethod
-    def from_weyl(cls, w: WeylOperator, dof: int, convention: ConventionTuple) -> "HybridObservable":
-        zc = (0,) * (2 * dof + 1)
-        return cls(w.algebra, dof, convention, {m + zc: c for m, c in w.terms.items()})
+    def from_weyl(cls, w: WeylOperator, sig: GroupSignature) -> "HybridObservable":
+        """An operator of qc_algebra(sig) at zero classical exponents and jet
+        degree; SignatureMismatch for an operator of any other algebra."""
+        if w.algebra != qc_algebra(sig):
+            raise SignatureMismatch("operator algebra is not the signature's qc_algebra")
+        zc = (0,) * (2 * sig.dof + 1)
+        return cls(sig, {m + zc: c for m, c in w.terms.items()})
 
     def _expand(self, k1: tuple, k2: tuple) -> list:
-        return _pair_product(self, k1, k2, self.convention.star_unit)
+        return _pair_product(self, k1, k2, self.signature.convention.star_unit)
 
     def _masks(self, key: tuple) -> tuple:
         """The Weyl pairs' bits, then the classical (q, p) pairs' bits,
         which the star term contracts."""
-        return pair_masks(key, 0, self.algebra.dofs + self.dof)
+        return pair_masks(key, 0, 2 * self.signature.dof)
 
     def _identity(self) -> "HybridObservable":
-        return HybridObservable.identity(self.algebra, self.dof, self.convention)
+        return HybridObservable.identity(self.signature)
 
     # -- queries ---------------------------------------------------------------
 
@@ -263,7 +270,7 @@ class HybridObservable(TermMap):
         if "h2" in values:
             raise ValueError("h2 is the jet degree of a hybrid observable, not a coefficient "
                              "symbol; take jet_part(0) and jet_part(1) instead")
-        return HybridObservable(self.algebra, self.dof, self.convention,
+        return HybridObservable(self.signature,
                                 {k: c.substitute(**values) for k, c in self.terms.items()})
 
     # -- display -----------------------------------------------------------------
@@ -371,8 +378,7 @@ def rep_qc(k: Union[Element, AObservable]) -> HybridObservable:
     """
     sig = k.signature
     conv = sig.convention
-    alg = qc_algebra(sig)
-    central = alg._central
+    central = qc_algebra(sig)._central
     acc: Dict[Tuple[int, ...], Scalar] = {}
     for (a, mono), coeff in _keyed_terms(k):
         jet = mono[1]
@@ -386,7 +392,7 @@ def rep_qc(k: Union[Element, AObservable]) -> HybridObservable:
             f = central[s] = (formal * _central_scalar(conv, "h", s[1])
                               * (CRat.of(conv.rep_s_sign) * CR_I) ** jet)
         accumulate(acc, mono[2:] + (jet,), coeff * f)
-    return HybridObservable(alg, sig.dof, conv, acc)
+    return HybridObservable(sig, acc)
 
 
 def multiply_hybrid(a: HybridObservable, b: HybridObservable) -> HybridObservable:
@@ -409,12 +415,12 @@ def _pair_product(a: HybridObservable, k1: tuple, k2: tuple, star_unit: CRat) ->
     jet = k1[-1] + k2[-1]
     if jet > 1:
         return []
-    w = a.algebra.width
-    c1, c2 = k1[w:], k2[w:]
+    dof = a.signature.dof
+    c1, c2 = k1[2 * dof:], k2[2 * dof:]
     cm = tuple(x + y for x, y in zip(c1, c2))
     star: List[Tuple[Tuple[int, ...], Optional[CRat]]] = [(cm, None)]
     if jet == 0 and not star_unit.is_zero:
-        for px in range(1, 2 * a.dof, 2):
+        for px in range(1, 2 * dof, 2):
             if c1[px] and c2[px - 1]:
                 lowered = list(cm)
                 lowered[px - 1] -= 1
@@ -433,5 +439,4 @@ def hybrid_from_sector2_poly(template: HybridObservable, f: ClassicalPoly) -> Hy
         raise ValueError("polynomial must use sector-2 variables only")
     if f.dof != template.dof:
         raise SignatureMismatch("polynomial dof does not match hybrid context")
-    return HybridObservable(template.algebra, f.dof, template.convention,
-                            {m + (0,): c for m, c in f.terms.items()})
+    return HybridObservable(template.signature, {m + (0,): c for m, c in f.terms.items()})

@@ -1,16 +1,15 @@
 """Sparse term maps: what every polynomial type of the engine shares.
 
-Element, AObservable, WeylOperator, HybridObservable, ClassicalPoly and the
-oracle's GroupPoly are all immutable maps from exponent keys to nonzero
-coefficients; an AObservable's keys carry its formal antiderivative factor,
-so each representation reads it in one pass.  This module holds their
-common parts: the term-map base class with its linear operations and the
-one product loop and one commutator loop that every type runs (a type
-states only how one term pair expands, and which pairs of a key can
-contract), the accumulate step, the
-Heisenberg normal-ordering kernel that both noncommutative products, the
-Weyl mechanisation and the ordered transport expand with, and the term
-printer.
+Element, AObservable, WeylOperator, HybridObservable and ClassicalPoly are
+all immutable maps from exponent keys to nonzero coefficients; an
+AObservable's keys carry its formal antiderivative factor, so each
+representation reads it in one pass.  This module holds their common
+parts: the term-map base class with its linear operations and the one
+product loop and one commutator loop that every type runs (a type states
+only how one term pair expands, and which pairs of a key can contract),
+the accumulate step, the Heisenberg normal-ordering kernel that both
+noncommutative products, the Weyl mechanisation and the ordered transport
+expand with, and the term printer.
 
 It sits at the bottom of the package and imports no other pbracket module
 except errors, so scalars.py can use the printer.
@@ -48,13 +47,20 @@ def accumulate(acc: dict, key, value) -> None:
         acc[key] = total
 
 
+# The one exponent type: a bool is an int subclass, and is refused too.
+_INT_ONLY = frozenset((int,))
+
+
 def clean_terms(terms, width: int, coerce) -> dict:
     """Validated copy of a flat term map: every key has ``width``
-    nonnegative exponents; coefficients are coerced, zeros dropped."""
+    nonnegative exponents of type int; coefficients are coerced, zeros
+    dropped."""
     clean = {}
     for mono, coeff in terms.items():
         if len(mono) != width:
             raise ValueError(f"monomial width {len(mono)} != {width}")
+        if not _INT_ONLY.issuperset(map(type, mono)):
+            raise ValueError("non-int exponent in monomial")
         if mono and min(mono) < 0:
             raise ValueError("negative exponent in monomial")
         c = coerce(coeff)

@@ -101,7 +101,7 @@ def test_criterion_03_biquadratic_qc_image_and_matrix_oracle():
 
 def test_criterion_04_classicality_gap_is_2ih():
     gap = classicality_gap(mech(q(1) ** 2), mech(p(1) ** 2))
-    expected = HybridObservable.identity(gap.algebra, 1, SIG.convention) \
+    expected = HybridObservable.identity(gap.signature) \
         .scale(scalar(CR_I * 2) * Scalar.symbol("h"))
     assert gap == expected
     assert not gap.is_zero

@@ -1,12 +1,12 @@
-"""Both noncommutative products against a word rewriter.
+"""The noncommutative products against a word rewriter.
 
-Element and Weyl products expand through one normal-ordering kernel, so
-comparing them with each other (the rep_qq homomorphism) no longer checks
-two independent implementations.  The reference here knows nothing of the
-closed-form expansion: it writes the product of two monomials as a word of
-generators and sorts it by adjacent swaps, one at a time.  Generators of
-different pairs commute; swapping Y X inside a pair gives X Y plus the
-central term, Y X = X Y - [X, Y].
+Element, Weyl and hybrid products expand through one normal-ordering
+kernel, so comparing them with each other (the rep_qq and rep_qc
+homomorphisms) no longer checks independent implementations.  The
+reference here knows nothing of the closed-form expansion: it writes the
+product of two monomials as a word of generators and sorts it by adjacent
+swaps, one at a time.  Generators of different pairs commute; swapping
+Y X inside a pair gives X Y plus the central term, Y X = X Y - [X, Y].
 """
 
 import random
@@ -103,6 +103,34 @@ def test_weyl_product_matches_word_rewriter(dof):
         assert product == expected, (m1, m2)
 
 
+@pytest.mark.parametrize("dof", [1, 2])
+@pytest.mark.parametrize("conv", CONVENTIONS, ids=["eps-1", "eps+1", "eps+i"])
+def test_hybrid_product_matches_word_rewriter(dof, conv):
+    """The hybrid key as one word: Weyl pairs, then classical (q, p) pairs,
+    then the jet generator h2.  A classical p before a q swaps with the star
+    unit times h2, so h2 acts as the dual number of the jet; keys past jet
+    degree 1 are dropped.  The random keys reach what rep_qc images do not:
+    a jet-1 term times a classical contraction, and two contractions."""
+    sig = GroupSignature(dof=dof, convention=conv)
+    alg = qc_algebra(sig)
+    width = 4 * dof + 1
+    jet_index = width - 1
+
+    def contraction(t):
+        return ((), -alg.gammas[t]) if t < dof else ((jet_index,), conv.star_unit)
+
+    rng = random.Random(300 * dof + CONVENTIONS.index(conv))
+    starred = 0
+    for _ in range(100):
+        m1, m2 = (_rand_mono(rng, jet_index, 0) + (rng.randint(0, 1),) for _ in range(2))
+        words = rewrite(_word(m1) + _word(m2), width, 0, contraction)
+        expected = HybridObservable(sig, {k: c for k, c in words.items() if k[-1] <= 1})
+        product = HybridObservable(sig, {m1: 1}) * HybridObservable(sig, {m2: 1})
+        assert product == expected, (m1, m2)
+        starred += any(k[-1] > m1[-1] + m2[-1] for k in expected.terms)
+    assert starred >= 5
+
+
 @pytest.mark.parametrize("dof", [1, 2, 3])
 def test_entry_zero_is_the_uncontracted_term(dof):
     """TermMap._commutator cancels entry 0 of the two orders without
@@ -113,7 +141,7 @@ def test_entry_zero_is_the_uncontracted_term(dof):
     alg = qq_algebra(sig)
     weyl = WeylOperator.zero(alg)
     element = Element.zero(sig)
-    hybrid = HybridObservable.identity(qc_algebra(sig), dof, sig.convention)
+    hybrid = HybridObservable.identity(sig)
     classical = ClassicalPoly.zero(dof)
 
     def hybrid_key(m):

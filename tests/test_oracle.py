@@ -3,19 +3,21 @@ functions, and finite-dimensional matrix truncations."""
 
 import itertools
 import random
+import sys
 from pathlib import Path
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from pbracket import oracle, sampling
+from pbracket import oracle, sampling, terms
 from pbracket.errors import DimensionTooSmall, MatrixTooLarge, UnsupportedConvention
-from pbracket.scalars import (CR_I, CR_MINUS_I, CR_ONE, CR_ZERO, CRat, S_ONE, Scalar,
-                              UNIT_VALUES)
+from pbracket.scalars import (CR_I, CR_MINUS_I, CR_MINUS_ONE, CR_ONE, CR_ZERO, CRat, S_ONE,
+                              Scalar, UNIT_VALUES)
+from pbracket.terms import TermMap, accumulate
 from pbracket.group_algebra import (ConventionTuple, Element, GroupSignature,
                                     commutator, multiply)
-from pbracket.oracle import (GroupPoly, OracleReport, check_algebra_laws,
+from pbracket.oracle import (OracleReport, check_algebra_laws,
                              check_matrix_suite, check_vector_field_suite,
                              matrix_max_error, matrix_realize, oracle_check,
                              vector_field_action)
@@ -35,39 +37,55 @@ CONVENTIONS = [
 ]
 
 
-def test_group_poly_constructor_validates_like_every_term_map():
+def test_vector_field_action_validates_its_polynomial():
     width = SIG.width
-    one = GroupPoly(SIG, {(0,) * width: 1})
-    assert one == GroupPoly.monomial(SIG, (0,) * width)
-    assert type(one.terms[(0,) * width]) is CRat
-    assert GroupPoly(SIG, {(0,) * width: 0}).is_zero
+    x = Element.generator(SIG, "X_1_1")
+    one = {(0,) * width: 1}
+    assert vector_field_action(Element.one(SIG), one) == {(0,) * width: CR_ONE}
+    assert type(vector_field_action(Element.one(SIG), one)[(0,) * width]) is CRat
+    assert vector_field_action(Element.one(SIG), {(0,) * width: 0}) == {}
     with pytest.raises(ValueError, match="width"):
-        GroupPoly(SIG, {(0,) * (width - 1): 1})
+        vector_field_action(x, {(0,) * (width - 1): 1})
     with pytest.raises(ValueError, match="width"):
-        GroupPoly.monomial(SIG, (1, 0))
+        vector_field_action(x, {(1, 0): CR_ONE})
     with pytest.raises(ValueError, match="negative"):
-        GroupPoly(SIG, {(0, -1) + (0,) * (width - 2): 1})
+        vector_field_action(x, {(0, -1) + (0,) * (width - 2): 1})
+    # a polynomial of another dof is refused by its width
+    with pytest.raises(ValueError, match="width"):
+        vector_field_action(x, {(0,) * GroupSignature(2).width: 1})
+    for bad in (0.5, 1.0, Fraction(1), True):
+        with pytest.raises(ValueError, match="non-int"):
+            vector_field_action(x, {(0, 0, bad, 0, 0, 0): 1})
 
 
-# Reference action: each generator's field built from GroupPoly operations
+# Reference action: each generator's field built from term-dict operations
 # (differentiate, multiply by a coordinate, scale, add), one generator at a
 # time.  vector_field_action must agree with it exactly.
 
+def _combine(*parts):
+    """The sum of (term dict, scale) parts, zeros dropped."""
+    out = {}
+    for f, scale in parts:
+        for m, c in f.items():
+            accumulate(out, m, c * scale)
+    return out
+
+
 def _ref_diff(f, idx):
     out = {}
-    for m, c in f.terms.items():
+    for m, c in f.items():
         if m[idx]:
             key = m[:idx] + (m[idx] - 1,) + m[idx + 1:]
             out[key] = out.get(key, CR_ZERO) + c * m[idx]
-    return GroupPoly(f.sig, out)
+    return _combine((out, CR_ONE))
 
 
 def _ref_mul_var(f, idx):
     out = {}
-    for m, c in f.terms.items():
+    for m, c in f.items():
         key = m[:idx] + (m[idx] + 1,) + m[idx + 1:]
         out[key] = out.get(key, CR_ZERO) + c
-    return GroupPoly(f.sig, out)
+    return _combine((out, CR_ONE))
 
 
 def _ref_act_generator(sig, idx, f):
@@ -79,12 +97,13 @@ def _ref_act_generator(sig, idx, f):
     s_idx = sig.slot_sector((idx - 2) // 2) - 1
     ds = _ref_diff(f, s_idx)
     if (idx - 2) % 2 == 0:
-        return _ref_diff(f, idx) + _ref_mul_var(ds, idx + 1).scale(CR_ZERO - eps * half)
-    return _ref_diff(f, idx) + _ref_mul_var(ds, idx - 1).scale(eps * half)
+        return _combine((_ref_diff(f, idx), CR_ONE),
+                        (_ref_mul_var(ds, idx + 1), CR_ZERO - eps * half))
+    return _combine((_ref_diff(f, idx), CR_ONE), (_ref_mul_var(ds, idx - 1), eps * half))
 
 
 def reference_action(e, f):
-    total = GroupPoly.zero(f.sig)
+    total = {}
     for mono, coeff in e.terms.items():
         g = f
         word = []
@@ -92,7 +111,7 @@ def reference_action(e, f):
             word.extend([idx] * power)
         for idx in reversed(word):
             g = _ref_act_generator(e.signature, idx, g)
-        total = total + g.scale(coeff.as_crat())
+        total = _combine((total, CR_ONE), (g, coeff.as_crat()))
     return total
 
 
@@ -105,7 +124,7 @@ def gmono(**powers):
     mono = [0] * SIG.width
     for name, k in powers.items():
         mono[names.index(name)] = k
-    return GroupPoly.monomial(SIG, tuple(mono))
+    return {tuple(mono): CR_ONE}
 
 
 def test_vector_field_action_respects_products():
@@ -121,9 +140,9 @@ def test_vector_field_commutator_matches_algebra():
     # the field commutator [X~, Y~] equals minus the field of [X, Y]
     x, y = gen("X_1_1"), gen("Y_1_1")
     f = gmono(S1=2, X_1_1=1)
-    field_comm = (vector_field_action(x, vector_field_action(y, f))
-                  - vector_field_action(y, vector_field_action(x, f)))
-    assert field_comm == vector_field_action(commutator(x, y), f).scale(-1)
+    field_comm = _combine((vector_field_action(x, vector_field_action(y, f)), CR_ONE),
+                          (vector_field_action(y, vector_field_action(x, f)), CR_MINUS_ONE))
+    assert field_comm == _combine((vector_field_action(commutator(x, y), f), CR_MINUS_ONE))
 
 
 def test_vector_field_suite_reports_pass():
@@ -279,14 +298,51 @@ def test_vector_field_action_matches_reference(dof, conv):
         a = sampling.rand_element(rng, sig)
         b = sampling.rand_element(rng, sig)
         mono = sampling.rand_group_monomial(rng, sig, a.degree() + b.degree() + 3)
-        probe = GroupPoly.monomial(sig, mono)
+        probe = {mono: CR_ONE}
         polys = [probe, reference_action(b, probe)]
         for e in (a, b, multiply(a, b), multiply(s1, a), multiply(b, s2 * s2)):
             for f in polys:
                 got = vector_field_action(e, f)
                 assert got == reference_action(e, f)
-                nonzero += not got.is_zero
+                nonzero += bool(got)
     assert nonzero >= 60
+
+
+@pytest.mark.parametrize("dof", [1, 2])
+def test_vector_field_oracle_is_independent_of_the_product_it_checks(monkeypatch, dof):
+    """The oracle acts with the Leibniz rule alone: with the normal-ordering
+    kernel and the term-map product and commutator loops made to raise, it
+    still acts on products computed before exactly as it did."""
+    sig = GroupSignature(dof)
+    rng = random.Random(300 + dof)
+    cases = []
+    for _ in range(8):
+        a = sampling.rand_element(rng, sig)
+        b = sampling.rand_element(rng, sig)
+        ab, ba = multiply(a, b), commutator(a, b)
+        f = {sampling.rand_group_monomial(rng, sig, a.degree() + b.degree() + 2): CR_ONE}
+        expected = [vector_field_action(e, f) for e in (ab, ba)]
+        cases.append((ab, ba, f, expected))
+    assert any(any(e) for *_, expected in cases for e in expected)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle reached the code path it checks")
+
+    bound = [m for name, m in sys.modules.items() if name.startswith("pbracket")
+             and getattr(m, "normal_order", None) is terms.normal_order]
+    assert {m.__name__ for m in bound} >= {"pbracket.terms", "pbracket.group_algebra",
+                                          "pbracket.pmech", "pbracket.representations"}
+    for module in bound:
+        monkeypatch.setattr(module, "normal_order", refuse)
+    monkeypatch.setattr(TermMap, "_product", refuse)
+    monkeypatch.setattr(TermMap, "_commutator", refuse)
+    a, b = cases[0][0], cases[0][1]
+    for patched in (lambda: multiply(a, b), lambda: commutator(a, b),
+                    lambda: terms.normal_order((0, 1), (1, 0), 0, 1)):
+        with pytest.raises(AssertionError, match="code path it checks"):
+            patched()
+    for ab, ba, f, expected in cases:
+        assert [vector_field_action(e, f) for e in (ab, ba)] == expected
 
 
 @pytest.mark.parametrize("conv", CONVENTIONS[1:], ids=["eps+1", "eps+i"])
@@ -366,7 +422,7 @@ def test_probe_monomial_is_printed_in_variable_syntax():
 
 
 def test_oracle_check_passes_at_dof_2():
-    reports = oracle_check(seed=5, dof=2)
+    reports = oracle_check(seed=5, sig=GroupSignature(2))
     assert [r.check for r in reports] == [
         "vector-field-composition", "algebra-laws", "matrix-canonical-commutator",
         "matrix-word-products", "matrix-biquadratic-identity"]

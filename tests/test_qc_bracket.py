@@ -115,7 +115,7 @@ def test_bracket_is_antisymmetric_and_bilinear():
 
 
 def test_bracket_with_identity_vanishes():
-    one = HybridObservable.identity(rep(q(1)).algebra, 1, SIG.convention)
+    one = HybridObservable.identity(rep(q(1)).signature)
     K = rep(q(1) ** 2 * p(2) + q(2))
     assert qc_bracket(K, one).is_zero
     assert qc_bracket(one, K).is_zero
@@ -141,7 +141,7 @@ def test_poisson_ordered_is_star_free():
     K2 = hybrid_from_sector2_poly(t, q(2) ** 2 * p(2))
 
     def hybrid(terms):
-        return HybridObservable(t.algebra, 1, t.convention,
+        return HybridObservable(t.signature,
                                 {(0, 0) + cm + (jet,): c for (cm, jet), c in terms.items()})
 
     assert poisson_ordered(K1, K2) == hybrid({((2, 2), 0): -3})

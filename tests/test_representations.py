@@ -200,8 +200,7 @@ def test_rep_qc_jet_star_is_one_sided():
     plain = hybrid_from_sector2_poly(qh, q(2) * p(2))
     # the written order q*p stays classical; p*q picks up the -i correction
     assert qh * ph == plain
-    assert (ph * qh).jet_part(1) == HybridObservable.identity(
-        qh.algebra, 1, SIG.convention).scale(-CR_I)
+    assert (ph * qh).jet_part(1) == HybridObservable.identity(qh.signature).scale(-CR_I)
     comm = qh * ph - ph * qh
     assert comm.jet_part(0).is_zero
     assert str(comm) == "i*h2"
@@ -246,7 +245,7 @@ def test_hybrid_degree_counts_h2_like_a_printed_factor():
     assert h2_term.degree() == 2
     assert str(k.jet_part(1)) == "((-1/2)i)*Q1"
     assert k.jet_part(1).degree() == 1
-    assert HybridObservable.identity(k.algebra, 1, SIG.convention).degree() == 0
+    assert HybridObservable.identity(k.signature).degree() == 0
 
 
 def test_hybrid_substitute_refuses_h2():
@@ -352,17 +351,16 @@ def _reference_rep_qq(a):
 
 def _reference_rep_qc(a):
     sig = a.signature
-    n = sig.dof
     unit = scalar(CR_I * sig.convention.rep_s_sign)
     h = unit * Scalar.symbol("h")
-    out = HybridObservable(qc_algebra(sig), n, sig.convention, {})
+    out = HybridObservable(sig, {})
     for part, extra in ((a.plain, S_ONE), (a.a1_part, h ** -1)):
         for mono, coeff in part.terms.items():
             if mono[1] > 1:
                 continue
             c = coeff * extra * h ** mono[0] * unit ** mono[1]
             key = mono[2:] + (mono[1],)
-            out = out + HybridObservable(qc_algebra(sig), n, sig.convention, {key: c})
+            out = out + HybridObservable(sig, {key: c})
     return out
 
 

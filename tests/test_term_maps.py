@@ -16,10 +16,10 @@ whose only contraction is one the masks must not miss.
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-import pbracket.oracle  # noqa: F401  (defines the GroupPoly term map)
 from pbracket.group_algebra import Element, GroupSignature, commutator, multiply
 from pbracket.pmech import (AObservable, ClassicalPoly, apply_antiderivative, mechanise_weyl,
                             universal_bracket)
@@ -27,6 +27,7 @@ from pbracket.qc_bracket import qc_bracket
 from pbracket.representations import (HybridObservable, WeylOperator, commutator_hybrid,
                                       multiply_hybrid, qc_algebra, qq_algebra, rep_qc,
                                       rep_qq)
+from pbracket.errors import SignatureMismatch
 from pbracket.sampling import rand_classical, rand_element
 from pbracket.scalars import S_ONE, UNIT_VALUES, Scalar
 from pbracket.group_algebra import ConventionTuple
@@ -78,28 +79,42 @@ def test_public_constructors_still_validate():
         ClassicalPoly(2, {(1, 0, 0): 1})
     with pytest.raises(ValueError, match="negative"):
         ClassicalPoly(2, {(0, 0, 0, 0, 0, 0, 0, -2): 1})
-    conv = sig.convention
     key = (0,) * (alg.width + 4 + 1)
     with pytest.raises(ValueError, match="h2"):
-        HybridObservable(alg, 2, conv, {key: Scalar.symbol("h2")})
+        HybridObservable(sig, {key: Scalar.symbol("h2")})
     # a hybrid key is one flat tuple: Weyl exponents, classical exponents, jet
     with pytest.raises(ValueError, match="negative"):
-        HybridObservable(alg, 2, conv, {(-1,) + key[1:]: 1})
+        HybridObservable(sig, {(-1,) + key[1:]: 1})
     with pytest.raises(ValueError, match="width 3 != 9"):
-        HybridObservable(alg, 2, conv, {((-1, 0, 0, 0), (0, 0, 0, 0), 0): 1})
+        HybridObservable(sig, {((-1, 0, 0, 0), (0, 0, 0, 0), 0): 1})
     with pytest.raises(ValueError, match="width"):
-        HybridObservable(alg, 2, conv, {key[1:]: 1})
+        HybridObservable(sig, {key[1:]: 1})
     with pytest.raises(ValueError, match="jet degree"):
-        HybridObservable(alg, 2, conv, {key[:-1] + (2,): 1})
-    # a negative dof would shorten the key into the Weyl exponents
-    with pytest.raises(ValueError, match="dof"):
-        HybridObservable(alg, -1, conv, {(0,) * (alg.width - 1): 1})
+        HybridObservable(sig, {key[:-1] + (2,): 1})
+    # an exponent is an int: not a float, a Fraction or a bool
+    for bad in (0.5, 1.0, Fraction(1), True):
+        with pytest.raises(ValueError, match="non-int"):
+            Element(GroupSignature(1), {(0, 0, bad, 0, 0, 0): 1})
+        with pytest.raises(ValueError, match="non-int"):
+            ClassicalPoly(1, {(bad, 0, 0, 0): 2})
+        with pytest.raises(ValueError, match="non-int"):
+            WeylOperator(alg, {(0, bad, 0, 0): 1})
+        with pytest.raises(ValueError, match="non-int"):
+            HybridObservable(sig, {key[:-1] + (bad,): 1})
     # scaling skips the constructor, so it checks its factor itself
-    one = HybridObservable.identity(alg, 2, conv)
+    one = HybridObservable.identity(sig)
     with pytest.raises(ValueError, match="h2"):
         one.scale(Scalar.symbol("h2"))
     with pytest.raises(ValueError, match="h2"):
         Scalar.symbol("h2") * one
+    # the signature fixes the algebra: an operator of another one is refused,
+    # also one of the same width under another commutator weight
+    assert HybridObservable.from_weyl(WeylOperator.identity(alg), sig) == one
+    conv = next(c for c in _all_conventions() if c.gamma_unit != sig.convention.gamma_unit)
+    for other in (qq_algebra(sig), qc_algebra(GroupSignature(1)),
+                  qc_algebra(GroupSignature(2, conv))):
+        with pytest.raises(SignatureMismatch):
+            HybridObservable.from_weyl(WeylOperator.identity(other), sig)
 
 
 @pytest.mark.parametrize("dof", [1, 2, 3])
