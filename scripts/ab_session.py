@@ -12,13 +12,18 @@ lands on both sides alike.
 
 Usage, from the root of a checkout:
 
-    python3 scripts/ab_session.py BASE_ROOT [HEAD_ROOT] [--ops N] [--seed S]
+    python3 scripts/ab_session.py BASE_ROOT [HEAD_ROOT] [--ops N] [--seed S [S ...]]
 
 BASE_ROOT and HEAD_ROOT are checkouts with a ``src/pbracket``; HEAD_ROOT
-defaults to this checkout.  Prints each side's median and 99th percentile
-of the per-operation time, its total, and head/base ratios.  The
-operations and their checks come from this checkout's ``perfbench``, which
-is only read: no bytecode is written.
+defaults to this checkout.  For each seed, in the order given, prints each
+side's median and 99th percentile of the per-operation time, its total, and
+head/base ratios.  It also splits the seed's operations into 10 equal blocks
+in stream order and prints how many blocks head won, by a lower median, so
+a rule such as "head wins at least 9 of 10" reads off one run.  With
+several seeds a last table lists each seed's median ratio and blocks won.
+A tree compared with itself reads about +0.0% and wins about half the
+blocks.  The operations and their checks come from this checkout's
+``perfbench``, which is only read: no bytecode is written.
 
 Outside the timed region, each operation's outputs are also compared
 between the trees: the text and JSON of ``rep_qc(k1)``,
@@ -71,28 +76,28 @@ def percentile(values, q: float) -> float:
     return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("base", help="root of the checkout to compare against")
-    parser.add_argument("head", nargs="?", default=ROOT,
-                        help="root of the checkout under test (default: this one)")
-    parser.add_argument("--ops", type=int, default=3000, help="operations per side")
-    parser.add_argument("--seed", type=int, default=2024, help="seed of the input stream")
-    args = parser.parse_args(argv)
+BLOCKS = 10
 
-    sys.dont_write_bytecode = True
-    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-    import workloads
 
-    engines = {side: load_tree(root, f"pbracket_{side}", workloads.ENGINE_MODULES)
-               for side, root in zip(SIDES, (args.base, args.head))}
-    streams = {side: workloads.bracket_stream(pb, args.seed) for side, pb in engines.items()}
+def blocks_won(base, head) -> int:
+    """Of BLOCKS equal consecutive blocks of operations, those where head's
+    median time is below base's; a remainder of fewer than BLOCKS operations
+    is left out."""
+    size = len(base) // BLOCKS
+    return sum(statistics.median(head[i:i + size]) < statistics.median(base[i:i + size])
+               for i in range(0, size * BLOCKS, size)) if size else 0
+
+
+def run_seed(engines, workloads, seed: int, ops: int) -> dict:
+    """Operation i of both sides back to back, alternating which goes first;
+    the per-operation times, failed checks and differing outputs."""
+    streams = {side: workloads.bracket_stream(pb, seed) for side, pb in engines.items()}
     sigs = {side: {dof: pb.group_algebra.GroupSignature(dof) for dof in (1, 2, 3)}
             for side, pb in engines.items()}
     times = {side: [] for side in SIDES}
     failed = {side: 0 for side in SIDES}
     mismatches = 0
-    for i in range(args.ops):
+    for i in range(ops):
         seen = {}
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
             dof, f, g = next(streams[side])
@@ -103,18 +108,56 @@ def main(argv=None) -> int:
             failed[side] += not all(verdicts)
             seen[side] = outputs(pb, sigs[side][dof], f, g)
         mismatches += seen["base"] != seen["head"]
+    return {"times": times, "failed": failed, "mismatches": mismatches}
 
+
+def report(seed: int, ops: int, run: dict) -> tuple:
+    """Print one seed's table; return its median ratio and blocks won."""
+    times, failed = run["times"], run["failed"]
     stats = {side: (statistics.median(t) * 1e3, percentile(t, 0.99) * 1e3, sum(t))
              for side, t in times.items()}
-    print(f"{args.ops} operations per side, seed {args.seed}")
+    print(f"{ops} operations per side, seed {seed}")
     print(f"{'':6} {'median_ms':>10} {'p99_ms':>10} {'total_s':>10} {'failed':>7}")
     for side in SIDES:
         median, p99, total = stats[side]
         print(f"{side:6} {median:10.4f} {p99:10.4f} {total:10.3f} {failed[side]:7d}")
     ratios = [h / b - 1 for b, h in zip(stats["base"], stats["head"])]
     print(f"{'ratio':6} " + " ".join(f"{r:+10.1%}" for r in ratios))
-    print(f"outputs differ on {mismatches} of {args.ops} operations")
-    return 1 if mismatches or any(failed.values()) else 0
+    won = blocks_won(times["base"], times["head"])
+    print(f"head won {won} of {BLOCKS} blocks of {ops // BLOCKS} operations (by median)")
+    print(f"outputs differ on {run['mismatches']} of {ops} operations")
+    return ratios[0], won
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", help="root of the checkout to compare against")
+    parser.add_argument("head", nargs="?", default=ROOT,
+                        help="root of the checkout under test (default: this one)")
+    parser.add_argument("--ops", type=int, default=3000, help="operations per side and seed")
+    parser.add_argument("--seed", type=int, nargs="+", default=[2024],
+                        help="seeds of the input streams, run one after another")
+    args = parser.parse_args(argv)
+
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import workloads
+
+    engines = {side: load_tree(root, f"pbracket_{side}", workloads.ENGINE_MODULES)
+               for side, root in zip(SIDES, (args.base, args.head))}
+    summary, bad = [], False
+    for n, seed in enumerate(args.seed):
+        if n:
+            print()
+        run = run_seed(engines, workloads, seed, args.ops)
+        summary.append((seed,) + report(seed, args.ops, run))
+        bad = bad or run["mismatches"] or any(run["failed"].values())
+    if len(summary) > 1:
+        print()
+        print(f"{'seed':>8} {'median':>8} {'blocks won':>11}")
+        for seed, ratio, won in summary:
+            print(f"{seed:8d} {ratio:+8.1%} {won:>5d} of {BLOCKS}")
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

@@ -28,13 +28,14 @@ from .scalars import (
     CR_ONE,
     UNIT_VALUES,
     CRat,
+    PlanckMap,
     Scalar,
     S_ONE,
     scalar,
     unit_from_str,
     unit_to_str,
 )
-from .terms import (TermMap, accumulate, clean_terms, coeff_str, exponent_map,
+from .terms import (accumulate, coeff_str, exponent_map,
                     normal_order, pair_masks, render_terms)
 
 __all__ = [
@@ -223,21 +224,19 @@ class GroupSignature:
         return cls(data["dof_per_sector"], ConventionTuple.from_json(data["convention"]))
 
 
-class Element(TermMap):
+class Element(PlanckMap):
     """Exact linear combination of PBW-ordered generator monomials.
 
     Immutable: no method mutates self, and the term map is normalized (no
-    zero coefficients) on construction.
+    zero coefficients) on construction.  Flat keys end in Planck exponents.
     """
 
     __slots__ = ("signature",)
 
-    _coerce = staticmethod(scalar)
     _mismatch = "elements built over different signatures"
 
     def __init__(self, signature: GroupSignature, terms: Mapping[Monomial, Scalar]):
-        self._freeze(signature=signature,
-                     terms=clean_terms(terms, signature.width, scalar))
+        self._freeze(signature=signature, flat=self._flatten(terms, signature.width))
 
     def _context(self) -> tuple:
         return (self.signature,)
@@ -271,16 +270,17 @@ class Element(TermMap):
     def _expand(self, m1: Monomial, m2: Monomial) -> list:
         """Each (X, Y) slot put in normal order by the shared kernel; a
         slot's k contractions become k powers of its sector's S and the
-        factor (-eps)^k.  The central generators commute with everything."""
+        constant (-eps)^k.  The central generators and the Planck tails add."""
         sig = self.signature
         s1, s2 = m1[0] + m2[0], m1[1] + m2[1]
+        tail = (m1[-3] + m2[-3], m1[-2] + m2[-2], m1[-1] + m2[-1])
         (xy, _, _), *contracted = normal_order(m1, m2, 2, sig.slots)
-        out = [((s1, s2) + xy, None)]
+        out = [((s1, s2) + xy + tail, None)]
         if contracted:
             neg_eps = -sig.convention.eps_comm
             for xy, ks, weight in contracted:
                 c1, c2 = sig.central_exponents(ks)
-                out.append(((s1 + c1, s2 + c2) + xy, neg_eps ** (c1 + c2) * weight))
+                out.append(((s1 + c1, s2 + c2) + xy + tail, neg_eps ** (c1 + c2) * weight))
         return out
 
     def _masks(self, mono: Monomial) -> tuple:
@@ -294,7 +294,7 @@ class Element(TermMap):
     def uses_sector(self, sector: int) -> bool:
         dof = self.signature.dof
         lo = 2 + 2 * slot_index(dof, sector, 1)
-        return any(m[sector - 1] or any(m[lo:lo + 2 * dof]) for m in self.terms)
+        return any(m[sector - 1] or any(m[lo:lo + 2 * dof]) for m in self.flat)
 
     # -- display ---------------------------------------------------------------
 
@@ -381,8 +381,8 @@ def delta_str(e: Element) -> str:
     sig = e.signature
     names = sig.delta_names[2:] + sig.delta_names[:2]    # central derivatives last
     rendered = []
-    for mono in sorted(e.terms, key=lambda m: (-sum(m), m)):
-        coeff = e.terms[mono] / scalar(sig.unit_factor(mono))
+    for mono, coeff in sorted(e.terms.items(), key=lambda term: (-sum(term[0]), term[0])):
+        coeff = coeff / scalar(sig.unit_factor(mono))
         kernel = ",".join(n for n, k in zip(names, mono[2:] + mono[:2]) for _ in range(k))
         rendered.append((coeff_str(coeff), f"delta[{kernel}]" if kernel else ""))
     return render_terms(rendered)
@@ -409,10 +409,10 @@ def element_to_json(e: Element) -> dict:
     are omitted from the exponent map."""
     sig = e.signature
     names = sig.generator_names()
-    terms = []
-    for mono in sorted(e.terms):
+    terms, view = [], e.terms
+    for mono in sorted(view):
         exps = exponent_map(names, mono)
-        for cj in _coeff_terms_json(e.terms[mono]):
+        for cj in _coeff_terms_json(view[mono]):
             terms.append({"coeff": cj, "exponents": exps})
     return {"signature": sig.to_json(), "terms": terms}
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Mapping, Tuple, Union
 
 from .errors import AObservableProductError, NotMechanised, SignatureMismatch, UnknownRule
-from .scalars import CR_ONE, CRat, scalar
+from .scalars import CR_ONE, CRat, PlanckMap, Scalar
 from .group_algebra import (Element, GroupSignature, commutator, delta_str, element_to_json,
                             slot_index, var_names)
 from .terms import (TermMap, accumulate, clean_terms, normal_order, pair_halves,
@@ -49,13 +49,14 @@ class ClassicalPoly(TermMap):
 
     __slots__ = ("dof",)
 
+    terms = TermMap.flat        # CRat coefficients: the flat map is the view
     _coerce = staticmethod(CRat.of)
     _mismatch = "classical polynomials over different dof counts"
 
     def __init__(self, dof: int, terms: Mapping[CMonomial, Union[CRat, int, Fraction]]):
         if dof < 1:
             raise ValueError("dof must be a positive integer")
-        self._freeze(dof=dof, terms=clean_terms(terms, 4 * dof, CRat.of))
+        self._freeze(dof=dof, flat=clean_terms(terms, 4 * dof, CRat.of))
 
     def _context(self) -> tuple:
         return (self.dof,)
@@ -86,11 +87,8 @@ class ClassicalPoly(TermMap):
             raise ValueError("kind must be 'q' or 'p'")
         return 2 * slot_index(dof, sector, i) + (0 if kind == "q" else 1)
 
-    def _expand(self, m1: CMonomial, m2: CMonomial) -> list:
-        return [(tuple(a + b for a, b in zip(m1, m2)), None)]
-
-    def _masks(self, mono: CMonomial) -> tuple:
-        return 0, 0         # commutative: no pair ever contracts
+    _expand = Scalar._expand     # commutative, like the coefficients
+    _masks = Scalar._masks
 
     def _identity(self) -> "ClassicalPoly":
         return ClassicalPoly.constant(self.dof, 1)
@@ -105,7 +103,7 @@ class ClassicalPoly(TermMap):
         """d/dx of the variable at exponent index idx.  The loop reads only
         flat exponent keys, so HybridObservable differentiates with it too."""
         out = {}
-        for m, c in self.terms.items():
+        for m, c in self.flat.items():
             if m[idx]:
                 accumulate(out, m[:idx] + (m[idx] - 1,) + m[idx + 1:], c * m[idx])
         return self._like(out)
@@ -158,8 +156,8 @@ def mechanise_weyl(sig: GroupSignature, f: ClassicalPoly) -> Element:
         c = coeff * conv.kappa(0, sum(xs), sum(ys))
         for xy, ks, weight in normal_order(ys, xs, 0, sig.slots):
             s = sig.central_exponents(ks)
-            accumulate(out, s + xy, c * half_neg_eps ** sum(s) * weight)
-    return Element(sig, out)
+            accumulate(out, s + xy + (0, 0, 0), c * half_neg_eps ** sum(s) * weight)
+    return Element._over(out, signature=sig)
 
 
 _RULES: Dict[str, Callable[[GroupSignature, ClassicalPoly], Element]] = {}
@@ -215,10 +213,11 @@ def weyl_symbol(e: Element) -> ClassicalPoly:
 # ---------------------------------------------------------------------------
 # Antiderivatives and the universal bracket
 
-class AObservable(TermMap):
+class AObservable(PlanckMap):
     """Element extended with at-most-linear formal antiderivative factors:
     plain + a1_part * A1 + a2_part * A2, its terms keyed by (a, monomial),
-    a = 0 for plain and 1 or 2 for A1 or A2.
+    a = 0 for plain and 1 or 2 for A1 or A2; a flat key is (a, monomial)
+    followed by the Planck exponents.
 
     The antiderivatives are applied greedily, so a1_part never carries an S1
     factor and a2_part never carries an S2 factor.
@@ -226,34 +225,30 @@ class AObservable(TermMap):
 
     __slots__ = ("signature",)
 
-    _coerce = staticmethod(scalar)
     _mismatch = Element._mismatch
 
     def __init__(self, plain: Element, a1_part: Element, a2_part: Element):
         sig = plain.signature
         if a1_part.signature != sig or a2_part.signature != sig:
             raise SignatureMismatch("AObservable parts over different signatures")
-        if any(m[0] for m in a1_part.terms):
+        if any(m[0] for m in a1_part.flat):
             raise ValueError("a1_part must have zero S1 degree")
-        if any(m[1] for m in a2_part.terms):
+        if any(m[1] for m in a2_part.flat):
             raise ValueError("a2_part must have zero S2 degree")
         parts = (plain, a1_part, a2_part)
-        self._freeze(signature=sig, terms={(a, m): c for a, part in enumerate(parts)
-                                           for m, c in part.terms.items()})
+        self._freeze(signature=sig, flat={(a, k[:-3]) + k[-3:]: c for a, part in enumerate(parts)
+                                          for k, c in part.flat.items()})
 
     def _context(self) -> tuple:
         return (self.signature,)
 
     @classmethod
-    def _over(cls, sig: GroupSignature, terms: dict) -> "AObservable":
-        """An AObservable over keyed terms that are already valid."""
-        out = object.__new__(cls)
-        out._freeze(signature=sig, terms=terms)
-        return out
-
-    @classmethod
-    def of(cls, e: Element) -> "AObservable":
-        return cls._over(e.signature, {(0, m): c for m, c in e.terms.items()})
+    def of(cls, e: Union[Element, "AObservable"]) -> "AObservable":
+        """e as an AObservable; an Element's terms are all plain, a = 0."""
+        if isinstance(e, AObservable):
+            return e
+        return cls._over({(0, k[:-3]) + k[-3:]: c for k, c in e.flat.items()},
+                         signature=e.signature)
 
     def _part(self, a: int) -> Element:
         return Element(self.signature, {m: c for (b, m), c in self.terms.items() if b == a})
@@ -300,9 +295,9 @@ def apply_antiderivative(e: Element, sector: int) -> AObservable:
     if sector not in (1, 2):
         raise ValueError("sector must be 1 or 2")
     idx = sector - 1
-    return AObservable._over(e.signature, {
-        (0, m[:idx] + (m[idx] - 1,) + m[idx + 1:]) if m[idx] else (sector, m): c
-        for m, c in e.terms.items()})
+    return AObservable._over({
+        (0, k[:idx] + (k[idx] - 1,) + k[idx + 1:-3]) + k[-3:] if k[idx]
+        else (sector, k[:-3]) + k[-3:]: c for k, c in e.flat.items()}, signature=e.signature)
 
 
 def universal_bracket(k1: Element, k2: Element) -> AObservable:

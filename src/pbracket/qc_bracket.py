@@ -110,12 +110,12 @@ def _ordered_weyl_transport(k_sig, f: ClassicalPoly) -> WeylOperator:
     anti = conv.anti_normal_order
     if not anti and conv.gamma_unit != CRat.of(-1):
         raise ValueError("ordered transport is undefined for this convention tuple")
-    out: Dict[Tuple[int, ...], Scalar] = {}
+    out: Dict[Tuple[int, ...], CRat] = {}
     for mono, c in f.terms.items():
         qs, ps = pair_halves(mono[:alg.width])
-        for m, u in alg.mul_mono(*((ps, qs) if anti else (qs, ps))):
-            accumulate(out, m, scalar(c) if u is None else u * c)
-    return WeylOperator(alg, out)
+        for m, t, u in alg.mul_mono(*((ps, qs) if anti else (qs, ps))):
+            accumulate(out, m + t, c if u is None else u * c)
+    return WeylOperator._over(out, algebra=alg)
 
 
 def classicality_gap(k1: Element, k2: Element,

@@ -20,8 +20,8 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .errors import SignatureMismatch, ZeroPlanck
-from .scalars import CR_I, CRat, Scalar, S_ONE, scalar
-from .terms import (TermMap, accumulate, clean_terms, coeff_str, exponent_map,
+from .scalars import CR_I, CRat, PlanckMap, Scalar, S_ONE, scalar
+from .terms import (accumulate, coeff_str, exponent_map,
                     normal_order, pair_masks, power_str, render_terms)
 from .group_algebra import ConventionTuple, Element, GroupSignature
 from .pmech import AObservable, ClassicalPoly
@@ -49,16 +49,16 @@ class WeylAlgebra:
 
     labels: Tuple[str, ...]
     gammas: Tuple[Scalar, ...]
-    # The contraction factor of each (ks, weight) that mul_mono has met; it
-    # depends on nothing else, and the keys are bounded by the degrees
-    # multiplied.  Not part of the value: equality and hashing ignore it.
-    _factors: Dict[Tuple[Tuple[int, ...], int], Scalar] = field(
+    # The (Planck shift, CRat) terms of the contraction factor of each (ks,
+    # weight) that mul_mono has met; it depends on nothing else, and the keys
+    # are bounded by the degrees multiplied.  Not part of the value.
+    _factors: Dict[Tuple[Tuple[int, ...], int], tuple] = field(
         default_factory=dict, init=False, compare=False, repr=False)
-    # The central factor of each (a, s1, s2) that rep_qq or rep_qc has met,
-    # on the algebra qq_algebra or qc_algebra returns for one signature, so
-    # the convention it depends on is fixed; its keys are bounded by the
-    # central degrees.  Not part of the value either.
-    _central: Dict[Tuple[int, int, int], Scalar] = field(
+    # The (Planck shift, CRat) term of the central factor of each (a, s1, s2)
+    # that rep_qq or rep_qc has met, on the algebra qq_algebra or qc_algebra
+    # returns for one signature, so its convention is fixed; the keys are
+    # bounded by the central degrees.  Not part of the value either.
+    _central: Dict[Tuple[int, int, int], tuple] = field(
         default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -78,38 +78,39 @@ class WeylAlgebra:
         """Generator names in exponent order: Q and P of each pair."""
         return tuple(f"{letter}{lab}" for lab in self.labels for letter in "QP")
 
-    def mul_mono(self, m1: WMonomial, m2: WMonomial) -> List[Tuple[WMonomial, Optional[Scalar]]]:
-        """Normal-ordered product of two monomials: the shared kernel, with
-        each pair's k contractions weighted by (-gamma)^k.  Entry 0 is the
-        uncontracted term, the exponent sum with factor None, meaning one.
-        Only the first ``width`` exponents are read, so a hybrid key serves
-        as its Weyl monomial."""
+    def mul_mono(self, m1: WMonomial, m2: WMonomial, tail: tuple = (0, 0, 0)) -> List[tuple]:
+        """Normal-ordered product of two monomials as (monomial, Planck tail,
+        factor) entries: the shared kernel, a pair's k contractions weighted
+        by each term of (-gamma)^k, its exponents added to ``tail``.  Entry 0
+        is the uncontracted term, the exponent sum at ``tail`` with factor
+        None.  Only the first ``width`` exponents are read: a key will do."""
         (mono, _, _), *contracted = normal_order(m1, m2, 0, self.dofs)
-        out = [(mono, None)]
+        out = [(mono, tail, None)]
         factors = self._factors
+        t0, t1, t2 = tail
         for mono, ks, weight in contracted:
             u = factors.get((ks, weight))
             if u is None:
-                u = scalar(weight)
+                s = scalar(weight)
                 for gamma, k in zip(self.gammas, ks):
                     if k:
-                        u = u * (-gamma) ** k
-                factors[ks, weight] = u
-            out.append((mono, u))
+                        s = s * (-gamma) ** k
+                u = factors[ks, weight] = tuple(s.flat.items())
+            for (e0, e1, e2), f in u:
+                out.append((mono, (t0 + e0, t1 + e1, t2 + e2), f))
         return out
 
 
-class WeylOperator(TermMap):
+class WeylOperator(PlanckMap):
     """Noncommutative polynomial in the algebra generators, kept in normal
-    form with Q before P inside each pair."""
+    form with Q before P inside each pair; flat keys end in Planck exponents."""
 
     __slots__ = ("algebra",)
 
-    _coerce = staticmethod(scalar)
     _mismatch = "operators over different Weyl algebras"
 
     def __init__(self, algebra: WeylAlgebra, terms: Mapping[WMonomial, Union[Scalar, CRat, int, Fraction]]):
-        self._freeze(algebra=algebra, terms=clean_terms(terms, algebra.width, scalar))
+        self._freeze(algebra=algebra, flat=self._flatten(terms, algebra.width))
 
     def _context(self) -> tuple:
         return (self.algebra,)
@@ -134,8 +135,9 @@ class WeylOperator(TermMap):
         mono[2 * d + (0 if kind == "Q" else 1)] = 1
         return cls(algebra, {tuple(mono): S_ONE})
 
-    def _expand(self, m1: WMonomial, m2: WMonomial) -> list:
-        return self.algebra.mul_mono(m1, m2)
+    def _expand(self, m1: tuple, m2: tuple) -> list:
+        tail = (m1[-3] + m2[-3], m1[-2] + m2[-2], m1[-1] + m2[-1])
+        return [(m + t, f) for m, t, f in self.algebra.mul_mono(m1, m2, tail)]
 
     def _masks(self, mono: WMonomial) -> tuple:
         return pair_masks(mono, 0, self.algebra.dofs)
@@ -150,18 +152,18 @@ class WeylOperator(TermMap):
                             {m: c.substitute(**values) for m, c in self.terms.items()})
 
     def to_json(self) -> dict:
-        names = self.algebra.names
+        names, terms = self.algebra.names, self.terms
         return {"labels": list(self.algebra.labels),
-                "terms": [{"coeff": self.terms[mono].to_json(),
+                "terms": [{"coeff": terms[mono].to_json(),
                            "exponents": exponent_map(names, mono)}
-                          for mono in sorted(self.terms)]}
+                          for mono in sorted(terms)]}
 
     # -- display -----------------------------------------------------------------
 
     def __str__(self) -> str:
-        names = self.algebra.names
-        return render_terms((coeff_str(self.terms[m]), power_str(names, m) or "I")
-                            for m in sorted(self.terms, key=lambda m: (-sum(m), m)))
+        names, terms = self.algebra.names, self.terms
+        return render_terms((coeff_str(terms[m]), power_str(names, m) or "I")
+                            for m in sorted(terms, key=lambda m: (-sum(m), m)))
 
     __repr__ = __str__
 
@@ -176,23 +178,26 @@ def _classical_names(dof: int, numbered: bool) -> Tuple[str, ...]:
     return tuple(f"{letter}{i}" for i in range(1, dof + 1) for letter in "qp")
 
 
+_H2_REFUSED = "coefficients must not use h2; the jet flag carries it"
+
+
 def _h2_free(value) -> Scalar:
     """A hybrid coefficient: a Scalar without h2, which the jet flag carries."""
     c = scalar(value)
     if c.uses_symbol("h2"):
-        raise ValueError("coefficients must not use h2; the jet flag carries it")
+        raise ValueError(_H2_REFUSED)
     return c
 
 
-class HybridObservable(TermMap):
+class HybridObservable(PlanckMap):
     """Sum of (Weyl operator part) x (classical polynomial part) terms.
 
     Each term is keyed by one flat exponent tuple: the algebra's (Q_i, P_i)
     exponents, then the (q_1, p_1, ..., q_n, p_n) exponents, laid out like
     a ClassicalPoly's sector-2 slots, and last the jet degree in {0, 1},
-    the power of h2.  Coefficients are Scalars free of the h2 symbol; the
-    jet degree is the only carrier of h2.  The signature is the whole
-    context: it fixes the algebra qc_algebra(signature), dof and star unit.
+    the power of h2, then in a flat key the Planck exponents.  Coefficients
+    are Scalars free of h2, which only the jet degree carries.  The signature
+    is the whole context: it fixes qc_algebra(signature), dof and star unit.
     """
 
     __slots__ = ("signature", "algebra")
@@ -202,10 +207,10 @@ class HybridObservable(TermMap):
 
     def __init__(self, signature: GroupSignature,
                  terms: Mapping[Tuple[int, ...], Union[Scalar, CRat, int, Fraction]]):
-        clean = clean_terms(terms, 4 * signature.dof + 1, _h2_free)
-        if any(key[-1] > 1 for key in clean):
+        flat = self._flatten(terms, 4 * signature.dof + 1, _h2_free)
+        if any(key[-4] > 1 for key in flat):
             raise ValueError("jet degree must be 0 or 1")
-        self._freeze(signature=signature, algebra=qc_algebra(signature), terms=clean)
+        self._freeze(signature=signature, algebra=qc_algebra(signature), flat=flat)
 
     def _context(self) -> tuple:
         return (self.signature,)
@@ -244,7 +249,8 @@ class HybridObservable(TermMap):
 
     def jet_part(self, jet: int) -> "HybridObservable":
         """Coefficient of h2^jet, returned at jet degree zero."""
-        return self._like({k[:-1] + (0,): c for k, c in self.terms.items() if k[-1] == jet})
+        return self._like({k[:-4] + (0,) + k[-3:]: c for k, c in self.flat.items()
+                           if k[-4] == jet})
 
     def as_weyl(self) -> WeylOperator:
         """The pure operator content; raises if any classical part remains."""
@@ -277,9 +283,9 @@ class HybridObservable(TermMap):
 
     def __str__(self) -> str:
         names = self.algebra.names + _classical_names(self.dof, numbered=False) + ("h2",)
-        keys = sorted(self.terms, key=lambda k: (k[-1], k[-1] - sum(k), k))
-        return render_terms((coeff_str(self.terms[k]), power_str(names, k) or "I")
-                            for k in keys)
+        terms = self.terms
+        keys = sorted(terms, key=lambda k: (k[-1], k[-1] - sum(k), k))
+        return render_terms((coeff_str(terms[k]), power_str(names, k) or "I") for k in keys)
 
     __repr__ = __str__
 
@@ -287,10 +293,10 @@ class HybridObservable(TermMap):
         wnames = self.algebra.names
         cnames = _classical_names(self.dof, numbered=True)
         w = self.algebra.width
-        terms = []
-        for k in sorted(self.terms):
+        terms, view = [], self.terms
+        for k in sorted(view):
             coeffs = {"monomial": exponent_map(cnames, k[w:-1])}
-            coeffs.update(self.terms[k].to_json())
+            coeffs.update(view[k].to_json())
             terms.append({"weyl": {"exponents": exponent_map(wnames, k[:w])},
                           "classical": {"coeffs": coeffs, "h2_deg": k[-1]}})
         return {"terms": terms}
@@ -328,13 +334,6 @@ def _central_scalar(conv: ConventionTuple, symbol: str, power: int) -> Scalar:
     return Scalar.symbol(symbol, power, (CR_I * conv.rep_s_sign) ** power)
 
 
-def _keyed_terms(k: Union[Element, AObservable]):
-    """The (a, monomial) terms of k; an Element's terms are all plain, a = 0."""
-    if isinstance(k, AObservable):
-        return k.terms.items()
-    return (((0, mono), c) for mono, c in k.terms.items())
-
-
 def rep_qq(k: Union[Element, AObservable],
            h1: Optional[Union[int, Fraction]] = None,
            h2: Optional[Union[int, Fraction]] = None) -> WeylOperator:
@@ -354,17 +353,19 @@ def rep_qq(k: Union[Element, AObservable],
             subs[name] = Fraction(val)
     alg = qq_algebra(sig)
     central = alg._central
-    acc: Dict[WMonomial, Scalar] = {}
-    for (a, mono), coeff in _keyed_terms(k):
+    acc: Dict[tuple, CRat] = {}
+    for (a, mono, e0, e1, e2), coeff in AObservable.of(k).flat.items():
         s = a, mono[0], mono[1]
         f = central.get(s)
         if f is None:
-            # the image of A_a (none for a = 0) * (S1 image)^s1 * (S2 image)^s2
+            # the one term of A_a's image (none for a = 0) * (S1 image)^s1 * (S2 image)^s2
             formal = _central_scalar(conv, ("h1", "h2")[a - 1], -1) if a else S_ONE
-            f = central[s] = (formal * _central_scalar(conv, "h1", s[1])
-                              * _central_scalar(conv, "h2", s[2]))
-        accumulate(acc, mono[2:], coeff * f)
-    out = WeylOperator(alg, acc)
+            (f,) = (formal * _central_scalar(conv, "h1", s[1])
+                    * _central_scalar(conv, "h2", s[2])).flat.items()
+            central[s] = f
+        (f0, f1, f2), c = f
+        accumulate(acc, mono[2:] + (e0 + f0, e1 + f1, e2 + f2), coeff * c)
+    out = WeylOperator._over(acc, algebra=alg)
     return out.substitute(**subs) if subs else out
 
 
@@ -379,20 +380,24 @@ def rep_qc(k: Union[Element, AObservable]) -> HybridObservable:
     sig = k.signature
     conv = sig.convention
     central = qc_algebra(sig)._central
-    acc: Dict[Tuple[int, ...], Scalar] = {}
-    for (a, mono), coeff in _keyed_terms(k):
+    acc: Dict[tuple, CRat] = {}
+    for (a, mono, e0, e1, e2), coeff in AObservable.of(k).flat.items():
         jet = mono[1]
         if a == 2 or jet >= 2:
             continue
         s = a, mono[0], jet
         f = central.get(s)
         if f is None:
-            # the image of A1 (none for a = 0) * (S1 image)^s1 * (the jet's unit)^jet
+            # the one term of A1's image (none for a = 0) * (S1 image)^s1 * (the jet's unit)^jet
             formal = _central_scalar(conv, "h", -1) if a else S_ONE
-            f = central[s] = (formal * _central_scalar(conv, "h", s[1])
-                              * (CRat.of(conv.rep_s_sign) * CR_I) ** jet)
-        accumulate(acc, mono[2:] + (jet,), coeff * f)
-    return HybridObservable(sig, acc)
+            (f,) = (formal * _central_scalar(conv, "h", s[1])
+                    * (CRat.of(conv.rep_s_sign) * CR_I) ** jet).flat.items()
+            central[s] = f
+        (f0, f1, f2), c = f
+        accumulate(acc, mono[2:] + (jet, e0 + f0, e1 + f1, e2 + f2), coeff * c)
+    if any(key[-1] for key in acc):
+        raise ValueError(_H2_REFUSED)
+    return HybridObservable._over(acc, signature=sig, algebra=qc_algebra(sig))
 
 
 def multiply_hybrid(a: HybridObservable, b: HybridObservable) -> HybridObservable:
@@ -412,11 +417,11 @@ def _pair_product(a: HybridObservable, k1: tuple, k2: tuple, star_unit: CRat) ->
     entries of Weyl times star entries; the uncontracted term comes first,
     with factor None.  Empty past jet degree 1; a zero star unit multiplies
     the classical parts commutatively, with no star correction."""
-    jet = k1[-1] + k2[-1]
+    jet = k1[-4] + k2[-4]
     if jet > 1:
         return []
     dof = a.signature.dof
-    c1, c2 = k1[2 * dof:], k2[2 * dof:]
+    c1, c2 = k1[2 * dof:-3], k2[2 * dof:-3]
     cm = tuple(x + y for x, y in zip(c1, c2))
     star: List[Tuple[Tuple[int, ...], Optional[CRat]]] = [(cm, None)]
     if jet == 0 and not star_unit.is_zero:
@@ -427,8 +432,9 @@ def _pair_product(a: HybridObservable, k1: tuple, k2: tuple, star_unit: CRat) ->
                 lowered[px] -= 1
                 lowered[-1] = 1
                 star.append((tuple(lowered), star_unit * (c1[px] * c2[px - 1])))
-    return [(wm + sm, sf if wc is None else wc if sf is None else wc * sf)
-            for wm, wc in a.algebra.mul_mono(k1, k2) for sm, sf in star]
+    tail = (k1[-3] + k2[-3], k1[-2] + k2[-2], k1[-1] + k2[-1])
+    return [(wm + sm + t, sf if wc is None else wc if sf is None else wc * sf)
+            for wm, t, wc in a.algebra.mul_mono(k1, k2, tail) for sm, sf in star]
 
 
 def hybrid_from_sector2_poly(template: HybridObservable, f: ClassicalPoly) -> HybridObservable:

@@ -12,6 +12,7 @@ from typing import Sequence, Tuple
 from .scalars import CRat
 from .group_algebra import Element, GroupSignature, slot_index
 from .pmech import ClassicalPoly
+from .terms import accumulate
 
 __all__ = [
     "rand_crat",
@@ -57,11 +58,11 @@ def rand_group_monomial(rng: random.Random, sig: GroupSignature, max_degree: int
 def rand_element(rng: random.Random, sig: GroupSignature, max_degree: int = 4,
                  terms: int = 3, sectors: Sequence[int] = (1, 2),
                  allow_s: bool = True) -> Element:
-    acc = Element.zero(sig)
+    acc: dict = {}
     for _ in range(terms):
         mono = rand_group_monomial(rng, sig, max_degree, sectors, allow_s)
-        acc = acc + Element.monomial(sig, mono, rand_crat(rng))
-    return acc
+        accumulate(acc, mono, rand_crat(rng))
+    return Element(sig, acc)
 
 
 def rand_classical(rng: random.Random, dof: int, max_degree: int = 4,
@@ -69,12 +70,12 @@ def rand_classical(rng: random.Random, dof: int, max_degree: int = 4,
                    allow_imag: bool = False) -> ClassicalPoly:
     """Random classical polynomial; real coefficients by default since
     classical observables in the suites are real."""
-    acc = ClassicalPoly.zero(dof)
+    acc: dict = {}
     # a classical index is the group index less the two central ones
     allowed = [k - 2 for k in _allowed_indices(dof, sectors, False)]
     for _ in range(terms):
         mono = [0] * (4 * dof)
         for _ in range(rng.randint(0, max_degree)):
             mono[rng.choice(allowed)] += 1
-        acc = acc + ClassicalPoly(dof, {tuple(mono): rand_crat(rng, allow_imag)})
-    return acc
+        accumulate(acc, tuple(mono), rand_crat(rng, allow_imag))
+    return ClassicalPoly(dof, acc)

@@ -1,5 +1,6 @@
 """Exact scalar arithmetic: complex rationals and Laurent polynomials in the
-formal parameters h, h1, h2.
+formal parameters h, h1, h2, and PlanckMap, the flat storage of the term
+maps over such coefficients, whose product loops multiply CRats.
 
 Everything downstream of this module stays exact; floating point enters only
 in the numerical oracle, through :meth:`Scalar.evalf`.
@@ -9,13 +10,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 from typing import Mapping, Optional, Union
 
-from .terms import TermMap, accumulate, power_str, render_terms
+from .terms import TermMap, accumulate, clean_terms, power_str, render_terms
 
 __all__ = [
     "CRat",
     "Scalar",
+    "PlanckMap",
     "CR_ZERO",
     "CR_ONE",
     "CR_MINUS_ONE",
@@ -275,6 +278,7 @@ class Scalar(TermMap):
 
     __slots__ = ()
 
+    terms = TermMap.flat        # the flat map is already keyed by exponents
     _coerce = staticmethod(CRat.of)
 
     def __init__(self, terms: Mapping[tuple, CRatLike]):
@@ -283,7 +287,7 @@ class Scalar(TermMap):
             if len(e) != 3:
                 raise ValueError(f"Scalar exponents are (h, h1, h2) triples, got {e!r}")
             accumulate(clean, tuple(e), CRat.of(c))
-        self._freeze(terms=clean)
+        self._freeze(flat=clean)
 
     def _context(self) -> tuple:
         return ()
@@ -324,27 +328,15 @@ class Scalar(TermMap):
     def __rsub__(self, other) -> "Scalar":
         return Scalar.of(other) + (-self)
 
-    # Scalar is the coefficient ring of every other term map, so this is the
-    # innermost loop of the engine; it keeps its own product rather than
-    # paying TermMap._product's method call per term pair.
-    def _product(self, other: "Scalar") -> "Scalar":
-        a, b = self.terms, other.terms
-        # Nearly every product has a one-term factor, a monomial.  Times a
-        # monomial the product only shifts exponents, so no two products
-        # share a key, and a product of nonzero CRats is never zero: the map
-        # needs no accumulate step.  The ring is commutative, so the
-        # monomial can be taken as b.
-        if len(a) == 1:
-            a, b = b, a
-        if len(b) == 1:
-            ((b0, b1, b2), y), = b.items()
-            return _from_terms({(a0 + b0, a1 + b1, a2 + b2): x * y
-                                for (a0, a1, a2), x in a.items()})
-        out: dict = {}
-        for (a0, a1, a2), x in a.items():
-            for (b0, b1, b2), y in b.items():
-                accumulate(out, (a0 + b0, a1 + b1, a2 + b2), x * y)
-        return _from_terms(out)
+    def _expand(self, e1: tuple, e2: tuple) -> list:
+        """Commutative: a term pair is the one term at the exponent sum."""
+        return [(tuple(map(add, e1, e2)), None)]
+
+    def _masks(self, e: tuple) -> tuple:
+        return 0, 0         # no pair ever contracts
+
+    def _identity(self) -> "Scalar":
+        return S_ONE
 
     def inverse(self) -> "Scalar":
         if len(self.terms) != 1:
@@ -361,16 +353,7 @@ class Scalar(TermMap):
         return Scalar.of(other) * self.inverse()
 
     def __pow__(self, k: int) -> "Scalar":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = S_ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return self.inverse() ** -k if k < 0 else TermMap.__pow__(self, k)
 
     # -- queries ---------------------------------------------------------
 
@@ -471,7 +454,7 @@ class Scalar(TermMap):
     __repr__ = __str__
 
 
-_set_terms = TermMap.terms.__set__
+_set_terms = TermMap.flat.__set__
 
 
 def _from_terms(terms: dict) -> Scalar:
@@ -488,3 +471,38 @@ S_ONE = _from_terms({_ZERO_EXP: CR_ONE})
 def scalar(value: Union[Scalar, CRatLike]) -> Scalar:
     """Convenience coercion used throughout the package."""
     return Scalar.of(value)
+
+
+class PlanckMap(TermMap):
+    """A term map over Scalar coefficients, stored flat: ``flat`` maps a
+    monomial key extended by a coefficient term's Planck exponents (e_h,
+    e_h1, e_h2), which may be negative, to that term's CRat, so the product
+    loops multiply CRats and add exponents.  ``terms``, the public view
+    {monomial: Scalar}, is regrouped on each read: printers and writers read
+    it once, engine loops never."""
+
+    __slots__ = ()
+
+    _coerce = staticmethod(scalar)
+
+    @staticmethod
+    def _flatten(terms: Mapping[tuple, object], width: int, coerce=scalar) -> dict:
+        """The flat map of {monomial: coefficient} terms that clean_terms validates."""
+        return {m + e: c for m, s in clean_terms(terms, width, coerce).items()
+                for e, c in s.flat.items()}
+
+    @property
+    def terms(self) -> dict:
+        grouped: dict = {}
+        for k, c in self.flat.items():
+            grouped.setdefault(k[:-3], {})[k[-3:]] = c
+        return {m: _from_terms(t) for m, t in grouped.items()}
+
+    def scale(self, factor) -> "PlanckMap":
+        """Each term times each term of the factor, Planck exponents added."""
+        f = self._coerce(factor).flat
+        if len(f) == 1:     # a monomial only shifts the tails: no two terms meet
+            ((e0, e1, e2), x), = f.items()
+            return self._like({k[:-3] + (k[-3] + e0, k[-2] + e1, k[-1] + e2): c * x
+                               for k, c in self.flat.items()})
+        return sum((self.scale(_from_terms({e: x})) for e, x in f.items()), self._like({}))

@@ -1,15 +1,16 @@
 """Sparse term maps: what every polynomial type of the engine shares.
 
-Element, AObservable, WeylOperator, HybridObservable and ClassicalPoly are
-all immutable maps from exponent keys to nonzero coefficients; an
-AObservable's keys carry its formal antiderivative factor, so each
-representation reads it in one pass.  This module holds their common
-parts: the term-map base class with its linear operations and the one
-product loop and one commutator loop that every type runs (a type states
-only how one term pair expands, and which pairs of a key can contract),
-the accumulate step, the Heisenberg normal-ordering kernel that both
-noncommutative products, the Weyl mechanisation and the ordered transport
-expand with, and the term printer.
+Element, AObservable, WeylOperator, HybridObservable, ClassicalPoly and
+Scalar are all immutable maps from flat exponent keys to nonzero CRats; a
+key over Scalar coefficients ends in their Planck exponents
+(scalars.PlanckMap), and an AObservable's starts with its formal
+antiderivative factor, so each representation reads it in one pass.  This
+module holds their common parts: the term-map base class with its linear
+operations and the one product loop and one commutator loop that every
+type runs (a type states only how one term pair expands, and which pairs
+of a key can contract), the accumulate step, the Heisenberg
+normal-ordering kernel that both noncommutative products, the Weyl
+mechanisation and the ordered transport expand with, and the term printer.
 
 It sits at the bottom of the package and imports no other pbracket module
 except errors, so scalars.py can use the printer.
@@ -182,26 +183,26 @@ def render_terms(terms: Iterable[Tuple[str, str]]) -> str:
 
 
 class TermMap:
-    """Immutable map ``terms`` from exponent keys to nonzero coefficients.
+    """Immutable map ``flat`` from flat exponent keys to nonzero CRats.
 
     A subclass stores the fields that fix its space (signature, algebra,
     ...) in its own ``__slots__``, which ``_like`` copies, returns them from
     ``_context`` in its constructor's argument order, and validates input
     in ``__init__(*context, terms)``; AObservable, which has no product,
-    is built from its three Element parts instead.  It sets
-    ``_coerce`` (coefficient coercion, raising TypeError on foreign types)
-    and ``_mismatch`` (the message when spaces differ), and defines
+    is built from its three Element parts instead; ``terms`` is the public
+    map by monomial.  It sets ``_coerce`` (coefficient coercion, raising
+    TypeError on foreign types) and ``_mismatch`` (the message when spaces differ), and defines
     ``_expand``, ``_masks`` and ``_identity`` when it has a product.
 
-    ``_expand(k1, k2)`` is the product of one term pair over its
-    coefficient product c1*c2, as a list of ``(key, factor)`` entries.
-    Entry 0 is the uncontracted term, the same for either order of the
-    pair, and its factor is None, meaning one; every later entry carries
-    its factor.  An empty list means the pair contributes nothing.
-    ``_product`` and ``_commutator`` are built on it.
+    ``_expand(k1, k2)`` is the product of one flat key pair over its
+    coefficient product c1*c2, as a list of ``(key, factor)`` entries, each
+    key flat and each factor a CRat.  Entry 0 is the uncontracted term, the
+    same for either order of the pair, and its factor is None, meaning one;
+    every later entry carries its factor.  An empty list means the pair
+    contributes nothing.  ``_product`` and ``_commutator`` are built on it.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("flat",)
 
     def _freeze(self, **fields) -> None:
         """Set the fields once, from ``__init__``."""
@@ -211,15 +212,22 @@ class TermMap:
     def __setattr__(self, *args):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def _like(self, terms: dict) -> "TermMap":
-        """A map in this one's space over terms that arithmetic on valid
-        maps built: keys of the right width, nonzero coefficients of the
-        coerced type.  Skips the constructor's validation."""
+    @classmethod
+    def _over(cls, flat: dict, **fields) -> "TermMap":
+        """The constructor's result over valid flat terms, unvalidated."""
+        out = object.__new__(cls)
+        out._freeze(flat=flat, **fields)
+        return out
+
+    def _like(self, flat: dict) -> "TermMap":
+        """A map in this one's space over flat terms that arithmetic on
+        valid maps built: valid keys, nonzero CRat coefficients.  Skips the
+        constructor's validation."""
         cls = type(self)
         out = object.__new__(cls)
         for name in cls.__slots__:
             object.__setattr__(out, name, getattr(self, name))
-        object.__setattr__(out, "terms", terms)
+        object.__setattr__(out, "flat", flat)
         return out
 
     def _check(self, other: "TermMap") -> None:
@@ -230,13 +238,13 @@ class TermMap:
 
     def __add__(self, other: "TermMap") -> "TermMap":
         self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
+        out = dict(self.flat)
+        for key, c in other.flat.items():
             accumulate(out, key, c)
         return self._like(out)
 
     def __neg__(self) -> "TermMap":
-        return self._like({k: -c for k, c in self.terms.items()})
+        return self._like({k: -c for k, c in self.flat.items()})
 
     def __sub__(self, other: "TermMap") -> "TermMap":
         return self + (-other)
@@ -245,7 +253,7 @@ class TermMap:
         f = self._coerce(factor)
         if f.is_zero:
             return self._like({})
-        return self._like({k: c * f for k, c in self.terms.items()})
+        return self._like({k: c * f for k, c in self.flat.items()})
 
     def __mul__(self, other):
         if isinstance(other, type(self)):
@@ -268,8 +276,8 @@ class TermMap:
         self._check(other)
         expand = expand or self._expand
         acc: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
+        for k1, c1 in self.flat.items():
+            for k2, c2 in other.flat.items():
                 entries = expand(k1, k2)
                 if entries:
                     base = c1 * c2
@@ -284,9 +292,9 @@ class TermMap:
         contracts in neither order is skipped outright."""
         self._check(other)
         expand, masks = self._expand, self._masks
-        right = [(k2, c2) + masks(k2) for k2, c2 in other.terms.items()]
+        right = [(k2, c2) + masks(k2) for k2, c2 in other.flat.items()]
         acc: dict = {}
-        for k1, c1 in self.terms.items():
+        for k1, c1 in self.flat.items():
             x1, y1 = masks(k1)
             for k2, c2, x2, y2 in right:
                 ab, ba = y1 & x2, y2 & x1
@@ -315,15 +323,15 @@ class TermMap:
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self._context() == other._context() and self.terms == other.terms
+        return self._context() == other._context() and self.flat == other.flat
 
     def __hash__(self):
-        return hash((self._context(), frozenset(self.terms.items())))
+        return hash((self._context(), frozenset(self.flat.items())))
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.flat
 
     def degree(self) -> int:
-        """Largest total exponent over the terms (0 when empty)."""
+        """Largest total exponent over the monomials (0 when empty)."""
         return max((sum(m) for m in self.terms), default=0)

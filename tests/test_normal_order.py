@@ -17,8 +17,9 @@ import pytest
 from pbracket.group_algebra import ConventionTuple, Element, GroupSignature, multiply
 from pbracket.terms import _expansion, normal_order
 from pbracket.pmech import ClassicalPoly
-from pbracket.representations import HybridObservable, WeylOperator, qc_algebra, qq_algebra
-from pbracket.scalars import CR_I, CR_MINUS_ONE, CR_ONE, S_ZERO, scalar
+from pbracket.representations import (HybridObservable, WeylAlgebra, WeylOperator, qc_algebra,
+                                      qq_algebra)
+from pbracket.scalars import CR_I, CR_MINUS_ONE, CR_ONE, S_ZERO, Scalar, scalar
 
 # eps_comm = -1 (standard), +1 and +i
 CONVENTIONS = [
@@ -104,6 +105,33 @@ def test_weyl_product_matches_word_rewriter(dof):
 
 
 @pytest.mark.parametrize("dof", [1, 2])
+def test_weyl_product_with_several_term_gammas_matches_word_rewriter(dof):
+    """WeylAlgebra is public and a gamma need not be a monomial: each power
+    of (-gamma) is then several flat entries.  Coefficients with several
+    terms and negative powers of h multiply term by term."""
+    h, h1, h2 = (Scalar.symbol(name) for name in ("h", "h1", "h2"))
+    gammas = ((h1 + h2) * CR_I, 2 - h ** -1)[:dof]
+    alg = WeylAlgebra(tuple(str(i) for i in range(dof)), gammas)
+    c1, c2 = h1 + h2, h ** -1 - 3 * h2
+
+    def contraction(t):
+        return (), -gammas[t]
+
+    rng = random.Random(88 + dof)
+    contracted = 0
+    for _ in range(60):
+        m1 = _rand_mono(rng, alg.width, 0)
+        m2 = _rand_mono(rng, alg.width, 0)
+        words = rewrite(_word(m1) + _word(m2), alg.width, 0, contraction)
+        expected = WeylOperator(alg, words).scale(c1 * c2)
+        x, y = WeylOperator(alg, {m1: c1}), WeylOperator(alg, {m2: c2})
+        assert x * y == expected, (m1, m2)
+        assert x._commutator(y) == x * y - y * x, (m1, m2)
+        contracted += len(words) > 1
+    assert contracted >= 10
+
+
+@pytest.mark.parametrize("dof", [1, 2])
 @pytest.mark.parametrize("conv", CONVENTIONS, ids=["eps-1", "eps+1", "eps+i"])
 def test_hybrid_product_matches_word_rewriter(dof, conv):
     """The hybrid key as one word: Weyl pairs, then classical (q, p) pairs,
@@ -136,7 +164,9 @@ def test_entry_zero_is_the_uncontracted_term(dof):
     """TermMap._commutator cancels entry 0 of the two orders without
     computing it: in every type's _expand it must be the exponent sum with
     factor None, in both orders, and every later entry a contraction with
-    its factor."""
+    its factor.  A key over Scalar coefficients ends in its Planck
+    exponents, which may be negative: every entry of the constant-factor
+    Element product and entry 0 of every product carry their sum."""
     sig = GroupSignature(dof)
     alg = qq_algebra(sig)
     weyl = WeylOperator.zero(alg)
@@ -148,29 +178,33 @@ def test_entry_zero_is_the_uncontracted_term(dof):
         return m[2:] + (m[1],)
 
     rng = random.Random(500 + dof)
+    tails = random.Random(600 + dof)
     for _ in range(60):
         m1 = _rand_mono(rng, sig.width, 2, max_exp=3)
         m2 = _rand_mono(rng, sig.width, 2, max_exp=3)
+        t1, t2 = (tuple(tails.randint(-2, 2) for _ in range(3)) for _ in range(2))
+        tail = tuple(x + y for x, y in zip(t1, t2))
         pairs = tuple(x + y for x, y in zip(m1[2:], m2[2:]))
         total = tuple(x + y for x, y in zip(m1, m2))
-        for a, b in ((m1, m2), (m2, m1)):
+        for (a, ta), (b, tb) in (((m1, t1), (m2, t2)), ((m2, t2), (m1, t1))):
             expansion = normal_order(a, b, 2, sig.slots)
             assert expansion[0] == (pairs, (0,) * sig.slots, 1)
             assert all(any(ks) for _, ks, _ in expansion[1:])
-            entries = weyl._expand(a[2:], b[2:])
-            assert entries == alg.mul_mono(a[2:], b[2:])
-            assert entries[0] == (pairs, None)
+            entries = weyl._expand(a[2:] + ta, b[2:] + tb)
+            assert entries == [(m + t, f) for m, t, f in alg.mul_mono(a[2:], b[2:], tail)]
+            assert entries[0] == (pairs + tail, None)
             assert all(f is not None for _, f in entries[1:])
-            entries = element._expand(a, b)
-            assert entries[0] == (total, None)
+            entries = element._expand(a + ta, b + tb)
+            assert entries[0] == (total + tail, None)
             assert len(entries) == len(expansion)
-            assert all(f is not None and k != total for k, f in entries[1:])
+            assert all(f is not None and k[-3:] == tail and k != total + tail
+                       for k, f in entries[1:])
             assert classical._expand(a[2:], b[2:]) == [(total[2:], None)]
-            entries = hybrid._expand(hybrid_key(a), hybrid_key(b))
+            entries = hybrid._expand(hybrid_key(a) + ta, hybrid_key(b) + tb)
             if a[1] + b[1] > 1:
                 assert entries == []
             else:
-                assert entries[0] == (hybrid_key(total), None)
+                assert entries[0] == (hybrid_key(total) + tail, None)
                 assert all(f is not None and k != entries[0][0] for k, f in entries[1:])
 
 

@@ -3,6 +3,7 @@
 import copy
 import operator
 import pickle
+import random
 from fractions import Fraction
 
 from hypothesis import assume, given, settings
@@ -13,8 +14,8 @@ from pbracket.scalars import (CRat, CR_ONE, S_ONE, UNIT_VALUES, Scalar,
                               scalar, unit_to_str)
 from pbracket.group_algebra import (Element, GroupSignature, commutator,
                                     delta_to_element, element_to_delta)
-from pbracket.pmech import (ClassicalPoly, mechanise_weyl, universal_bracket,
-                            weyl_symbol)
+from pbracket.pmech import (ClassicalPoly, mechanise_weyl, poisson_classical,
+                            universal_bracket, weyl_symbol)
 from pbracket.qc_bracket import qc_bracket
 from pbracket.representations import rep_qc, rep_qq
 
@@ -520,3 +521,65 @@ def test_scalar_equal_values_hash_equal(fx, fy, lift):
     mono = Scalar.make({lift: CRat(3)})
     for same in (lifted, x * mono / mono, (x + y) - y, pickle.loads(pickle.dumps(x))):
         assert same == x and hash(same) == hash(x)
+
+
+# -- relabelling slots within a sector ------------------------------------------
+
+
+def _slot_poly(rng, dof, slots, max_degree=3, terms=3):
+    """A small classical polynomial on the given slots only, so that two of
+    them share slots and contract even at dof 64."""
+    out = {}
+    for _ in range(terms):
+        mono = [0] * (4 * dof)
+        for _ in range(rng.randint(1, max_degree)):
+            mono[2 * rng.choice(slots) + rng.randint(0, 1)] += 1
+        out[tuple(mono)] = CRat(rng.choice((-2, -1, 1, 3)), rng.choice((0, 0, 1)))
+    return ClassicalPoly(dof, out)
+
+
+def _relabel_pairs(mono, first, perm):
+    """mono with the (x, y) pair of slot t, laid out from index first, moved
+    to slot perm[t]."""
+    out = list(mono)
+    for t, u in enumerate(perm):
+        out[first + 2 * u:first + 2 * u + 2] = mono[first + 2 * t:first + 2 * t + 2]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("dof", [2, 3, 8, 64])
+def test_relabelling_slots_within_a_sector_commutes_with_the_engine(dof):
+    """Slots of one sector are interchangeable: relabel them by a random
+    permutation within each sector, and the commutator, the Poisson bracket
+    and the rep_qc images (of the inputs and of their universal bracket)
+    come out relabelled the same way."""
+    rng = random.Random(3100 + dof)
+    sig = GroupSignature(dof)
+    contracted = 0
+    for _ in range(6):
+        perm = rng.sample(range(dof), dof) + [dof + t for t in rng.sample(range(dof), dof)]
+
+        def moved_poly(f):
+            return ClassicalPoly(dof, {_relabel_pairs(m, 0, perm): c for m, c in f.terms.items()})
+
+        def moved_element(e):
+            return Element(sig, {_relabel_pairs(m, 2, perm): c for m, c in e.terms.items()})
+
+        def moved_hybrid(x):
+            """A hybrid key's pairs are the slots' in order: sector 1's as
+            Weyl pairs, then sector 2's as classical (q, p) pairs."""
+            return type(x)(sig, {_relabel_pairs(k, 0, perm): c for k, c in x.terms.items()})
+
+        slots = rng.sample(range(2 * dof), 4)
+        f, g = (_slot_poly(rng, dof, slots) for _ in range(2))
+        pf, pg = moved_poly(f), moved_poly(g)
+        assert poisson_classical(pf, pg) == moved_poly(poisson_classical(f, g))
+        k1, k2 = mechanise_weyl(sig, f), mechanise_weyl(sig, g)
+        assert mechanise_weyl(sig, pf) == moved_element(k1)
+        c = commutator(k1, k2)
+        contracted += not c.is_zero
+        assert commutator(moved_element(k1), moved_element(k2)) == moved_element(c)
+        assert rep_qc(moved_element(k1)) == moved_hybrid(rep_qc(k1))
+        u = universal_bracket(moved_element(k1), moved_element(k2))
+        assert rep_qc(u) == moved_hybrid(rep_qc(universal_bracket(k1, k2)))
+    assert contracted >= 3

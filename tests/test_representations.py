@@ -270,7 +270,9 @@ def _rand_weyl_mono(rng, width, max_exp=3):
 def test_mul_mono_factor_is_the_contraction_weight(dof):
     """Each contracted entry's factor, from the algebra's table, equals
     weight * prod (-gamma_j)^k_j built afresh: the table key must hold both
-    the contraction counts and the weight."""
+    the contraction counts and the weight.  A factor is one entry per term,
+    its Planck exponents added to the tail passed in; the algebras here
+    have monomial gammas, so one entry per contraction."""
     sig = GroupSignature(dof)
     rng = random.Random(900 + dof)
     for alg in (qq_algebra(sig), qc_algebra(sig)):
@@ -281,12 +283,16 @@ def test_mul_mono_factor_is_the_contraction_weight(dof):
                 entries = alg.mul_mono(m1, m2)
                 expansion = normal_order(m1, m2, 0, alg.dofs)
                 assert len(entries) == len(expansion)
-                for (mono, factor), (emono, ks, weight) in zip(entries[1:], expansion[1:]):
+                assert entries[0] == (expansion[0][0], (0, 0, 0), None)
+                for (mono, tail, factor), (emono, ks, weight) in zip(entries[1:], expansion[1:]):
                     reference = scalar(weight)
                     for gamma, k in zip(alg.gammas, ks):
                         reference = reference * (-gamma) ** k
                     assert mono == emono
-                    assert factor == reference, (m1, m2, ks, weight)
+                    assert Scalar({tail: factor}) == reference, (m1, m2, ks, weight)
+                shifted = alg.mul_mono(m1, m2, (1, -2, 3))
+                assert shifted == [(m, (t0 + 1, t1 - 2, t2 + 3), f)
+                                   for m, (t0, t1, t2), f in entries]
 
 
 def test_factor_table_is_not_part_of_the_algebra_value():

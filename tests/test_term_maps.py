@@ -16,6 +16,7 @@ whose only contraction is one the masks must not miss.
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -28,9 +29,11 @@ from pbracket.representations import (HybridObservable, WeylOperator, commutator
                                       multiply_hybrid, qc_algebra, qq_algebra, rep_qc,
                                       rep_qq)
 from pbracket.errors import SignatureMismatch
-from pbracket.sampling import rand_classical, rand_element
-from pbracket.scalars import S_ONE, UNIT_VALUES, Scalar
+from pbracket.sampling import (_allowed_indices, rand_classical, rand_crat, rand_element,
+                               rand_group_monomial)
+from pbracket.scalars import CR_MINUS_I, S_ONE, UNIT_VALUES, Scalar
 from pbracket.group_algebra import ConventionTuple
+from pbracket import terms as terms_module
 from pbracket.terms import TermMap, pair_masks
 
 
@@ -319,13 +322,215 @@ def test_every_commutator_runs_the_shared_loop(monkeypatch):
 
 
 def test_no_term_map_writes_its_own_product_loop():
-    """Only Scalar, the innermost coefficient ring, keeps a _product of its
-    own; every other type with a product states only its _expand."""
+    """No type keeps a _product of its own, Scalar included: the types over
+    Scalar coefficients store them flat, so no product loop multiplies
+    Scalars, and Scalar states only its _expand like every other type."""
     subs = set(_subclasses(TermMap))
     assert {Element, AObservable, WeylOperator, HybridObservable, ClassicalPoly,
             Scalar} <= subs
-    assert {c for c in subs if "_product" in vars(c)} == {Scalar}
+    assert {c for c in subs if "_product" in vars(c)} == set()
     assert not any("_commutator" in vars(c) for c in subs)
     assert {c for c in subs if "_identity" in vars(c)} == \
         {c for c in subs if "_masks" in vars(c)} == \
         {c for c in subs if "_expand" in vars(c)}
+
+
+# -- the Planck tail of a flat key --------------------------------------------
+
+
+def _planck_valued_maps(dof):
+    """Maps whose coefficients have several terms (h1 + h2) or negative
+    powers of h, h1 or h2: qc_bracket images carry 1/h, rep_qq images of a
+    universal bracket 1/h1 and 1/h2."""
+    rng = random.Random(1400 + dof)
+    sig = GroupSignature(dof)
+    h, h1, h2 = (Scalar.symbol(name) for name in ("h", "h1", "h2"))
+    out = []
+    for _ in range(4):
+        a, b = (mechanise_weyl(sig, rand_classical(rng, dof, max_degree=3)) for _ in range(2))
+        ha, hb = rep_qc(a), rep_qc(b)
+        u = universal_bracket(a, b)
+        out += [qc_bracket(ha, hb), ha.scale(h + 1 / h), multiply_hybrid(ha, hb).scale(h ** -2),
+                rep_qq(u), rep_qq(a).scale(h1 + h2) * rep_qq(b), u.scale(h1 + h2),
+                a.scale(h1 + h2 + 1 / h) - b.scale(h), commutator(a.scale(h1 + h2), b.scale(h2))]
+    return out
+
+
+def _rebuild(x):
+    if isinstance(x, AObservable):
+        return AObservable(x.plain, x.a1_part, x.a2_part)
+    return type(x)(*x._context(), dict(x.terms))
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3])
+def test_the_terms_view_regroups_the_planck_tail(dof):
+    """``terms`` is {monomial: Scalar}: rebuilt from it, a map is the same
+    value with the same hash; its degree is the largest monomial sum and its
+    length counts monomials, whatever the Planck tails of its flat keys."""
+    maps = _planck_valued_maps(dof)
+    several = negative = 0
+    for x in maps:
+        view = x.terms
+        assert all(isinstance(c, Scalar) and not c.is_zero for c in view.values())
+        assert len(view) == len({k[:-3] for k in x.flat})
+        assert sum(len(c.terms) for c in view.values()) == len(x.flat)
+        assert x.flat == {m + e: c for m, s in view.items() for e, c in s.terms.items()}
+        rebuilt = _rebuild(x)
+        assert rebuilt == x and hash(rebuilt) == hash(x) and rebuilt.terms == view
+        monos = [m for _, m in view] if isinstance(x, AObservable) else list(view)
+        assert x.degree() == max((sum(m) for m in monos), default=0)
+        several += any(len(c.terms) > 1 for c in view.values())
+        negative += any(min(k[-3:]) < 0 for k in x.flat)
+    assert several >= 8 and negative >= 8
+    # equality and hashing agree with the view across different values too
+    for x, y in itertools.combinations(maps[:8], 2):
+        if type(x) is type(y):
+            assert (x == y) == (x._context() == y._context() and x.terms == y.terms)
+            assert x != y or hash(x) == hash(y)
+
+
+def test_monomials_stay_validated_and_the_tail_stays_free():
+    """The constructors refuse what they refused before: negative, non-int
+    and wrong-width monomials; a negative Planck power in a coefficient is
+    a flat key with a negative tail."""
+    sig = GroupSignature(1)
+    h = Scalar.symbol("h")
+    e = Element(sig, {(0, 1, 2, 0, 0, 1): h ** -2 + h})
+    assert sorted(e.flat) == [(0, 1, 2, 0, 0, 1, -2, 0, 0), (0, 1, 2, 0, 0, 1, 1, 0, 0)]
+    assert e.terms == {(0, 1, 2, 0, 0, 1): h ** -2 + h}
+    for bad, match in (((0, 1, -1, 0, 0, 0), "negative"), ((0, 1, 0.5, 0, 0, 0), "non-int"),
+                       ((0, 1, 0, 0, 0, 0, -2, 0, 0), "width")):
+        with pytest.raises(ValueError, match=match):
+            Element(sig, {bad: h})
+
+
+def test_the_bracket_pair_bound_counts_monomials(monkeypatch, capsys):
+    """The CLI bounds a bracket by its inputs' monomial pairs, not by their
+    flat terms: inputs whose coefficients have two terms each are accepted
+    at the limit and refused just past it, as before the tail existed."""
+    from pbracket import cli
+
+    sig = GroupSignature(1)
+    two = Scalar.symbol("h1") + Scalar.symbol("h2")
+    sizes = {"a": 100, "b": cli.MAX_BRACKET_PAIRS // 100, "c": cli.MAX_BRACKET_PAIRS // 100 + 1}
+    made = {name: Element(sig, {(0, 0, i, 0, 0, 0): two for i in range(n)})
+            for name, n in sizes.items()}
+    assert all(len(made[n].flat) == 2 * len(made[n].terms) == 2 * sizes[n] for n in sizes)
+
+    reached = []
+
+    def bracket(k1, k2):        # the bound let the pair through: skip the work
+        reached.append((k1, k2))
+        return AObservable.of(Element.zero(sig))
+
+    monkeypatch.setattr(cli, "_element_arg", lambda text, sig: made[text])
+    monkeypatch.setattr(cli, "universal_bracket", bracket)
+    assert cli.main(["bracket", "universal", "a", "b"]) == 0
+    assert reached == [(made["a"], made["b"])]
+    assert cli.main(["bracket", "universal", "a", "c"]) == 2
+    assert len(reached) == 1
+    assert f"{100 * sizes['c']} term pairs" in capsys.readouterr().err
+
+
+def test_the_expression_size_is_over_monomials():
+    """The expression bounds read (degree, term count) of a value: for maps
+    with Planck tails that is the largest monomial sum and the number of
+    monomials, the same as the view's."""
+    from pbracket.expressions import _Value
+
+    for x in _planck_valued_maps(2):
+        if isinstance(x, Element):
+            assert _Value("e", x, 1).size() == (x.degree(), max(len(x.terms), 1))
+            assert x.degree() == max((sum(m) for m in x.terms), default=0)
+
+
+# -- results built without re-validation --------------------------------------
+
+
+def test_representations_and_mechanisation_do_not_revalidate(monkeypatch):
+    """rep_qc, rep_qq and mechanise_weyl write flat keys they built from
+    valid ones: clean_terms, the constructors' key validation, is never
+    called on their results."""
+    rng = random.Random(1500)
+    inputs = []
+    for dof in (1, 2, 3):
+        sig = GroupSignature(dof)
+        for _ in range(4):
+            f, g = (rand_classical(rng, dof, max_degree=3) for _ in range(2))
+            k1, k2 = mechanise_weyl(sig, f), mechanise_weyl(sig, g)
+            inputs.append((sig, f, k1, universal_bracket(k1, k2)))
+    calls = []
+    original = terms_module.clean_terms
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "pbracket" and getattr(module, "clean_terms", None) is original:
+            monkeypatch.setattr(module, "clean_terms", counted)
+    for sig, f, k, u in inputs:
+        mechanise_weyl(sig, f)
+        for x in (k, u):
+            rep_qc(x)
+            rep_qq(x)
+    assert calls == []
+    Element.one(GroupSignature(1))      # the counter does count
+    assert len(calls) == 1
+
+
+def test_rep_qc_refuses_an_h2_coefficient():
+    """The jet degree is the hybrid's only carrier of h2: rep_qc refuses a
+    coefficient term in h2 that survives, with the constructor's error, and
+    accepts one that cancels against another term's image."""
+    sig = GroupSignature(1)
+    h, h2 = Scalar.symbol("h"), Scalar.symbol("h2")
+    for coeff in (h2, h2 + 1, h * h2 ** -1):
+        with pytest.raises(ValueError, match="coefficients must not use h2"):
+            rep_qc(Element(sig, {(0, 0, 1, 0, 0, 0): coeff}))
+    # S1 maps to rep_s_sign*i*h = -i*h: -i*h2 on S1*X1 cancels h*h2 on X1
+    cancelling = Element(sig, {(0, 0, 1, 0, 0, 0): h * h2, (1, 0, 1, 0, 0, 0): CR_MINUS_I * h2})
+    assert rep_qc(cancelling).is_zero
+
+
+# -- the samplers build once ----------------------------------------------------
+
+
+def _rand_element_per_term(rng, sig, max_degree, terms, sectors, allow_s):
+    acc = Element.zero(sig)
+    for _ in range(terms):
+        mono = rand_group_monomial(rng, sig, max_degree, sectors, allow_s)
+        acc = acc + Element.monomial(sig, mono, rand_crat(rng))
+    return acc
+
+
+def _rand_classical_per_term(rng, dof, max_degree, terms, sectors, allow_imag):
+    acc = ClassicalPoly.zero(dof)
+    allowed = [k - 2 for k in _allowed_indices(dof, sectors, False)]
+    for _ in range(terms):
+        mono = [0] * (4 * dof)
+        for _ in range(rng.randint(0, max_degree)):
+            mono[rng.choice(allowed)] += 1
+        acc = acc + ClassicalPoly(dof, {tuple(mono): rand_crat(rng, allow_imag)})
+    return acc
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3])
+def test_samplers_equal_the_per_term_construction(dof):
+    """rand_element and rand_classical accumulate their terms in one dict;
+    they must draw the same numbers in the same order as adding one
+    validated map per term, and give the same map, term order included."""
+    sig = GroupSignature(dof)
+    params = [(max_degree, terms, sectors, flag) for max_degree in (0, 2, 4)
+              for terms in (1, 3, 6) for sectors in ((1, 2), (1,), (2,)) for flag in (True, False)]
+    for seed, (max_degree, terms, sectors, flag) in enumerate(params):
+        for build, reference, space in (
+                (rand_element, _rand_element_per_term, sig),
+                (rand_classical, _rand_classical_per_term, dof)):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            for _ in range(6):
+                got = build(rng, space, max_degree, terms, sectors, flag)
+                expected = reference(ref_rng, space, max_degree, terms, sectors, flag)
+                assert got == expected
+                assert list(got.flat.items()) == list(expected.flat.items())
+            assert rng.getstate() == ref_rng.getstate()
