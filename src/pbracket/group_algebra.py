@@ -31,6 +31,7 @@ from .scalars import (
     PlanckMap,
     Scalar,
     S_ONE,
+    power,
     scalar,
     unit_from_str,
     unit_to_str,
@@ -86,7 +87,8 @@ class ConventionTuple:
 
     def __post_init__(self):
         for name in _UNIT_FIELDS:
-            if getattr(self, name) not in UNIT_VALUES:
+            value = getattr(self, name)     # a CRat: an int 1 equals CR_ONE too
+            if type(value) is not CRat or value not in UNIT_VALUES:
                 raise ValueError(f"{name} must be one of +1, -1, +i, -i")
         for name in _SIGN_FIELDS:
             if require_int(getattr(self, name), name) not in (1, -1):
@@ -98,10 +100,10 @@ class ConventionTuple:
         return cls(eps_comm=CR_MINUS_ONE, kappa_x=CR_ONE, kappa_y=CR_ONE, kappa_s=CR_ONE,
                    orient=-1, rep_s_sign=-1)
 
-    def kappa(self, s: int, x: int, y: int) -> CRat:
+    def kappa(self, s: int, x: int, y: int) -> Union[int, CRat]:
         """Unit factor of a generator monomial with s central, x X and y Y
-        generators: one kappa factor per delta derivative."""
-        return self.kappa_s ** s * self.kappa_x ** x * self.kappa_y ** y
+        generators: one kappa factor per delta derivative, of cached powers."""
+        return power(self.kappa_s, s) * power(self.kappa_x, x) * power(self.kappa_y, y)
 
     @cached_property
     def gamma_unit(self) -> CRat:
@@ -204,7 +206,7 @@ class GroupSignature:
         k1 = sum(ks[:self.dof])
         return k1, sum(ks) - k1
 
-    def unit_factor(self, mono: Sequence[int]) -> CRat:
+    def unit_factor(self, mono: Sequence[int]) -> Union[int, CRat]:
         """The convention's kappa factor of a generator monomial."""
         return self.convention.kappa(mono[0] + mono[1], sum(mono[2::2]), sum(mono[3::2]))
 
@@ -280,7 +282,7 @@ class Element(PlanckMap):
             neg_eps = -sig.convention.eps_comm
             for xy, ks, weight in contracted:
                 c1, c2 = sig.central_exponents(ks)
-                out.append(((s1 + c1, s2 + c2) + xy + tail, neg_eps ** (c1 + c2) * weight))
+                out.append(((s1 + c1, s2 + c2) + xy + tail, power(neg_eps, c1 + c2) * weight))
         return out
 
     def _masks(self, mono: Monomial) -> tuple:

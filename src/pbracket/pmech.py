@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Mapping, Tuple, Union
 
 from .errors import AObservableProductError, NotMechanised, SignatureMismatch, UnknownRule
-from .scalars import CR_ONE, CRat, PlanckMap, Scalar
+from .scalars import CR_ONE, CRat, PlanckMap, Scalar, flat_value, power
 from .group_algebra import (Element, GroupSignature, commutator, delta_str, element_to_json,
                             slot_index, var_names)
 from .terms import (TermMap, accumulate, clean_terms, normal_order, pair_halves,
@@ -150,13 +150,13 @@ def mechanise_weyl(sig: GroupSignature, f: ClassicalPoly) -> Element:
         raise SignatureMismatch("polynomial dof does not match signature")
     conv = sig.convention
     half_neg_eps = -conv.eps_comm * CRat.of(Fraction(1, 2))
-    out: Dict[Tuple[int, ...], CRat] = {}
+    out: dict = {}
     for mono, coeff in f.terms.items():
         xs, ys = pair_halves(mono)
-        c = coeff * conv.kappa(0, sum(xs), sum(ys))
+        c = flat_value(coeff * conv.kappa(0, sum(xs), sum(ys)))
         for xy, ks, weight in normal_order(ys, xs, 0, sig.slots):
             s = sig.central_exponents(ks)
-            accumulate(out, s + xy + (0, 0, 0), c * half_neg_eps ** sum(s) * weight)
+            accumulate(out, s + xy + (0, 0, 0), c * power(half_neg_eps, sum(s)) * weight)
     return Element._over(out, signature=sig)
 
 

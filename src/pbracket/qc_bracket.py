@@ -20,10 +20,10 @@ Poisson part split out, and the three terms sum to qc_bracket.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from .errors import DivisionByZero, NotLocalized, SignatureMismatch, SingularTransformation
-from .scalars import CR_I, CR_MINUS_I, CR_ZERO, CRat, Scalar, S_ONE, scalar
+from .scalars import CR_I, CR_MINUS_I, CR_ZERO, CRat, Scalar, S_ONE, flat_value, scalar
 from .group_algebra import Element
 from .terms import accumulate, pair_halves
 from .pmech import ClassicalPoly, poisson_classical, universal_bracket, weyl_symbol
@@ -110,9 +110,10 @@ def _ordered_weyl_transport(k_sig, f: ClassicalPoly) -> WeylOperator:
     anti = conv.anti_normal_order
     if not anti and conv.gamma_unit != CRat.of(-1):
         raise ValueError("ordered transport is undefined for this convention tuple")
-    out: Dict[Tuple[int, ...], CRat] = {}
+    out: dict = {}
     for mono, c in f.terms.items():
         qs, ps = pair_halves(mono[:alg.width])
+        c = flat_value(c)
         for m, t, u in alg.mul_mono(*((ps, qs) if anti else (qs, ps))):
             accumulate(out, m + t, c if u is None else u * c)
     return WeylOperator._over(out, algebra=alg)

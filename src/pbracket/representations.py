@@ -17,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
+from operator import add
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .errors import SignatureMismatch, ZeroPlanck
-from .scalars import CR_I, CRat, PlanckMap, Scalar, S_ONE, scalar
+from .scalars import CR_I, CRat, PlanckMap, Scalar, S_ONE, flat_value, scalar
 from .terms import (accumulate, coeff_str, exponent_map,
                     normal_order, pair_masks, power_str, render_terms)
 from .group_algebra import ConventionTuple, Element, GroupSignature
@@ -49,15 +50,15 @@ class WeylAlgebra:
 
     labels: Tuple[str, ...]
     gammas: Tuple[Scalar, ...]
-    # The (Planck shift, CRat) terms of the contraction factor of each (ks,
-    # weight) that mul_mono has met; it depends on nothing else, and the keys
-    # are bounded by the degrees multiplied.  Not part of the value.
+    # The (Planck shift, flat value) terms of the contraction factor of each
+    # (ks, weight) that mul_mono has met; it depends on nothing else, and the
+    # keys are bounded by the degrees multiplied.  Not part of the value.
     _factors: Dict[Tuple[Tuple[int, ...], int], tuple] = field(
         default_factory=dict, init=False, compare=False, repr=False)
-    # The (Planck shift, CRat) term of the central factor of each (a, s1, s2)
-    # that rep_qq or rep_qc has met, on the algebra qq_algebra or qc_algebra
-    # returns for one signature, so its convention is fixed; the keys are
-    # bounded by the central degrees.  Not part of the value either.
+    # The (Planck shift, flat value) term of the central factor of each (a,
+    # s1, s2) that rep_qq or rep_qc has met, on the algebra qq_algebra or
+    # qc_algebra returns for one signature, so its convention is fixed; the
+    # keys are bounded by the central degrees.  Not part of the value either.
     _central: Dict[Tuple[int, int, int], tuple] = field(
         default_factory=dict, init=False, compare=False, repr=False)
 
@@ -95,7 +96,7 @@ class WeylAlgebra:
                 for gamma, k in zip(self.gammas, ks):
                     if k:
                         s = s * (-gamma) ** k
-                u = factors[ks, weight] = tuple(s.flat.items())
+                u = factors[ks, weight] = tuple((e, flat_value(c)) for e, c in s.flat.items())
             for (e0, e1, e2), f in u:
                 out.append((mono, (t0 + e0, t1 + e1, t2 + e2), f))
         return out
@@ -353,16 +354,16 @@ def rep_qq(k: Union[Element, AObservable],
             subs[name] = Fraction(val)
     alg = qq_algebra(sig)
     central = alg._central
-    acc: Dict[tuple, CRat] = {}
+    acc: dict = {}
     for (a, mono, e0, e1, e2), coeff in AObservable.of(k).flat.items():
         s = a, mono[0], mono[1]
         f = central.get(s)
         if f is None:
             # the one term of A_a's image (none for a = 0) * (S1 image)^s1 * (S2 image)^s2
             formal = _central_scalar(conv, ("h1", "h2")[a - 1], -1) if a else S_ONE
-            (f,) = (formal * _central_scalar(conv, "h1", s[1])
-                    * _central_scalar(conv, "h2", s[2])).flat.items()
-            central[s] = f
+            ((e, c),) = (formal * _central_scalar(conv, "h1", s[1])
+                         * _central_scalar(conv, "h2", s[2])).flat.items()
+            f = central[s] = e, flat_value(c)
         (f0, f1, f2), c = f
         accumulate(acc, mono[2:] + (e0 + f0, e1 + f1, e2 + f2), coeff * c)
     out = WeylOperator._over(acc, algebra=alg)
@@ -380,7 +381,7 @@ def rep_qc(k: Union[Element, AObservable]) -> HybridObservable:
     sig = k.signature
     conv = sig.convention
     central = qc_algebra(sig)._central
-    acc: Dict[tuple, CRat] = {}
+    acc: dict = {}
     for (a, mono, e0, e1, e2), coeff in AObservable.of(k).flat.items():
         jet = mono[1]
         if a == 2 or jet >= 2:
@@ -390,9 +391,9 @@ def rep_qc(k: Union[Element, AObservable]) -> HybridObservable:
         if f is None:
             # the one term of A1's image (none for a = 0) * (S1 image)^s1 * (the jet's unit)^jet
             formal = _central_scalar(conv, "h", -1) if a else S_ONE
-            (f,) = (formal * _central_scalar(conv, "h", s[1])
-                    * (CRat.of(conv.rep_s_sign) * CR_I) ** jet).flat.items()
-            central[s] = f
+            ((e, c),) = (formal * _central_scalar(conv, "h", s[1])
+                         * (CRat.of(conv.rep_s_sign) * CR_I) ** jet).flat.items()
+            f = central[s] = e, flat_value(c)
         (f0, f1, f2), c = f
         accumulate(acc, mono[2:] + (jet, e0 + f0, e1 + f1, e2 + f2), coeff * c)
     if any(key[-1] for key in acc):
@@ -422,16 +423,16 @@ def _pair_product(a: HybridObservable, k1: tuple, k2: tuple, star_unit: CRat) ->
         return []
     dof = a.signature.dof
     c1, c2 = k1[2 * dof:-3], k2[2 * dof:-3]
-    cm = tuple(x + y for x, y in zip(c1, c2))
+    cm = tuple(map(add, c1, c2))
     star: List[Tuple[Tuple[int, ...], Optional[CRat]]] = [(cm, None)]
-    if jet == 0 and not star_unit.is_zero:
+    if jet == 0 and star_unit:
         for px in range(1, 2 * dof, 2):
             if c1[px] and c2[px - 1]:
                 lowered = list(cm)
                 lowered[px - 1] -= 1
                 lowered[px] -= 1
                 lowered[-1] = 1
-                star.append((tuple(lowered), star_unit * (c1[px] * c2[px - 1])))
+                star.append((tuple(lowered), flat_value(star_unit * (c1[px] * c2[px - 1]))))
     tail = (k1[-3] + k2[-3], k1[-2] + k2[-2], k1[-1] + k2[-1])
     return [(wm + sm + t, sf if wc is None else wc if sf is None else wc * sf)
             for wm, t, wc in a.algebra.mul_mono(k1, k2, tail) for sm, sf in star]

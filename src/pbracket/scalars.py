@@ -1,6 +1,6 @@
 """Exact scalar arithmetic: complex rationals and Laurent polynomials in the
 formal parameters h, h1, h2, and PlanckMap, the flat storage of the term
-maps over such coefficients, whose product loops multiply CRats.
+maps over such coefficients, whose product loops multiply ints and CRats.
 
 Everything downstream of this module stays exact; floating point enters only
 in the numerical oracle, through :meth:`Scalar.evalf`.
@@ -9,6 +9,7 @@ in the numerical oracle, through :meth:`Scalar.evalf`.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import add
 from typing import Mapping, Optional, Union
@@ -81,21 +82,24 @@ class CRat:
     def im(self) -> Fraction:
         return Fraction(self._b, self._d)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._a and not self._b
+    is_zero = property(lambda self: not (self._a or self._b))
 
     @property
     def is_real(self) -> bool:
         return not self._b
 
     def __eq__(self, other) -> bool:
+        if type(other) is int:      # a real integer equals its int, as flat maps store it
+            return self._a == other and not self._b and self._d == 1
         if type(other) is not CRat:
             return NotImplemented
         return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self) -> int:
-        return hash((self._a, self._b, self._d))
+        return hash((self._a, self._b, self._d) if self._b or self._d != 1 else self._a)
+
+    def __bool__(self) -> bool:
+        return bool(self._a or self._b)
 
     def conjugate(self) -> "CRat":
         return _new(self._a, -self._b, self._d)
@@ -129,6 +133,9 @@ class CRat:
         return o + (-self)
 
     def __mul__(self, other: CRatLike) -> "CRat":
+        if type(other) is int:      # a flat map's int coefficient or weight
+            a, b, d = self._a * other, self._b * other, self._d
+            return _new(a, b, 1) if d == 1 else _reduced(a, b, d)
         o = other if type(other) is CRat else _coerce(other)
         if o is None:
             return NotImplemented
@@ -161,12 +168,8 @@ class CRat:
         if k < 0:
             return CR_ONE / (self ** (-k))
         out = CR_ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
+        for _ in range(k):
+            out = out * self
         return out
 
     def to_complex(self) -> complex:
@@ -216,6 +219,17 @@ def _reduced(a: int, b: int, d: int) -> CRat:
     if g != 1:
         a, b, d = a // g, b // g, d // g
     return _new(a, b, d)
+
+
+def flat_value(c: CRat) -> Union[int, CRat]:
+    """c as a PlanckMap stores it: a real integer as its int, else c."""
+    return c._a if not c._b and c._d == 1 else c
+
+
+@lru_cache(maxsize=512)
+def power(base: CRat, k: int) -> Union[int, CRat]:
+    """base ** k as a flat value; the bases are a convention's few constants."""
+    return flat_value(base ** k)
 
 
 def _coerce(value) -> Optional[CRat]:
@@ -476,10 +490,11 @@ def scalar(value: Union[Scalar, CRatLike]) -> Scalar:
 class PlanckMap(TermMap):
     """A term map over Scalar coefficients, stored flat: ``flat`` maps a
     monomial key extended by a coefficient term's Planck exponents (e_h,
-    e_h1, e_h2), which may be negative, to that term's CRat, so the product
-    loops multiply CRats and add exponents.  ``terms``, the public view
-    {monomial: Scalar}, is regrouped on each read: printers and writers read
-    it once, engine loops never."""
+    e_h1, e_h2), which may be negative, to that term's CRat, or its int when
+    it is a real integer (``flat_value``; equality and hashing agree), so
+    the product loops mostly multiply ints.  ``terms``, the public view
+    {monomial: Scalar} over CRats, is regrouped on each read: printers and
+    writers read it once, engine loops never."""
 
     __slots__ = ()
 
@@ -488,14 +503,14 @@ class PlanckMap(TermMap):
     @staticmethod
     def _flatten(terms: Mapping[tuple, object], width: int, coerce=scalar) -> dict:
         """The flat map of {monomial: coefficient} terms that clean_terms validates."""
-        return {m + e: c for m, s in clean_terms(terms, width, coerce).items()
+        return {m + e: flat_value(c) for m, s in clean_terms(terms, width, coerce).items()
                 for e, c in s.flat.items()}
 
     @property
     def terms(self) -> dict:
         grouped: dict = {}
         for k, c in self.flat.items():
-            grouped.setdefault(k[:-3], {})[k[-3:]] = c
+            grouped.setdefault(k[:-3], {})[k[-3:]] = c if type(c) is CRat else _new(c, 0, 1)
         return {m: _from_terms(t) for m, t in grouped.items()}
 
     def scale(self, factor) -> "PlanckMap":
@@ -503,6 +518,7 @@ class PlanckMap(TermMap):
         f = self._coerce(factor).flat
         if len(f) == 1:     # a monomial only shifts the tails: no two terms meet
             ((e0, e1, e2), x), = f.items()
+            x = flat_value(x)
             return self._like({k[:-3] + (k[-3] + e0, k[-2] + e1, k[-1] + e2): c * x
                                for k, c in self.flat.items()})
         return sum((self.scale(_from_terms({e: x})) for e, x in f.items()), self._like({}))

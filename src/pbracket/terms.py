@@ -1,16 +1,17 @@
 """Sparse term maps: what every polynomial type of the engine shares.
 
 Element, AObservable, WeylOperator, HybridObservable, ClassicalPoly and
-Scalar are all immutable maps from flat exponent keys to nonzero CRats; a
-key over Scalar coefficients ends in their Planck exponents
-(scalars.PlanckMap), and an AObservable's starts with its formal
-antiderivative factor, so each representation reads it in one pass.  This
-module holds their common parts: the term-map base class with its linear
-operations and the one product loop and one commutator loop that every
-type runs (a type states only how one term pair expands, and which pairs
-of a key can contract), the accumulate step, the Heisenberg
-normal-ordering kernel that both noncommutative products, the Weyl
-mechanisation and the ordered transport expand with, and the term printer.
+Scalar are all immutable maps from flat exponent keys to nonzero exact
+coefficients; a key over Scalar coefficients ends in their Planck exponents,
+its real-integer coefficient held as an int (scalars.PlanckMap), and an
+AObservable's starts with its formal antiderivative factor, so each
+representation reads it in one pass.  This module holds their common parts:
+the term-map base class with its linear operations and the one product loop
+and one commutator loop that every type runs (a type states only how one
+term pair expands, and which pairs of a key can contract), the accumulate
+step, the Heisenberg normal-ordering kernel that both noncommutative
+products, the Weyl mechanisation and the ordered transport expand with, and
+the term printer.
 
 It sits at the bottom of the package and imports no other pbracket module
 except errors, so scalars.py can use the printer.
@@ -18,8 +19,10 @@ except errors, so scalars.py can use the printer.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import compress, count
 from math import comb, factorial
+from operator import add, mul
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import SignatureMismatch
@@ -42,7 +45,7 @@ def accumulate(acc: dict, key, value) -> None:
     """Add value to acc[key], removing the key when the sum is zero."""
     prev = acc.get(key)
     total = value if prev is None else prev + value
-    if total.is_zero:
+    if not total:
         acc.pop(key, None)
     else:
         acc[key] = total
@@ -84,18 +87,18 @@ def normal_order(m1: Sequence[int], m2: Sequence[int], first: int,
     the number k of contractions per pair, and the integer weight (the
     product of the k! C(m,k) C(n,k) factors).  The caller supplies the
     factor (-c_t)^k_t of each pair.  Entry 0 is always the uncontracted
-    term, every k zero and weight 1, so it is the same for either order of
-    m1 and m2; TermMap._commutator skips it.
+    term, the pair parts added, every k zero and weight 1, so it is the same
+    for either order of m1 and m2; TermMap._commutator skips it.  A pair
+    with Y in m1 and X in m2 adds copies of the entries so far, one per k.
     """
-    out = [((), (), 1)]
-    for t in range(pairs):
-        ix = first + 2 * t
-        a1, b1, a2, b2 = m1[ix], m1[ix + 1], m2[ix], m2[ix + 1]
-        if b1 == 0 or a2 == 0:
-            out = [(e + (a1 + a2, b1 + b2), ks + (0,), w) for e, ks, w in out]
-            continue
-        out = [(e + (a1 + a2 - k, b1 + b2 - k), ks + (k,), w * ck)
-               for e, ks, w in out for k, ck in _expansion(b1, a2)]
+    end = first + 2 * pairs
+    out = [(tuple(map(add, m1[first:end], m2[first:end])), (0,) * pairs, 1)]
+    for t in compress(count(), map(mul, m1[first + 1:end:2], m2[first:end:2])):
+        ix = 2 * t
+        out += [(e[:ix] + (e[ix] - k, e[ix + 1] - k) + e[ix + 2:],
+                 ks[:t] + (k,) + ks[t + 1:], w * ck)
+                for k, ck in _expansion(m1[first + ix + 1], m2[first + ix])[1:]
+                for e, ks, w in out]
     return out
 
 
@@ -127,9 +130,9 @@ def pair_masks(mono: Sequence[int], first: int, pairs: int) -> Tuple[int, int]:
 def pair_halves(mono: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """The X half and the Y half of a monomial laid out as (X, Y) pairs,
     each at full width with the other half's exponents zeroed."""
-    xs = tuple(e if i % 2 == 0 else 0 for i, e in enumerate(mono))
-    ys = tuple(e if i % 2 else 0 for i, e in enumerate(mono))
-    return xs, ys
+    xs, ys = [0] * len(mono), [0] * len(mono)
+    xs[::2], ys[1::2] = mono[::2], mono[1::2]
+    return tuple(xs), tuple(ys)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +186,7 @@ def render_terms(terms: Iterable[Tuple[str, str]]) -> str:
 
 
 class TermMap:
-    """Immutable map ``flat`` from flat exponent keys to nonzero CRats.
+    """Immutable map ``flat`` from flat exponent keys to nonzero coefficients.
 
     A subclass stores the fields that fix its space (signature, algebra,
     ...) in its own ``__slots__``, which ``_like`` copies, returns them from
@@ -196,10 +199,11 @@ class TermMap:
 
     ``_expand(k1, k2)`` is the product of one flat key pair over its
     coefficient product c1*c2, as a list of ``(key, factor)`` entries, each
-    key flat and each factor a CRat.  Entry 0 is the uncontracted term, the
-    same for either order of the pair, and its factor is None, meaning one;
-    every later entry carries its factor.  An empty list means the pair
-    contributes nothing.  ``_product`` and ``_commutator`` are built on it.
+    key flat and each factor an int or a CRat.  Entry 0 is the uncontracted
+    term, the same for either order of the pair, and its factor is None,
+    meaning one; every later entry carries its factor.  An empty list means
+    the pair contributes nothing.  ``_product`` and ``_commutator`` are
+    built on it.
     """
 
     __slots__ = ("flat",)
@@ -212,6 +216,11 @@ class TermMap:
     def __setattr__(self, *args):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        """Copy and pickle rebuild through _over, with the context fields."""
+        cls = type(self)
+        return partial(cls._over, **{n: getattr(self, n) for n in cls.__slots__}), (self.flat,)
+
     @classmethod
     def _over(cls, flat: dict, **fields) -> "TermMap":
         """The constructor's result over valid flat terms, unvalidated."""
@@ -221,7 +230,7 @@ class TermMap:
 
     def _like(self, flat: dict) -> "TermMap":
         """A map in this one's space over flat terms that arithmetic on
-        valid maps built: valid keys, nonzero CRat coefficients.  Skips the
+        valid maps built: valid keys, nonzero coefficients.  Skips the
         constructor's validation."""
         cls = type(self)
         out = object.__new__(cls)
@@ -328,9 +337,10 @@ class TermMap:
     def __hash__(self):
         return hash((self._context(), frozenset(self.flat.items())))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.flat
+    def __bool__(self) -> bool:
+        return bool(self.flat)
+
+    is_zero = property(lambda self: not self.flat)
 
     def degree(self) -> int:
         """Largest total exponent over the monomials (0 when empty)."""

@@ -38,6 +38,22 @@ def test_convention_tuple_validation():
     assert ConventionTuple.from_json(std.to_json()) == std
 
 
+@pytest.mark.parametrize("field", ["eps_comm", "kappa_x", "kappa_y", "kappa_s"])
+def test_unit_fields_refuse_bare_numbers(field):
+    """A unit field takes a CRat.  A real-integer CRat equals its int (term
+    maps store real integers as ints), so the check is on the type as well
+    as on the value: a bare int or a Fraction of a unit value is refused."""
+    std = ConventionTuple.standard()
+    fields = {name: getattr(std, name) for name in
+              ("eps_comm", "kappa_x", "kappa_y", "kappa_s", "orient", "rep_s_sign")}
+    for value in (1, -1, Fraction(1), Fraction(-1)):
+        with pytest.raises(ValueError, match=f"{field} must be one of"):
+            ConventionTuple(**{**fields, field: value})
+    with pytest.raises(ValueError, match="eps_comm must be one of"):
+        ConventionTuple(eps_comm=-1, kappa_x=1, kappa_y=1, kappa_s=1, orient=-1, rep_s_sign=-1)
+    assert ConventionTuple(**{**fields, field: CR_ONE}).to_json()[field] == "+1"
+
+
 def test_standard_tuple_units():
     std = ConventionTuple.standard()
     # [Q, P] carries +i*hbar under the standard tuple

@@ -221,3 +221,82 @@ def test_expansion_weights_match_the_closed_form_and_the_rewriter():
             rewritten = rewrite((1,) * m + (0,) * n, 2, 0, lambda t: ((), 1))
             assert rewritten == {(n - k, m - k): scalar(w) for k, w in _expansion(m, n)}
     assert _expansion.cache_info().maxsize is not None
+
+
+def _normal_order_per_pair(m1, m2, first, pairs):
+    """The kernel as it was first written, the reference here: every pair
+    visited in turn, each entry grown by one pair at a time, k = 0 included."""
+    out = [((), (), 1)]
+    for t in range(pairs):
+        ix = first + 2 * t
+        a1, b1, a2, b2 = m1[ix], m1[ix + 1], m2[ix], m2[ix + 1]
+        if b1 == 0 or a2 == 0:
+            out = [(e + (a1 + a2, b1 + b2), ks + (0,), w) for e, ks, w in out]
+            continue
+        out = [(e + (a1 + a2 - k, b1 + b2 - k), ks + (k,), w * ck)
+               for e, ks, w in out for k, ck in _expansion(b1, a2)]
+    return out
+
+
+def _assert_same_expansion(m1, m2, first, pairs):
+    got = normal_order(m1, m2, first, pairs)
+    expected = _normal_order_per_pair(m1, m2, first, pairs)
+    assert got[0] == expected[0], (m1, m2)
+    assert sorted(got[1:]) == sorted(expected[1:]), (m1, m2)
+    return len(got)
+
+
+def _sparse_mono(rng, width, first, slots):
+    """A monomial with nonzero exponents only on the given slots, a random
+    one of X or Y (or both) each time, then a Planck tail, which the kernel
+    must not read."""
+    mono = [0] * width
+    for t in slots:
+        for _ in range(rng.randint(0, 3)):
+            mono[first + 2 * t + rng.randint(0, 1)] += 1
+    return tuple(mono) + tuple(rng.randint(-2, 2) for _ in range(3))
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3, 8, 64])
+def test_normal_order_equals_the_per_pair_reference(dof):
+    """normal_order adds the pair parts once and copies the entries only for
+    the pairs that contract.  Against the per-pair loop: entry 0 is the same
+    and the other entries are the same multiset, in the Element layout (pairs
+    from index 2) and the Weyl layout (from index 0)."""
+    rng = random.Random(2000 + dof)
+    contracted = 0
+    for first, pairs in ((2, 2 * dof), (0, dof)):
+        width = first + 2 * pairs
+        for _ in range(150):
+            slots = rng.sample(range(pairs), min(pairs, 3))
+            m1, m2 = (_sparse_mono(rng, width, first, slots) for _ in range(2))
+            contracted += _assert_same_expansion(m1, m2, first, pairs) > 1
+    assert contracted >= 100
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3, 8, 64])
+def test_normal_order_on_fixed_contractions(dof):
+    """Y^3 X^3 in one slot: weights 1, 9, 18, 6 for k = 0..3 (a weight
+    doubled at k >= 3 once passed both oracles).  Two slots contracting at
+    once give the product of their expansions."""
+    pairs = 2 * dof
+    width = 2 + 2 * pairs
+    last = pairs - 1
+    y3, x3 = [0] * width, [0] * width
+    y3[2 + 2 * last + 1], x3[2 + 2 * last] = 3, 3
+    y3, x3 = tuple(y3), tuple(x3)
+    got = normal_order(y3, x3, 2, pairs)
+    assert _assert_same_expansion(y3, x3, 2, pairs) == 4
+    assert sorted((ks[last], w) for _, ks, w in got) == [(0, 1), (1, 9), (2, 18), (3, 6)]
+    two1, two2 = [0] * width, [0] * width
+    for t, (b, a) in ((0, (2, 1)), (last, (1, 2))):
+        two1[2 + 2 * t + 1] += b
+        two2[2 + 2 * t] += a
+    two1, two2 = tuple(two1), tuple(two2)
+    if last:
+        assert _assert_same_expansion(two1, two2, 2, pairs) == 4
+        got = normal_order(two1, two2, 2, pairs)
+        assert sorted((ks[0], ks[last], w) for _, ks, w in got) == [
+            (0, 0, 1), (0, 1, 2), (1, 0, 2), (1, 1, 4)]
+    else:
+        assert _assert_same_expansion(two1, two2, 2, pairs) == 3

@@ -14,7 +14,9 @@ to contract, so the tests of the masks count _expand calls and check pairs
 whose only contraction is one the masks must not miss.
 """
 
+import copy
 import itertools
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -31,10 +33,10 @@ from pbracket.representations import (HybridObservable, WeylOperator, commutator
 from pbracket.errors import SignatureMismatch
 from pbracket.sampling import (_allowed_indices, rand_classical, rand_crat, rand_element,
                                rand_group_monomial)
-from pbracket.scalars import CR_MINUS_I, S_ONE, UNIT_VALUES, Scalar
+from pbracket.scalars import CR_MINUS_I, S_ONE, UNIT_VALUES, CRat, Scalar
 from pbracket.group_algebra import ConventionTuple
 from pbracket import terms as terms_module
-from pbracket.terms import TermMap, pair_masks
+from pbracket.terms import TermMap, accumulate, pair_masks
 
 
 def assert_revalidates(x):
@@ -534,3 +536,108 @@ def test_samplers_equal_the_per_term_construction(dof):
                 assert got == expected
                 assert list(got.flat.items()) == list(expected.flat.items())
             assert rng.getstate() == ref_rng.getstate()
+
+
+# -- real-integer coefficients stored as ints -----------------------------------
+
+
+def _all_crat(x):
+    """The same map with every flat value held as a CRat."""
+    fields = {name: getattr(x, name) for name in type(x).__slots__}
+    return type(x)._over({k: CRat.of(c) for k, c in x.flat.items()}, **fields)
+
+
+def _value_kinds(x):
+    return {type(c) for c in x.flat.values()}
+
+
+def _mixed_maps(dof):
+    """Maps whose flat values mix ints and CRats, one of each type with a
+    product and an AObservable, from the universal route and a Weyl product."""
+    rng = random.Random(1600 + dof)
+    sig = GroupSignature(dof)
+    out = []
+    for _ in range(3):
+        f, g = (rand_classical(rng, dof, max_degree=3) for _ in range(2))
+        a, b = mechanise_weyl(sig, f), mechanise_weyl(sig, g)
+        u = universal_bracket(a, b)
+        out += [a.scale(Fraction(1, 2)) + b, u, rep_qq(u), rep_qq(a) * rep_qq(b),
+                qc_bracket(rep_qc(a), rep_qc(b)), rep_qc(u)]
+    return out
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3])
+def test_int_and_crat_coefficients_are_the_same_value(dof):
+    """A PlanckMap holds a real-integer coefficient as an int.  The same
+    value held as CRats compares equal and hashes equal, and the public
+    view, the text and the JSON never show which one holds it: ``terms``
+    yields Scalars over CRats only."""
+    maps = _mixed_maps(dof)
+    assert any(_value_kinds(x) == {int, CRat} for x in maps)
+    for x in maps:
+        twin = _all_crat(x)
+        assert _value_kinds(twin) <= {CRat}
+        assert x == twin and twin == x and hash(x) == hash(twin)
+        assert {type(c) for s in x.terms.values() for c in s.terms.values()} <= {CRat}
+        assert str(x) == str(twin)
+        if hasattr(x, "to_json"):
+            assert x.to_json() == twin.to_json()
+    sig = GroupSignature(dof)
+    key = (0,) * sig.width + (0, 1, 0)
+    assert Element(sig, {key[:-3]: Scalar.symbol("h1", 1, 3)}).flat == {key: 3}
+    assert type(Element(sig, {key[:-3]: Scalar.symbol("h1", 1, 3)}).flat[key]) is int
+
+
+def test_real_integer_crats_equal_and_hash_as_ints():
+    for c in (CRat(3), CRat(-7), CRat(0)):
+        n = int(c.re)
+        assert c == n and n == c and hash(c) == hash(n)
+        assert bool(c) is bool(n)
+    for c in (CRat(Fraction(3, 2)), CRat(0, 1), CRat(1, 1)):
+        assert c != int(c.re) and bool(c)
+    assert {CRat(2): "x"}[2] == "x" and 2 in {CRat(2)}
+
+
+def test_accumulate_drops_a_sum_that_cancels():
+    """A flat map's running sum may be an int or a CRat, and so may its zero."""
+    acc = {}
+    accumulate(acc, "int", 3)
+    accumulate(acc, "int", -3)
+    accumulate(acc, "crat", CRat(Fraction(1, 2), 1))
+    accumulate(acc, "crat", CRat(Fraction(-1, 2), -1))
+    accumulate(acc, "mixed", CRat(2))
+    accumulate(acc, "mixed", -2)
+    assert acc == {}
+    accumulate(acc, "scalar", Scalar.symbol("h"))
+    accumulate(acc, "scalar", -Scalar.symbol("h"))
+    assert acc == {}
+    accumulate(acc, "kept", 1)
+    accumulate(acc, "kept", CRat(0, 1))
+    assert acc == {"kept": CRat(1, 1)}
+
+
+# -- copies and pickles -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("dof", [1, 2])
+def test_every_term_map_copies_and_pickles(dof):
+    """copy, deepcopy and pickle rebuild a map through TermMap._over with
+    its context: the result is equal, hashes equal, keeps its flat values'
+    types and still computes."""
+    sig = GroupSignature(dof)
+    maps = _mixed_maps(dof) + [
+        Element.one(sig), ClassicalPoly.constant(dof, 2),
+        rand_classical(random.Random(dof), dof, max_degree=3),
+        HybridObservable.identity(sig), WeylOperator.identity(qq_algebra(sig)),
+        AObservable.of(Element.one(sig)), Scalar.symbol("h", -1, Fraction(1, 2))]
+    kinds = {type(x) for x in maps}
+    assert {Element, WeylOperator, HybridObservable, AObservable, ClassicalPoly} <= kinds
+    for x in maps:
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(y) is type(x)
+            assert y == x and hash(y) == hash(x) and str(y) == str(x)
+            assert [type(c) for c in y.flat.values()] == [type(c) for c in x.flat.values()]
+            with pytest.raises(AttributeError, match="immutable"):
+                y.flat = {}
+            if not isinstance(x, AObservable):
+                assert y * y == x * x
