@@ -18,7 +18,7 @@ kappa factors of the ConventionTuple (one factor per derivative).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
@@ -200,11 +200,13 @@ class GroupSignature:
         """Delta-derivative variable of each exponent index."""
         return ("s1", "s2") + var_names(self.dof, "xy")
 
-    def central_exponents(self, ks: Sequence[int]) -> Tuple[int, int]:
-        """The S1 and S2 exponents of per-slot contraction counts: a slot's
-        contractions are powers of its sector's central generator."""
-        k1 = sum(ks[:self.dof])
-        return k1, sum(ks) - k1
+    @cached_property
+    def contraction_rules(self) -> Tuple[tuple, ...]:
+        """normal_order's contraction rule of each slot in an Element key: a
+        contraction raises the exponent of the slot's sector generator S,
+        at index 0 or 1, by one and multiplies by -eps."""
+        neg_eps = partial(power, -self.convention.eps_comm)
+        return tuple((self.slot_sector(t) - 1, (1,), neg_eps) for t in range(self.slots))
 
     def unit_factor(self, mono: Sequence[int]) -> Union[int, CRat]:
         """The convention's kappa factor of a generator monomial."""
@@ -270,20 +272,9 @@ class Element(PlanckMap):
         return cls(sig, {tuple(mono): scalar(coeff)})
 
     def _expand(self, m1: Monomial, m2: Monomial) -> list:
-        """Each (X, Y) slot put in normal order by the shared kernel; a
-        slot's k contractions become k powers of its sector's S and the
-        constant (-eps)^k.  The central generators and the Planck tails add."""
-        sig = self.signature
-        s1, s2 = m1[0] + m2[0], m1[1] + m2[1]
-        tail = (m1[-3] + m2[-3], m1[-2] + m2[-2], m1[-1] + m2[-1])
-        (xy, _, _), *contracted = normal_order(m1, m2, 2, sig.slots)
-        out = [((s1, s2) + xy + tail, None)]
-        if contracted:
-            neg_eps = -sig.convention.eps_comm
-            for xy, ks, weight in contracted:
-                c1, c2 = sig.central_exponents(ks)
-                out.append(((s1 + c1, s2 + c2) + xy + tail, power(neg_eps, c1 + c2) * weight))
-        return out
+        """Each (X, Y) slot put in normal order by the shared kernel, by the
+        signature's rules; the central generators and Planck tails add."""
+        return normal_order(m1, m2, 2, self.signature.contraction_rules)
 
     def _masks(self, mono: Monomial) -> tuple:
         return pair_masks(mono, 2, self.signature.slots)

@@ -16,6 +16,7 @@ retain a formal linear A1/A2 factor where not.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Dict, Mapping, Tuple, Union
 
 from .errors import AObservableProductError, NotMechanised, SignatureMismatch, UnknownRule
@@ -149,14 +150,15 @@ def mechanise_weyl(sig: GroupSignature, f: ClassicalPoly) -> Element:
     if f.dof != sig.dof:
         raise SignatureMismatch("polynomial dof does not match signature")
     conv = sig.convention
-    half_neg_eps = -conv.eps_comm * CRat.of(Fraction(1, 2))
+    half_neg_eps = partial(power, -conv.eps_comm * CRat.of(Fraction(1, 2)))
+    rules = tuple((raised, step, half_neg_eps) for raised, step, _ in sig.contraction_rules)
     out: dict = {}
     for mono, coeff in f.terms.items():
         xs, ys = pair_halves(mono)
         c = flat_value(coeff * conv.kappa(0, sum(xs), sum(ys)))
-        for xy, ks, weight in normal_order(ys, xs, 0, sig.slots):
-            s = sig.central_exponents(ks)
-            accumulate(out, s + xy + (0, 0, 0), c * power(half_neg_eps, sum(s)) * weight)
+        y, x = ((0, 0) + half + (0, 0, 0) for half in (ys, xs))
+        for key, u in normal_order(y, x, 2, rules):
+            accumulate(out, key, c if u is None else c * u)
     return Element._over(out, signature=sig)
 
 

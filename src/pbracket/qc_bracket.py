@@ -23,18 +23,11 @@ from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .errors import DivisionByZero, NotLocalized, SignatureMismatch, SingularTransformation
-from .scalars import CR_I, CR_MINUS_I, CR_ZERO, CRat, Scalar, S_ONE, flat_value, scalar
+from .scalars import CR_I, CR_MINUS_I, CRat, Scalar, S_ONE, flat_value, scalar
 from .group_algebra import Element
-from .terms import accumulate, pair_halves
+from .terms import accumulate, normal_order, pair_halves
 from .pmech import ClassicalPoly, poisson_classical, universal_bracket, weyl_symbol
-from .representations import (
-    HybridObservable,
-    WeylOperator,
-    _pair_product,
-    commutator_hybrid,
-    qc_algebra,
-    rep_qc,
-)
+from .representations import HybridObservable, WeylOperator, commutator_hybrid, qc_algebra, rep_qc
 
 __all__ = [
     "poisson_ordered",
@@ -53,11 +46,12 @@ def poisson_ordered(K1: HybridObservable, K2: HybridObservable) -> HybridObserva
 
     derivatives on the classical parts only, operator factors multiplied in
     the written order.  The classical parts multiply commutatively, without
-    the star correction (the hybrid product at star unit zero)."""
+    the star correction: the hybrid product by the Weyl pairs' rules alone."""
     K1._check(K2)
+    weyl = K1.rules[:K1.dof]
 
     def flat(k1: tuple, k2: tuple) -> list:
-        return _pair_product(K1, k1, k2, CR_ZERO)
+        return [] if k1[-4] + k2[-4] > 1 else normal_order(k1, k2, 0, weyl)
 
     out = K1._like({})
     for i in range(K1.dof):
@@ -112,10 +106,11 @@ def _ordered_weyl_transport(k_sig, f: ClassicalPoly) -> WeylOperator:
         raise ValueError("ordered transport is undefined for this convention tuple")
     out: dict = {}
     for mono, c in f.terms.items():
-        qs, ps = pair_halves(mono[:alg.width])
+        qs, ps = (half + (0, 0, 0) for half in pair_halves(mono[:alg.width]))
         c = flat_value(c)
-        for m, t, u in alg.mul_mono(*((ps, qs) if anti else (qs, ps))):
-            accumulate(out, m + t, c if u is None else u * c)
+        for key, u in normal_order(*((ps, qs) if anti else (qs, ps)), 0,
+                                   alg.contraction_rules):
+            accumulate(out, key, c if u is None else u * c)
     return WeylOperator._over(out, algebra=alg)
 
 

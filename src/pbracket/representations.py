@@ -9,19 +9,21 @@ multiply with a one-sided jet star product
     f * g = f g + star_unit * h2 * sum_i (df/dp_i)(dg/dq_i),
 
 which is exactly the correction that makes the per-monomial representation a
-homomorphism to first jet order.
+homomorphism to first jet order.  It is the normal ordering of sector 2's
+Heisenberg pair cut at h2^1 (star_unit * h2 is minus the pair's commutator),
+so a hybrid product runs the one contraction kernel, terms.normal_order,
+over the Weyl and classical pairs of a key alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 from fractions import Fraction
-from operator import add
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 from .errors import SignatureMismatch, ZeroPlanck
-from .scalars import CR_I, CRat, PlanckMap, Scalar, S_ONE, flat_value, scalar
+from .scalars import CR_I, CRat, PlanckMap, Scalar, S_ONE, flat_value, power, scalar
 from .terms import (accumulate, coeff_str, exponent_map,
                     normal_order, pair_masks, power_str, render_terms)
 from .group_algebra import ConventionTuple, Element, GroupSignature
@@ -46,25 +48,26 @@ WMonomial = Tuple[int, ...]
 @dataclass(frozen=True)
 class WeylAlgebra:
     """A finite family of (Q_i, P_i) pairs with central commutators:
-    Q_i P_i - P_i Q_i = gamma_i, different pairs commute."""
+    Q_i P_i - P_i Q_i = gamma_i, different pairs commute.  Each gamma_i is
+    one nonzero term, a constant times a Laurent monomial in h, h1 and h2,
+    so a contraction is one Planck shift and one constant."""
 
     labels: Tuple[str, ...]
     gammas: Tuple[Scalar, ...]
-    # The (Planck shift, flat value) terms of the contraction factor of each
-    # (ks, weight) that mul_mono has met; it depends on nothing else, and the
-    # keys are bounded by the degrees multiplied.  Not part of the value.
-    _factors: Dict[Tuple[Tuple[int, ...], int], tuple] = field(
-        default_factory=dict, init=False, compare=False, repr=False)
     # The (Planck shift, flat value) term of the central factor of each (a,
     # s1, s2) that rep_qq or rep_qc has met, on the algebra qq_algebra or
     # qc_algebra returns for one signature, so its convention is fixed; the
-    # keys are bounded by the central degrees.  Not part of the value either.
+    # keys are bounded by the central degrees.  Not part of the value.
     _central: Dict[Tuple[int, int, int], tuple] = field(
         default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.labels) != len(self.gammas):
             raise ValueError("labels and gammas must align")
+        for label, gamma in zip(self.labels, self.gammas):
+            if not isinstance(gamma, Scalar) or len(gamma.flat) != 1:
+                raise ValueError(f"gamma of pair {label!r} must be one nonzero term, "
+                                 f"a constant times a monomial in h, h1, h2; got {gamma!r}")
 
     @property
     def dofs(self) -> int:
@@ -79,27 +82,13 @@ class WeylAlgebra:
         """Generator names in exponent order: Q and P of each pair."""
         return tuple(f"{letter}{lab}" for lab in self.labels for letter in "QP")
 
-    def mul_mono(self, m1: WMonomial, m2: WMonomial, tail: tuple = (0, 0, 0)) -> List[tuple]:
-        """Normal-ordered product of two monomials as (monomial, Planck tail,
-        factor) entries: the shared kernel, a pair's k contractions weighted
-        by each term of (-gamma)^k, its exponents added to ``tail``.  Entry 0
-        is the uncontracted term, the exponent sum at ``tail`` with factor
-        None.  Only the first ``width`` exponents are read: a key will do."""
-        (mono, _, _), *contracted = normal_order(m1, m2, 0, self.dofs)
-        out = [(mono, tail, None)]
-        factors = self._factors
-        t0, t1, t2 = tail
-        for mono, ks, weight in contracted:
-            u = factors.get((ks, weight))
-            if u is None:
-                s = scalar(weight)
-                for gamma, k in zip(self.gammas, ks):
-                    if k:
-                        s = s * (-gamma) ** k
-                u = factors[ks, weight] = tuple((e, flat_value(c)) for e, c in s.flat.items())
-            for (e0, e1, e2), f in u:
-                out.append((mono, (t0 + e0, t1 + e1, t2 + e2), f))
-        return out
+    @cached_property
+    def contraction_rules(self) -> Tuple[tuple, ...]:
+        """normal_order's contraction rule of each pair in an operator key:
+        a contraction adds gamma's Planck exponents to the tail, at index
+        ``width``, and multiplies by minus gamma's constant."""
+        return tuple((self.width, e, partial(power, -c))
+                     for (e, c), in (gamma.flat.items() for gamma in self.gammas))
 
 
 class WeylOperator(PlanckMap):
@@ -137,8 +126,7 @@ class WeylOperator(PlanckMap):
         return cls(algebra, {tuple(mono): S_ONE})
 
     def _expand(self, m1: tuple, m2: tuple) -> list:
-        tail = (m1[-3] + m2[-3], m1[-2] + m2[-2], m1[-1] + m2[-1])
-        return [(m + t, f) for m, t, f in self.algebra.mul_mono(m1, m2, tail)]
+        return normal_order(m1, m2, 0, self.algebra.contraction_rules)
 
     def _masks(self, mono: WMonomial) -> tuple:
         return pair_masks(mono, 0, self.algebra.dofs)
@@ -198,10 +186,12 @@ class HybridObservable(PlanckMap):
     a ClassicalPoly's sector-2 slots, and last the jet degree in {0, 1},
     the power of h2, then in a flat key the Planck exponents.  Coefficients
     are Scalars free of h2, which only the jet degree carries.  The signature
-    is the whole context: it fixes qc_algebra(signature), dof and star unit.
+    is the whole context: it fixes qc_algebra(signature), dof and star unit;
+    the slots algebra and rules hold what the products read of it,
+    qc_algebra(signature) and _jet_rules(signature).
     """
 
-    __slots__ = ("signature", "algebra")
+    __slots__ = ("signature", "algebra", "rules")
 
     _coerce = staticmethod(_h2_free)
     _mismatch = "hybrid observables over different signatures"
@@ -211,7 +201,8 @@ class HybridObservable(PlanckMap):
         flat = self._flatten(terms, 4 * signature.dof + 1, _h2_free)
         if any(key[-4] > 1 for key in flat):
             raise ValueError("jet degree must be 0 or 1")
-        self._freeze(signature=signature, algebra=qc_algebra(signature), flat=flat)
+        self._freeze(signature=signature, algebra=qc_algebra(signature),
+                     rules=_jet_rules(signature), flat=flat)
 
     def _context(self) -> tuple:
         return (self.signature,)
@@ -236,7 +227,15 @@ class HybridObservable(PlanckMap):
         return cls(sig, {m + zc: c for m, c in w.terms.items()})
 
     def _expand(self, k1: tuple, k2: tuple) -> list:
-        return _pair_product(self, k1, k2, self.signature.convention.star_unit)
+        """The Weyl and classical pairs put in normal order by the shared
+        kernel, by _jet_rules, and nothing past jet degree 1: a jet-1 pair
+        takes the Weyl rules alone, a jet-0 pair drops its jet-2 entries."""
+        jet = k1[-4] + k2[-4]
+        if jet > 1:
+            return []
+        if jet:
+            return normal_order(k1, k2, 0, self.rules[:self.signature.dof])
+        return [e for e in normal_order(k1, k2, 0, self.rules) if e[0][-4] < 2]
 
     def _masks(self, key: tuple) -> tuple:
         """The Weyl pairs' bits, then the classical (q, p) pairs' bits,
@@ -329,6 +328,19 @@ def qc_algebra(sig: GroupSignature) -> WeylAlgebra:
     return WeylAlgebra(labels, tuple(unit * Scalar.symbol("h") for _ in labels))
 
 
+@lru_cache(maxsize=64)
+def _jet_rules(sig: GroupSignature) -> Tuple[tuple, ...]:
+    """normal_order's contraction rules in a hybrid key: each Weyl pair's,
+    its Planck tail moved past the classical exponents and the jet degree,
+    then each classical (q, p) pair's, the jet of sector 2's Heisenberg
+    pair: a contraction raises the jet degree, at index 4*dof, by one and
+    multiplies by the star unit, as h2 times its -gamma would."""
+    shift = 2 * sig.dof + 1
+    star = (4 * sig.dof, (1,), partial(power, sig.convention.star_unit))
+    return tuple((raised + shift, step, unit) for raised, step, unit
+                 in qc_algebra(sig).contraction_rules) + (star,) * sig.dof
+
+
 def _central_scalar(conv: ConventionTuple, symbol: str, power: int) -> Scalar:
     """(rep_s_sign * i * h_sym)^power, built as its one term; power -1 is the
     image of a formal antiderivative factor."""
@@ -398,7 +410,8 @@ def rep_qc(k: Union[Element, AObservable]) -> HybridObservable:
         accumulate(acc, mono[2:] + (jet, e0 + f0, e1 + f1, e2 + f2), coeff * c)
     if any(key[-1] for key in acc):
         raise ValueError(_H2_REFUSED)
-    return HybridObservable._over(acc, signature=sig, algebra=qc_algebra(sig))
+    return HybridObservable._over(acc, signature=sig, algebra=qc_algebra(sig),
+                                  rules=_jet_rules(sig))
 
 
 def multiply_hybrid(a: HybridObservable, b: HybridObservable) -> HybridObservable:
@@ -411,31 +424,6 @@ def multiply_hybrid(a: HybridObservable, b: HybridObservable) -> HybridObservabl
 def commutator_hybrid(a: HybridObservable, b: HybridObservable) -> HybridObservable:
     """a*b - b*a, never building the uncontracted leading term both orders cancel."""
     return a._commutator(b)
-
-
-def _pair_product(a: HybridObservable, k1: tuple, k2: tuple, star_unit: CRat) -> list:
-    """One term pair's product over its coefficient product, as (key, factor)
-    entries of Weyl times star entries; the uncontracted term comes first,
-    with factor None.  Empty past jet degree 1; a zero star unit multiplies
-    the classical parts commutatively, with no star correction."""
-    jet = k1[-4] + k2[-4]
-    if jet > 1:
-        return []
-    dof = a.signature.dof
-    c1, c2 = k1[2 * dof:-3], k2[2 * dof:-3]
-    cm = tuple(map(add, c1, c2))
-    star: List[Tuple[Tuple[int, ...], Optional[CRat]]] = [(cm, None)]
-    if jet == 0 and star_unit:
-        for px in range(1, 2 * dof, 2):
-            if c1[px] and c2[px - 1]:
-                lowered = list(cm)
-                lowered[px - 1] -= 1
-                lowered[px] -= 1
-                lowered[-1] = 1
-                star.append((tuple(lowered), flat_value(star_unit * (c1[px] * c2[px - 1]))))
-    tail = (k1[-3] + k2[-3], k1[-2] + k2[-2], k1[-1] + k2[-1])
-    return [(wm + sm + t, sf if wc is None else wc if sf is None else wc * sf)
-            for wm, t, wc in a.algebra.mul_mono(k1, k2, tail) for sm, sf in star]
 
 
 def hybrid_from_sector2_poly(template: HybridObservable, f: ClassicalPoly) -> HybridObservable:

@@ -9,12 +9,14 @@ representation reads it in one pass.  This module holds their common parts:
 the term-map base class with its linear operations and the one product loop
 and one commutator loop that every type runs (a type states only how one
 term pair expands, and which pairs of a key can contract), the accumulate
-step, the Heisenberg normal-ordering kernel that both noncommutative
-products, the Weyl mechanisation and the ordered transport expand with, and
-the term printer.
+step, the term printer, and normal_order, the one Heisenberg contraction
+kernel: every noncommutative product (Element, Weyl, hybrid), the Weyl
+mechanisation and the ordered transport expand with it, each layout
+stating its contraction rule per pair.
 
 It sits at the bottom of the package and imports no other pbracket module
-except errors, so scalars.py can use the printer.
+except errors, so scalars.py can use the printer; the unit powers of a
+contraction rule reach the kernel through the rule.
 """
 
 from __future__ import annotations
@@ -73,32 +75,44 @@ def clean_terms(terms, width: int, coerce) -> dict:
     return clean
 
 
-def normal_order(m1: Sequence[int], m2: Sequence[int], first: int,
-                 pairs: int) -> List[Tuple[Tuple[int, ...], Tuple[int, ...], int]]:
-    """Normal-ordered product of the (X, Y) pair parts of two monomials.
+def normal_order(k1: Sequence[int], k2: Sequence[int], first: int,
+                 rules: Sequence[tuple]) -> List[Tuple[Tuple[int, ...], object]]:
+    """Normal-ordered product of two flat keys, as (key, factor) entries.
 
     Pair t has its X exponent at index ``first + 2*t`` and its Y exponent
-    right after; within a pair [X, Y] = c is central, different pairs
-    commute.  The cross factor Y^m X^n of each pair expands as
+    right after, one pair per rule; within a pair [X, Y] is central,
+    different pairs commute, and every other index just adds.  The cross
+    factor Y^m X^n of each pair expands as
 
-        Y^m X^n = sum_k  k! C(m,k) C(n,k) (-c)^k  X^(n-k) Y^(m-k).
+        Y^m X^n = sum_k  k! C(m,k) C(n,k) (-[X, Y])^k  X^(n-k) Y^(m-k).
 
-    Returns one entry per term: the flattened (X, Y) exponents of all pairs,
-    the number k of contractions per pair, and the integer weight (the
-    product of the k! C(m,k) C(n,k) factors).  The caller supplies the
-    factor (-c_t)^k_t of each pair.  Entry 0 is always the uncontracted
-    term, the pair parts added, every k zero and weight 1, so it is the same
-    for either order of m1 and m2; TermMap._commutator skips it.  A pair
-    with Y in m1 and X in m2 adds copies of the entries so far, one per k.
+    ``rules[t] = (raised, step, unit_power)`` states -[X, Y] in the key's
+    layout: a contraction adds ``step[j]`` to index ``raised + j``, before
+    the pairs or after them (a central exponent, the Planck tail, the jet
+    degree), and k of them multiply by ``unit_power(k)``, a flat value.
+
+    Entry 0 is the uncontracted term, the keys added, with factor None
+    (one), the same for either order of k1 and k2; TermMap._commutator
+    skips it.  Every later entry carries its factor, an int or a CRat, the
+    product of k! C(m,k) C(n,k) unit^k over its contracting pairs.  A pair
+    with Y in k1 and X in k2 adds copies of the entries so far, one per k.
     """
-    end = first + 2 * pairs
-    out = [(tuple(map(add, m1[first:end], m2[first:end])), (0,) * pairs, 1)]
-    for t in compress(count(), map(mul, m1[first + 1:end:2], m2[first:end:2])):
-        ix = 2 * t
-        out += [(e[:ix] + (e[ix] - k, e[ix + 1] - k) + e[ix + 2:],
-                 ks[:t] + (k,) + ks[t + 1:], w * ck)
-                for k, ck in _expansion(m1[first + ix + 1], m2[first + ix])[1:]
-                for e, ks, w in out]
+    out = [(tuple(map(add, k1, k2)), None)]
+    end = first + 2 * len(rules)
+    for t in compress(count(), map(mul, k1[first + 1:end:2], k2[first:end:2])):
+        ix = first + 2 * t
+        raised, step, unit_power = rules[t]
+        grown = []
+        for k, weight in _expansion(k1[ix + 1], k2[ix])[1:]:
+            f = weight * unit_power(k)
+            bumps = [(ix, -k), (ix + 1, -k)]
+            bumps += [(raised + j, k * s) for j, s in enumerate(step) if s]
+            for e, g in out:
+                key = list(e)
+                for j, d in bumps:
+                    key[j] += d
+                grown.append((tuple(key), f if g is None else g * f))
+        out += grown
     return out
 
 

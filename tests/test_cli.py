@@ -287,17 +287,29 @@ def test_oracle_check_text_and_json(capsys):
     assert all(row["status"] == "pass" for row in data)
 
 
-def test_oracle_check_under_a_real_commutator_weight_is_one_error_line(tmp_path, capsys):
+def test_oracle_check_under_a_real_commutator_weight_reports_the_matrix_row(tmp_path, capsys):
     """[Q, P] = gamma is real under this tuple, so the matrix oracle cannot
-    run: a typed error, not an internal one."""
+    run, but the exact suites can: their rows print, then one failing
+    matrix row that carries the UnsupportedConvention reason, in text and
+    in JSON, and the exit code is 1."""
     path = tmp_path / "real-gamma.json"
     path.write_text(json.dumps({"convention": {
         "eps_comm": "+i", "kappa_x": "+1", "kappa_y": "+1", "kappa_s": "+i",
         "orient": -1, "rep_s_sign": -1}, "dof": 1}))
     code, out, err = run(capsys, "--config", str(path), "oracle", "check")
-    assert (code, out) == (1, "")
-    assert err.startswith("error: ") and err.count("\n") == 1 and "internal" not in err
-    assert "purely imaginary" in err
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert [line.split()[:2] for line in lines[:3]] == [
+        ["pass", "vector-field-composition"], ["pass", "algebra-laws"], ["fail", "matrix-suite"]]
+    assert len(lines) == 4
+    assert "UnsupportedConvention: " in lines[3] and "purely imaginary" in lines[3]
+    code, out, err = run(capsys, "--json", "--config", str(path), "oracle", "check")
+    assert (code, err) == (1, "")
+    data = json.loads(out)
+    assert [(row["check"], row["status"]) for row in data] == [
+        ("vector-field-composition", "pass"), ("algebra-laws", "pass"), ("matrix-suite", "fail")]
+    assert data[2]["counterexample"].startswith("UnsupportedConvention: ")
+    assert "purely imaginary" in data[2]["counterexample"]
 
 
 def test_signature_n2_oracle_check_and_verify_pass(capsys):

@@ -17,8 +17,8 @@ import pytest
 from pbracket.group_algebra import ConventionTuple, Element, GroupSignature, multiply
 from pbracket.terms import _expansion, normal_order
 from pbracket.pmech import ClassicalPoly
-from pbracket.representations import (HybridObservable, WeylAlgebra, WeylOperator, qc_algebra,
-                                      qq_algebra)
+from pbracket.representations import (HybridObservable, WeylAlgebra, WeylOperator, _jet_rules,
+                                      qc_algebra, qq_algebra)
 from pbracket.scalars import CR_I, CR_MINUS_ONE, CR_ONE, S_ZERO, Scalar, scalar
 
 # eps_comm = -1 (standard), +1 and +i
@@ -106,11 +106,16 @@ def test_weyl_product_matches_word_rewriter(dof):
 
 @pytest.mark.parametrize("dof", [1, 2])
 def test_weyl_product_with_several_term_gammas_matches_word_rewriter(dof):
-    """WeylAlgebra is public and a gamma need not be a monomial: each power
-    of (-gamma) is then several flat entries.  Coefficients with several
-    terms and negative powers of h multiply term by term."""
+    """WeylAlgebra is public, and a gamma must be one nonzero term: one with
+    several terms, a zero or a bare constant is refused, naming its pair.
+    One-term gammas may mix symbols and carry negative powers, and
+    coefficients with several terms and negative powers of h multiply term
+    by term."""
     h, h1, h2 = (Scalar.symbol(name) for name in ("h", "h1", "h2"))
-    gammas = ((h1 + h2) * CR_I, 2 - h ** -1)[:dof]
+    for refused in ((h1 + h2) * CR_I, 2 - h ** -1, S_ZERO, CR_I):
+        with pytest.raises(ValueError, match="gamma of pair 'b'"):
+            WeylAlgebra(("a", "b"), (h, refused))
+    gammas = (2 * CR_I * h1 * h2, 3 * h ** -1)[:dof]
     alg = WeylAlgebra(tuple(str(i) for i in range(dof)), gammas)
     c1, c2 = h1 + h2, h ** -1 - 3 * h2
 
@@ -162,14 +167,14 @@ def test_hybrid_product_matches_word_rewriter(dof, conv):
 @pytest.mark.parametrize("dof", [1, 2, 3])
 def test_entry_zero_is_the_uncontracted_term(dof):
     """TermMap._commutator cancels entry 0 of the two orders without
-    computing it: in every type's _expand it must be the exponent sum with
+    computing it: in every type's _expand it must be the keys added, with
     factor None, in both orders, and every later entry a contraction with
     its factor.  A key over Scalar coefficients ends in its Planck
-    exponents, which may be negative: every entry of the constant-factor
-    Element product and entry 0 of every product carry their sum."""
+    exponents, which may be negative: entry 0 of every product carries
+    their sum, and so does every entry of the constant-factor Element
+    product, whose contractions raise a central exponent instead."""
     sig = GroupSignature(dof)
-    alg = qq_algebra(sig)
-    weyl = WeylOperator.zero(alg)
+    weyl = WeylOperator.zero(qq_algebra(sig))
     element = Element.zero(sig)
     hybrid = HybridObservable.identity(sig)
     classical = ClassicalPoly.zero(dof)
@@ -187,18 +192,15 @@ def test_entry_zero_is_the_uncontracted_term(dof):
         pairs = tuple(x + y for x, y in zip(m1[2:], m2[2:]))
         total = tuple(x + y for x, y in zip(m1, m2))
         for (a, ta), (b, tb) in (((m1, t1), (m2, t2)), ((m2, t2), (m1, t1))):
-            expansion = normal_order(a, b, 2, sig.slots)
-            assert expansion[0] == (pairs, (0,) * sig.slots, 1)
-            assert all(any(ks) for _, ks, _ in expansion[1:])
+            expansion = normal_order(a + ta, b + tb, 2, sig.contraction_rules)
+            assert expansion[0] == (total + tail, None)
+            assert element._expand(a + ta, b + tb) == expansion
+            assert all(f is not None and k[-3:] == tail and k[0] + k[1] > total[0] + total[1]
+                       for k, f in expansion[1:])
             entries = weyl._expand(a[2:] + ta, b[2:] + tb)
-            assert entries == [(m + t, f) for m, t, f in alg.mul_mono(a[2:], b[2:], tail)]
             assert entries[0] == (pairs + tail, None)
-            assert all(f is not None for _, f in entries[1:])
-            entries = element._expand(a + ta, b + tb)
-            assert entries[0] == (total + tail, None)
             assert len(entries) == len(expansion)
-            assert all(f is not None and k[-3:] == tail and k != total + tail
-                       for k, f in entries[1:])
+            assert all(f is not None and k != entries[0][0] for k, f in entries[1:])
             assert classical._expand(a[2:], b[2:]) == [(total[2:], None)]
             entries = hybrid._expand(hybrid_key(a) + ta, hybrid_key(b) + tb)
             if a[1] + b[1] > 1:
@@ -223,80 +225,109 @@ def test_expansion_weights_match_the_closed_form_and_the_rewriter():
     assert _expansion.cache_info().maxsize is not None
 
 
-def _normal_order_per_pair(m1, m2, first, pairs):
+def _normal_order_per_pair(k1, k2, first, rules):
     """The kernel as it was first written, the reference here: every pair
-    visited in turn, each entry grown by one pair at a time, k = 0 included."""
-    out = [((), (), 1)]
-    for t in range(pairs):
+    visited in turn, each entry grown by one pair at a time, k = 0
+    included, its weight k! C(m,k) C(n,k) computed afresh and the pair's
+    rule applied to it.  The uncontracted entry comes first, factor 1."""
+    out = [(tuple(x + y for x, y in zip(k1, k2)), 1)]
+    for t, (raised, step, unit_power) in enumerate(rules):
         ix = first + 2 * t
-        a1, b1, a2, b2 = m1[ix], m1[ix + 1], m2[ix], m2[ix + 1]
-        if b1 == 0 or a2 == 0:
-            out = [(e + (a1 + a2, b1 + b2), ks + (0,), w) for e, ks, w in out]
-            continue
-        out = [(e + (a1 + a2 - k, b1 + b2 - k), ks + (k,), w * ck)
-               for e, ks, w in out for k, ck in _expansion(b1, a2)]
+        m, n = k1[ix + 1], k2[ix]
+        grown = []
+        for key, f in out:
+            for k in range(min(m, n) + 1):
+                e = list(key)
+                e[ix] -= k
+                e[ix + 1] -= k
+                for j, s in enumerate(step):
+                    e[raised + j] += k * s
+                weight = factorial(k) * comb(m, k) * comb(n, k)
+                grown.append((tuple(e), f * weight * unit_power(k)))
+        out = grown
     return out
 
 
-def _assert_same_expansion(m1, m2, first, pairs):
-    got = normal_order(m1, m2, first, pairs)
-    expected = _normal_order_per_pair(m1, m2, first, pairs)
-    assert got[0] == expected[0], (m1, m2)
-    assert sorted(got[1:]) == sorted(expected[1:]), (m1, m2)
+def _assert_same_expansion(k1, k2, first, rules):
+    got = normal_order(k1, k2, first, rules)
+    expected = _normal_order_per_pair(k1, k2, first, rules)
+    assert got[0] == (expected[0][0], None) and expected[0][1] == 1, (k1, k2)
+    assert len(got) == len(expected), (k1, k2)
+    assert dict(got[1:]) == dict(expected[1:]), (k1, k2)
     return len(got)
 
 
-def _sparse_mono(rng, width, first, slots):
-    """A monomial with nonzero exponents only on the given slots, a random
-    one of X or Y (or both) each time, then a Planck tail, which the kernel
-    must not read."""
+def _sparse_key(rng, width, first, slots, after=0):
+    """A key with nonzero pair exponents only on the given slots, a random
+    one of X or Y (or both) each time, then ``after`` zeros (a jet degree)
+    and a Planck tail, which only the rules raise."""
     mono = [0] * width
     for t in slots:
         for _ in range(rng.randint(0, 3)):
             mono[first + 2 * t + rng.randint(0, 1)] += 1
-    return tuple(mono) + tuple(rng.randint(-2, 2) for _ in range(3))
+    return tuple(mono) + (0,) * after + tuple(rng.randint(-2, 2) for _ in range(3))
+
+
+def _layouts(sig):
+    """(first, rules, pair-part width, zeros after the pairs) of the Element
+    layout, whose rules raise an S exponent before the pairs, the Weyl
+    layout, whose rules raise the Planck tail after them, and the hybrid
+    layout, whose classical rules raise the jet degree after them."""
+    dof = sig.dof
+    return ((2, sig.contraction_rules, 2 + 4 * dof, 0),
+            (0, qc_algebra(sig).contraction_rules, 2 * dof, 0),
+            (0, _jet_rules(sig), 4 * dof, 1))
 
 
 @pytest.mark.parametrize("dof", [1, 2, 3, 8, 64])
 def test_normal_order_equals_the_per_pair_reference(dof):
-    """normal_order adds the pair parts once and copies the entries only for
-    the pairs that contract.  Against the per-pair loop: entry 0 is the same
-    and the other entries are the same multiset, in the Element layout (pairs
-    from index 2) and the Weyl layout (from index 0)."""
+    """normal_order adds the keys once and copies the entries only for the
+    pairs that contract.  Against the per-pair loop, under each convention:
+    entry 0 is the same and the other entries are the same (key, factor)
+    set, in the Element, Weyl and hybrid layouts."""
     rng = random.Random(2000 + dof)
     contracted = 0
-    for first, pairs in ((2, 2 * dof), (0, dof)):
-        width = first + 2 * pairs
-        for _ in range(150):
-            slots = rng.sample(range(pairs), min(pairs, 3))
-            m1, m2 = (_sparse_mono(rng, width, first, slots) for _ in range(2))
-            contracted += _assert_same_expansion(m1, m2, first, pairs) > 1
-    assert contracted >= 100
+    for conv in CONVENTIONS:
+        for first, rules, width, after in _layouts(GroupSignature(dof, conv)):
+            for _ in range(50):
+                slots = rng.sample(range(len(rules)), min(len(rules), 3))
+                k1, k2 = (_sparse_key(rng, width, first, slots, after) for _ in range(2))
+                contracted += _assert_same_expansion(k1, k2, first, rules) > 1
+    assert contracted >= 150
 
 
 @pytest.mark.parametrize("dof", [1, 2, 3, 8, 64])
 def test_normal_order_on_fixed_contractions(dof):
     """Y^3 X^3 in one slot: weights 1, 9, 18, 6 for k = 0..3 (a weight
-    doubled at k >= 3 once passed both oracles).  Two slots contracting at
-    once give the product of their expansions."""
-    pairs = 2 * dof
-    width = 2 + 2 * pairs
-    last = pairs - 1
-    y3, x3 = [0] * width, [0] * width
-    y3[2 + 2 * last + 1], x3[2 + 2 * last] = 3, 3
-    y3, x3 = tuple(y3), tuple(x3)
-    got = normal_order(y3, x3, 2, pairs)
-    assert _assert_same_expansion(y3, x3, 2, pairs) == 4
-    assert sorted((ks[last], w) for _, ks, w in got) == [(0, 1), (1, 9), (2, 18), (3, 6)]
-    two1, two2 = [0] * width, [0] * width
-    for t, (b, a) in ((0, (2, 1)), (last, (1, 2))):
+    doubled at k >= 3 once passed both oracles), each times the rule's unit
+    to the k, read off the exponent the rule raises: an Element slot's S2
+    at -eps = -i, and a Weyl pair's Planck tail at gamma = 2i*h1*h2, both
+    of whose exponents rise.  Two slots contracting at once give the
+    product of their expansions."""
+    sig = GroupSignature(dof, CONVENTIONS[2])
+    h1, h2 = Scalar.symbol("h1"), Scalar.symbol("h2")
+    alg = WeylAlgebra(tuple(str(i) for i in range(dof)), (2 * CR_I * h1 * h2,) * dof)
+    for first, rules, width, unit, read, shift in (
+            (2, sig.contraction_rules, sig.width, -CR_I, 0, lambda k: (0, k)),
+            (0, alg.contraction_rules, alg.width, -2 * CR_I, alg.width, lambda k: (0, k, k))):
+        y3, x3 = [0] * (width + 3), [0] * (width + 3)
+        y3[width - 1], x3[width - 2] = 3, 3
+        y3, x3 = tuple(y3), tuple(x3)
+        assert _assert_same_expansion(y3, x3, first, rules) == 4
+        got = normal_order(y3, x3, first, rules)
+        raised = {key[read:read + len(shift(0))]: f for key, f in got}
+        assert raised == {shift(0): None, shift(1): 9 * unit, shift(2): 18 * unit ** 2,
+                        shift(3): 6 * unit ** 3}
+    # slot 0 is sector 1's, the last slot sector 2's: k0 and k1
+    # contractions are S1^k0 S2^k1, each at the unit -eps
+    pairs = sig.slots
+    two1, two2 = [0] * (sig.width + 3), [0] * (sig.width + 3)
+    for t, (b, a) in ((0, (2, 1)), (pairs - 1, (1, 2))):
         two1[2 + 2 * t + 1] += b
         two2[2 + 2 * t] += a
     two1, two2 = tuple(two1), tuple(two2)
-    if last:
-        assert _assert_same_expansion(two1, two2, 2, pairs) == 4
-        got = normal_order(two1, two2, 2, pairs)
-        assert sorted((ks[0], ks[last], w) for _, ks, w in got) == [
-            (0, 0, 1), (0, 1, 2), (1, 0, 2), (1, 1, 4)]
-    else:
-        assert _assert_same_expansion(two1, two2, 2, pairs) == 3
+    assert _assert_same_expansion(two1, two2, 2, sig.contraction_rules) == 4
+    got = normal_order(two1, two2, 2, sig.contraction_rules)
+    unit = -CR_I
+    assert {key[:2]: f for key, f in got} == {
+        (0, 0): None, (0, 1): 2 * unit, (1, 0): 2 * unit, (1, 1): 4 * unit ** 2}

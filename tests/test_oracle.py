@@ -331,14 +331,15 @@ def test_vector_field_oracle_is_independent_of_the_product_it_checks(monkeypatch
     bound = [m for name, m in sys.modules.items() if name.startswith("pbracket")
              and getattr(m, "normal_order", None) is terms.normal_order]
     assert {m.__name__ for m in bound} >= {"pbracket.terms", "pbracket.group_algebra",
-                                          "pbracket.pmech", "pbracket.representations"}
+                                          "pbracket.pmech", "pbracket.representations",
+                                          "pbracket.qc_bracket"}
     for module in bound:
         monkeypatch.setattr(module, "normal_order", refuse)
     monkeypatch.setattr(TermMap, "_product", refuse)
     monkeypatch.setattr(TermMap, "_commutator", refuse)
     a, b = cases[0][0], cases[0][1]
     for patched in (lambda: multiply(a, b), lambda: commutator(a, b),
-                    lambda: terms.normal_order((0, 1), (1, 0), 0, 1)):
+                    lambda: terms.normal_order((0, 1), (1, 0), 0, ())):
         with pytest.raises(AssertionError, match="code path it checks"):
             patched()
     for ab, ba, f, expected in cases:
@@ -492,3 +493,21 @@ def test_verify_item_exception_names_where_it_was_raised(monkeypatch):
     assert f"       - {detail}\n" in report.render()
     assert report.to_json()["items"][-1]["detail"] == [detail]
     assert not [d for i in report.items if i.ok for d in i.detail if d.startswith("raised at ")]
+
+
+def test_oracle_check_under_real_gamma_tuples_reports_every_suite():
+    """Under a tuple with a real [Q, P] weight the exact suites still run and
+    pass; the matrix oracle is one failing row with the reason.  A seeded
+    sample of the 512 such tuples."""
+    tuples = itertools.product(UNIT_VALUES, UNIT_VALUES, UNIT_VALUES, UNIT_VALUES,
+                               (1, -1), (1, -1))
+    real = [conv for conv in (ConventionTuple(*fields) for fields in tuples)
+            if conv.gamma_unit.im != 0]     # [Q, P] = u * i * hbar
+    assert len(real) == 512
+    for conv in random.Random(21).sample(real, 3):
+        reports = oracle_check(5, sig=GroupSignature(1, conv))
+        assert [(r.check, r.status) for r in reports] == [
+            ("vector-field-composition", "pass"), ("algebra-laws", "pass"),
+            ("matrix-suite", "fail")], conv
+        assert reports[2].failures == 1
+        assert reports[2].counterexample.startswith("UnsupportedConvention: "), conv

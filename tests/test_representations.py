@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
@@ -19,7 +20,6 @@ from pbracket.representations import (HybridObservable, WeylAlgebra,
                                       hybrid_from_sector2_poly, multiply_hybrid,
                                       qc_algebra, qq_algebra, rep_qc, rep_qq)
 from pbracket.representations import _central_scalar
-from pbracket.terms import normal_order
 
 SIG = GroupSignature(dof=1)
 
@@ -267,41 +267,50 @@ def _rand_weyl_mono(rng, width, max_exp=3):
 
 
 @pytest.mark.parametrize("dof", [1, 2, 3])
-def test_mul_mono_factor_is_the_contraction_weight(dof):
-    """Each contracted entry's factor, from the algebra's table, equals
-    weight * prod (-gamma_j)^k_j built afresh: the table key must hold both
-    the contraction counts and the weight.  A factor is one entry per term,
-    its Planck exponents added to the tail passed in; the algebras here
-    have monomial gammas, so one entry per contraction."""
-    sig = GroupSignature(dof)
+def test_weyl_entry_factor_is_the_contraction_weight(dof):
+    """Each entry of a Weyl operator's term-pair expansion is one
+    contraction pattern k_j: its factor and Planck shift together equal
+    weight * prod (-gamma_j)^k_j built afresh with Scalar arithmetic, the
+    weight prod k_j! C(m_j,k_j) C(n_j,k_j), its monomial the exponents
+    added less k_j per pair, and its Planck exponents the tails added
+    plus the shift."""
+    sig = GroupSignature(dof, ConventionTuple(CR_I, CR_ONE, CR_ONE, CR_ONE, -1, -1))
     rng = random.Random(900 + dof)
-    for alg in (qq_algebra(sig), qc_algebra(sig)):
-        for _ in range(2):          # the second pass reads the table
-            for _ in range(40):
-                m1 = _rand_weyl_mono(rng, alg.width)
-                m2 = _rand_weyl_mono(rng, alg.width)
-                entries = alg.mul_mono(m1, m2)
-                expansion = normal_order(m1, m2, 0, alg.dofs)
-                assert len(entries) == len(expansion)
-                assert entries[0] == (expansion[0][0], (0, 0, 0), None)
-                for (mono, tail, factor), (emono, ks, weight) in zip(entries[1:], expansion[1:]):
-                    reference = scalar(weight)
-                    for gamma, k in zip(alg.gammas, ks):
-                        reference = reference * (-gamma) ** k
-                    assert mono == emono
-                    assert Scalar({tail: factor}) == reference, (m1, m2, ks, weight)
-                shifted = alg.mul_mono(m1, m2, (1, -2, 3))
-                assert shifted == [(m, (t0 + 1, t1 - 2, t2 + 3), f)
-                                   for m, (t0, t1, t2), f in entries]
+    for alg in (qq_algebra(sig), qc_algebra(sig), qq_algebra(GroupSignature(dof))):
+        width = alg.width
+        for _ in range(40):
+            m1 = _rand_weyl_mono(rng, width)
+            m2 = _rand_weyl_mono(rng, width)
+            t1, t2 = (tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(2))
+            tail = Scalar({tuple(x + y for x, y in zip(t1, t2)): 1})
+            reference = {}
+            for ks in itertools.product(*(range(min(m1[2 * j + 1], m2[2 * j]) + 1)
+                                          for j in range(alg.dofs))):
+                s = tail
+                for j, k in enumerate(ks):
+                    s = s * scalar(factorial(k) * comb(m1[2 * j + 1], k) * comb(m2[2 * j], k))
+                    s = s * (-alg.gammas[j]) ** k
+                mono = tuple(x + y - ks[i // 2] for i, (x, y) in enumerate(zip(m1, m2)))
+                reference[mono] = s
+            entries = WeylOperator.zero(alg)._expand(m1 + t1, m2 + t2)
+            assert entries[0][1] is None
+            got = {key[:width]: Scalar({key[width:]: 1 if f is None else f})
+                   for key, f in entries}
+            assert len(got) == len(entries)
+            assert got == reference, (m1, m2)
 
 
-def test_factor_table_is_not_part_of_the_algebra_value():
-    alg = qq_algebra(GroupSignature(2))
-    alg.mul_mono((0, 2, 0, 0, 0, 0, 0, 0), (3, 0, 0, 0, 0, 0, 0, 0))
-    fresh = WeylAlgebra(alg.labels, alg.gammas)
-    assert alg._factors and not fresh._factors
-    assert fresh == alg and hash(fresh) == hash(alg)
-    assert repr(fresh) == repr(alg) and "_factors" not in repr(alg)
+def test_star_unit_times_h_is_minus_the_qc_gamma_under_every_convention():
+    """The hybrid's classical rule is the Weyl rule of sector 2's pair cut
+    at h2^1: star_unit * h = -gamma for all 1024 tuples, so the jet's
+    contraction is the h2 Heisenberg pair's."""
+    h = Scalar.symbol("h")
+    count = 0
+    for conv in _all_conventions():
+        sig = GroupSignature(1, conv)
+        assert conv.star_unit * h == -qc_algebra(sig).gammas[0], conv
+        count += 1
+    assert count == 1024
 
 
 def test_algebras_are_shared_per_signature_in_bounded_caches():
