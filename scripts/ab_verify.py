@@ -15,7 +15,9 @@ Usage, from the root of a checkout:
 
 BASE_ROOT and HEAD_ROOT are checkouts with a ``src/pbracket``; HEAD_ROOT
 defaults to this checkout.  Prints each side's median and interquartile
-range of the per-round time and the head/base ratio of the medians.  Each
+range of the per-round time, the head/base ratio of the medians, and how
+many rounds head won, pairing each round's two times, so a rule such as
+"better in 9 of 10 pairs" reads off one run.  Each
 round's ``render()`` and ``to_json()`` at both dofs are compared between
 the trees; the script prints the number of rounds that differ and exits 1
 when any does.
@@ -80,6 +82,8 @@ def main(argv=None) -> int:
         medians[side] = statistics.median(t)
         print(f"{side:6} {medians[side]:10.4f} {q1:10.4f} {q3:10.4f}")
     print(f"{'ratio':6} {medians['head'] / medians['base'] - 1:+10.1%}")
+    won = sum(h < b for b, h in zip(times["base"], times["head"]))
+    print(f"head won {won} of {args.rounds} rounds (paired by round)")
     print(f"outputs differ on {mismatches} of {args.rounds} rounds")
     return 1 if mismatches else 0
 

@@ -9,8 +9,9 @@ with half the contraction.  Every correction term carries a central factor,
 so the S-free part of an image is the symbol, which inverts the map.
 
 The universal bracket is the commutator followed by the two antiderivative
-operators, which strip one central factor per monomial where possible and
-retain a formal linear A1/A2 factor where not.
+operators, A_s = S_s^-1: each lowers a monomial's S_s exponent by one, so
+it strips one central factor where there is one and leaves the formal
+linear factor A_s, exponent -1, where there is not.
 """
 
 from __future__ import annotations
@@ -217,12 +218,13 @@ def weyl_symbol(e: Element) -> ClassicalPoly:
 
 class AObservable(PlanckMap):
     """Element extended with at-most-linear formal antiderivative factors:
-    plain + a1_part * A1 + a2_part * A2, its terms keyed by (a, monomial),
-    a = 0 for plain and 1 or 2 for A1 or A2; a flat key is (a, monomial)
-    followed by the Planck exponents.
+    plain + a1_part * A1 + a2_part * A2.  A_s is the inverse of the central
+    generator S_s, so it is stored as S_s exponent -1: the flat keys are an
+    Element's, and a term behind A_s has S_s exponent -1.
 
     The antiderivatives are applied greedily, so a1_part never carries an S1
-    factor and a2_part never carries an S2 factor.
+    factor and a2_part never carries an S2 factor: a key has at most one
+    negative exponent, -1 at index 0 or 1.
     """
 
     __slots__ = ("signature",)
@@ -237,23 +239,26 @@ class AObservable(PlanckMap):
             raise ValueError("a1_part must have zero S1 degree")
         if any(m[1] for m in a2_part.flat):
             raise ValueError("a2_part must have zero S2 degree")
-        parts = (plain, a1_part, a2_part)
-        self._freeze(signature=sig, flat={(a, k[:-3]) + k[-3:]: c for a, part in enumerate(parts)
-                                          for k, c in part.flat.items()})
+        flat = dict(plain.flat)
+        flat.update(((-1,) + k[1:], c) for k, c in a1_part.flat.items())
+        flat.update((k[:1] + (-1,) + k[2:], c) for k, c in a2_part.flat.items())
+        self._freeze(signature=sig, flat=flat)
 
     def _context(self) -> tuple:
         return (self.signature,)
 
     @classmethod
     def of(cls, e: Union[Element, "AObservable"]) -> "AObservable":
-        """e as an AObservable; an Element's terms are all plain, a = 0."""
+        """e as an AObservable; an Element's terms are all plain."""
         if isinstance(e, AObservable):
             return e
-        return cls._over({(0, k[:-3]) + k[-3:]: c for k, c in e.flat.items()},
-                         signature=e.signature)
+        return cls._over(e.flat, signature=e.signature)
 
     def _part(self, a: int) -> Element:
-        return Element(self.signature, {m: c for (b, m), c in self.terms.items() if b == a})
+        """The terms behind A_a (a = 0: the plain ones), exponent -1 read as 0."""
+        return Element._over({(max(k[0], 0), max(k[1], 0)) + k[2:]: c
+                              for k, c in self.flat.items()
+                              if (k[0] < 0) + 2 * (k[1] < 0) == a}, signature=self.signature)
 
     plain = property(lambda self: self._part(0), doc="The terms without a formal factor.")
     a1_part = property(lambda self: self._part(1), doc="The coefficient of A1.")
@@ -273,8 +278,8 @@ class AObservable(PlanckMap):
 
     def degree(self) -> int:
         """Largest total exponent over the monomials (0 when empty); the
-        formal factor's tag a is not an exponent."""
-        return max((sum(m) for _, m in self.terms), default=0)
+        formal factor's exponent -1 is not counted."""
+        return max((sum(k[:-3]) - min(k[0], k[1], 0) for k in self.flat), default=0)
 
     def __str__(self) -> str:
         parts = (self.plain, self.a1_part, self.a2_part)
@@ -290,16 +295,16 @@ class AObservable(PlanckMap):
 
 
 def apply_antiderivative(e: Element, sector: int) -> AObservable:
-    """Antiderivative along the chosen sector, per monomial: strip one S
-    factor when present, otherwise keep the monomial behind a formal factor;
-    stripping is one-to-one, so no two terms meet.
+    """Antiderivative along the chosen sector, S_s^-1, per monomial: its S_s
+    exponent falls by one, stripping an S_s factor when present and leaving
+    the monomial behind the formal factor A_s (exponent -1) when not; the
+    shift is one-to-one, so no two terms meet.
     """
     if sector not in (1, 2):
         raise ValueError("sector must be 1 or 2")
     idx = sector - 1
-    return AObservable._over({
-        (0, k[:idx] + (k[idx] - 1,) + k[idx + 1:-3]) + k[-3:] if k[idx]
-        else (sector, k[:-3]) + k[-3:]: c for k, c in e.flat.items()}, signature=e.signature)
+    return AObservable._over({k[:idx] + (k[idx] - 1,) + k[idx + 1:]: c
+                              for k, c in e.flat.items()}, signature=e.signature)
 
 
 def universal_bracket(k1: Element, k2: Element) -> AObservable:

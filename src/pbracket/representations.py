@@ -13,20 +13,24 @@ homomorphism to first jet order.  It is the normal ordering of sector 2's
 Heisenberg pair cut at h2^1 (star_unit * h2 is minus the pair's commutator),
 so a hybrid product runs the one contraction kernel, terms.normal_order,
 over the Weyl and classical pairs of a key alike.
+
+Both representations read the flat keys of an Element or an AObservable in
+one pass: each sends a power S_s^n of a central generator to a closed-form
+scalar, for every integer n, and a formal antiderivative A_s is S_s^-1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Mapping, Optional, Tuple, Union
 
 from .errors import SignatureMismatch, ZeroPlanck
-from .scalars import CR_I, CRat, PlanckMap, Scalar, S_ONE, flat_value, power, scalar
+from .scalars import CR_I, CRat, PlanckMap, Scalar, S_ONE, power, scalar
 from .terms import (accumulate, coeff_str, exponent_map,
                     normal_order, pair_masks, power_str, render_terms)
-from .group_algebra import ConventionTuple, Element, GroupSignature
+from .group_algebra import Element, GroupSignature
 from .pmech import AObservable, ClassicalPoly
 
 __all__ = [
@@ -54,12 +58,6 @@ class WeylAlgebra:
 
     labels: Tuple[str, ...]
     gammas: Tuple[Scalar, ...]
-    # The (Planck shift, flat value) term of the central factor of each (a,
-    # s1, s2) that rep_qq or rep_qc has met, on the algebra qq_algebra or
-    # qc_algebra returns for one signature, so its convention is fixed; the
-    # keys are bounded by the central degrees.  Not part of the value.
-    _central: Dict[Tuple[int, int, int], tuple] = field(
-        default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.labels) != len(self.gammas):
@@ -238,9 +236,10 @@ class HybridObservable(PlanckMap):
         return [e for e in normal_order(k1, k2, 0, self.rules) if e[0][-4] < 2]
 
     def _masks(self, key: tuple) -> tuple:
-        """The Weyl pairs' bits, then the classical (q, p) pairs' bits,
-        which the star term contracts."""
-        return pair_masks(key, 0, 2 * self.signature.dof)
+        """The Weyl pairs' bits, then, at jet degree 0, the classical (q, p)
+        pairs' bits, which the star term contracts: past jet 1 a star
+        contraction reaches jet 2, which is dropped."""
+        return pair_masks(key, 0, self.signature.dof * (2 - key[-4]))
 
     def _identity(self) -> "HybridObservable":
         return HybridObservable.identity(self.signature)
@@ -305,9 +304,9 @@ class HybridObservable(PlanckMap):
 # ---------------------------------------------------------------------------
 # The representations
 
-# One algebra per signature, so its contraction-factor table is shared by
-# every call and operands over the same signature hold the same object.  The
-# caches are bounded: a session meets a handful of signatures.
+# One algebra per signature, so operands over the same signature hold the
+# same object and its contraction rules are built once.  The caches are
+# bounded: a session meets a handful of signatures.
 @lru_cache(maxsize=64)
 def qq_algebra(sig: GroupSignature) -> WeylAlgebra:
     """Two-sector Weyl algebra: gamma = rep_s_sign * eps_comm * i * h_sector."""
@@ -341,73 +340,50 @@ def _jet_rules(sig: GroupSignature) -> Tuple[tuple, ...]:
                  in qc_algebra(sig).contraction_rules) + (star,) * sig.dof
 
 
-def _central_scalar(conv: ConventionTuple, symbol: str, power: int) -> Scalar:
-    """(rep_s_sign * i * h_sym)^power, built as its one term; power -1 is the
-    image of a formal antiderivative factor."""
-    return Scalar.symbol(symbol, power, (CR_I * conv.rep_s_sign) ** power)
-
-
 def rep_qq(k: Union[Element, AObservable],
            h1: Optional[Union[int, Fraction]] = None,
            h2: Optional[Union[int, Fraction]] = None) -> WeylOperator:
     """Quantum-quantum representation.
 
-    X_{s,i} -> Q^(s)_i, Y_{s,i} -> P^(s)_i, S_s -> rep_s_sign*i*h_s, and a
-    formal antiderivative factor maps to the inverse scalar.  h1, h2 stay
-    formal unless numeric values are supplied.
+    X_{s,i} -> Q^(s)_i, Y_{s,i} -> P^(s)_i and S_s^n -> (rep_s_sign*i*h_s)^n
+    for every integer n, so a formal antiderivative factor, S_s^-1, maps to
+    the inverse scalar.  h1, h2 stay formal unless numeric values are
+    supplied.
     """
     sig = k.signature
-    conv = sig.convention
     subs = {}
     for name, val in (("h1", h1), ("h2", h2)):
         if val is not None:
             if Fraction(val) == 0:
                 raise ZeroPlanck(f"{name} must be nonzero")
             subs[name] = Fraction(val)
-    alg = qq_algebra(sig)
-    central = alg._central
+    u = CR_I * sig.convention.rep_s_sign
     acc: dict = {}
-    for (a, mono, e0, e1, e2), coeff in AObservable.of(k).flat.items():
-        s = a, mono[0], mono[1]
-        f = central.get(s)
-        if f is None:
-            # the one term of A_a's image (none for a = 0) * (S1 image)^s1 * (S2 image)^s2
-            formal = _central_scalar(conv, ("h1", "h2")[a - 1], -1) if a else S_ONE
-            ((e, c),) = (formal * _central_scalar(conv, "h1", s[1])
-                         * _central_scalar(conv, "h2", s[2])).flat.items()
-            f = central[s] = e, flat_value(c)
-        (f0, f1, f2), c = f
-        accumulate(acc, mono[2:] + (e0 + f0, e1 + f1, e2 + f2), coeff * c)
-    out = WeylOperator._over(acc, algebra=alg)
+    for key, coeff in k.flat.items():
+        s1, s2 = key[0], key[1]
+        accumulate(acc, key[2:-3] + (key[-3], key[-2] + s1, key[-1] + s2),
+                   coeff * power(u, s1 + s2))
+    out = WeylOperator._over(acc, algebra=qq_algebra(sig))
     return out.substitute(**subs) if subs else out
 
 
 def rep_qc(k: Union[Element, AObservable]) -> HybridObservable:
     """Quantum-classical representation to first jet order.
 
-    Sector 1 maps as in rep_qq with the generic symbol h.  Sector 2 maps
-    X -> q, Y -> p and S2 -> rep_s_sign*i*h2 with h2 treated as a jet
-    variable: squares and higher powers are truncated to zero.  Formal A2
-    factors map to zero; formal A1 factors map to the inverse scalar.
+    Sector 1 maps as in rep_qq with the generic symbol h: S1^n ->
+    (rep_s_sign*i*h)^n.  Sector 2 maps X -> q, Y -> p and S2^n ->
+    (rep_s_sign*i)^n at jet degree n, h2 being a jet variable: only n = 0
+    and n = 1 are kept, so squares and higher powers truncate to zero, and
+    so does a formal A2 factor, S2^-1, the jet having no inverse.
     """
     sig = k.signature
-    conv = sig.convention
-    central = qc_algebra(sig)._central
+    u = CR_I * sig.convention.rep_s_sign
     acc: dict = {}
-    for (a, mono, e0, e1, e2), coeff in AObservable.of(k).flat.items():
-        jet = mono[1]
-        if a == 2 or jet >= 2:
-            continue
-        s = a, mono[0], jet
-        f = central.get(s)
-        if f is None:
-            # the one term of A1's image (none for a = 0) * (S1 image)^s1 * (the jet's unit)^jet
-            formal = _central_scalar(conv, "h", -1) if a else S_ONE
-            ((e, c),) = (formal * _central_scalar(conv, "h", s[1])
-                         * (CRat.of(conv.rep_s_sign) * CR_I) ** jet).flat.items()
-            f = central[s] = e, flat_value(c)
-        (f0, f1, f2), c = f
-        accumulate(acc, mono[2:] + (jet, e0 + f0, e1 + f1, e2 + f2), coeff * c)
+    for key, coeff in k.flat.items():
+        s1, jet = key[0], key[1]
+        if 0 <= jet <= 1:
+            accumulate(acc, key[2:-3] + (jet, key[-3] + s1, key[-2], key[-1]),
+                       coeff * power(u, s1 + jet))
     if any(key[-1] for key in acc):
         raise ValueError(_H2_REFUSED)
     return HybridObservable._over(acc, signature=sig, algebra=qc_algebra(sig),

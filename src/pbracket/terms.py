@@ -4,8 +4,9 @@ Element, AObservable, WeylOperator, HybridObservable, ClassicalPoly and
 Scalar are all immutable maps from flat exponent keys to nonzero exact
 coefficients; a key over Scalar coefficients ends in their Planck exponents,
 its real-integer coefficient held as an int (scalars.PlanckMap), and an
-AObservable's starts with its formal antiderivative factor, so each
-representation reads it in one pass.  This module holds their common parts:
+AObservable's is an Element's, its formal antiderivative factor A_s the
+exponent -1 of the central generator S_s, so each representation reads
+both in one pass.  This module holds their common parts:
 the term-map base class with its linear operations and the one product loop
 and one commutator loop that every type runs (a type states only how one
 term pair expands, and which pairs of a key can contract), the accumulate

@@ -8,18 +8,16 @@ from math import comb, factorial
 import pytest
 
 from pbracket.errors import SignatureMismatch, ZeroPlanck
-from pbracket.group_algebra import commutator
 from pbracket.sampling import rand_classical, rand_element
 from pbracket.scalars import (CR_I, CR_MINUS_ONE, CR_ONE, S_ONE, UNIT_VALUES,
                               Scalar, scalar)
 from pbracket.group_algebra import ConventionTuple, Element, GroupSignature
-from pbracket.pmech import (AObservable, ClassicalPoly, mechanise_weyl,
-                            universal_bracket)
+from pbracket.pmech import (AObservable, ClassicalPoly, apply_antiderivative,
+                            mechanise_weyl, universal_bracket)
 from pbracket.representations import (HybridObservable, WeylAlgebra,
                                       WeylOperator, commutator_hybrid,
                                       hybrid_from_sector2_poly, multiply_hybrid,
                                       qc_algebra, qq_algebra, rep_qc, rep_qq)
-from pbracket.representations import _central_scalar
 
 SIG = GroupSignature(dof=1)
 
@@ -320,15 +318,6 @@ def test_algebras_are_shared_per_signature_in_bounded_caches():
         assert build.cache_info().maxsize is not None
 
 
-@pytest.mark.parametrize("symbol", ["h", "h1", "h2"])
-def test_central_scalar_is_the_power_of_the_central_image(symbol):
-    for rep_s in (1, -1):
-        conv = ConventionTuple(CR_MINUS_ONE, CR_ONE, CR_ONE, CR_ONE, -1, rep_s)
-        image = scalar(CR_I * rep_s) * Scalar.symbol(symbol)
-        for power in range(-1, 9):
-            assert _central_scalar(conv, symbol, power) == image ** power
-
-
 def _all_conventions():
     for eps, kx, ky, ks in itertools.product(UNIT_VALUES, repeat=4):
         for orient, rep_s in itertools.product((1, -1), repeat=2):
@@ -389,14 +378,14 @@ def test_representations_match_a_per_term_reference_under_every_convention():
     assert count == 1024
 
 
-# -- the central factor tables of rep_qq / rep_qc ---------------------------
+# -- the central factors of rep_qq / rep_qc ---------------------------------
 
 
 def test_factor_tables_stay_with_their_signature():
     """Conventions that differ only in rep_s_sign and eps_comm share
     gamma_unit, so their algebras compare equal, yet their central factors
     differ in sign: each signature's images must match the per-term
-    reference, whichever filled a table first."""
+    reference, whichever signature was represented first."""
     sigs = [GroupSignature(2, ConventionTuple(eps, CR_ONE, CR_ONE, CR_ONE, -1, rep_s))
             for eps, rep_s in ((CR_MINUS_ONE, -1), (CR_ONE, 1))]
     assert sigs[0].convention.gamma_unit == sigs[1].convention.gamma_unit
@@ -410,33 +399,59 @@ def test_factor_tables_stay_with_their_signature():
             for x in (_fixed_aobservable(sig), universal_bracket(a, b), AObservable.of(a)):
                 assert rep_qq(x) == _reference_rep_qq(x), sig.convention
                 assert rep_qc(x) == _reference_rep_qc(x), sig.convention
-    for build in (qq_algebra, qc_algebra):
-        assert build(sigs[0])._central is not build(sigs[1])._central
 
 
-def test_factor_tables_are_bounded_by_the_central_degrees():
-    """After 300 session operations (mechanise a pair, universal bracket,
-    rep_qc and rep_qq identities) each table holds at most 3*(d+1)^2 keys,
-    d the largest central exponent of any represented input."""
-    qq_algebra.cache_clear()
-    qc_algebra.cache_clear()
-    rng = random.Random(1300)
-    sigs = {dof: GroupSignature(dof) for dof in (1, 2, 3)}
-    d = 0
-    for index in range(300):
-        sig = sigs[1 + index % 3]
-        k1, k2 = (mechanise_weyl(sig, rand_classical(rng, sig.dof, max_degree=4))
-                  for _ in range(2))
-        u = universal_bracket(k1, k2)
-        c = commutator(k1, k2)
-        for x in (k1, k2, c, u):
-            rep_qc(x)
-            rep_qq(x)
-        monos = [*k1.terms, *k2.terms, *c.terms, *(mono for _, mono in u.terms)]
-        d = max([d] + [max(mono[:2]) for mono in monos])
-    assert d >= 2
-    for sig in sigs.values():
-        for alg in (qq_algebra(sig), qc_algebra(sig)):
-            assert alg._central
-            assert len(alg._central) <= 3 * (d + 1) ** 2
-            assert all(a in (0, 1, 2) and max(s1, s2) <= d for a, s1, s2 in alg._central)
+@pytest.mark.parametrize("dof", [1, 2, 3])
+def test_a_formal_antiderivative_is_the_inverse_of_its_central_image(dof):
+    """A_s is S_s^-1: rep(apply_antiderivative(e, s)) * rep(S_s) == rep(e)
+    for rep_qq at s = 1, 2 and for rep_qc at s = 1 (S2's image there is
+    the jet, which has no inverse).  An AObservable key has at most one
+    negative exponent, -1 at index 0 or 1."""
+    rng = random.Random(1400 + dof)
+    sig = GroupSignature(dof)
+    central = {s: Element.generator(sig, f"S{s}") for s in (1, 2)}
+    formal = stripped = 0
+    for _ in range(6):
+        e = rand_element(rng, sig, max_degree=4)
+        b = rand_element(rng, sig, max_degree=4)
+        for s in (1, 2):
+            anti = apply_antiderivative(e, s)
+            assert rep_qq(anti) * rep_qq(central[s]) == rep_qq(e), (s, e)
+            if s == 1:
+                assert rep_qc(anti) * rep_qc(central[s]) == rep_qc(e), e
+            formal += sum(k[s - 1] == 0 for k in e.flat)
+            stripped += sum(k[s - 1] > 0 for k in e.flat)
+        for x in (apply_antiderivative(e, 1), apply_antiderivative(e, 2),
+                  universal_bracket(e, b)):
+            for key in x.flat:
+                negative = [i for i, n in enumerate(key[:-3]) if n < 0]
+                assert negative in ([], [0], [1]), key
+                assert all(key[i] == -1 for i in negative), key
+    assert formal and stripped
+
+
+def test_hybrid_commutators_expand_only_pairs_that_contract(monkeypatch):
+    """A jet-1 key has no classical mask bits, since a star contraction past
+    jet 1 reaches jet 2, which is dropped: so no pair that the commutator
+    expands returns the uncontracted entry 0 alone."""
+    rng = random.Random(1500)
+    pairs = []
+    for dof in (1, 2, 3):
+        sig = GroupSignature(dof)
+        for _ in range(8):
+            a, b = (rep_qc(mechanise_weyl(sig, rand_classical(rng, dof, max_degree=4)))
+                    for _ in range(2))
+            pairs.append((a, b, multiply_hybrid(a, b) - multiply_hybrid(b, a)))
+    expand = HybridObservable._expand
+    sizes = []
+
+    def spy(self, k1, k2):
+        out = expand(self, k1, k2)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(HybridObservable, "_expand", spy)
+    for a, b, difference in pairs:
+        assert commutator_hybrid(a, b) == difference
+    assert sum(n > 1 for n in sizes) >= 20
+    assert 1 not in sizes

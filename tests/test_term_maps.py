@@ -368,9 +368,11 @@ def _rebuild(x):
 def test_the_terms_view_regroups_the_planck_tail(dof):
     """``terms`` is {monomial: Scalar}: rebuilt from it, a map is the same
     value with the same hash; its degree is the largest monomial sum and its
-    length counts monomials, whatever the Planck tails of its flat keys."""
+    length counts monomials, whatever the Planck tails of its flat keys.  An
+    AObservable's monomials are Laurent, A_s at S_s exponent -1, and its
+    degree adds the formal factor back."""
     maps = _planck_valued_maps(dof)
-    several = negative = 0
+    several = negative = laurent = 0
     for x in maps:
         view = x.terms
         assert all(isinstance(c, Scalar) and not c.is_zero for c in view.values())
@@ -379,11 +381,11 @@ def test_the_terms_view_regroups_the_planck_tail(dof):
         assert x.flat == {m + e: c for m, s in view.items() for e, c in s.terms.items()}
         rebuilt = _rebuild(x)
         assert rebuilt == x and hash(rebuilt) == hash(x) and rebuilt.terms == view
-        monos = [m for _, m in view] if isinstance(x, AObservable) else list(view)
-        assert x.degree() == max((sum(m) for m in monos), default=0)
+        assert x.degree() == max((sum(max(n, 0) for n in m) for m in view), default=0)
         several += any(len(c.terms) > 1 for c in view.values())
         negative += any(min(k[-3:]) < 0 for k in x.flat)
-    assert several >= 8 and negative >= 8
+        laurent += any(min(m) < 0 for m in view)
+    assert several >= 8 and negative >= 8 and laurent >= 2
     # equality and hashing agree with the view across different values too
     for x, y in itertools.combinations(maps[:8], 2):
         if type(x) is type(y):
