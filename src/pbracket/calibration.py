@@ -119,23 +119,14 @@ def ordered_image(alg: WeylAlgebra, order: str) -> WeylOperator:
             + WeylOperator.identity(alg).scale(scalar(CR_I * CRat.of(2)) * Scalar.symbol("h")))
 
 
-def _commutator_identity(sig: GroupSignature) -> Tuple[bool, Element, Element]:
-    b1 = delta_to_element(sig, {"x1": 2})
-    b2 = delta_to_element(sig, {"y1": 2})
-    actual = commutator(b1, b2)
-    target = commutator_target(sig)
-    return actual == target, actual, target
+def _commutator_identity(sig: GroupSignature) -> bool:
+    """Anchor (i): the commutator of delta''[x1,x1] and delta''[y1,y1]."""
+    return (commutator(delta_to_element(sig, {"x1": 2}), delta_to_element(sig, {"y1": 2}))
+            == commutator_target(sig))
 
 
-def _pipeline_identity(sig: GroupSignature,
-                       pipeline_sign: int = 1) -> Optional[Tuple[str, HybridObservable]]:
-    """Run the biquadratic pipeline; return (matched order, image) or None.
-
-    pipeline_sign scales the whole checkpoint (b) target; passing -1 negates
-    it, a negative control proving the search discriminates.  (Flipping only
-    the constant term would not: the two accepted written orders differ by
-    exactly twice that constant, so the flip just relabels the matched order.)
-    """
+def _pipeline_identity(sig: GroupSignature) -> Optional[Tuple[str, HybridObservable]]:
+    """Run the biquadratic pipeline; return (matched order, image) or None."""
     dof = sig.dof
     k1 = mechanise_weyl(sig, ClassicalPoly.var(dof, "q", 1) ** 2)
     k2 = mechanise_weyl(sig, ClassicalPoly.var(dof, "p", 1) ** 2)
@@ -151,65 +142,58 @@ def _pipeline_identity(sig: GroupSignature,
 
     alg = qc_algebra(sig)
     matched = next((order for order in ("QP", "PQ")
-                    if image_w == ordered_image(alg, order).scale(pipeline_sign)), None)
+                    if image_w == ordered_image(alg, order)), None)
     if matched is None:
         return None
 
-    w1 = rep_qc(k1)
-    w2 = rep_qc(k2)
-    comm = commutator_hybrid(w1, w2)
-    if comm.scale(INV_IH) != image:
+    if commutator_hybrid(rep_qc(k1), rep_qc(k2)).scale(INV_IH) != image:
         return None
     return matched, image
 
 
-def calibration_report(dof: int = 1, pipeline_sign: int = 1) -> CalibrationReport:
-    passing: List[ConventionTuple] = []
-    orders: List[str] = []
+def calibration_report(dof: int = 1) -> CalibrationReport:
+    # each passing tuple with its pipeline's (matched order, image)
+    passing: List[Tuple[ConventionTuple, Tuple[str, HybridObservable]]] = []
     count = 0
     for eps, kx, ky, ks, orient in itertools.product(
             UNIT_VALUES, UNIT_VALUES, UNIT_VALUES, UNIT_VALUES, _SIGNS):
         # rep_s_sign acts only through the representations, so the
         # commutator identity is the same for both of its values
-        ok, _, _ = _commutator_identity(
+        ok = _commutator_identity(
             GroupSignature(dof, ConventionTuple(eps, kx, ky, ks, orient, 1)))
         for rss in _SIGNS:
             count += 1
             conv = ConventionTuple(eps, kx, ky, ks, orient, rss)
-            result = _pipeline_identity(GroupSignature(dof, conv), pipeline_sign) if ok else None
+            result = _pipeline_identity(GroupSignature(dof, conv)) if ok else None
             if result is not None:
-                passing.append(conv)
-                orders.append(result[0])
+                passing.append((conv, result))
     if not passing:
         raise NoConsistentConvention(
             "no convention tuple satisfies both anchor identities")
 
-    chosen = passing[0]
-    sig = GroupSignature(dof, chosen)
-    _, actual, target = _commutator_identity(sig)
-    commutator_line = f"{actual} == {target}"
-    matched, image = _pipeline_identity(sig, pipeline_sign)
-    pipeline_line = f"image {image.as_weyl()} matches order {matched}"
-
+    chosen, (matched, image) = passing[0]
+    # a passing tuple's commutator equals the target structurally
+    target = commutator_target(GroupSignature(dof, chosen))
+    tuples = tuple(conv for conv, _ in passing)
     fingerprints = []
-    for conv in passing:
+    for conv in tuples:
         s = GroupSignature(dof, conv)
         g1 = mechanise_weyl(s, ClassicalPoly.var(dof, "q", 1) ** 2)
         g2 = mechanise_weyl(s, ClassicalPoly.var(dof, "p", 1))
         fingerprints.append(str(classicality_gap(g1, g2)))
     return CalibrationReport(
         chosen=chosen,
-        passing=tuple(passing),
+        passing=tuples,
         candidates=count,
-        matched_order=orders[0],
-        commutator_line=commutator_line,
-        pipeline_line=pipeline_line,
+        matched_order=matched,
+        commutator_line=f"{target} == {target}",
+        pipeline_line=f"image {image.as_weyl()} matches order {matched}",
         downstream_fingerprints=tuple(fingerprints),
         downstream_equivalent=len(set(fingerprints)) <= 1,
     )
 
 
-def calibrate_conventions(dof: int = 1, pipeline_sign: int = 1) -> ConventionTuple:
+def calibrate_conventions(dof: int = 1) -> ConventionTuple:
     """Lexicographically first convention tuple passing both anchor
     identities; raises NoConsistentConvention when the passing set is empty."""
-    return calibration_report(dof, pipeline_sign).chosen
+    return calibration_report(dof).chosen

@@ -316,33 +316,26 @@ def check_algebra_laws(sig: GroupSignature, seed: int, assoc: int = 80,
                        idem: int = 40) -> OracleReport:
     """Associativity, Jacobi, antisymmetry and normal-form idempotence on
     random elements.  Exact arithmetic; pass means every instance held."""
+    # law, instances, inputs per instance, max degree and terms per input, law holds
+    laws = (
+        ("associativity", assoc, 3, 4, 2,
+         lambda a, b, c: multiply(multiply(a, b), c) == multiply(a, multiply(b, c))),
+        ("Jacobi", jacobi, 3, 3, 2,
+         lambda a, b, c: (commutator(a, commutator(b, c)) + commutator(b, commutator(c, a))
+                          + commutator(c, commutator(a, b))).is_zero),
+        ("antisymmetry", antisym, 2, 4, 2,
+         lambda a, b: (commutator(a, b) + commutator(b, a)).is_zero),
+        ("idempotence", idem, 1, 4, 3, lambda a: Element(sig, dict(a.terms)) == a),
+    )
     rng = random.Random(seed)
     failed: List[str] = []
-    for i in range(assoc):
-        a = sampling.rand_element(rng, sig, max_degree=4, terms=2)
-        b = sampling.rand_element(rng, sig, max_degree=4, terms=2)
-        c = sampling.rand_element(rng, sig, max_degree=4, terms=2)
-        if multiply(multiply(a, b), c) != multiply(a, multiply(b, c)):
-            failed.append(f"seed {seed}, associativity instance {i}: "
-                          f"a = {a}; b = {b}; c = {c}")
-    for i in range(jacobi):
-        a = sampling.rand_element(rng, sig, max_degree=3, terms=2)
-        b = sampling.rand_element(rng, sig, max_degree=3, terms=2)
-        c = sampling.rand_element(rng, sig, max_degree=3, terms=2)
-        total = (commutator(a, commutator(b, c))
-                 + commutator(b, commutator(c, a))
-                 + commutator(c, commutator(a, b)))
-        if not total.is_zero:
-            failed.append(f"seed {seed}, Jacobi instance {i}: a = {a}; b = {b}; c = {c}")
-    for i in range(antisym):
-        a = sampling.rand_element(rng, sig, max_degree=4, terms=2)
-        b = sampling.rand_element(rng, sig, max_degree=4, terms=2)
-        if not (commutator(a, b) + commutator(b, a)).is_zero:
-            failed.append(f"seed {seed}, antisymmetry instance {i}: a = {a}; b = {b}")
-    for i in range(idem):
-        a = sampling.rand_element(rng, sig, max_degree=4, terms=3)
-        if Element(sig, dict(a.terms)) != a:
-            failed.append(f"seed {seed}, idempotence instance {i}: a = {a}")
+    for law, count, arity, degree, terms, holds in laws:
+        for i in range(count):
+            inputs = [sampling.rand_element(rng, sig, max_degree=degree, terms=terms)
+                      for _ in range(arity)]
+            if not holds(*inputs):
+                named = "; ".join(f"{name} = {e}" for name, e in zip("abc", inputs))
+                failed.append(f"seed {seed}, {law} instance {i}: {named}")
     return _exact_report(
         "algebra-laws",
         _hash_inputs("laws", sig.dof, str(sig.convention), seed,

@@ -14,11 +14,11 @@ import random
 import traceback
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import DivisionByZero, SingularTransformation
 from .scalars import Scalar
-from .group_algebra import Element, commutator
+from .group_algebra import Element, GroupSignature, commutator
 from .pmech import ClassicalPoly, mechanise_weyl, poisson_classical, universal_bracket
 from .representations import (WeylOperator, commutator_hybrid, qc_algebra,
                               qq_algebra, rep_qc, rep_qq)
@@ -119,12 +119,45 @@ def _status(ok: bool) -> str:
     return "pass" if ok else "fail"
 
 
-def _failure_detail(rep: OracleReport) -> Tuple[str, ...]:
-    """Detail lines naming an exact oracle's failures; empty on a pass."""
-    if not rep.failures:
-        return ()
-    return (f"failing instances: {rep.failures}",
-            f"first counterexample: {rep.counterexample}")
+def _oracle_item(name: str, expected: str, check: Callable[..., OracleReport],
+                 sig: GroupSignature, seed: int, **options) -> VerifyItem:
+    """The item of an exact oracle suite run from ``seed``; its detail
+    names the failures, if any."""
+    rep = check(sig, seed, **options)
+    failures = ((f"failing instances: {rep.failures}",
+                 f"first counterexample: {rep.counterexample}") if rep.failures else ())
+    return VerifyItem(name, rep.status, expected=expected,
+                      actual=f"status {rep.status}, max deviation {rep.max_abs_error:.3e}",
+                      detail=(f"seed: {seed}", f"inputs-hash: {rep.inputs_hash}") + failures)
+
+
+def _holds(rng: random.Random, n: int, dof: int, shapes: Sequence[Tuple[int, Sequence[int]]],
+           check: Callable[..., bool]) -> int:
+    """How many of n seeded instances pass ``check``.  Each instance draws
+    one classical polynomial per ``(max_degree, sectors)`` shape, in order."""
+    return sum(1 for _ in range(n)
+               if check(*[sampling.rand_classical(rng, dof, max_degree=degree, sectors=sectors)
+                          for degree, sectors in shapes]))
+
+
+# the arguments of h_eff and its value, or the error it raises
+_H_EFF_CASES = (((1, 1), Fraction(1, 2)), ((2, 2), Fraction(1)),
+                ((Fraction(1, 2), Fraction(1, 3)), Fraction(1, 5)),
+                ((1, 0), SingularTransformation), ((0, 1), SingularTransformation),
+                ((0, 0), SingularTransformation), ((1, -1), DivisionByZero))
+
+
+def _h_eff_case(args: Tuple, expected: object) -> Tuple[str, bool]:
+    """One h_eff case's label and whether it holds; catches only the expected error."""
+    call = "h_eff({}, {})".format(*args)
+    if not isinstance(expected, type):
+        return f"{call} = {expected}", h_eff(*args) == expected
+    label = f"{call} raises {expected.__name__}"
+    try:
+        h_eff(*args)
+    except expected:
+        return label, True
+    return label, False
 
 
 def run_verify(seed: int = 2024, config: Optional[EngineConfig] = None,
@@ -171,9 +204,7 @@ def run_verify(seed: int = 2024, config: Optional[EngineConfig] = None,
         image_w = image.as_weyl()
         order_name = "PQ" if sig.convention.anti_normal_order else "QP"
         closed = ordered_image(qc_algebra(sig), order_name)
-        w1, w2 = rep_qc(k1), rep_qc(k2)
-        comm = commutator_hybrid(w1, w2).scale(INV_IH)
-        comm_ok = comm == image
+        comm_ok = commutator_hybrid(rep_qc(k1), rep_qc(k2)).scale(INV_IH) == image
         deviation = matrix_max_error(image_w, closed, 1.0, 32)
         ok = image_w == closed and comm_ok and deviation <= 1e-10
         return VerifyItem(
@@ -206,22 +237,17 @@ def run_verify(seed: int = 2024, config: Optional[EngineConfig] = None,
                           actual="; ".join(rendered_act))
 
     def item_decoupling() -> VerifyItem:
-        rng = random.Random(seed)
-        holds = 0
-        n = decoupling_instances
-        for _ in range(n):
-            h1 = sampling.rand_classical(rng, dof, max_degree=4, sectors=(1,))
-            h2 = sampling.rand_classical(rng, dof, max_degree=4, sectors=(2,))
-            b = sampling.rand_classical(rng, dof, max_degree=4, sectors=(2,))
+        def decouples(h1: ClassicalPoly, h2: ClassicalPoly, b: ClassicalPoly) -> bool:
             mb, mh1, mh2 = mech(b), mech(h1), mech(h2)
             comm_ok = commutator(mb, mh1).is_zero
-            ub_ok = (universal_bracket(mb, mh1 + mh2)
-                     == universal_bracket(mb, mh2))
+            ub_ok = universal_bracket(mb, mh1 + mh2) == universal_bracket(mb, mh2)
             wb = rep_qc(mb)
-            qc_ok = (qc_bracket(wb, rep_qc(mh1 + mh2))
-                     == qc_bracket(wb, rep_qc(mh2)))
-            if comm_ok and ub_ok and qc_ok:
-                holds += 1
+            qc_ok = qc_bracket(wb, rep_qc(mh1 + mh2)) == qc_bracket(wb, rep_qc(mh2))
+            return comm_ok and ub_ok and qc_ok
+
+        n = decoupling_instances
+        holds = _holds(random.Random(seed), n, dof, ((4, (1,)), (4, (2,)), (4, (2,))),
+                       decouples)
         return VerifyItem(
             "sector decoupling", _status(holds == n),
             expected=f"sector-1 terms leave sector-2 dynamics unchanged "
@@ -231,15 +257,12 @@ def run_verify(seed: int = 2024, config: Optional[EngineConfig] = None,
         )
 
     def item_path_equivalence() -> VerifyItem:
-        rng = random.Random(seed + 1)
-        holds = 0
-        n = path_pairs
-        for _ in range(n):
-            f = sampling.rand_classical(rng, dof, max_degree=3)
-            g = sampling.rand_classical(rng, dof, max_degree=3)
+        def agree(f: ClassicalPoly, g: ClassicalPoly) -> bool:
             k1, k2 = mech(f), mech(g)
-            if bracket_via_universal(k1, k2) == qc_bracket(rep_qc(k1), rep_qc(k2)):
-                holds += 1
+            return bracket_via_universal(k1, k2) == qc_bracket(rep_qc(k1), rep_qc(k2))
+
+        n = path_pairs
+        holds = _holds(random.Random(seed + 1), n, dof, ((3, (1, 2)), (3, (1, 2))), agree)
         return VerifyItem(
             "path equivalence", _status(holds == n),
             expected=f"universal-bracket route equals bracket-of-images route "
@@ -250,28 +273,22 @@ def run_verify(seed: int = 2024, config: Optional[EngineConfig] = None,
         )
 
     def item_reductions() -> VerifyItem:
-        rng = random.Random(seed + 2)
-        n = reduction_pairs
-        localized = 0
-        for _ in range(n):
-            f = sampling.rand_classical(rng, dof, max_degree=3, sectors=(1,))
-            g = sampling.rand_classical(rng, dof, max_degree=3, sectors=(1,))
+        def localizes(f: ClassicalPoly, g: ClassicalPoly) -> bool:
             _, t2, t3 = qc_bracket_terms(rep_qc(mech(f)), rep_qc(mech(g)))
-            if t2.is_zero and t3.is_zero:
-                localized += 1
-        classical = 0
-        for _ in range(n):
-            f = sampling.rand_classical(rng, dof, max_degree=3, sectors=(2,))
-            g = sampling.rand_classical(rng, dof, max_degree=3, sectors=(2,))
+            return t2.is_zero and t3.is_zero
+
+        def is_classical(f: ClassicalPoly, g: ClassicalPoly) -> bool:
             actual = qc_bracket(rep_qc(mech(f)), rep_qc(mech(g)))
             # the image of the Poisson bracket, which is the polynomial
             # itself only when kx = ky = 1
-            target = rep_qc(mech(poisson_classical(f, g))).jet_part(0)
-            if actual == target:
-                classical += 1
-        ok = localized == n and classical == n
+            return actual == rep_qc(mech(poisson_classical(f, g))).jet_part(0)
+
+        rng = random.Random(seed + 2)
+        n = reduction_pairs
+        localized = _holds(rng, n, dof, ((3, (1,)), (3, (1,))), localizes)
+        classical = _holds(rng, n, dof, ((3, (2,)), (3, (2,))), is_classical)
         return VerifyItem(
-            "localized and classical reductions", _status(ok),
+            "localized and classical reductions", _status(localized == n and classical == n),
             expected=f"correction terms vanish on {n} quantum-sector pairs; "
                      f"bracket equals the Poisson bracket on {n} classical-sector pairs",
             actual=f"{localized} of {n} localized, {classical} of {n} classical",
@@ -279,51 +296,25 @@ def run_verify(seed: int = 2024, config: Optional[EngineConfig] = None,
         )
 
     def item_h_eff() -> VerifyItem:
-        checks: List[Tuple[str, bool]] = []
-        checks.append(("h_eff(1, 1) = 1/2", h_eff(1, 1) == Fraction(1, 2)))
-        checks.append(("h_eff(2, 2) = 1", h_eff(2, 2) == Fraction(1)))
-        checks.append(("h_eff(1/2, 1/3) = 1/5",
-                       h_eff(Fraction(1, 2), Fraction(1, 3)) == Fraction(1, 5)))
-        for a, b in ((1, 0), (0, 1), (0, 0)):
-            try:
-                h_eff(a, b)
-                checks.append((f"h_eff({a}, {b}) raises SingularTransformation", False))
-            except SingularTransformation:
-                checks.append((f"h_eff({a}, {b}) raises SingularTransformation", True))
-        try:
-            h_eff(1, -1)
-            checks.append(("h_eff(1, -1) raises DivisionByZero", False))
-        except DivisionByZero:
-            checks.append(("h_eff(1, -1) raises DivisionByZero", True))
-        ok = all(flag for _, flag in checks)
+        checks = [_h_eff_case(args, expected) for args, expected in _H_EFF_CASES]
         failing = [label for label, flag in checks if not flag]
         return VerifyItem(
-            "effective planck constant", _status(ok),
+            "effective planck constant", _status(not failing),
             expected="; ".join(label for label, _ in checks),
-            actual="all cases hold" if ok else "failing: " + "; ".join(failing),
+            actual="failing: " + "; ".join(failing) if failing else "all cases hold",
         )
 
     def item_vector_field() -> VerifyItem:
-        rep = check_vector_field_suite(sig, seed + 3, pairs=oracle_pairs)
-        return VerifyItem(
-            "vector-field oracle", rep.status,
-            expected=f"convolution acts as composed differential operators "
-                     f"on {oracle_pairs} random pairs",
-            actual=f"status {rep.status}, max deviation {rep.max_abs_error:.3e}",
-            detail=(f"seed: {seed + 3}", f"inputs-hash: {rep.inputs_hash}")
-            + _failure_detail(rep),
-        )
+        return _oracle_item("vector-field oracle",
+                            f"convolution acts as composed differential operators "
+                            f"on {oracle_pairs} random pairs",
+                            check_vector_field_suite, sig, seed + 3, pairs=oracle_pairs)
 
     def item_laws() -> VerifyItem:
-        rep = check_algebra_laws(sig, seed + 4)
-        return VerifyItem(
-            "algebra-law suite", rep.status,
-            expected="associativity, Jacobi, antisymmetry and normal-form "
-                     "idempotence on 200 random instances",
-            actual=f"status {rep.status}, max deviation {rep.max_abs_error:.3e}",
-            detail=(f"seed: {seed + 4}", f"inputs-hash: {rep.inputs_hash}")
-            + _failure_detail(rep),
-        )
+        return _oracle_item("algebra-law suite",
+                            "associativity, Jacobi, antisymmetry and normal-form "
+                            "idempotence on 200 random instances",
+                            check_algebra_laws, sig, seed + 4)
 
     def item_matrix() -> VerifyItem:
         reps = check_matrix_suite(sig)

@@ -8,6 +8,7 @@ import pytest
 from pbracket.config import EngineConfig
 from pbracket.scalars import CR_ONE
 from pbracket.group_algebra import ConventionTuple
+from pbracket import calibration
 from pbracket.calibration import calibrate_conventions, calibration_report
 from pbracket.verify import run_verify
 
@@ -43,9 +44,16 @@ def test_passing_tuples_not_downstream_equivalent():
     assert chosen_fp == "0"
 
 
-def test_negative_control_selects_a_different_set():
+def test_negative_control_selects_a_different_set(monkeypatch):
+    """Negating the whole checkpoint (b) target proves the search
+    discriminates.  Flipping only its constant term would not: the two
+    accepted written orders differ by exactly twice that constant, so the
+    flip just relabels the matched order."""
     straight = calibration_report()
-    control = calibration_report(pipeline_sign=-1)
+    target = calibration.ordered_image
+    monkeypatch.setattr(calibration, "ordered_image",
+                        lambda alg, order: target(alg, order).scale(-1))
+    control = calibration_report()
     assert set(control.passing).isdisjoint(set(straight.passing))
     assert control.passing  # the negated target is satisfiable, by other tuples
     assert control.chosen != straight.chosen

@@ -7,7 +7,10 @@ verify paper --seed N` and `pbracket --json verify paper --seed N`, and of
 `pbracket [--json] --signature n=3 verify paper` for the `dof3` files.  The
 explore_conventions files are the script's stdout at `--dof 1` and
 `--dof 2`; it mechanises, brackets and takes the classicality gap for
-every passing convention tuple.  Any change to the exact arithmetic that
+every passing convention tuple.  The calibrate files are the stdout of
+`pbracket [--json] --signature n=DOF calibrate` at dof 1 and 2, and the
+oracle_check files that of `pbracket [--json] oracle check --seed 2024`
+at dof 1.  Any change to the exact arithmetic that
 alters a single character of these outputs fails here; regenerate the files
 only for an intended change of output.
 """
@@ -20,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from pbracket.cli import main
 from pbracket.config import EngineConfig
 from pbracket.verify import run_verify
 
@@ -56,3 +60,21 @@ def test_explore_conventions_matches_golden(dof):
         capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == (GOLDEN / f"explore_conventions_dof{dof}.txt").read_text()
+
+
+def _cli_stdout(capsys, *argv):
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("dof", [1, 2])
+def test_calibrate_matches_golden(capsys, dof):
+    for flags, ext in (((), "txt"), (("--json",), "json")):
+        out = _cli_stdout(capsys, *flags, "--signature", f"n={dof}", "calibrate")
+        assert out == (GOLDEN / f"calibrate_dof{dof}.{ext}").read_text()
+
+
+def test_oracle_check_matches_golden(capsys):
+    for flags, ext in (((), "txt"), (("--json",), "json")):
+        out = _cli_stdout(capsys, *flags, "oracle", "check", "--seed", "2024")
+        assert out == (GOLDEN / f"oracle_check_seed2024.{ext}").read_text()

@@ -376,13 +376,32 @@ def test_vector_field_suite_catches_wrong_product(monkeypatch):
     assert data["counterexample"] == rep.counterexample
 
 
-def test_algebra_laws_report_first_counterexample(monkeypatch):
-    monkeypatch.setattr(oracle, "multiply", _off_by_one_multiply)
-    rep = check_algebra_laws(SIG, seed=11, assoc=10, jacobi=0, antisym=0, idem=0)
+def _doubled_element(sig, terms):
+    return Element(sig, terms).scale(CRat.of(2))
+
+
+# law label, its instance-count argument, the oracle function made wrong,
+# its wrong version, and the last input of the counterexample
+_WRONG_LAWS = [
+    ("associativity", "assoc", "multiply", _off_by_one_multiply, "; c = "),
+    ("Jacobi", "jacobi", "commutator", multiply, "; c = "),
+    ("antisymmetry", "antisym", "commutator", multiply, "; b = "),
+    ("idempotence", "idem", "Element", _doubled_element, ": a = "),
+]
+
+
+@pytest.mark.parametrize("law, count, name, patched, last_input", _WRONG_LAWS,
+                         ids=[case[0] for case in _WRONG_LAWS])
+def test_algebra_laws_report_first_counterexample(monkeypatch, law, count, name,
+                                                  patched, last_input):
+    monkeypatch.setattr(oracle, name, patched)
+    counts = dict(assoc=0, jacobi=0, antisym=0, idem=0)
+    counts[count] = 10
+    rep = check_algebra_laws(SIG, seed=11, **counts)
     assert rep.status == "fail"
     assert rep.failures > 0
-    assert rep.counterexample.startswith("seed 11, associativity instance ")
-    assert "; c = " in rep.counterexample
+    assert rep.counterexample.startswith(f"seed 11, {law} instance ")
+    assert last_input in rep.counterexample
 
 
 def test_cli_oracle_check_prints_first_counterexample(monkeypatch, capsys):
