@@ -84,8 +84,8 @@ __version__ = "0.1.0"
 # lazily loaded qc_bracket module would bind pbracket.qc_bracket to the module
 # on import, not to the function.
 _LAZY = {
-    **dict.fromkeys(("vector_field_action", "matrix_realize", "matrix_max_error",
-                     "OracleReport", "check_vector_field_suite", "check_algebra_laws",
+    **dict.fromkeys(("vector_field_action", "matrix_max_error", "OracleReport",
+                     "check_vector_field_suite", "check_algebra_laws",
                      "check_matrix_suite", "oracle_check"), "oracle"),
     **dict.fromkeys(("CalibrationReport", "calibrate_conventions",
                      "calibration_report"), "calibration"),
@@ -124,9 +124,9 @@ __all__ = [
     "commutator_hybrid", "hybrid_from_sector2_poly",
     "qc_bracket", "qc_bracket_terms", "bracket_via_universal",
     "poisson_ordered", "classicality_gap", "h_eff",
-    "vector_field_action", "matrix_realize", "matrix_max_error",
-    "OracleReport", "check_vector_field_suite", "check_algebra_laws",
-    "check_matrix_suite", "oracle_check",
+    "vector_field_action", "matrix_max_error", "OracleReport",
+    "check_vector_field_suite", "check_algebra_laws", "check_matrix_suite",
+    "oracle_check",
     "CalibrationReport", "calibrate_conventions", "calibration_report",
     "evaluate",
     "EngineConfig", "load_config", "save_config", "resolve_config",

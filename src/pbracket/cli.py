@@ -293,12 +293,12 @@ def _cmd_calibrate(ns: argparse.Namespace, cfg: EngineConfig) -> int:
     from .calibration import calibration_report
     from .config import save_config
     try:
-        if ns.out:
+        if ns.out is not None:
             # fails before the report; append mode truncates nothing,
             # and creates nothing when refused
             open(ns.out, "a").close()
         report = calibration_report(cfg.dof)
-        if ns.out:
+        if ns.out is not None:
             save_config(EngineConfig(report.chosen, cfg.dof), ns.out)
     except OSError as exc:
         raise _UsageError(f"cannot write configuration: {exc}") from exc

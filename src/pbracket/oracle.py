@@ -9,11 +9,10 @@ Two oracles, built on different mathematics than the symbolic engine:
   the composition of their actions.  This checks the reordering arithmetic in
   ``multiply`` against nothing but the Leibniz rule.
 
-* matrix oracle: realizes canonical pairs as truncated harmonic-oscillator
-  ladder matrices and compares operator identities entrywise on the columns
-  that truncation leaves exact.  A check realizes only the pairs its
-  operators act on, n ** (pairs acted on) basis states: every other pair
-  carries the identity on both sides and cannot tell them apart.
+* matrix oracle: realizes the first canonical pair as truncated
+  harmonic-oscillator ladder matrices and compares operator identities
+  entrywise on the columns that truncation leaves exact.  Every check acts
+  on that pair alone, so its n x n matrices do not grow with the dof.
 
 Both produce :class:`OracleReport` rows with a deterministic input hash so a
 verification run is reproducible byte for byte.
@@ -27,7 +26,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from .errors import DimensionTooSmall, MatrixTooLarge, UnsupportedConvention
 from .scalars import CRat, CR_ZERO, CR_ONE, CR_I, Scalar, S_ONE, scalar
@@ -39,15 +38,12 @@ from . import sampling
 if TYPE_CHECKING:
     import numpy as np
 
-# Largest dense realization, n ** (pairs realized) basis states: two pairs
-# at n = 32.  One complex matrix of that size is 16 MB; three pairs at
-# n = 32 (32768 states) would be 17 GB.  The checks verify runs act on one
-# pair, 32 states, at every dof.
+# Largest dense realization, n basis states: one complex matrix of that size
+# is 16 MB.  The checks verify runs use n = 32 at every dof.
 MAX_MATRIX_DIM = 1024
 
 __all__ = [
     "vector_field_action",
-    "matrix_realize",
     "matrix_max_error",
     "OracleReport",
     "check_vector_field_suite",
@@ -130,7 +126,7 @@ def vector_field_action(e: Element,
 
 
 # ---------------------------------------------------------------------------
-# truncated ladder-matrix realization
+# truncated ladder-matrix realization of the first canonical pair
 
 
 def _canonical_pair(gamma: complex, n: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -153,78 +149,49 @@ def _canonical_pair(gamma: complex, n: int) -> Tuple[np.ndarray, np.ndarray]:
     return q, p
 
 
-def _support(*ops: WeylOperator) -> List[int]:
-    """The pairs on which some term of the operators has a nonzero exponent."""
-    return sorted({d for w in ops for mono in w.terms
-                   for d in range(len(mono) // 2) if mono[2 * d] or mono[2 * d + 1]})
-
-
-def _realize(w: WeylOperator, pairs: Sequence[int], hbar: float, n: int,
-             h1: Optional[float] = None, h2: Optional[float] = None) -> np.ndarray:
-    """Truncated matrix of ``w`` on the listed canonical pairs: the Kronecker
-    product of one oscillator factor of dimension n per pair, in list order.
-    Exponents on unlisted pairs are not realized; list those ``w`` acts on
-    (_support).  Checks the size before allocating: MatrixTooLarge above
-    MAX_MATRIX_DIM states, DimensionTooSmall below degree + 2 per pair.
-    """
-    import numpy as np
-    dim = n ** len(pairs)
-    if dim > MAX_MATRIX_DIM:
+def _realizable(n: int, *ops: WeylOperator) -> int:
+    """The largest degree of ``ops``, once each is known to have an n x n
+    realization on the first canonical pair.  Raises before anything is
+    allocated: MatrixTooLarge above MAX_MATRIX_DIM, ValueError for a term
+    on another pair, DimensionTooSmall below degree + 2."""
+    if n > MAX_MATRIX_DIM:
         raise MatrixTooLarge(
-            f"matrix realization of dimension {n}**{len(pairs)} = {dim} exceeds "
-            f"the limit {MAX_MATRIX_DIM}")
-    deg = w.degree()
+            f"matrix realization of dimension {n} exceeds the limit {MAX_MATRIX_DIM}")
+    if any(any(mono[2:]) for w in ops for mono in w.terms):
+        raise ValueError("the matrix oracle realizes the first canonical pair only")
+    deg = max(w.degree() for w in ops)
     if n < deg + 2:
         raise DimensionTooSmall(
             f"need matrix dimension >= degree + 2 = {deg + 2}, got {n}")
-    hv = float(hbar)
-    vals = {"h": hv, "h1": hv if h1 is None else h1, "h2": hv if h2 is None else h2}
-    ladders = [_canonical_pair(complex(w.algebra.gammas[d].evalf(**vals)), n)
-               for d in pairs]
+    return deg
+
+
+def _realize(w: WeylOperator, hbar: float, n: int) -> np.ndarray:
+    """Truncated n x n matrix of ``w`` on the first canonical pair,
+    sum of c * Q^a P^b over its terms.  Refuses as _realizable does."""
+    import numpy as np
+    _realizable(n, w)
+    total = np.zeros((n, n), dtype=complex)
+    vals = dict.fromkeys(("h", "h1", "h2"), float(hbar))
+    q, p = _canonical_pair(complex(w.algebra.gammas[0].evalf(**vals)), n)
     power = np.linalg.matrix_power
-    total = np.zeros((dim, dim), dtype=complex)
-    for mono, coeff in w.terms.items():
-        block = np.ones((1, 1), dtype=complex)
-        for d, (qd, pd) in zip(pairs, ladders):
-            block = np.kron(block, power(qd, mono[2 * d]) @ power(pd, mono[2 * d + 1]))
-        total += block * complex(coeff.evalf(**vals))
+    for (a, b, *_), coeff in w.terms.items():
+        total += power(q, a) @ power(p, b) * complex(coeff.evalf(**vals))
     return total
 
 
-def matrix_realize(w: WeylOperator, hbar: float, n: int,
-                   h1: Optional[float] = None, h2: Optional[float] = None) -> np.ndarray:
-    """Truncated matrix of ``w`` on the oscillator basis, dimension n per
-    degree of freedom of its algebra."""
-    return _realize(w, range(w.algebra.dofs), hbar, n, h1, h2)
-
-
-def _exact_columns(n: int, keep: int, dofs: int) -> List[int]:
-    """Indices of the basis columns whose every factor index is < keep."""
-    cols = [0]
-    for _ in range(dofs):
-        cols = [c * n + j for c in cols for j in range(keep)]
-    return cols
-
-
-def matrix_max_error(wa: WeylOperator, wb: WeylOperator, hbar: float, n: int,
-                     h1: Optional[float] = None, h2: Optional[float] = None) -> float:
+def matrix_max_error(wa: WeylOperator, wb: WeylOperator, hbar: float, n: int) -> float:
     """Max entrywise deviation between the realizations of two operators,
-    restricted to the columns the truncation computes exactly.
-
-    Both are realized on the pairs either acts on; on every other pair both
-    are the identity, which cannot tell them apart.  A degree-d operator
-    maps basis column j into levels <= j + d per factor, so columns with
-    every factor index < n - d are free of truncation error.  Raises as
-    _realize does, for either operator.
-    """
+    restricted to the columns the truncation computes exactly: a degree-d
+    operator maps basis column j into levels <= j + d, so columns
+    j < n - d are free of truncation error.  Raises as _realizable does,
+    for either operator, before realizing either."""
     import numpy as np
     if wa.algebra is not wb.algebra and wa.algebra != wb.algebra:
         raise ValueError("operators live in different algebras")
-    deg = max(wa.degree(), wb.degree())
-    pairs = _support(wa, wb)
-    cols = _exact_columns(n, n - deg, len(pairs))
-    diff = _realize(wa, pairs, hbar, n, h1, h2) - _realize(wb, pairs, hbar, n, h1, h2)
-    return float(np.abs(diff[:, cols]).max())
+    deg = _realizable(n, wa, wb)
+    diff = _realize(wa, hbar, n) - _realize(wb, hbar, n)
+    return float(np.abs(diff[:, :n - deg]).max())
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +250,15 @@ def _coordinate_str(sig: GroupSignature, mono: Tuple[int, ...]) -> str:
 
 
 def check_vector_field_suite(sig: GroupSignature, seed: int, pairs: int = 100,
-                             max_degree: int = 4, probes: int = 30) -> OracleReport:
-    """Product-versus-composition check on random element pairs.
+                             probes: int = 30) -> OracleReport:
+    """Product-versus-composition check on random element pairs of degree
+    at most 4.
 
     Exact rational arithmetic throughout: any mismatch is a hard failure, so
     max_abs_error is 0.0 on pass and 1.0 on failure.  Both sides are computed
     from scratch for every probe.
     """
+    max_degree = 4
     rng = random.Random(seed)
     failed: List[str] = []
     for i in range(pairs):
@@ -343,12 +312,10 @@ def check_algebra_laws(sig: GroupSignature, seed: int, assoc: int = 80,
         failed)
 
 
-def check_matrix_suite(sig: GroupSignature, hbar: float = 1.0, n: int = 32,
-                       tol: float = 1e-10) -> List[OracleReport]:
-    """Operator identities on truncated ladder matrices.
-
-    Each check realizes n ** (pairs acted on) states, one pair here at every
-    dof.  Checks, in the single-Planck algebra at the given hbar:
+def check_matrix_suite(sig: GroupSignature) -> List[OracleReport]:
+    """Operator identities on the first canonical pair's truncated ladder
+    matrices, n = 32 at every dof, in the single-Planck algebra at hbar = 1,
+    each to a tolerance of 1e-10:
       * canonical commutation [Q, P] = gamma I
       * symbolic normal forms of short words against direct numeric
         matrix products of the untouched factors
@@ -356,24 +323,25 @@ def check_matrix_suite(sig: GroupSignature, hbar: float = 1.0, n: int = 32,
         closed form 4*gu*QP - 2*gu^2*i*hbar, gu the commutator unit
     """
     import numpy as np
+    hbar, n, tol = 1.0, 32, 1e-10
     alg = qc_algebra(sig)
     q = WeylOperator.generator(alg, "Q", 0)
     p = WeylOperator.generator(alg, "P", 0)
     ident = WeylOperator.identity(alg)
     gamma = alg.gammas[0]
-    reports = []
 
-    comm = q * p - p * q
-    err = matrix_max_error(comm, ident.scale(gamma), hbar, n)
-    reports.append(OracleReport(
-        check="matrix-canonical-commutator",
-        inputs_hash=_hash_inputs("mx-ccr", sig.dof, str(sig.convention), hbar, n, tol),
-        status="pass" if err <= tol else "fail",
-        max_abs_error=err,
-    ))
+    def row(check: str, tag: str, err: float, *inputs: object) -> OracleReport:
+        return OracleReport(
+            check=check,
+            inputs_hash=_hash_inputs(tag, sig.dof, str(sig.convention), hbar, n, tol,
+                                     *inputs),
+            status="pass" if err <= tol else "fail",
+            max_abs_error=err,
+        )
 
-    hv = float(hbar)
-    qm, pm = _canonical_pair(complex(gamma.evalf(h=hv, h1=hv, h2=hv)), n)
+    ccr = matrix_max_error(q * p - p * q, ident.scale(gamma), hbar, n)
+
+    qm, pm = _canonical_pair(complex(gamma.evalf(h=hbar, h1=hbar, h2=hbar)), n)
     words = [("q", "p"), ("p", "q"), ("q", "q", "p", "p"),
              ("p", "p", "q", "q"), ("q", "p", "q", "p")]
     worst = 0.0
@@ -383,15 +351,8 @@ def check_matrix_suite(sig: GroupSignature, hbar: float = 1.0, n: int = 32,
         for ch in word:
             sym = sym * (q if ch == "q" else p)
             num = num @ (qm if ch == "q" else pm)
-        diff = _realize(sym, _support(sym), hbar, n) - num
+        diff = _realize(sym, hbar, n) - num
         worst = max(worst, float(np.abs(diff[:, :n - len(word)]).max()))
-    reports.append(OracleReport(
-        check="matrix-word-products",
-        inputs_hash=_hash_inputs("mx-words", sig.dof, str(sig.convention),
-                                 hbar, n, tol, words),
-        status="pass" if worst <= tol else "fail",
-        max_abs_error=worst,
-    ))
 
     ih = scalar(CR_I) * Scalar.symbol("h")
     lhs = (q * q * p * p - p * p * q * q).scale(S_ONE / ih)
@@ -401,14 +362,11 @@ def check_matrix_suite(sig: GroupSignature, hbar: float = 1.0, n: int = 32,
     qp = WeylOperator(alg, {tuple(mono_qp): S_ONE})
     const = CRat(Fraction(0), Fraction(-2)) * gu * gu
     rhs = qp.scale(gu * CRat.of(4)) + ident.scale(scalar(const) * Scalar.symbol("h"))
-    err = matrix_max_error(lhs, rhs, hbar, n)
-    reports.append(OracleReport(
-        check="matrix-biquadratic-identity",
-        inputs_hash=_hash_inputs("mx-biq", sig.dof, str(sig.convention), hbar, n, tol),
-        status="pass" if err <= tol else "fail",
-        max_abs_error=err,
-    ))
-    return reports
+    return [
+        row("matrix-canonical-commutator", "mx-ccr", ccr),
+        row("matrix-word-products", "mx-words", worst, words),
+        row("matrix-biquadratic-identity", "mx-biq", matrix_max_error(lhs, rhs, hbar, n)),
+    ]
 
 
 def oracle_check(seed: int, sig: GroupSignature = GroupSignature(1)) -> List[OracleReport]:

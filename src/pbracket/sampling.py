@@ -46,11 +46,11 @@ def _allowed_indices(dof: int, sectors: Sequence[int], allow_s: bool) -> list:
 
 
 def rand_group_monomial(rng: random.Random, sig: GroupSignature, max_degree: int,
-                        sectors: Sequence[int] = (1, 2), allow_s: bool = True,
-                        min_degree: int = 0) -> Tuple[int, ...]:
+                        sectors: Sequence[int] = (1, 2),
+                        allow_s: bool = True) -> Tuple[int, ...]:
     idxs = _allowed_indices(sig.dof, sectors, allow_s)
     mono = [0] * sig.width
-    for _ in range(rng.randint(min_degree, max_degree)):
+    for _ in range(rng.randint(0, max_degree)):
         mono[rng.choice(idxs)] += 1
     return tuple(mono)
 

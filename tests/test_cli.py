@@ -381,6 +381,12 @@ def test_calibrate_to_an_unwritable_path_is_one_error_line(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_calibrate_to_an_empty_path_is_one_error_line(capsys):
+    # an empty --out is a path that cannot be opened, not a missing option
+    err = _one_error_line_fast(capsys, "calibrate", "--out", "")
+    assert err.startswith("error: cannot write configuration: "), err
+
+
 def test_calibrate_refuses_an_unwritable_path_before_calibrating(tmp_path, capsys,
                                                                  monkeypatch):
     import pbracket.calibration as calibration

@@ -19,9 +19,8 @@ from pbracket.group_algebra import (ConventionTuple, Element, GroupSignature,
                                     commutator, multiply)
 from pbracket.oracle import (OracleReport, check_algebra_laws,
                              check_matrix_suite, check_vector_field_suite,
-                             matrix_max_error, matrix_realize, oracle_check,
-                             vector_field_action)
-from pbracket.representations import qc_algebra, rep_qc
+                             matrix_max_error, oracle_check, vector_field_action)
+from pbracket.representations import WeylOperator, qc_algebra, rep_qc
 from pbracket.pmech import ClassicalPoly, mechanise_weyl
 from pbracket.verify import run_verify
 
@@ -158,20 +157,21 @@ def test_algebra_law_suite_reports_pass():
 
 
 def test_matrix_ccr_accuracy():
-    reports = check_matrix_suite(SIG, hbar=1.0, n=16, tol=1e-10)
+    reports = check_matrix_suite(SIG)
     assert all(r.ok for r in reports)
     assert max(r.max_abs_error for r in reports) <= 1e-10
 
 
-def test_matrix_realize_word_product():
+def _qp():
     alg = qc_algebra(SIG)
-    from pbracket.representations import WeylOperator
-    Q = WeylOperator.generator(alg, "Q", 0)
-    P = WeylOperator.generator(alg, "P", 0)
-    w = Q * P
-    m_qp = matrix_realize(w, hbar=1.0, n=12)
-    m_q = matrix_realize(Q, hbar=1.0, n=12)
-    m_p = matrix_realize(P, hbar=1.0, n=12)
+    return WeylOperator.generator(alg, "Q", 0), WeylOperator.generator(alg, "P", 0)
+
+
+def test_matrix_realize_word_product():
+    Q, P = _qp()
+    m_qp = oracle._realize(Q * P, hbar=1.0, n=12)
+    m_q = oracle._realize(Q, hbar=1.0, n=12)
+    m_p = oracle._realize(P, hbar=1.0, n=12)
     direct = m_q @ m_p
     # compare away from the truncation boundary
     deg = 2
@@ -180,53 +180,56 @@ def test_matrix_realize_word_product():
 
 
 def test_matrix_commutator_is_i_hbar():
-    alg = qc_algebra(SIG)
-    from pbracket.representations import WeylOperator
-    Q = WeylOperator.generator(alg, "Q", 0)
-    P = WeylOperator.generator(alg, "P", 0)
-    m_q = matrix_realize(Q, hbar=0.5, n=20)
-    m_p = matrix_realize(P, hbar=0.5, n=20)
+    Q, P = _qp()
+    m_q = oracle._realize(Q, hbar=0.5, n=20)
+    m_p = oracle._realize(P, hbar=0.5, n=20)
     comm = m_q @ m_p - m_p @ m_q
     target = 1j * 0.5 * np.eye(20)
     assert np.max(np.abs((comm - target)[:18, :18])) < 1e-12
 
 
 def test_matrix_dimension_guard():
-    alg = qc_algebra(SIG)
-    from pbracket.representations import WeylOperator
-    Q = WeylOperator.generator(alg, "Q", 0)
+    Q, _ = _qp()
     with pytest.raises(DimensionTooSmall):
-        matrix_realize(Q ** 4, hbar=1.0, n=5)
+        oracle._realize(Q ** 4, hbar=1.0, n=5)
 
 
-def test_matrix_max_error_dimension_guard_covers_both_operators():
-    from pbracket.representations import WeylOperator
-    Q = WeylOperator.generator(qc_algebra(SIG), "Q", 0)
+def _refuse_allocation(m):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense matrix allocated before the input was checked")
+
+    m.setattr(np, "zeros", refuse)
+    m.setattr(np, "eye", refuse)
+
+
+def test_matrix_max_error_dimension_guard_covers_both_operators(monkeypatch):
+    Q, _ = _qp()
+    _refuse_allocation(monkeypatch)
     for wa, wb in ((Q, Q ** 4), (Q ** 4, Q)):
         with pytest.raises(DimensionTooSmall):
             matrix_max_error(wa, wb, 1.0, 5)
 
 
 def test_matrix_size_bound_raises_before_allocating(monkeypatch):
-    from pbracket.representations import WeylOperator
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("dense matrix allocated past the size bound")
-
+    """matrix_max_error refuses a dimension past the bound, and a term on a
+    second pair in either operator, before numpy allocates."""
     assert oracle.MAX_MATRIX_DIM == 1024
-    q2 = WeylOperator.generator(qc_algebra(GroupSignature(2)), "Q", 0)
-    alg3 = qc_algebra(GroupSignature(3))
-    two_pairs = WeylOperator.generator(alg3, "Q", 0) * WeylOperator.generator(alg3, "P", 2)
+    alg = qc_algebra(GroupSignature(3))
+    q1 = WeylOperator.generator(alg, "Q", 0)
+    two_pairs = q1 * WeylOperator.generator(alg, "P", 2)
     with monkeypatch.context() as m:
-        m.setattr(np, "zeros", refuse)
-        m.setattr(np, "eye", refuse)
-        with pytest.raises(MatrixTooLarge, match="33\\*\\*2 = 1089"):
-            matrix_realize(q2, hbar=1.0, n=33)
-        with pytest.raises(MatrixTooLarge, match="33\\*\\*2 = 1089"):
-            matrix_max_error(two_pairs, two_pairs, hbar=1.0, n=33)
-        with pytest.raises(MatrixTooLarge, match="32\\*\\*3 = 32768"):
-            matrix_realize(two_pairs, hbar=1.0, n=32)
-    # each check realizes only the one pair it acts on
+        _refuse_allocation(m)
+        with pytest.raises(MatrixTooLarge, match="dimension 1025 exceeds the limit 1024"):
+            matrix_max_error(q1, q1, hbar=1.0, n=1025)
+        for wa, wb in ((q1, two_pairs), (two_pairs, q1)):
+            with pytest.raises(ValueError, match="first canonical pair only"):
+                matrix_max_error(wa, wb, hbar=1.0, n=32)
+        with pytest.raises(ValueError, match="first canonical pair only"):
+            oracle._realize(two_pairs, hbar=1.0, n=32)
+        # the bound itself is accepted: that call reaches the allocation
+        with pytest.raises(AssertionError, match="dense matrix allocated"):
+            matrix_max_error(q1, q1, hbar=1.0, n=1024)
+    # each check realizes only the first pair, at every dof
     assert all(r.ok for r in check_matrix_suite(GroupSignature(3)))
 
 
@@ -242,7 +245,7 @@ def test_matrix_suite_passes_or_refuses_each_sampled_convention():
         conv = ConventionTuple(*fields)
         real_weight = conv.gamma_unit.im != 0      # [Q, P] = u * i * hbar
         try:
-            reports = check_matrix_suite(GroupSignature(1, conv), n=8)
+            reports = check_matrix_suite(GroupSignature(1, conv))
         except UnsupportedConvention:
             assert real_weight, conv
             refused += 1
@@ -252,10 +255,7 @@ def test_matrix_suite_passes_or_refuses_each_sampled_convention():
 
 
 def test_matrix_max_error_flags_wrong_operator():
-    alg = qc_algebra(SIG)
-    from pbracket.representations import WeylOperator
-    Q = WeylOperator.generator(alg, "Q", 0)
-    P = WeylOperator.generator(alg, "P", 0)
+    Q, P = _qp()
     err = matrix_max_error(Q * P, P * Q, hbar=1.0, n=16)
     assert err > 0.5  # they differ by i*hbar on the diagonal
     assert matrix_max_error(Q * P, Q * P, hbar=1.0, n=16) == 0.0
@@ -376,6 +376,24 @@ def test_vector_field_suite_catches_wrong_product(monkeypatch):
     assert data["counterexample"] == rep.counterexample
 
 
+def test_vector_field_action_checks_a_triple_contraction(monkeypatch):
+    """Y^3 X^3 contracts up to three times in one slot (weights 1, 9, 18, 6):
+    product and composition agree on both probes, and a product whose
+    k = 3 weight is doubled fails on each."""
+    y3, x3 = gen("Y_1_1") ** 3, gen("X_1_1") ** 3
+    probes = [gmono(S1=3), gmono(S1=3, X_1_1=3, Y_1_1=3)]
+
+    def agrees(f):
+        return vector_field_action(multiply(y3, x3), f) == \
+            vector_field_action(y3, vector_field_action(x3, f))
+
+    assert all(agrees(f) for f in probes)
+    expansion = terms._expansion
+    monkeypatch.setattr(terms, "_expansion", lambda m, n: tuple(
+        (k, 2 * w if k >= 3 else w) for k, w in expansion(m, n)))
+    assert not any(agrees(f) for f in probes)
+
+
 def _doubled_element(sig, terms):
     return Element(sig, terms).scale(CRat.of(2))
 
@@ -450,22 +468,23 @@ def test_oracle_check_passes_at_dof_2():
 
 
 def test_matrix_word_products_catch_wrong_factor_at_dof_2(monkeypatch):
-    # realizing the word on the second pair instead of the first, the one
-    # it acts on, must fail the comparison against the direct product
+    # a Weyl product with a wrong contraction factor must fail the
+    # comparison against the direct product of the ladder matrices
     sig = GroupSignature(dof=2)
-    n = 12
-    assert {r.check: r for r in check_matrix_suite(sig, n=n)}["matrix-word-products"].ok
-    monkeypatch.setattr(oracle, "_support", lambda *ops: [1])
-    reports = {r.check: r for r in check_matrix_suite(sig, n=n)}
+    assert {r.check: r for r in check_matrix_suite(sig)}["matrix-word-products"].ok
+    expansion = terms._expansion
+    monkeypatch.setattr(terms, "_expansion", lambda m, n: tuple(
+        (k, 2 * w if k else w) for k, w in expansion(m, n)))
+    reports = {r.check: r for r in check_matrix_suite(sig)}
     assert not reports["matrix-word-products"].ok
 
 
 def test_matrix_suite_holds_no_full_size_matrix():
-    # dimension 1024: one dense matrix is 16 MB, a row slab 0.5 MB
+    # a 1024-state matrix is 16 MB; the suite's 32 x 32 ones are 16 kB
     import tracemalloc
 
     sig = GroupSignature(dof=2)
-    check_matrix_suite(sig, n=8)   # numpy loads on first use; keep that out
+    check_matrix_suite(sig)   # numpy loads on first use; keep that out
     tracemalloc.start()
     try:
         reports = check_matrix_suite(sig)
@@ -476,29 +495,26 @@ def test_matrix_suite_holds_no_full_size_matrix():
     assert peak < 8 * 2 ** 20
 
 
-def test_matrix_realize_is_the_kronecker_product():
-    from pbracket.representations import WeylOperator
+def test_realize_builds_the_first_pair_ladder_matrices():
     alg = qc_algebra(GroupSignature(2))
-    q1, p2 = WeylOperator.generator(alg, "Q", 0), WeylOperator.generator(alg, "P", 1)
-    w = q1 * q1 * p2 - p2.scale(CR_I)
-    qm, _ = oracle._canonical_pair(complex(alg.gammas[0].evalf()), 6)
-    _, pm = oracle._canonical_pair(complex(alg.gammas[1].evalf()), 6)
-    direct = np.kron(qm @ qm, pm) - 1j * np.kron(np.eye(6), pm)
-    assert np.allclose(matrix_realize(w, hbar=1.0, n=6), direct, atol=1e-12)
+    Q, P = WeylOperator.generator(alg, "Q", 0), WeylOperator.generator(alg, "P", 0)
+    w = Q * Q * P - P.scale(CR_I)
+    qm, pm = oracle._canonical_pair(complex(alg.gammas[0].evalf()), 6)
+    assert np.allclose(oracle._realize(w, hbar=1.0, n=6), qm @ qm @ pm - 1j * pm,
+                       atol=1e-12)
+    assert np.array_equal(oracle._realize(P, 1.0, 6), pm)
+    assert np.array_equal(oracle._realize(WeylOperator.identity(alg), 1.0, 6), np.eye(6))
     with pytest.raises(MatrixTooLarge):
-        matrix_realize(w, hbar=1.0, n=33)
-    # on the pairs it acts on alone, an operator has its own factor's matrix
-    assert oracle._support(w) == [0, 1]
-    assert oracle._support(p2, WeylOperator.identity(alg)) == [1]
-    assert oracle._support(WeylOperator.identity(alg)) == []
-    assert np.array_equal(oracle._realize(p2, oracle._support(p2), 1.0, 6), pm)
+        oracle._realize(w, hbar=1.0, n=1025)
+    with pytest.raises(ValueError, match="first canonical pair only"):
+        oracle._realize(WeylOperator.generator(alg, "P", 1), hbar=1.0, n=6)
 
 
 def test_verify_item_exception_names_where_it_was_raised(monkeypatch):
-    def broken(n, keep, dofs):
+    def broken(w, hbar, n):
         raise IndexError("column out of range")
 
-    monkeypatch.setattr(oracle, "_exact_columns", broken)
+    monkeypatch.setattr(oracle, "_realize", broken)
     report = run_verify(seed=5, decoupling_instances=1, path_pairs=1,
                         reduction_pairs=1, oracle_pairs=1)
     item = {item.name: item for item in report.items}["matrix oracle"]
@@ -508,7 +524,7 @@ def test_verify_item_exception_names_where_it_was_raised(monkeypatch):
     assert detail.startswith(prefix) and detail.endswith(" in matrix_max_error")
     line = int(detail[len(prefix):].split(" ")[0])
     source = Path(oracle.__file__).read_text().splitlines()
-    assert "_exact_columns(" in source[line - 1]
+    assert "_realize(" in source[line - 1]
     assert f"       - {detail}\n" in report.render()
     assert report.to_json()["items"][-1]["detail"] == [detail]
     assert not [d for i in report.items if i.ok for d in i.detail if d.startswith("raised at ")]

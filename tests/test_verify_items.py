@@ -7,9 +7,11 @@ from fractions import Fraction
 import pytest
 
 from pbracket import verify
-from pbracket.group_algebra import commutator, multiply
+from pbracket.config import EngineConfig
+from pbracket.group_algebra import ConventionTuple, commutator, multiply
 from pbracket.pmech import poisson_classical
 from pbracket.qc_bracket import bracket_via_universal, h_eff, qc_bracket_terms
+from pbracket.scalars import CR_I, CR_ONE
 from pbracket.verify import run_verify
 
 
@@ -57,3 +59,20 @@ def test_a_wrong_engine_function_fails_its_item(monkeypatch, item, name, patched
     found = {i.name: i for i in report.items}[item]
     assert found.status == "fail"
     assert found.actual == actual
+
+
+def test_qc_image_under_a_real_commutator_weight_keeps_both_images():
+    """The matrix oracle cannot realize a real [Q, P] weight: the image item
+    still prints the expected and computed images, says why the matrix
+    deviation was not computed, and fails."""
+    conv = ConventionTuple(eps_comm=CR_I, kappa_x=CR_ONE, kappa_y=CR_ONE,
+                           kappa_s=CR_I, orient=-1, rep_s_sign=-1)
+    report = run_verify(seed=5, config=EngineConfig(conv, 1), decoupling_instances=1,
+                        path_pairs=1, reduction_pairs=1, oracle_pairs=1)
+    item = {i.name: i for i in report.items}["biquadratic quantum-classical image"]
+    assert item.status == "fail"
+    assert (item.expected, item.actual) == ("4*Q1*P1 + 2i*h*I", "-4i*Q1*P1 + 2i*h*I")
+    prefix = ("matrix realization deviation at dimension 32: not computed "
+              "(UnsupportedConvention: the matrix oracle needs a purely imaginary ")
+    assert item.detail[-1].startswith(prefix) and item.detail[-1].endswith(")")
+    assert not [d for d in item.detail if d.startswith("raised at ")]
