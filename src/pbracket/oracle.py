@@ -321,6 +321,8 @@ def check_matrix_suite(sig: GroupSignature) -> List[OracleReport]:
         matrix products of the untouched factors
       * the biquadratic identity (1/(i hbar))[Q^2, P^2] against its
         closed form 4*gu*QP - 2*gu^2*i*hbar, gu the commutator unit
+    A convention whose pair it cannot realize is one failing matrix-suite
+    row that carries the reason.
     """
     import numpy as np
     hbar, n, tol = 1.0, 32, 1e-10
@@ -329,6 +331,11 @@ def check_matrix_suite(sig: GroupSignature) -> List[OracleReport]:
     p = WeylOperator.generator(alg, "P", 0)
     ident = WeylOperator.identity(alg)
     gamma = alg.gammas[0]
+    try:
+        qm, pm = _canonical_pair(complex(gamma.evalf(h=hbar, h1=hbar, h2=hbar)), n)
+    except UnsupportedConvention as exc:
+        return [_exact_report("matrix-suite", _hash_inputs("mx", sig.dof, str(sig.convention)),
+                              [f"UnsupportedConvention: {exc}"])]
 
     def row(check: str, tag: str, err: float, *inputs: object) -> OracleReport:
         return OracleReport(
@@ -341,7 +348,6 @@ def check_matrix_suite(sig: GroupSignature) -> List[OracleReport]:
 
     ccr = matrix_max_error(q * p - p * q, ident.scale(gamma), hbar, n)
 
-    qm, pm = _canonical_pair(complex(gamma.evalf(h=hbar, h1=hbar, h2=hbar)), n)
     words = [("q", "p"), ("p", "q"), ("q", "q", "p", "p"),
              ("p", "p", "q", "q"), ("q", "p", "q", "p")]
     worst = 0.0
@@ -370,17 +376,6 @@ def check_matrix_suite(sig: GroupSignature) -> List[OracleReport]:
 
 
 def oracle_check(seed: int, sig: GroupSignature = GroupSignature(1)) -> List[OracleReport]:
-    """Full oracle battery: vector-field pairs, law suite, matrix identities.
-    A convention the matrix oracle cannot realize is one failing matrix row
-    that carries the reason."""
-    reports = [
-        check_vector_field_suite(sig, seed),
-        check_algebra_laws(sig, seed + 1),
-    ]
-    try:
-        reports.extend(check_matrix_suite(sig))
-    except UnsupportedConvention as exc:
-        reports.append(_exact_report(
-            "matrix-suite", _hash_inputs("mx", sig.dof, str(sig.convention)),
-            [f"UnsupportedConvention: {exc}"]))
-    return reports
+    """Full oracle battery: vector-field pairs, law suite, matrix identities."""
+    return [check_vector_field_suite(sig, seed), check_algebra_laws(sig, seed + 1),
+            *check_matrix_suite(sig)]

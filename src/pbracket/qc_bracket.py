@@ -22,7 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-from .errors import DivisionByZero, NotLocalized, SignatureMismatch, SingularTransformation
+from .errors import (DivisionByZero, NotLocalized, SignatureMismatch, SingularTransformation,
+                     ZeroPlanck)
 from .scalars import CR_I, CR_MINUS_I, CRat, Scalar, S_ONE, flat_value, scalar
 from .group_algebra import Element
 from .terms import accumulate, normal_order, pair_halves
@@ -64,6 +65,17 @@ def poisson_ordered(K1: HybridObservable, K2: HybridObservable) -> HybridObserva
 INV_IH = S_ONE / (scalar(CR_I) * Scalar.symbol("h"))
 
 
+def _at_hbar(out: HybridObservable, hbar: Optional[Union[int, Fraction]]) -> HybridObservable:
+    """``out`` with h set to ``hbar``, or symbolic in h when ``hbar`` is None.
+    A zero hbar raises ZeroPlanck, since the bracket carries the factor
+    1/(i*h)."""
+    if hbar is None:
+        return out
+    if Fraction(hbar) == 0:
+        raise ZeroPlanck("hbar must be nonzero")
+    return out.substitute(h=Fraction(hbar))
+
+
 def qc_bracket_terms(K1: HybridObservable, K2: HybridObservable,
                      hbar: Optional[Union[int, Fraction]] = None,
                      ) -> Tuple[HybridObservable, HybridObservable, HybridObservable]:
@@ -73,7 +85,7 @@ def qc_bracket_terms(K1: HybridObservable, K2: HybridObservable,
     term2 = (poisson_ordered(K1, K2) - poisson_ordered(K2, K1)).jet_part(0).scale(Fraction(1, 2))
     term3 = comm.jet_part(1).scale(CR_MINUS_I) - term2
     terms = (term1, term2, term3)
-    return terms if hbar is None else tuple(t.substitute(h=Fraction(hbar)) for t in terms)
+    return tuple(_at_hbar(t, hbar) for t in terms)
 
 
 def qc_bracket(K1: HybridObservable, K2: HybridObservable,
@@ -81,7 +93,7 @@ def qc_bracket(K1: HybridObservable, K2: HybridObservable,
     """(1/(i h)) c_0 - i c_1 of the star commutator, at jet degree zero."""
     c = commutator_hybrid(K1, K2)
     out = c.jet_part(0).scale(INV_IH) + c.jet_part(1).scale(CR_MINUS_I)
-    return out if hbar is None else out.substitute(h=Fraction(hbar))
+    return _at_hbar(out, hbar)
 
 
 def bracket_via_universal(k1: Element, k2: Element,
@@ -89,10 +101,7 @@ def bracket_via_universal(k1: Element, k2: Element,
     """Quantum-classical image of the universal bracket, evaluated at h2 = 0."""
     if k1.signature != k2.signature:
         raise SignatureMismatch("elements built over different signatures")
-    out = rep_qc(universal_bracket(k1, k2)).jet_part(0)
-    if hbar is not None:
-        out = out.substitute(h=Fraction(hbar))
-    return out
+    return _at_hbar(rep_qc(universal_bracket(k1, k2)).jet_part(0), hbar)
 
 
 def _ordered_weyl_transport(k_sig, f: ClassicalPoly) -> WeylOperator:
@@ -133,10 +142,7 @@ def classicality_gap(k1: Element, k2: Element,
     pb = poisson_classical(f1, f2)
     surrogate = HybridObservable.from_weyl(_ordered_weyl_transport(k1.signature, pb),
                                            k1.signature)
-    out = bracket_via_universal(k1, k2) - surrogate
-    if hbar is not None:
-        out = out.substitute(h=Fraction(hbar))
-    return out
+    return _at_hbar(bracket_via_universal(k1, k2) - surrogate, hbar)
 
 
 def h_eff(h1: Union[int, Fraction], h2: Union[int, Fraction]) -> Fraction:

@@ -82,8 +82,7 @@ def test_every_calibrated_tuple_gives_the_same_verdicts(dof):
     report = calibration_report(dof)
     assert len(report.passing) == 4
     for conv in report.passing:
-        verdict = run_verify(2024, EngineConfig(conv, dof), decoupling_instances=5,
-                             path_pairs=5, reduction_pairs=8, oracle_pairs=10)
+        verdict = run_verify(2024, EngineConfig(conv, dof))
         failing = [item.name for item in verdict.items if not item.ok]
         expected = [] if conv == report.chosen else ["convention calibration"]
         assert failing == expected, conv

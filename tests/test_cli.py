@@ -64,6 +64,12 @@ def test_bracket_qc_numeric_hbar(capsys):
     assert out.strip() == "4*Q1*P1 - 2i*I"
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_bracket_qc_refuses_a_zero_hbar(capsys, json_flag):
+    code, out, err = run(capsys, *json_flag, "bracket", "qc", "q1^2", "p1^2", "--hbar", "0")
+    assert (code, out, err) == (1, "", "error: hbar must be nonzero\n")
+
+
 def test_bracket_qc_classical_pair(capsys):
     code, out, _ = run(capsys, "bracket", "qc", "q2", "p2")
     assert code == 0

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pbracket import oracle, sampling, terms
-from pbracket.errors import DimensionTooSmall, MatrixTooLarge, UnsupportedConvention
+from pbracket.errors import DimensionTooSmall, MatrixTooLarge
 from pbracket.scalars import (CR_I, CR_MINUS_I, CR_MINUS_ONE, CR_ONE, CR_ZERO, CRat, S_ONE,
                               Scalar, UNIT_VALUES)
 from pbracket.terms import TermMap, accumulate
@@ -235,22 +235,24 @@ def test_matrix_size_bound_raises_before_allocating(monkeypatch):
 
 def test_matrix_suite_passes_or_refuses_each_sampled_convention():
     """The ladders need an imaginary [Q, P] weight: under a convention with a
-    real one the suite raises UnsupportedConvention, and under the rest it
-    passes.  A seeded sample of the 1 024 tuples, plus a real-weight tuple."""
+    real one the suite is one failing matrix-suite row that carries the
+    UnsupportedConvention reason, and under the rest it passes.  A seeded
+    sample of the 1 024 tuples, plus a real-weight tuple."""
     tuples = list(itertools.product(UNIT_VALUES, UNIT_VALUES, UNIT_VALUES, UNIT_VALUES,
                                     (1, -1), (1, -1)))
     sample = random.Random(12).sample(tuples, 40) + [(CR_I, CR_ONE, CR_ONE, CR_I, -1, -1)]
     refused = 0
     for fields in sample:
         conv = ConventionTuple(*fields)
-        real_weight = conv.gamma_unit.im != 0      # [Q, P] = u * i * hbar
-        try:
-            reports = check_matrix_suite(GroupSignature(1, conv))
-        except UnsupportedConvention:
-            assert real_weight, conv
+        reports = check_matrix_suite(GroupSignature(1, conv))
+        if conv.gamma_unit.im != 0:                # [Q, P] = u * i * hbar
+            (row,) = reports
+            assert (row.check, row.status, row.failures) == ("matrix-suite", "fail", 1), conv
+            assert row.counterexample.startswith("UnsupportedConvention: the matrix "
+                                                 "oracle needs a purely imaginary "), conv
             refused += 1
         else:
-            assert not real_weight and all(r.ok for r in reports), conv
+            assert all(r.ok for r in reports), conv
     assert 0 < refused < len(sample)
 
 
@@ -439,8 +441,7 @@ def test_passing_report_has_no_failure_fields():
 
 def test_failing_verify_items_print_reproducer(monkeypatch):
     monkeypatch.setattr(oracle, "multiply", _off_by_one_multiply)
-    report = run_verify(seed=5, decoupling_instances=1, path_pairs=1,
-                        reduction_pairs=1, oracle_pairs=4)
+    report = run_verify(seed=5)
     items = {item.name: item for item in report.items}
     for name, seed in (("vector-field oracle", 8), ("algebra-law suite", 9)):
         item = items[name]
@@ -515,8 +516,7 @@ def test_verify_item_exception_names_where_it_was_raised(monkeypatch):
         raise IndexError("column out of range")
 
     monkeypatch.setattr(oracle, "_realize", broken)
-    report = run_verify(seed=5, decoupling_instances=1, path_pairs=1,
-                        reduction_pairs=1, oracle_pairs=1)
+    report = run_verify(seed=5)
     item = {item.name: item for item in report.items}["matrix oracle"]
     assert item.actual == "IndexError: column out of range"
     (detail,) = item.detail

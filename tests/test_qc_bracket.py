@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from pbracket.errors import (DivisionByZero, NotLocalized, SignatureMismatch,
-                             SingularTransformation)
+                             SingularTransformation, ZeroPlanck)
 from pbracket.scalars import CR_I, S_ONE, Scalar
 from pbracket.group_algebra import Element, GroupSignature
 from pbracket.pmech import ClassicalPoly, mechanise_weyl, poisson_classical
@@ -48,6 +48,19 @@ def test_biquadratic_bracket_image():
 def test_biquadratic_bracket_at_numeric_hbar():
     out = qc_bracket(rep(q(1) ** 2), rep(p(1) ** 2), hbar=1)
     assert str(out) == "4*Q1*P1 - 2i*I"
+
+
+@pytest.mark.parametrize("hbar", [0, Fraction(0), Fraction(0, 7)])
+def test_a_zero_hbar_is_refused(hbar):
+    """The bracket carries 1/(i*h): its value at h = 0 would be the
+    semiclassical limit, not the bracket, so every route refuses it."""
+    k1, k2 = mech(q(1) ** 2), mech(p(1) ** 2)
+    for call in (lambda: qc_bracket(rep_qc(k1), rep_qc(k2), hbar=hbar),
+                 lambda: qc_bracket_terms(rep_qc(k1), rep_qc(k2), hbar=hbar),
+                 lambda: bracket_via_universal(k1, k2, hbar=hbar),
+                 lambda: classicality_gap(k1, k2, hbar=hbar)):
+        with pytest.raises(ZeroPlanck, match="hbar must be nonzero"):
+            call()
 
 
 def test_classical_pair_bracket_is_identity():

@@ -1,6 +1,7 @@
 """Failure paths of the seeded verify items: with one engine function made
 wrong in `pbracket.verify`'s namespace, each item fails and its `actual`
-line counts exactly the instances that still hold."""
+line counts exactly the instances that still hold.  Each item runs alone,
+through the runner `run_verify` uses for every item."""
 
 from fractions import Fraction
 
@@ -9,10 +10,16 @@ import pytest
 from pbracket import verify
 from pbracket.config import EngineConfig
 from pbracket.group_algebra import ConventionTuple, commutator, multiply
+from pbracket.oracle import check_matrix_suite
 from pbracket.pmech import poisson_classical
 from pbracket.qc_bracket import bracket_via_universal, h_eff, qc_bracket_terms
 from pbracket.scalars import CR_I, CR_ONE
-from pbracket.verify import run_verify
+
+
+def _item(name, seed=2024, config=None):
+    """The named verify item, run alone as `run_verify` runs it."""
+    sig = (config or EngineConfig.default()).signature()
+    return verify._run(name, dict(verify._ITEMS)[name], sig, seed)
 
 
 def _sometimes(right, wrong):
@@ -29,17 +36,17 @@ def _correction_is_leading(a, b):
 
 CASES = [
     pytest.param("sector decoupling", "commutator", _sometimes(commutator, multiply),
-                 "2 of 8 instances hold", id="decoupling"),
+                 "17 of 50 instances hold", id="decoupling"),
     pytest.param("path equivalence", "bracket_via_universal",
                  _sometimes(bracket_via_universal,
                             lambda a, b: bracket_via_universal(b, a)),
-                 "5 of 8 pairs agree", id="path"),
+                 "30 of 50 pairs agree", id="path"),
     pytest.param("localized and classical reductions", "qc_bracket_terms",
                  _sometimes(qc_bracket_terms, _correction_is_leading),
-                 "2 of 8 localized, 8 of 8 classical", id="localized"),
+                 "10 of 25 localized, 25 of 25 classical", id="localized"),
     pytest.param("localized and classical reductions", "poisson_classical",
                  _sometimes(poisson_classical, lambda f, g: poisson_classical(g, f)),
-                 "8 of 8 localized, 4 of 8 classical", id="classical"),
+                 "25 of 25 localized, 9 of 25 classical", id="classical"),
     pytest.param("effective planck constant", "h_eff",
                  lambda a, b: Fraction(1, 2) if a == b else h_eff(a, b),
                  "failing: h_eff(2, 2) = 1; h_eff(0, 0) raises SingularTransformation",
@@ -54,25 +61,49 @@ CASES = [
 @pytest.mark.parametrize("item, name, patched, actual", CASES)
 def test_a_wrong_engine_function_fails_its_item(monkeypatch, item, name, patched, actual):
     monkeypatch.setattr(verify, name, patched)
-    report = run_verify(seed=2024, decoupling_instances=8, path_pairs=8,
-                        reduction_pairs=8, oracle_pairs=1)
-    found = {i.name: i for i in report.items}[item]
+    found = _item(item)
     assert found.status == "fail"
     assert found.actual == actual
+
+
+# [Q, P] is real under this tuple, so the matrix oracle cannot realize it
+REAL_GAMMA = EngineConfig(ConventionTuple(eps_comm=CR_I, kappa_x=CR_ONE, kappa_y=CR_ONE,
+                                          kappa_s=CR_I, orient=-1, rep_s_sign=-1), 1)
+REFUSED = ("UnsupportedConvention: the matrix oracle needs a purely imaginary "
+           "canonical-pair weight, got (1+0j)")
 
 
 def test_qc_image_under_a_real_commutator_weight_keeps_both_images():
     """The matrix oracle cannot realize a real [Q, P] weight: the image item
     still prints the expected and computed images, says why the matrix
     deviation was not computed, and fails."""
-    conv = ConventionTuple(eps_comm=CR_I, kappa_x=CR_ONE, kappa_y=CR_ONE,
-                           kappa_s=CR_I, orient=-1, rep_s_sign=-1)
-    report = run_verify(seed=5, config=EngineConfig(conv, 1), decoupling_instances=1,
-                        path_pairs=1, reduction_pairs=1, oracle_pairs=1)
-    item = {i.name: i for i in report.items}["biquadratic quantum-classical image"]
+    item = _item("biquadratic quantum-classical image", 5, REAL_GAMMA)
     assert item.status == "fail"
     assert (item.expected, item.actual) == ("4*Q1*P1 + 2i*h*I", "-4i*Q1*P1 + 2i*h*I")
-    prefix = ("matrix realization deviation at dimension 32: not computed "
-              "(UnsupportedConvention: the matrix oracle needs a purely imaginary ")
-    assert item.detail[-1].startswith(prefix) and item.detail[-1].endswith(")")
+    assert item.detail[-1] == ("matrix realization deviation at dimension 32: "
+                               f"not computed ({REFUSED})")
     assert not [d for d in item.detail if d.startswith("raised at ")]
+
+
+def test_matrix_item_under_a_real_commutator_weight_prints_the_refused_row():
+    """Under a real [Q, P] weight the matrix suite is the one failing row that
+    `oracle check` prints: the item counts it, prints it, and gives the reason
+    as its first counterexample, as the other oracle items do."""
+    item = _item("matrix oracle", 5, REAL_GAMMA)
+    (row,) = check_matrix_suite(REAL_GAMMA.signature())
+    assert item.status == "fail"
+    assert item.expected == ("operator identities hold on truncated ladder matrices "
+                             "(tolerance 1e-10 at dimension 32)")
+    assert item.actual == "0 of 1 checks pass, max deviation 1.000e+00"
+    assert item.detail == (f"matrix-suite: fail (1.000e+00), inputs-hash {row.inputs_hash}",
+                           "failing instances: 1", f"first counterexample: {REFUSED}")
+
+
+def test_every_item_holds_at_dof_8_and_runs_alone_as_in_the_report():
+    """The verify claims hold beyond the small dofs, and an item run alone
+    through the runner is the item of the full report."""
+    config = EngineConfig(ConventionTuple.standard(), 8)
+    report = verify.run_verify(2024, config)
+    assert [i.name for i in report.items if not i.ok] == []
+    assert report.render().endswith("summary: 12 of 12 items pass")
+    assert tuple(_item(name, 2024, config) for name, _ in verify._ITEMS) == report.items
