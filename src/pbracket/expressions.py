@@ -7,12 +7,16 @@ Grammar (whitespace insignificant):
     factor := '-' factor | atom ('^' uint)?
     atom   := number | 'i' | csym | delta | '(' expr ')'
     number := uint ('/' uint)?
-    csym   := ('q' | 'p') digit digit?
+    csym   := ('q' | 'p') digit index?
     delta  := 'delta[' var (',' var)* ']'
+    var    := ('x' | 'y') digit index? | 's' digit
+    index  := '0' | nonzero-digit digit*
 
-A csym names a phase-space coordinate: first digit the sector, optional
-second digit the degree of freedom (default 1).  A delta var is s1, s2 or an
-x/y name with the same digit convention.  Unary minus, the imaginary literal
+A csym names a phase-space coordinate: the digit is the sector, the index
+the degree of freedom, 1 when omitted, so q2_10 and q210 both name sector 2,
+dof 10.  A delta var is s1, s2 or an x/y name read the same way.
+Underscores in a name are ignored.  group_algebra.parse_var owns this
+grammar and the range checks of a name.  Unary minus, the imaginary literal
 'i' and rational literals extend the minimal grammar; everything the minimal
 grammar accepts parses identically.
 
@@ -39,7 +43,7 @@ from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .errors import ExpressionTooLarge, ExprSyntaxError, IndexOutOfRange, UnknownSymbol
 from .scalars import CRat, CR_I
-from .group_algebra import Element, GroupSignature, check_var_indices, delta_to_element
+from .group_algebra import Element, GroupSignature, parse_var
 from .pmech import ClassicalPoly
 
 __all__ = ["evaluate", "EvalResult", "MAX_DEGREE", "MAX_TERMS"]
@@ -69,45 +73,25 @@ class _Token(NamedTuple):
     col: int
 
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_NUM_RE = re.compile(r"[0-9]+")
-_OPS = set("+-*^()[],/")
+# One alternative per token kind; "space" is every str.isspace character but
+# the newline, which starts a line.
+_TOKEN_RE = re.compile(r"(?P<newline>\n)|(?P<space>[^\S\n]+)|(?P<num>[0-9]+)"
+                       r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()\[\],/])")
 
 
 def _tokenize(src: str) -> List[_Token]:
     tokens: List[_Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in _OPS:
-            tokens.append(_Token("op", ch, line, col))
-            col += 1
-            i += 1
-            continue
-        m = _NUM_RE.match(src, i)
-        if m:
-            tokens.append(_Token("num", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        m = _NAME_RE.match(src, i)
-        if m:
-            tokens.append(_Token("name", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("end", "", line, col))
+    line, line_start, pos = 1, 0, 0
+    while pos < len(src):
+        m = _TOKEN_RE.match(src, pos)
+        if m is None:
+            raise ExprSyntaxError(f"unexpected character {src[pos]!r}", line, pos - line_start + 1)
+        kind, pos = m.lastgroup, m.end()
+        if kind == "newline":
+            line, line_start = line + 1, pos
+        elif kind != "space":
+            tokens.append(_Token(kind, m.group(), line, m.start() - line_start + 1))
+    tokens.append(_Token("end", "", line, pos - line_start + 1))
     return tokens
 
 
@@ -115,8 +99,6 @@ def _tokenize(src: str) -> List[_Token]:
 # parser-evaluator
 
 
-_CSYM_RE = re.compile(r"([qp])([0-9])([0-9])?\Z")
-_GVAR_RE = re.compile(r"([sxy])([0-9])([0-9])?\Z")
 _MIX_MSG = "cannot mix phase-space symbols and delta kernels"
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
@@ -231,38 +213,32 @@ class _Parser:
             if tok.value == "i":
                 return _Value("n", CR_I, 1)
             if tok.value == "delta":
-                return _Value("e", delta_to_element(self.sig, self.delta()), 1)
-            m = _CSYM_RE.match(tok.value)
-            if m:
-                sector, index = self.indices(tok, *m.groups()[1:])
-                var = ClassicalPoly.var(self.sig.dof, m.group(1), sector, index)
-                return _Value("c", var, 1)
-            raise UnknownSymbol(f"unknown symbol {tok.value!r}", tok.line, tok.col)
+                return _Value("e", self.delta(), 1)
+            var = ClassicalPoly.var(self.sig.dof, *self.var(tok, "qp", "unknown symbol"))
+            return _Value("c", var, 1)
         raise ExprSyntaxError(f"unexpected {_shown(tok)!r}", tok.line, tok.col)
 
-    def delta(self) -> List[str]:
+    def delta(self) -> Element:
+        """The kernel of the delta[...] list after the 'delta' token."""
         self.expect_op("[")
-        names: List[str] = []
+        mono = [0] * self.sig.width
         while True:
             tok = self.expect("name", "variable name")
-            raw = tok.value.replace("_", "")
-            m = _GVAR_RE.match(raw)
-            if not m or (m.group(1) == "s" and m.group(3) is not None):
-                raise UnknownSymbol(
-                    f"unknown delta variable {tok.value!r}", tok.line, tok.col)
-            self.indices(tok, m.group(2), m.group(3))
-            names.append(raw)
+            mono[self.sig.var_index(*self.var(tok, "sxy", "unknown delta variable"))] += 1
             if self.accept(",") is None:
                 self.expect_op("]")
-                return names
+                return Element.monomial(self.sig, mono, self.sig.unit_factor(mono))
 
-    def indices(self, tok: _Token, d1: str, d2: Optional[str]) -> Tuple[int, int]:
-        """Sector and dof index from a name's digits, checked against the
-        signature; a missing dof digit means 1."""
+    def var(self, tok: _Token, letters: str, unknown: str) -> Tuple[str, int, int]:
+        """(letter, sector, dof index) of the name token tok, checked against
+        the signature."""
         try:
-            return check_var_indices(tok.value, int(d1), int(d2 or 1), self.sig.dof)
+            parsed = parse_var(tok.value, self.sig.dof, letters)
         except ValueError as exc:
             raise IndexOutOfRange(str(exc), tok.line, tok.col) from None
+        if parsed is None:
+            raise UnknownSymbol(f"{unknown} {tok.value!r}", tok.line, tok.col)
+        return parsed
 
     # combining values --------------------------------------------------------
 

@@ -17,10 +17,11 @@ kappa factors of the ConventionTuple (one factor per derivative).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .scalars import (
     CR_I,
@@ -195,6 +196,12 @@ class GroupSignature:
     def y_index(self, sector: int, i: int) -> int:
         return 3 + 2 * self.slot_of(sector, i)
 
+    def var_index(self, letter: str, sector: int, i: int = 1) -> int:
+        """Exponent index of delta variable 's', 'x' or 'y' of a sector and dof index."""
+        if letter == "s":
+            return sector - 1
+        return self.x_index(sector, i) if letter == "x" else self.y_index(sector, i)
+
     @cached_property
     def delta_names(self) -> Tuple[str, ...]:
         """Delta-derivative variable of each exponent index."""
@@ -312,27 +319,34 @@ def commutator(a: Element, b: Element) -> Element:
 # ---------------------------------------------------------------------------
 # Delta-derivative correspondence
 
-def parse_group_var(sig: GroupSignature, name: str) -> int:
-    """Map a variable name like 's1', 'x1', 'y21' or 'x_2_1' to its
-    exponent-vector index.  A missing dof digit defaults to 1."""
-    raw = name.strip().lower().replace("_", "")
-    if len(raw) < 2 or raw[0] not in "sxy" or not raw[1:].isdigit():
-        raise ValueError(f"malformed variable name {name!r}")
-    kind, digits = raw[0], raw[1:]
-    # an s name's digits are all sector; an x or y name's first digit is
-    if kind == "s":
-        return check_var_indices(name, int(digits), 1, sig.dof)[0] - 1
-    sector, i = check_var_indices(name, int(digits[0]), int(digits[1:] or 1), sig.dof)
-    return sig.x_index(sector, i) if kind == "x" else sig.y_index(sector, i)
+_VAR_RE = re.compile(r"([a-z])([0-9])(0|[1-9][0-9]*)?")
 
 
-def check_var_indices(name: str, sector: int, i: int, dof: int) -> Tuple[int, int]:
-    """(sector, i) of the variable called name; out of range, a ValueError naming it."""
+def parse_var(name: str, dof: int, letters: str) -> Optional[Tuple[str, int, int]]:
+    """(letter, sector, dof index) of a variable name such as 'q1', 'y21' or
+    'x_2_10': one of the letters, the sector digit, then the dof index with
+    no leading zero, 1 when omitted; an 's' name has no index and
+    underscores are ignored.
+    None when name is not such a name; a sector or dof index out of range is
+    a ValueError that names it."""
+    m = _VAR_RE.fullmatch(name.replace("_", ""))
+    if m is None or m[1] not in letters or (m[1] == "s" and m[3]):
+        return None
+    sector, i = int(m[2]), int(m[3] or 1)
     if sector not in (1, 2):
         raise ValueError(f"sector in {name!r} must be 1 or 2")
     if not 1 <= i <= dof:
         raise ValueError(f"dof index in {name!r} outside 1..{dof}")
-    return sector, i
+    return m[1], sector, i
+
+
+def parse_group_var(sig: GroupSignature, name: str) -> int:
+    """Exponent-vector index of a delta variable such as 's1', 'X21' or
+    'x_2_1'; see parse_var."""
+    var = parse_var(name.strip().lower(), sig.dof, "sxy")
+    if var is None:
+        raise ValueError(f"malformed variable name {name!r}")
+    return sig.var_index(*var)
 
 
 def delta_to_element(sig: GroupSignature, alpha: Union[Mapping[str, int], Iterable[str]]) -> Element:
@@ -352,7 +366,7 @@ def delta_to_element(sig: GroupSignature, alpha: Union[Mapping[str, int], Iterab
         if count < 0:
             raise ValueError("derivative multiplicities must be nonnegative")
         mono[parse_group_var(sig, name)] += count
-    return Element(sig, {tuple(mono): scalar(sig.unit_factor(mono))})
+    return Element.monomial(sig, mono, sig.unit_factor(mono))
 
 
 def element_to_delta(e: Element) -> Tuple[Scalar, Dict[str, int]]:

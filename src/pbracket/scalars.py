@@ -84,10 +84,6 @@ class CRat:
 
     is_zero = property(lambda self: not (self._a or self._b))
 
-    @property
-    def is_real(self) -> bool:
-        return not self._b
-
     def __eq__(self, other) -> bool:
         if type(other) is int:      # a real integer equals its int, as flat maps store it
             return self._a == other and not self._b and self._d == 1
@@ -100,9 +96,6 @@ class CRat:
 
     def __bool__(self) -> bool:
         return bool(self._a or self._b)
-
-    def conjugate(self) -> "CRat":
-        return _new(self._a, -self._b, self._d)
 
     def __add__(self, other: CRatLike) -> "CRat":
         o = other if type(other) is CRat else _coerce(other)

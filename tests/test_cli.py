@@ -253,6 +253,13 @@ def test_signature_flag_after_subcommand(capsys):
     assert out.strip() == "delta[x12]"
 
 
+def test_two_digit_dof_names_round_trip_through_the_cli(capsys):
+    printed = "delta[x210,y210] + (1/2)*delta[s2]"
+    assert run(capsys, "--signature", "n=12", "mechanise", "q2_10*p2_10") == (0, printed + "\n", "")
+    assert run(capsys, "--signature", "n=12", "rep", "qq", printed) == (
+        0, "Q2_10*P2_10 + ((-1/2)i*h2)*I\n", "")
+
+
 def test_negative_expressions_need_no_double_dash(capsys):
     assert run(capsys, "mechanise", "-1/2") == (0, "(-1/2)\n", "")
     assert run(capsys, "bracket", "qc", "-q1", "p1") == (0, "-I\n", "")

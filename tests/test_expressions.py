@@ -12,8 +12,8 @@ from pbracket.errors import (ExpressionTooLarge, ExprSyntaxError,
                              IndexOutOfRange, UnknownSymbol)
 from pbracket.expressions import MAX_DEGREE, MAX_TERMS, evaluate
 from pbracket.scalars import CRat, CR_I
-from pbracket.group_algebra import Element, GroupSignature, delta_to_element
-from pbracket.pmech import ClassicalPoly
+from pbracket.group_algebra import Element, GroupSignature, delta_to_element, var_names
+from pbracket.pmech import ClassicalPoly, mechanise_weyl
 
 SIG = GroupSignature(dof=1)
 
@@ -77,6 +77,42 @@ def test_parse_dof_digits():
         evaluate("q12", SIG)
     with pytest.raises(IndexOutOfRange):
         evaluate("q3", SIG)
+    assert value("q_2_1", sig2) == q(2, 1, dof=2)
+    with pytest.raises(IndexOutOfRange, match="dof index in 'q110' outside 1..1"):
+        evaluate("q110", SIG)
+    with pytest.raises(UnknownSymbol):      # a dof index has no leading zero
+        evaluate("q101", SIG)
+
+
+@pytest.mark.parametrize("dof", (1, 2, 9, 10, 12, 64))
+def test_every_printed_name_parses_back(dof):
+    """Each variable name the printers emit reads back at its dof: a delta
+    name to its kernel, a q/p name to its variable, one and two digit dof
+    indices alike."""
+    sig = GroupSignature(dof)
+    for name in sig.delta_names:
+        assert value(f"delta[{name}]", sig) == delta_to_element(sig, [name]), name
+    names = iter(var_names(dof, "qp"))
+    for sector in (1, 2):
+        for i in range(1, dof + 1):
+            for kind in "qp":
+                name = next(names)
+                assert value(name, sig) == ClassicalPoly.var(dof, kind, sector, i), name
+
+
+def test_two_digit_dof_indices_with_underscores_and_printed_elements():
+    sig = GroupSignature(12)
+    assert value("q_2_10", sig) == value("q210", sig) == ClassicalPoly.var(12, "q", 2, 10)
+    assert value("p1_12", sig) == ClassicalPoly.var(12, "p", 1, 12)
+    assert value("delta[x_2_10, y_1_12]", sig) == delta_to_element(sig, ["x210", "y112"])
+    assert value("delta[x_2_10]", sig) == delta_to_element(sig, ["x_2_10"])
+    rng = random.Random(2026)
+    for _ in range(20):
+        e = mechanise_weyl(sig, sampling.rand_classical(rng, 12, max_degree=4))
+        assert value(str(e), sig) == e, str(e)
+    e = mechanise_weyl(sig, value("q2_10*p2_10", sig))
+    assert str(e) == "delta[x210,y210] + (1/2)*delta[s2]"
+    assert value(str(e), sig) == e
 
 
 def test_parse_delta_variables():

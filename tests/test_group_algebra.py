@@ -266,6 +266,9 @@ def test_parse_group_var_forms():
         parse_group_var(SIG, "z1")
     with pytest.raises(ValueError):
         parse_group_var(SIG, "x12")
+    assert parse_group_var(GroupSignature(12), " X_2_10") == GroupSignature(12).x_index(2, 10)
+    with pytest.raises(ValueError, match=r"^malformed variable name 's11'$"):
+        delta_to_element(SIG, ["s11"])
 
 
 def test_delta_str_rendering():
