@@ -177,12 +177,15 @@ class _Parser:
     def term(self) -> _Value:
         acc = self.factor()
         while (tok := self.accept("*")) is not None:
-            acc = self.combine(acc, self.factor(), tok)
+            acc = self.combine(acc, self.factor(acc, tok), tok)
         return acc
 
-    def factor(self) -> _Value:
+    def factor(self, left: Optional[_Value] = None, star: Optional[_Token] = None) -> _Value:
+        """A factor; when it is the right operand of the product token star,
+        a power whose own limits pass is refused by star's degree limit
+        before it is expanded, as combine would refuse it after."""
         if self.accept("-") is not None:
-            kind, value, weight = self.factor()
+            kind, value, weight = self.factor(left, star)
             return _Value(kind, -value, weight)
         base = self.atom()
         tok = self.accept("^")
@@ -193,6 +196,9 @@ class _Parser:
         degree, terms = base.size()
         _limit(tok, "exponent or degree", max(weight, degree * k), MAX_DEGREE)
         _limit(tok, "term count", comb(terms + k - 1, k), MAX_TERMS)
+        if star is not None and {left.kind, base.kind} != {"c", "e"}:
+            # exact: the degree of a power is k times its base's, both rings being domains
+            _limit(star, "degree", left.size()[0] + degree * k, MAX_DEGREE)
         return _Value(base.kind, base.value ** k, weight)
 
     def atom(self) -> _Value:

@@ -221,6 +221,25 @@ def test_size_bounds_refuse_before_expanding():
         assert (err.value.line, err.value.col) == pos, src
 
 
+def test_product_refuses_a_power_on_its_right_before_expanding_it(monkeypatch):
+    """'*' checks the exact degree of a power on its right before the power
+    is expanded, with the message and position of the check after it;
+    operands that cannot be mixed still report the mixing."""
+    powers = []
+    pow_ = ClassicalPoly.__pow__
+    monkeypatch.setattr(ClassicalPoly, "__pow__",
+                        lambda self, k: powers.append(k) or pow_(self, k))
+    for src in ("(q1+p1+q2+p2+1)^9*(q1+p1+q2+p2+1)^9", "(q1+p1+q2+p2+1)^9*-(q1+p1+q2+p2+1)^9"):
+        powers.clear()
+        with pytest.raises(ExpressionTooLarge) as err:
+            evaluate(src, GroupSignature(dof=64))
+        assert str(err.value) == ("'*' would reach degree 18, above the limit of 16"
+                                  " (line 1, column 18)")
+        assert powers == [9]
+    with pytest.raises(ExprSyntaxError, match="cannot mix"):
+        evaluate("q1^9*delta[x1]^9", SIG)
+
+
 def test_number_past_the_interpreter_digit_limit_is_too_large():
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:

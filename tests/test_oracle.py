@@ -378,6 +378,42 @@ def test_vector_field_suite_catches_wrong_product(monkeypatch):
     assert data["counterexample"] == rep.counterexample
 
 
+def _per_probe_failures(sig, seed, pairs, probes=30):
+    """check_vector_field_suite's counterexamples from a loop that draws the
+    same seeded inputs but compares each probe alone, with reference_action."""
+    rng = random.Random(seed)
+    failed = []
+    for i in range(pairs):
+        a = sampling.rand_element(rng, sig, max_degree=4)
+        b = sampling.rand_element(rng, sig, max_degree=4)
+        ab = oracle.multiply(a, b)
+        for j in range(probes):
+            mono = sampling.rand_group_monomial(rng, sig, a.degree() + b.degree() + 2)
+            f = {mono: CR_ONE}
+            if reference_action(ab, f) != reference_action(a, reference_action(b, f)):
+                failed.append(f"seed {seed}, pair {i}, probe {j}: a = {a}; b = {b}; "
+                              f"probe monomial {oracle._coordinate_str(sig, mono)}")
+    return failed
+
+
+@pytest.mark.parametrize("dof, conv", [(1, CONVENTIONS[0]), (2, CONVENTIONS[0]),
+                                       (1, CONVENTIONS[2])], ids=["dof1", "dof2", "eps+i"])
+def test_vector_field_suite_fails_the_probes_a_per_probe_loop_fails(monkeypatch, dof, conv):
+    """The batched pass reports exactly the probes, in order, that comparing
+    each probe on its own fails."""
+    monkeypatch.setattr(oracle, "multiply", _off_by_one_multiply)
+    reported = []
+    exact_report = oracle._exact_report
+    monkeypatch.setattr(oracle, "_exact_report", lambda check, inputs_hash, failed: (
+        reported.append(failed), exact_report(check, inputs_hash, failed))[1])
+    sig = GroupSignature(dof, conv)
+    rep = check_vector_field_suite(sig, seed=7, pairs=6)
+    failed = _per_probe_failures(sig, seed=7, pairs=6)
+    assert 0 < len(failed) < 6 * 30
+    assert reported == [failed]
+    assert (rep.status, rep.failures, rep.counterexample) == ("fail", len(failed), failed[0])
+
+
 def test_vector_field_action_checks_a_triple_contraction(monkeypatch):
     """Y^3 X^3 contracts up to three times in one slot (weights 1, 9, 18, 6):
     product and composition agree on both probes, and a product whose
