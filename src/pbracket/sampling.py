@@ -6,7 +6,7 @@ reproducible from its seed.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence, Tuple
 
 from .scalars import CRat
@@ -25,16 +25,17 @@ __all__ = [
 def rand_crat(rng: random.Random, allow_imag: bool = True) -> CRat:
     """Small nonzero exact complex rational."""
     while True:
-        re = Fraction(rng.randint(-3, 3))
-        im = Fraction(rng.choice((-1, 0, 0, 1))) if allow_imag else Fraction(0)
-        c = CRat(re, im)
-        if not c.is_zero:
-            return c
+        re = rng.randint(-3, 3)
+        im = rng.choice((-1, 0, 0, 1)) if allow_imag else 0
+        if re or im:
+            return CRat(re, im)
 
 
-def _allowed_indices(dof: int, sectors: Sequence[int], allow_s: bool) -> list:
+@lru_cache(maxsize=128)
+def _allowed_indices(dof: int, sectors: Tuple[int, ...], allow_s: bool) -> Tuple[int, ...]:
     """Group exponent indices a draw may raise, in the order the seeded draws
-    depend on: per sector its S, then the X and Y of each slot."""
+    depend on: per sector its S, then the X and Y of each slot.  Cached: a
+    suite draws thousands of monomials with the same arguments."""
     idxs = []
     for sector in sectors:
         if allow_s:
@@ -42,13 +43,13 @@ def _allowed_indices(dof: int, sectors: Sequence[int], allow_s: bool) -> list:
         for i in range(1, dof + 1):
             x = 2 + 2 * slot_index(dof, sector, i)
             idxs += (x, x + 1)
-    return idxs
+    return tuple(idxs)
 
 
 def rand_group_monomial(rng: random.Random, sig: GroupSignature, max_degree: int,
                         sectors: Sequence[int] = (1, 2),
                         allow_s: bool = True) -> Tuple[int, ...]:
-    idxs = _allowed_indices(sig.dof, sectors, allow_s)
+    idxs = _allowed_indices(sig.dof, tuple(sectors), allow_s)
     mono = [0] * sig.width
     for _ in range(rng.randint(0, max_degree)):
         mono[rng.choice(idxs)] += 1
@@ -72,7 +73,7 @@ def rand_classical(rng: random.Random, dof: int, max_degree: int = 4,
     classical observables in the suites are real."""
     acc: dict = {}
     # a classical index is the group index less the two central ones
-    allowed = [k - 2 for k in _allowed_indices(dof, sectors, False)]
+    allowed = [k - 2 for k in _allowed_indices(dof, tuple(sectors), False)]
     for _ in range(terms):
         mono = [0] * (4 * dof)
         for _ in range(rng.randint(0, max_degree)):

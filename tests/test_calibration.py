@@ -1,13 +1,15 @@
 """Exhaustive convention calibration: the anchor identities select the
 standard tuple and the search is a real discriminator."""
 
+import itertools
 import time
 
 import pytest
 
 from pbracket.config import EngineConfig
-from pbracket.scalars import CR_ONE
-from pbracket.group_algebra import ConventionTuple
+from pbracket.scalars import CR_ONE, CRat, UNIT_VALUES
+from pbracket.group_algebra import (ConventionTuple, GroupSignature, commutator,
+                                    delta_to_element)
 from pbracket import calibration
 from pbracket.calibration import calibrate_conventions, calibration_report
 from pbracket.verify import run_verify
@@ -86,3 +88,56 @@ def test_every_calibrated_tuple_gives_the_same_verdicts(dof):
         failing = [item.name for item in verdict.items if not item.ok]
         expected = [] if conv == report.chosen else ["convention calibration"]
         assert failing == expected, conv
+
+
+def _brute_force_search(dof):
+    """The search tuple by tuple: anchor (i) on each of the 512 (eps, kx, ky,
+    ks, orient) tuples from parsed delta names, then the pipeline on every
+    tuple that passes, for both rep_s_sign values; each passing tuple with
+    its own (matched order, image)."""
+    passing = []
+    for eps, kx, ky, ks, orient in itertools.product(*[UNIT_VALUES] * 4, (1, -1)):
+        sig = GroupSignature(dof, ConventionTuple(eps, kx, ky, ks, orient, 1))
+        target = (delta_to_element(sig, {"x1": 1, "y1": 1, "s1": 1}).scale(CRat.of(4))
+                  + delta_to_element(sig, {"s1": 2}).scale(CRat.of(2)))
+        assert calibration.commutator_target(sig) == target
+        if commutator(delta_to_element(sig, {"x1": 2}), delta_to_element(sig, {"y1": 2})) != target:
+            continue
+        for rss in (1, -1):
+            conv = ConventionTuple(eps, kx, ky, ks, orient, rss)
+            result = calibration._pipeline_identity(GroupSignature(dof, conv))
+            if result is not None:
+                passing.append((conv, result))
+    return passing
+
+
+@pytest.mark.parametrize("negated", [False, True], ids=["straight", "negated"])
+@pytest.mark.parametrize("dof", [1, 2, 3])
+def test_report_agrees_with_a_tuple_by_tuple_search(monkeypatch, dof, negated):
+    """Deciding by class keeps the passing set, the chosen tuple, its matched
+    order and its pipeline line; the negated ordered_image control moves the
+    passing set, so the classes are checked on a second one too."""
+    if negated:
+        target = calibration.ordered_image
+        monkeypatch.setattr(calibration, "ordered_image",
+                            lambda alg, order: target(alg, order).scale(-1))
+    brute = _brute_force_search(dof)
+    report = calibration_report(dof)
+    chosen, (matched, image) = brute[0]
+    assert report.passing == tuple(conv for conv, _ in brute)
+    assert report.chosen == chosen
+    assert report.matched_order == matched
+    assert report.pipeline_line == f"image {image.as_weyl()} matches order {matched}"
+
+
+def test_report_makes_8_commutators_and_one_pipeline_run_per_class(monkeypatch):
+    calls = dict.fromkeys(("commutator", "_pipeline_identity"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(calibration, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(calibration, name, counted)
+    report = calibration_report(1)
+    assert report.candidates == 1024 and len(report.passing) == 4
+    assert calls["commutator"] == 8
+    assert calls["_pipeline_identity"] <= 32
