@@ -358,7 +358,7 @@ def delta_to_element(sig: GroupSignature, alpha: Union[Mapping[str, int], Iterab
     multi-index is the convolution unit.
     """
     if isinstance(alpha, Mapping):
-        items = [(n, int(k)) for n, k in alpha.items()]
+        items = [(n, require_int(k, f"multiplicity of {n}")) for n, k in alpha.items()]
     else:
         items = [(n, 1) for n in alpha]
     mono = [0] * sig.width

@@ -44,6 +44,9 @@ if TYPE_CHECKING:
 # Largest dense realization, n basis states: one complex matrix of that size
 # is 16 MB.  The checks verify runs use n = 32 at every dof.
 MAX_MATRIX_DIM = 1024
+# The vector-field suite's random element pairs, and probe monomials per pair.
+VF_PAIRS = 100
+VF_PROBES = 30
 
 __all__ = [
     "vector_field_action",
@@ -267,8 +270,7 @@ def _coordinate_str(sig: GroupSignature, mono: Tuple[int, ...]) -> str:
     return power_str((name.lower() for name in sig.generator_names()), mono) or "1"
 
 
-def check_vector_field_suite(sig: GroupSignature, seed: int, pairs: int = 100,
-                             probes: int = 30) -> OracleReport:
+def check_vector_field_suite(sig: GroupSignature, seed: int) -> OracleReport:
     """Product-versus-composition check on random element pairs of degree
     at most 4.
 
@@ -281,12 +283,12 @@ def check_vector_field_suite(sig: GroupSignature, seed: int, pairs: int = 100,
     max_degree = 4
     rng = random.Random(seed)
     failed: List[str] = []
-    for i in range(pairs):
+    for i in range(VF_PAIRS):
         a = sampling.rand_element(rng, sig, max_degree=max_degree)
         b = sampling.rand_element(rng, sig, max_degree=max_degree)
         ab = multiply(a, b)
         probe_deg = a.degree() + b.degree() + 2
-        monos = [sampling.rand_group_monomial(rng, sig, probe_deg) for _ in range(probes)]
+        monos = [sampling.rand_group_monomial(rng, sig, probe_deg) for _ in range(VF_PROBES)]
         diff = _act(sig, _words(ab) + [(wb + wa, -ca * cb) for (wa, ca), (wb, cb)
                                        in product(_words(a), _words(b))],
                     {mono + (j, 0): 1 for j, mono in enumerate(monos)})
@@ -295,29 +297,29 @@ def check_vector_field_suite(sig: GroupSignature, seed: int, pairs: int = 100,
                    f"probe monomial {_coordinate_str(sig, monos[j])}" for j in sorted(wrong)]
     return _exact_report(
         "vector-field-composition",
-        _hash_inputs("vf", sig.dof, str(sig.convention), seed, pairs, max_degree, probes),
+        _hash_inputs("vf", sig.dof, str(sig.convention), seed, VF_PAIRS, max_degree, VF_PROBES),
         failed)
 
 
-def check_algebra_laws(sig: GroupSignature, seed: int, assoc: int = 80,
-                       jacobi: int = 40, antisym: int = 40,
-                       idem: int = 40) -> OracleReport:
+# law, instances, inputs per instance, max degree and terms per input, law holds
+ALGEBRA_LAWS = (
+    ("associativity", 80, 3, 4, 2,
+     lambda a, b, c: multiply(multiply(a, b), c) == multiply(a, multiply(b, c))),
+    ("Jacobi", 40, 3, 3, 2,
+     lambda a, b, c: (commutator(a, commutator(b, c)) + commutator(b, commutator(c, a))
+                      + commutator(c, commutator(a, b))).is_zero),
+    ("antisymmetry", 40, 2, 4, 2,
+     lambda a, b: (commutator(a, b) + commutator(b, a)).is_zero),
+    ("idempotence", 40, 1, 4, 3, lambda a: Element(a.signature, dict(a.terms)) == a),
+)
+
+
+def check_algebra_laws(sig: GroupSignature, seed: int) -> OracleReport:
     """Associativity, Jacobi, antisymmetry and normal-form idempotence on
     random elements.  Exact arithmetic; pass means every instance held."""
-    # law, instances, inputs per instance, max degree and terms per input, law holds
-    laws = (
-        ("associativity", assoc, 3, 4, 2,
-         lambda a, b, c: multiply(multiply(a, b), c) == multiply(a, multiply(b, c))),
-        ("Jacobi", jacobi, 3, 3, 2,
-         lambda a, b, c: (commutator(a, commutator(b, c)) + commutator(b, commutator(c, a))
-                          + commutator(c, commutator(a, b))).is_zero),
-        ("antisymmetry", antisym, 2, 4, 2,
-         lambda a, b: (commutator(a, b) + commutator(b, a)).is_zero),
-        ("idempotence", idem, 1, 4, 3, lambda a: Element(sig, dict(a.terms)) == a),
-    )
     rng = random.Random(seed)
     failed: List[str] = []
-    for law, count, arity, degree, terms, holds in laws:
+    for law, count, arity, degree, terms, holds in ALGEBRA_LAWS:
         for i in range(count):
             inputs = [sampling.rand_element(rng, sig, max_degree=degree, terms=terms)
                       for _ in range(arity)]
@@ -327,7 +329,7 @@ def check_algebra_laws(sig: GroupSignature, seed: int, assoc: int = 80,
     return _exact_report(
         "algebra-laws",
         _hash_inputs("laws", sig.dof, str(sig.convention), seed,
-                     assoc, jacobi, antisym, idem),
+                     *(count for _, count, *_ in ALGEBRA_LAWS)),
         failed)
 
 

@@ -23,7 +23,7 @@ from typing import Callable, Dict, Mapping, Tuple, Union
 from .errors import AObservableProductError, NotMechanised, SignatureMismatch, UnknownRule
 from .scalars import CR_ONE, CRat, PlanckMap, Scalar, flat_value, power
 from .group_algebra import (Element, GroupSignature, commutator, delta_str, element_to_json,
-                            slot_index, var_names)
+                            require_int, slot_index, var_names)
 from .terms import (TermMap, accumulate, clean_terms, normal_order, pair_halves,
                     power_str, render_terms)
 
@@ -56,7 +56,7 @@ class ClassicalPoly(TermMap):
     _mismatch = "classical polynomials over different dof counts"
 
     def __init__(self, dof: int, terms: Mapping[CMonomial, Union[CRat, int, Fraction]]):
-        if dof < 1:
+        if require_int(dof, "dof") < 1:
             raise ValueError("dof must be a positive integer")
         self._freeze(dof=dof, flat=clean_terms(terms, 4 * dof, CRat.of))
 
@@ -75,11 +75,11 @@ class ClassicalPoly(TermMap):
 
     @classmethod
     def constant(cls, dof: int, value: Union[CRat, int, Fraction]) -> "ClassicalPoly":
-        return cls(dof, {(0,) * (4 * dof): CRat.of(value)})
+        return cls(dof, {(0,) * (4 * require_int(dof, "dof")): CRat.of(value)})
 
     @classmethod
     def var(cls, dof: int, kind: str, sector: int, i: int = 1) -> "ClassicalPoly":
-        mono = [0] * (4 * dof)
+        mono = [0] * (4 * require_int(dof, "dof"))
         mono[cls.var_index(dof, kind, sector, i)] = 1
         return cls(dof, {tuple(mono): CR_ONE})
 
@@ -275,11 +275,6 @@ class AObservable(PlanckMap):
 
     def __pow__(self, k):
         return self * self      # a power is a product: refused as one
-
-    def degree(self) -> int:
-        """Largest total exponent over the monomials (0 when empty); the
-        formal factor's exponent -1 is not counted."""
-        return max((sum(k[:-3]) - min(k[0], k[1], 0) for k in self.flat), default=0)
 
     def __str__(self) -> str:
         parts = (self.plain, self.a1_part, self.a2_part)

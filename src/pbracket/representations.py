@@ -134,10 +134,6 @@ class WeylOperator(PlanckMap):
 
     # -- queries ---------------------------------------------------------------
 
-    def substitute(self, **values) -> "WeylOperator":
-        return WeylOperator(self.algebra,
-                            {m: c.substitute(**values) for m, c in self.terms.items()})
-
     def to_json(self) -> dict:
         names, terms = self.algebra.names, self.terms
         return {"labels": list(self.algebra.labels),
@@ -275,8 +271,7 @@ class HybridObservable(PlanckMap):
         if "h2" in values:
             raise ValueError("h2 is the jet degree of a hybrid observable, not a coefficient "
                              "symbol; take jet_part(0) and jet_part(1) instead")
-        return HybridObservable(self.signature,
-                                {k: c.substitute(**values) for k, c in self.terms.items()})
+        return super().substitute(**values)
 
     # -- display -----------------------------------------------------------------
 

@@ -46,37 +46,35 @@ def _allowed_indices(dof: int, sectors: Tuple[int, ...], allow_s: bool) -> Tuple
     return tuple(idxs)
 
 
-def rand_group_monomial(rng: random.Random, sig: GroupSignature, max_degree: int,
-                        sectors: Sequence[int] = (1, 2),
-                        allow_s: bool = True) -> Tuple[int, ...]:
-    idxs = _allowed_indices(sig.dof, tuple(sectors), allow_s)
-    mono = [0] * sig.width
+def _draw(rng: random.Random, width: int, idxs: Tuple[int, ...],
+          max_degree: int) -> Tuple[int, ...]:
+    """Up to ``max_degree`` draws from ``idxs``, each raising its exponent by one."""
+    mono = [0] * width
     for _ in range(rng.randint(0, max_degree)):
         mono[rng.choice(idxs)] += 1
     return tuple(mono)
 
 
+def rand_group_monomial(rng: random.Random, sig: GroupSignature,
+                        max_degree: int) -> Tuple[int, ...]:
+    return _draw(rng, sig.width, _allowed_indices(sig.dof, (1, 2), True), max_degree)
+
+
 def rand_element(rng: random.Random, sig: GroupSignature, max_degree: int = 4,
-                 terms: int = 3, sectors: Sequence[int] = (1, 2),
-                 allow_s: bool = True) -> Element:
+                 terms: int = 3) -> Element:
     acc: dict = {}
     for _ in range(terms):
-        mono = rand_group_monomial(rng, sig, max_degree, sectors, allow_s)
-        accumulate(acc, mono, rand_crat(rng))
+        accumulate(acc, rand_group_monomial(rng, sig, max_degree), rand_crat(rng))
     return Element(sig, acc)
 
 
 def rand_classical(rng: random.Random, dof: int, max_degree: int = 4,
-                   terms: int = 3, sectors: Sequence[int] = (1, 2),
-                   allow_imag: bool = False) -> ClassicalPoly:
-    """Random classical polynomial; real coefficients by default since
-    classical observables in the suites are real."""
+                   sectors: Sequence[int] = (1, 2)) -> ClassicalPoly:
+    """Random classical polynomial of three terms in the variables of ``sectors``;
+    real coefficients, since classical observables in the suites are real."""
+    idxs = _allowed_indices(dof, tuple(sectors), False)
     acc: dict = {}
-    # a classical index is the group index less the two central ones
-    allowed = [k - 2 for k in _allowed_indices(dof, tuple(sectors), False)]
-    for _ in range(terms):
-        mono = [0] * (4 * dof)
-        for _ in range(rng.randint(0, max_degree)):
-            mono[rng.choice(allowed)] += 1
-        accumulate(acc, tuple(mono), rand_crat(rng, allow_imag))
+    for _ in range(3):
+        # a group monomial without S1, S2 is a classical one behind two zeros
+        accumulate(acc, _draw(rng, 2 + 4 * dof, idxs, max_degree)[2:], rand_crat(rng, False))
     return ClassicalPoly(dof, acc)

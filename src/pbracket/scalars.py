@@ -381,23 +381,23 @@ class Scalar(TermMap):
         """Substitute exact values for symbols, e.g. substitute(h1=Fraction(1,2)).
 
         Substituting 0 for a symbol appearing in the denominator raises
-        ZeroDivisionError.
+        ZeroDivisionError.  PlanckMap.substitute runs this on its keys' Planck tails.
         """
         vals = {}
         for name, v in values.items():
             if name not in _SYMS:
                 raise ValueError(f"unknown symbol {name!r}")
-            vals[_SYMS.index(name)] = CRat.of(v)
+            vals[_SYMS.index(name) - 3] = CRat.of(v)
         out: dict = {}
-        for e, c in self.terms.items():
-            key = list(e)
+        for k, c in self.flat.items():
+            key = list(k)
             for idx, v in vals.items():
                 if key[idx] < 0 and v.is_zero:
                     raise ZeroDivisionError(f"substituting 0 for {_SYMS[idx]} in denominator")
                 c = c * v ** key[idx]
                 key[idx] = 0
             accumulate(out, tuple(key), c)
-        return _from_terms(out)
+        return self._like(out)
 
     # -- the numerator / denominator form --------------------------------
 
@@ -515,3 +515,13 @@ class PlanckMap(TermMap):
             return self._like({k[:-3] + (k[-3] + e0, k[-2] + e1, k[-1] + e2): c * x
                                for k, c in self.flat.items()})
         return sum((self.scale(_from_terms({e: x})) for e, x in f.items()), self._like({}))
+
+    def substitute(self, **values: CRatLike) -> "PlanckMap":
+        """Scalar.substitute on each flat key's Planck tail, real integers held as ints."""
+        flat = Scalar.substitute(self, **values).flat
+        return self._like({k: c if type(c) is int else flat_value(c) for k, c in flat.items()})
+
+    def degree(self) -> int:
+        """Largest sum of the positive exponents before a key's Planck tail
+        (0 when empty): a formal antiderivative factor's -1 is not counted."""
+        return max((sum(e for e in k[:-3] if e > 0) for k in self.flat), default=0)

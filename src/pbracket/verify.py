@@ -25,8 +25,8 @@ from .representations import (WeylOperator, commutator_hybrid, qc_algebra,
                               qq_algebra, rep_qc, rep_qq)
 from .qc_bracket import (INV_IH, bracket_via_universal, h_eff, qc_bracket,
                          qc_bracket_terms)
-from .oracle import (OracleReport, check_algebra_laws, check_matrix_suite,
-                     check_vector_field_suite, matrix_max_error)
+from .oracle import (ALGEBRA_LAWS, VF_PAIRS, OracleReport, check_algebra_laws,
+                     check_matrix_suite, check_vector_field_suite, matrix_max_error)
 from .calibration import (bracket_target, calibration_report, commutator_target,
                           ordered_image)
 from .config import EngineConfig
@@ -38,7 +38,6 @@ __all__ = ["VerifyItem", "VerifyReport", "run_verify"]
 _DECOUPLING_INSTANCES = 50
 _PATH_PAIRS = 50
 _REDUCTION_PAIRS = 25
-_ORACLE_PAIRS = 100
 
 
 @dataclass(frozen=True)
@@ -132,10 +131,10 @@ def _failure_detail(rep: OracleReport) -> Tuple[str, ...]:
              f"first counterexample: {rep.counterexample}") if rep.failures else ())
 
 
-def _oracle(expected: str, suite: Callable[..., OracleReport],
-            sig: GroupSignature, seed: int, **options) -> tuple:
+def _oracle(expected: str, suite: Callable[[GroupSignature, int], OracleReport],
+            sig: GroupSignature, seed: int) -> tuple:
     """The result of an exact oracle suite run from ``seed``."""
-    rep = suite(sig, seed, **options)
+    rep = suite(sig, seed)
     return (rep.ok, expected, f"status {rep.status}, max deviation {rep.max_abs_error:.3e}",
             f"seed: {seed}", f"inputs-hash: {rep.inputs_hash}", *_failure_detail(rep))
 
@@ -286,13 +285,13 @@ def _h_eff(sig: GroupSignature, seed: int) -> tuple:
 
 def _vector_field(sig: GroupSignature, seed: int) -> tuple:
     return _oracle(f"convolution acts as composed differential operators "
-                   f"on {_ORACLE_PAIRS} random pairs",
-                   check_vector_field_suite, sig, seed + 3, pairs=_ORACLE_PAIRS)
+                   f"on {VF_PAIRS} random pairs",
+                   check_vector_field_suite, sig, seed + 3)
 
 
 def _laws(sig: GroupSignature, seed: int) -> tuple:
-    return _oracle("associativity, Jacobi, antisymmetry and normal-form "
-                   "idempotence on 200 random instances",
+    return _oracle(f"associativity, Jacobi, antisymmetry and normal-form idempotence "
+                   f"on {sum(count for _, count, *_ in ALGEBRA_LAWS)} random instances",
                    check_algebra_laws, sig, seed + 4)
 
 

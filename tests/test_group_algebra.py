@@ -189,6 +189,13 @@ def test_delta_correspondence_roundtrip():
     assert coeff == S_ONE
 
 
+@pytest.mark.parametrize("count", [1.5, 2.9, 2.0, "2", True])
+def test_delta_to_element_multiplicity_must_be_an_integer(count):
+    """A multiplicity is refused unless it is an int, never truncated or parsed."""
+    with pytest.raises(ValueError, match="multiplicity of x1 must be an integer"):
+        delta_to_element(SIG, {"x1": count})
+
+
 def test_delta_to_element_kappa_factors():
     conv = SIG.convention
     assert delta_to_element(SIG, {}) == Element.one(SIG)

@@ -145,14 +145,14 @@ def test_vector_field_commutator_matches_algebra():
 
 
 def test_vector_field_suite_reports_pass():
-    rep = check_vector_field_suite(SIG, seed=7, pairs=25)
+    rep = check_vector_field_suite(SIG, seed=7)
     assert rep.ok
     assert rep.status == "pass"
     assert rep.max_abs_error == 0.0
 
 
 def test_algebra_law_suite_reports_pass():
-    rep = check_algebra_laws(SIG, seed=11, assoc=20, jacobi=10, antisym=10, idem=10)
+    rep = check_algebra_laws(SIG, seed=11)
     assert rep.ok
 
 
@@ -264,7 +264,7 @@ def test_matrix_max_error_flags_wrong_operator():
 
 
 def test_oracle_report_json_shape():
-    rep = check_vector_field_suite(SIG, seed=3, pairs=5)
+    rep = check_vector_field_suite(SIG, seed=3)
     data = rep.to_json()
     assert set(data) == {"check", "inputs-hash", "status", "max-abs-error"}
     assert data["max-abs-error"] == 0.0
@@ -282,10 +282,8 @@ def test_oracle_check_bundle():
 
 
 def test_suites_deterministic_for_seed():
-    a = [check_vector_field_suite(SIG, seed=9, pairs=10).to_json(),
-         check_algebra_laws(SIG, seed=9, assoc=8, jacobi=4, antisym=4, idem=4).to_json()]
-    b = [check_vector_field_suite(SIG, seed=9, pairs=10).to_json(),
-         check_algebra_laws(SIG, seed=9, assoc=8, jacobi=4, antisym=4, idem=4).to_json()]
+    a, b = ([check_vector_field_suite(SIG, seed=9).to_json(),
+             check_algebra_laws(SIG, seed=9).to_json()] for _ in range(2))
     assert a == b
 
 
@@ -351,7 +349,7 @@ def test_vector_field_oracle_is_independent_of_the_product_it_checks(monkeypatch
 @pytest.mark.parametrize("conv", CONVENTIONS[1:], ids=["eps+1", "eps+i"])
 def test_vector_field_suite_passes_for_other_conventions(conv):
     sig = GroupSignature(2, conv)
-    assert check_vector_field_suite(sig, seed=4, pairs=6, probes=5).ok
+    assert check_vector_field_suite(sig, seed=4).ok
 
 
 def _off_by_one_multiply(a, b):
@@ -367,10 +365,10 @@ def _off_by_one_multiply(a, b):
 
 def test_vector_field_suite_catches_wrong_product(monkeypatch):
     monkeypatch.setattr(oracle, "multiply", _off_by_one_multiply)
-    rep = check_vector_field_suite(SIG, seed=7, pairs=10)
+    rep = check_vector_field_suite(SIG, seed=7)
     assert rep.status == "fail"
     assert rep.max_abs_error == 1.0
-    assert 0 < rep.failures <= 10 * 30
+    assert 0 < rep.failures <= oracle.VF_PAIRS * oracle.VF_PROBES
     assert rep.counterexample.startswith("seed 7, pair ")
     assert "probe monomial " in rep.counterexample
     data = rep.to_json()
@@ -378,16 +376,16 @@ def test_vector_field_suite_catches_wrong_product(monkeypatch):
     assert data["counterexample"] == rep.counterexample
 
 
-def _per_probe_failures(sig, seed, pairs, probes=30):
+def _per_probe_failures(sig, seed):
     """check_vector_field_suite's counterexamples from a loop that draws the
     same seeded inputs but compares each probe alone, with reference_action."""
     rng = random.Random(seed)
     failed = []
-    for i in range(pairs):
+    for i in range(oracle.VF_PAIRS):
         a = sampling.rand_element(rng, sig, max_degree=4)
         b = sampling.rand_element(rng, sig, max_degree=4)
         ab = oracle.multiply(a, b)
-        for j in range(probes):
+        for j in range(oracle.VF_PROBES):
             mono = sampling.rand_group_monomial(rng, sig, a.degree() + b.degree() + 2)
             f = {mono: CR_ONE}
             if reference_action(ab, f) != reference_action(a, reference_action(b, f)):
@@ -407,9 +405,9 @@ def test_vector_field_suite_fails_the_probes_a_per_probe_loop_fails(monkeypatch,
     monkeypatch.setattr(oracle, "_exact_report", lambda check, inputs_hash, failed: (
         reported.append(failed), exact_report(check, inputs_hash, failed))[1])
     sig = GroupSignature(dof, conv)
-    rep = check_vector_field_suite(sig, seed=7, pairs=6)
-    failed = _per_probe_failures(sig, seed=7, pairs=6)
-    assert 0 < len(failed) < 6 * 30
+    rep = check_vector_field_suite(sig, seed=7)
+    failed = _per_probe_failures(sig, seed=7)
+    assert 0 < len(failed) < oracle.VF_PAIRS * oracle.VF_PROBES
     assert reported == [failed]
     assert (rep.status, rep.failures, rep.counterexample) == ("fail", len(failed), failed[0])
 
@@ -436,24 +434,26 @@ def _doubled_element(sig, terms):
     return Element(sig, terms).scale(CRat.of(2))
 
 
-# law label, its instance-count argument, the oracle function made wrong,
-# its wrong version, and the last input of the counterexample
+# law label, the oracle function made wrong, its wrong version, and the
+# last input of the counterexample
 _WRONG_LAWS = [
-    ("associativity", "assoc", "multiply", _off_by_one_multiply, "; c = "),
-    ("Jacobi", "jacobi", "commutator", multiply, "; c = "),
-    ("antisymmetry", "antisym", "commutator", multiply, "; b = "),
-    ("idempotence", "idem", "Element", _doubled_element, ": a = "),
+    ("associativity", "multiply", _off_by_one_multiply, "; c = "),
+    ("Jacobi", "commutator", multiply, "; c = "),
+    ("antisymmetry", "commutator", multiply, "; b = "),
+    ("idempotence", "Element", _doubled_element, ": a = "),
 ]
 
 
-@pytest.mark.parametrize("law, count, name, patched, last_input", _WRONG_LAWS,
+@pytest.mark.parametrize("law, name, patched, last_input", _WRONG_LAWS,
                          ids=[case[0] for case in _WRONG_LAWS])
-def test_algebra_laws_report_first_counterexample(monkeypatch, law, count, name,
-                                                  patched, last_input):
+def test_algebra_laws_report_first_counterexample(monkeypatch, law, name, patched,
+                                                  last_input):
+    """Each law, run alone on 10 instances with the function it checks made
+    wrong, reports its own first counterexample."""
     monkeypatch.setattr(oracle, name, patched)
-    counts = dict(assoc=0, jacobi=0, antisym=0, idem=0)
-    counts[count] = 10
-    rep = check_algebra_laws(SIG, seed=11, **counts)
+    monkeypatch.setattr(oracle, "ALGEBRA_LAWS", [(row[0], 10, *row[2:])
+                                                 for row in oracle.ALGEBRA_LAWS if row[0] == law])
+    rep = check_algebra_laws(SIG, seed=11)
     assert rep.status == "fail"
     assert rep.failures > 0
     assert rep.counterexample.startswith(f"seed 11, {law} instance ")
@@ -470,7 +470,7 @@ def test_cli_oracle_check_prints_first_counterexample(monkeypatch, capsys):
 
 
 def test_passing_report_has_no_failure_fields():
-    rep = check_vector_field_suite(SIG, seed=3, pairs=3)
+    rep = check_vector_field_suite(SIG, seed=3)
     assert rep.failures == 0 and rep.counterexample == ""
     assert "failures" not in rep.to_json()
 

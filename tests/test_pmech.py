@@ -35,6 +35,18 @@ def test_classical_poly_arithmetic():
     assert str(q(1) ** 2 * p(1)) == "q1^2*p1"
 
 
+@pytest.mark.parametrize("dof", [1.5, 2.0, True])
+@pytest.mark.parametrize("build", [lambda dof: ClassicalPoly(dof, {}), ClassicalPoly.zero,
+                                   lambda dof: ClassicalPoly.constant(dof, 1),
+                                   lambda dof: ClassicalPoly.var(dof, "q", 1)],
+                         ids=["init", "zero", "constant", "var"])
+def test_classical_poly_dof_must_be_an_integer(build, dof):
+    """Every constructor refuses a dof that only compares equal to an
+    integer, as GroupSignature does, before it sizes a key with it."""
+    with pytest.raises(ValueError, match="dof must be an integer"):
+        build(dof)
+
+
 def test_classical_poly_sectors():
     f = q(1) * p(2)
     assert f.uses_sector(1) and f.uses_sector(2)

@@ -31,9 +31,8 @@ from pbracket.representations import (HybridObservable, WeylOperator, commutator
                                       multiply_hybrid, qc_algebra, qq_algebra, rep_qc,
                                       rep_qq)
 from pbracket.errors import SignatureMismatch
-from pbracket.sampling import (_allowed_indices, rand_classical, rand_crat, rand_element,
-                               rand_group_monomial)
-from pbracket.scalars import CR_MINUS_I, S_ONE, UNIT_VALUES, CRat, Scalar
+from pbracket.sampling import rand_classical, rand_crat, rand_element, rand_group_monomial
+from pbracket.scalars import CR_MINUS_I, S_ONE, UNIT_VALUES, CRat, Scalar, flat_value
 from pbracket.group_algebra import ConventionTuple
 from pbracket import terms as terms_module
 from pbracket.terms import TermMap, accumulate, pair_masks
@@ -500,22 +499,23 @@ def test_rep_qc_refuses_an_h2_coefficient():
 # -- the samplers build once ----------------------------------------------------
 
 
-def _rand_element_per_term(rng, sig, max_degree, terms, sectors, allow_s):
+def _rand_element_per_term(rng, sig, max_degree, terms):
     acc = Element.zero(sig)
     for _ in range(terms):
-        mono = rand_group_monomial(rng, sig, max_degree, sectors, allow_s)
+        mono = rand_group_monomial(rng, sig, max_degree)
         acc = acc + Element.monomial(sig, mono, rand_crat(rng))
     return acc
 
 
-def _rand_classical_per_term(rng, dof, max_degree, terms, sectors, allow_imag):
+def _rand_classical_per_term(rng, dof, max_degree, sectors):
     acc = ClassicalPoly.zero(dof)
-    allowed = [k - 2 for k in _allowed_indices(dof, sectors, False)]
-    for _ in range(terms):
+    allowed = [ClassicalPoly.var_index(dof, kind, sector, i)
+               for sector in sectors for i in range(1, dof + 1) for kind in "qp"]
+    for _ in range(3):
         mono = [0] * (4 * dof)
         for _ in range(rng.randint(0, max_degree)):
             mono[rng.choice(allowed)] += 1
-        acc = acc + ClassicalPoly(dof, {tuple(mono): rand_crat(rng, allow_imag)})
+        acc = acc + ClassicalPoly(dof, {tuple(mono): rand_crat(rng, allow_imag=False)})
     return acc
 
 
@@ -525,19 +525,18 @@ def test_samplers_equal_the_per_term_construction(dof):
     they must draw the same numbers in the same order as adding one
     validated map per term, and give the same map, term order included."""
     sig = GroupSignature(dof)
-    params = [(max_degree, terms, sectors, flag) for max_degree in (0, 2, 4)
-              for terms in (1, 3, 6) for sectors in ((1, 2), (1,), (2,)) for flag in (True, False)]
-    for seed, (max_degree, terms, sectors, flag) in enumerate(params):
-        for build, reference, space in (
-                (rand_element, _rand_element_per_term, sig),
-                (rand_classical, _rand_classical_per_term, dof)):
-            rng, ref_rng = random.Random(seed), random.Random(seed)
-            for _ in range(6):
-                got = build(rng, space, max_degree, terms, sectors, flag)
-                expected = reference(ref_rng, space, max_degree, terms, sectors, flag)
-                assert got == expected
-                assert list(got.flat.items()) == list(expected.flat.items())
-            assert rng.getstate() == ref_rng.getstate()
+    cases = ([(rand_element, _rand_element_per_term, sig, max_degree, terms)
+              for max_degree in (0, 2, 4) for terms in (1, 3, 6)]
+             + [(rand_classical, _rand_classical_per_term, dof, max_degree, sectors)
+                for max_degree in (0, 2, 4) for sectors in ((1, 2), (1,), (2,))])
+    for seed, (build, reference, space, *args) in enumerate(cases):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for _ in range(6):
+            got = build(rng, space, *args)
+            expected = reference(ref_rng, space, *args)
+            assert got == expected
+            assert list(got.flat.items()) == list(expected.flat.items())
+        assert rng.getstate() == ref_rng.getstate()
 
 
 # -- real-integer coefficients stored as ints -----------------------------------
@@ -588,6 +587,32 @@ def test_int_and_crat_coefficients_are_the_same_value(dof):
     key = (0,) * sig.width + (0, 1, 0)
     assert Element(sig, {key[:-3]: Scalar.symbol("h1", 1, 3)}).flat == {key: 3}
     assert type(Element(sig, {key[:-3]: Scalar.symbol("h1", 1, 3)}).flat[key]) is int
+
+
+@pytest.mark.parametrize("dof", [1, 2])
+def test_substitute_equals_substituting_each_coefficient(dof):
+    """PlanckMap.substitute works on the flat keys' Planck tails: it gives
+    what substituting each Scalar of ``terms`` and rebuilding gives, keeps
+    a real-integer coefficient as an int, and raises as Scalar.substitute
+    does."""
+    checked = set()
+    for x in _mixed_maps(dof):
+        if isinstance(x, AObservable):
+            continue            # built from its parts, not from terms
+        for values in ({"h": 2}, {"h1": Fraction(1, 2)}, {"h": CR_MINUS_I, "h2": 3}):
+            if isinstance(x, HybridObservable) and "h2" in values:
+                continue        # refused: the jet degree carries h2
+            got = x.substitute(**values)
+            assert got == type(x)(*x._context(), {m: c.substitute(**values)
+                                                  for m, c in x.terms.items()})
+            assert all(type(c) is int or flat_value(c) is c for c in got.flat.values())
+            checked.add(type(x))
+    assert checked == {Element, WeylOperator, HybridObservable}
+    w = WeylOperator.identity(qq_algebra(GroupSignature(dof))).scale(Scalar.symbol("h1", -1))
+    with pytest.raises(ZeroDivisionError, match="substituting 0 for h1 in denominator"):
+        w.substitute(h1=0)
+    with pytest.raises(ValueError, match="unknown symbol 'x'"):
+        w.substitute(x=1)
 
 
 def test_real_integer_crats_equal_and_hash_as_ints():
