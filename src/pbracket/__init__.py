@@ -20,7 +20,6 @@ from .errors import (
     NotLocalized,
     NotMechanised,
     DimensionTooSmall,
-    MatrixTooLarge,
     UnsupportedConvention,
     AObservableProductError,
     ExprError,
@@ -109,7 +108,7 @@ def __dir__():
 __all__ = [
     "PBracketError", "SignatureMismatch", "NoConsistentConvention",
     "UnknownRule", "ZeroPlanck", "SingularTransformation", "DivisionByZero",
-    "NotLocalized", "NotMechanised", "DimensionTooSmall", "MatrixTooLarge",
+    "NotLocalized", "NotMechanised", "DimensionTooSmall",
     "UnsupportedConvention", "AObservableProductError", "ExprError",
     "ExprSyntaxError", "UnknownSymbol", "IndexOutOfRange", "ExpressionTooLarge",
     "CRat", "Scalar", "scalar",

@@ -30,7 +30,7 @@ class EngineConfig:
     dof: int = 1
 
     def __post_init__(self):
-        if not 1 <= self.dof <= MAX_DOF:
+        if not 1 <= require_int(self.dof, "dof") <= MAX_DOF:
             raise ValueError(f"dof must be an integer from 1 to {MAX_DOF}, got {self.dof}")
 
     @classmethod

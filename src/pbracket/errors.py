@@ -47,10 +47,6 @@ class DimensionTooSmall(PBracketError):
     """A matrix truncation is too small for the requested operator degree."""
 
 
-class MatrixTooLarge(PBracketError):
-    """A dense matrix realization would exceed the oracle's size limit."""
-
-
 class UnsupportedConvention(PBracketError):
     """A check cannot run under the configured convention tuple, e.g. the
     matrix oracle's ladders under a real [Q, P] weight."""

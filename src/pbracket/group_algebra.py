@@ -150,9 +150,10 @@ class ConventionTuple:
 
 def slot_index(dof: int, sector: int, i: int) -> int:
     """Slot of degree of freedom i of a sector: sector 1's slots come first."""
+    require_int(dof, "dof")
     if sector not in (1, 2):
         raise ValueError("sector must be 1 or 2")
-    if not 1 <= i <= dof:
+    if not 1 <= require_int(i, "dof index") <= dof:
         raise ValueError(f"dof index {i} outside 1..{dof}")
     return (sector - 1) * dof + (i - 1)
 

@@ -14,7 +14,8 @@ Two oracles, built on different mathematics than the symbolic engine:
 * matrix oracle: realizes the first canonical pair as truncated
   harmonic-oscillator ladder matrices and compares operator identities
   entrywise on the columns that truncation leaves exact.  Every check acts
-  on that pair alone, so its n x n matrices do not grow with the dof.
+  on that pair alone, at h = h1 = h2 = 1, so its MATRIX_DIM x MATRIX_DIM
+  matrices do not grow with the dof.  It is the engine's one float path.
 
 Both produce :class:`OracleReport` rows with a deterministic input hash so a
 verification run is reproducible byte for byte.
@@ -31,8 +32,8 @@ from fractions import Fraction
 from itertools import product
 from typing import TYPE_CHECKING, Dict, List, Tuple, Union
 
-from .errors import DimensionTooSmall, MatrixTooLarge, UnsupportedConvention
-from .scalars import CRat, CR_I, Scalar, S_ONE, flat_value, power, scalar
+from .errors import DimensionTooSmall, UnsupportedConvention
+from .scalars import CRat, CR_I, CR_ZERO, Scalar, S_ONE, flat_value, power, scalar
 from .group_algebra import Element, GroupSignature, commutator, multiply
 from .representations import WeylOperator, qc_algebra
 from .terms import accumulate, clean_terms, power_str
@@ -41,9 +42,9 @@ from . import sampling
 if TYPE_CHECKING:
     import numpy as np
 
-# Largest dense realization, n basis states: one complex matrix of that size
-# is 16 MB.  The checks verify runs use n = 32 at every dof.
-MAX_MATRIX_DIM = 1024
+# The matrix oracle's basis states at every dof, and its entrywise tolerance.
+MATRIX_DIM = 32
+MATRIX_TOL = 1e-10
 # The vector-field suite's random element pairs, and probe monomials per pair.
 VF_PAIRS = 100
 VF_PROBES = 30
@@ -150,7 +151,13 @@ def vector_field_action(e: Element,
 # truncated ladder-matrix realization of the first canonical pair
 
 
-def _canonical_pair(gamma: complex, n: int) -> Tuple[np.ndarray, np.ndarray]:
+def _at_one(s: Scalar) -> complex:
+    """The value of ``s`` at h = h1 = h2 = 1: the exact sum of its
+    coefficients, converted to a float once."""
+    return sum(s.terms.values(), CR_ZERO).to_complex()
+
+
+def _canonical_pair(gamma: complex) -> Tuple[np.ndarray, np.ndarray]:
     """Matrices Q, P with [Q, P] = gamma * I exactly on low columns.
 
     Requires gamma purely imaginary and nonzero, else UnsupportedConvention;
@@ -162,7 +169,7 @@ def _canonical_pair(gamma: complex, n: int) -> Tuple[np.ndarray, np.ndarray]:
         raise UnsupportedConvention(
             f"the matrix oracle needs a purely imaginary canonical-pair weight, got {gamma}")
     t = gamma.imag
-    a = np.diag(np.sqrt(np.arange(1, n)), 1).astype(complex)   # the lowering ladder
+    a = np.diag(np.sqrt(np.arange(1, MATRIX_DIM)), 1).astype(complex)   # the lowering ladder
     ad = a.conj().T
     root = math.sqrt(abs(t) / 2.0)
     q = root * (a + ad)
@@ -170,49 +177,45 @@ def _canonical_pair(gamma: complex, n: int) -> Tuple[np.ndarray, np.ndarray]:
     return q, p
 
 
-def _realizable(n: int, *ops: WeylOperator) -> int:
-    """The largest degree of ``ops``, once each is known to have an n x n
+def _realizable(*ops: WeylOperator) -> int:
+    """The largest degree of ``ops``, once each is known to have a
     realization on the first canonical pair.  Raises before anything is
-    allocated: MatrixTooLarge above MAX_MATRIX_DIM, ValueError for a term
-    on another pair, DimensionTooSmall below degree + 2."""
-    if n > MAX_MATRIX_DIM:
-        raise MatrixTooLarge(
-            f"matrix realization of dimension {n} exceeds the limit {MAX_MATRIX_DIM}")
+    allocated: ValueError for a term on another pair, DimensionTooSmall when
+    MATRIX_DIM is below degree + 2."""
     if any(any(mono[2:]) for w in ops for mono in w.terms):
         raise ValueError("the matrix oracle realizes the first canonical pair only")
     deg = max(w.degree() for w in ops)
-    if n < deg + 2:
+    if MATRIX_DIM < deg + 2:
         raise DimensionTooSmall(
-            f"need matrix dimension >= degree + 2 = {deg + 2}, got {n}")
+            f"need matrix dimension >= degree + 2 = {deg + 2}, got {MATRIX_DIM}")
     return deg
 
 
-def _realize(w: WeylOperator, hbar: float, n: int) -> np.ndarray:
-    """Truncated n x n matrix of ``w`` on the first canonical pair,
-    sum of c * Q^a P^b over its terms.  Refuses as _realizable does."""
+def _realize(w: WeylOperator) -> np.ndarray:
+    """Truncated matrix of ``w`` on the first canonical pair at h = h1 =
+    h2 = 1, sum of c * Q^a P^b over its terms.  Refuses as _realizable does."""
     import numpy as np
-    _realizable(n, w)
-    total = np.zeros((n, n), dtype=complex)
-    vals = dict.fromkeys(("h", "h1", "h2"), float(hbar))
-    q, p = _canonical_pair(complex(w.algebra.gammas[0].evalf(**vals)), n)
+    _realizable(w)
+    total = np.zeros((MATRIX_DIM, MATRIX_DIM), dtype=complex)
+    q, p = _canonical_pair(_at_one(w.algebra.gammas[0]))
     power = np.linalg.matrix_power
     for (a, b, *_), coeff in w.terms.items():
-        total += power(q, a) @ power(p, b) * complex(coeff.evalf(**vals))
+        total += power(q, a) @ power(p, b) * _at_one(coeff)
     return total
 
 
-def matrix_max_error(wa: WeylOperator, wb: WeylOperator, hbar: float, n: int) -> float:
+def matrix_max_error(wa: WeylOperator, wb: WeylOperator) -> float:
     """Max entrywise deviation between the realizations of two operators,
     restricted to the columns the truncation computes exactly: a degree-d
     operator maps basis column j into levels <= j + d, so columns
-    j < n - d are free of truncation error.  Raises as _realizable does,
+    j < MATRIX_DIM - d are free of truncation error.  Raises as _realizable does,
     for either operator, before realizing either."""
     import numpy as np
     if wa.algebra is not wb.algebra and wa.algebra != wb.algebra:
         raise ValueError("operators live in different algebras")
-    deg = _realizable(n, wa, wb)
-    diff = _realize(wa, hbar, n) - _realize(wb, hbar, n)
-    return float(np.abs(diff[:, :n - deg]).max())
+    deg = _realizable(wa, wb)
+    diff = _realize(wa) - _realize(wb)
+    return float(np.abs(diff[:, :MATRIX_DIM - deg]).max())
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +338,8 @@ def check_algebra_laws(sig: GroupSignature, seed: int) -> OracleReport:
 
 def check_matrix_suite(sig: GroupSignature) -> List[OracleReport]:
     """Operator identities on the first canonical pair's truncated ladder
-    matrices, n = 32 at every dof, in the single-Planck algebra at hbar = 1,
-    each to a tolerance of 1e-10:
+    matrices, MATRIX_DIM at every dof, in the single-Planck algebra at
+    hbar = 1, each to a tolerance of MATRIX_TOL:
       * canonical commutation [Q, P] = gamma I
       * symbolic normal forms of short words against direct numeric
         matrix products of the untouched factors
@@ -346,14 +349,13 @@ def check_matrix_suite(sig: GroupSignature) -> List[OracleReport]:
     row that carries the reason.
     """
     import numpy as np
-    hbar, n, tol = 1.0, 32, 1e-10
     alg = qc_algebra(sig)
     q = WeylOperator.generator(alg, "Q", 0)
     p = WeylOperator.generator(alg, "P", 0)
     ident = WeylOperator.identity(alg)
     gamma = alg.gammas[0]
     try:
-        qm, pm = _canonical_pair(complex(gamma.evalf(h=hbar, h1=hbar, h2=hbar)), n)
+        qm, pm = _canonical_pair(_at_one(gamma))
     except UnsupportedConvention as exc:
         return [_exact_report("matrix-suite", _hash_inputs("mx", sig.dof, str(sig.convention)),
                               [f"UnsupportedConvention: {exc}"])]
@@ -361,25 +363,26 @@ def check_matrix_suite(sig: GroupSignature) -> List[OracleReport]:
     def row(check: str, tag: str, err: float, *inputs: object) -> OracleReport:
         return OracleReport(
             check=check,
-            inputs_hash=_hash_inputs(tag, sig.dof, str(sig.convention), hbar, n, tol,
-                                     *inputs),
-            status="pass" if err <= tol else "fail",
+            # the hashed settings: hbar = 1.0, dimension and tolerance
+            inputs_hash=_hash_inputs(tag, sig.dof, str(sig.convention), 1.0, MATRIX_DIM,
+                                     MATRIX_TOL, *inputs),
+            status="pass" if err <= MATRIX_TOL else "fail",
             max_abs_error=err,
         )
 
-    ccr = matrix_max_error(q * p - p * q, ident.scale(gamma), hbar, n)
+    ccr = matrix_max_error(q * p - p * q, ident.scale(gamma))
 
     words = [("q", "p"), ("p", "q"), ("q", "q", "p", "p"),
              ("p", "p", "q", "q"), ("q", "p", "q", "p")]
     worst = 0.0
     for word in words:
         sym = ident
-        num = np.eye(n, dtype=complex)
+        num = np.eye(MATRIX_DIM, dtype=complex)
         for ch in word:
             sym = sym * (q if ch == "q" else p)
             num = num @ (qm if ch == "q" else pm)
-        diff = _realize(sym, hbar, n) - num
-        worst = max(worst, float(np.abs(diff[:, :n - len(word)]).max()))
+        diff = _realize(sym) - num
+        worst = max(worst, float(np.abs(diff[:, :MATRIX_DIM - len(word)]).max()))
 
     ih = scalar(CR_I) * Scalar.symbol("h")
     lhs = (q * q * p * p - p * p * q * q).scale(S_ONE / ih)
@@ -392,7 +395,7 @@ def check_matrix_suite(sig: GroupSignature) -> List[OracleReport]:
     return [
         row("matrix-canonical-commutator", "mx-ccr", ccr),
         row("matrix-word-products", "mx-words", worst, words),
-        row("matrix-biquadratic-identity", "mx-biq", matrix_max_error(lhs, rhs, hbar, n)),
+        row("matrix-biquadratic-identity", "mx-biq", matrix_max_error(lhs, rhs)),
     ]
 
 

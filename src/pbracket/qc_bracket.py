@@ -15,6 +15,9 @@ where po is the ordered Poisson sum below.  The h2-linear part of the star
 commutator already contains the full antisymmetrized Poisson content plus
 the genuine jet correction, so term3 is that coefficient with the ordered
 Poisson part split out, and the three terms sum to qc_bracket.
+
+Only qc_bracket takes a value for h, the one the CLI's --hbar sets; every
+other route stays symbolic in h, and a caller substitutes on its result.
 """
 
 from __future__ import annotations
@@ -65,10 +68,23 @@ def poisson_ordered(K1: HybridObservable, K2: HybridObservable) -> HybridObserva
 INV_IH = S_ONE / (scalar(CR_I) * Scalar.symbol("h"))
 
 
-def _at_hbar(out: HybridObservable, hbar: Optional[Union[int, Fraction]]) -> HybridObservable:
-    """``out`` with h set to ``hbar``, or symbolic in h when ``hbar`` is None.
-    A zero hbar raises ZeroPlanck, since the bracket carries the factor
-    1/(i*h)."""
+def qc_bracket_terms(K1: HybridObservable, K2: HybridObservable
+                     ) -> Tuple[HybridObservable, HybridObservable, HybridObservable]:
+    """The three bracket terms separately, each at jet degree zero."""
+    comm = commutator_hybrid(K1, K2)
+    term1 = comm.jet_part(0).scale(INV_IH)
+    term2 = (poisson_ordered(K1, K2) - poisson_ordered(K2, K1)).jet_part(0).scale(Fraction(1, 2))
+    term3 = comm.jet_part(1).scale(CR_MINUS_I) - term2
+    return term1, term2, term3
+
+
+def qc_bracket(K1: HybridObservable, K2: HybridObservable,
+               hbar: Optional[Union[int, Fraction]] = None) -> HybridObservable:
+    """(1/(i h)) c_0 - i c_1 of the star commutator, at jet degree zero,
+    symbolic in h, or with h set to ``hbar`` when one is given.  A zero
+    hbar raises ZeroPlanck, since the bracket carries the factor 1/(i*h)."""
+    c = commutator_hybrid(K1, K2)
+    out = c.jet_part(0).scale(INV_IH) + c.jet_part(1).scale(CR_MINUS_I)
     if hbar is None:
         return out
     if Fraction(hbar) == 0:
@@ -76,32 +92,11 @@ def _at_hbar(out: HybridObservable, hbar: Optional[Union[int, Fraction]]) -> Hyb
     return out.substitute(h=Fraction(hbar))
 
 
-def qc_bracket_terms(K1: HybridObservable, K2: HybridObservable,
-                     hbar: Optional[Union[int, Fraction]] = None,
-                     ) -> Tuple[HybridObservable, HybridObservable, HybridObservable]:
-    """The three bracket terms separately, each at jet degree zero."""
-    comm = commutator_hybrid(K1, K2)
-    term1 = comm.jet_part(0).scale(INV_IH)
-    term2 = (poisson_ordered(K1, K2) - poisson_ordered(K2, K1)).jet_part(0).scale(Fraction(1, 2))
-    term3 = comm.jet_part(1).scale(CR_MINUS_I) - term2
-    terms = (term1, term2, term3)
-    return tuple(_at_hbar(t, hbar) for t in terms)
-
-
-def qc_bracket(K1: HybridObservable, K2: HybridObservable,
-               hbar: Optional[Union[int, Fraction]] = None) -> HybridObservable:
-    """(1/(i h)) c_0 - i c_1 of the star commutator, at jet degree zero."""
-    c = commutator_hybrid(K1, K2)
-    out = c.jet_part(0).scale(INV_IH) + c.jet_part(1).scale(CR_MINUS_I)
-    return _at_hbar(out, hbar)
-
-
-def bracket_via_universal(k1: Element, k2: Element,
-                          hbar: Optional[Union[int, Fraction]] = None) -> HybridObservable:
+def bracket_via_universal(k1: Element, k2: Element) -> HybridObservable:
     """Quantum-classical image of the universal bracket, evaluated at h2 = 0."""
     if k1.signature != k2.signature:
         raise SignatureMismatch("elements built over different signatures")
-    return _at_hbar(rep_qc(universal_bracket(k1, k2)).jet_part(0), hbar)
+    return rep_qc(universal_bracket(k1, k2)).jet_part(0)
 
 
 def _ordered_weyl_transport(k_sig, f: ClassicalPoly) -> WeylOperator:
@@ -123,8 +118,7 @@ def _ordered_weyl_transport(k_sig, f: ClassicalPoly) -> WeylOperator:
     return WeylOperator._over(out, algebra=alg)
 
 
-def classicality_gap(k1: Element, k2: Element,
-                     hbar: Optional[Union[int, Fraction]] = None) -> HybridObservable:
+def classicality_gap(k1: Element, k2: Element) -> HybridObservable:
     """Difference between the quantum-classical bracket image and the naive
     ordered transport of the classical Poisson bracket.
 
@@ -142,7 +136,7 @@ def classicality_gap(k1: Element, k2: Element,
     pb = poisson_classical(f1, f2)
     surrogate = HybridObservable.from_weyl(_ordered_weyl_transport(k1.signature, pb),
                                            k1.signature)
-    return _at_hbar(bracket_via_universal(k1, k2) - surrogate, hbar)
+    return bracket_via_universal(k1, k2) - surrogate
 
 
 def h_eff(h1: Union[int, Fraction], h2: Union[int, Fraction]) -> Fraction:

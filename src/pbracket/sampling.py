@@ -40,9 +40,8 @@ def _allowed_indices(dof: int, sectors: Tuple[int, ...], allow_s: bool) -> Tuple
     for sector in sectors:
         if allow_s:
             idxs.append(sector - 1)
-        for i in range(1, dof + 1):
-            x = 2 + 2 * slot_index(dof, sector, i)
-            idxs += (x, x + 1)
+        x = 2 + 2 * slot_index(dof, sector, 1)      # the X of the sector's first slot
+        idxs += range(x, x + 2 * dof)
     return tuple(idxs)
 
 

@@ -3,7 +3,7 @@ formal parameters h, h1, h2, and PlanckMap, the flat storage of the term
 maps over such coefficients, whose product loops multiply ints and CRats.
 
 Everything downstream of this module stays exact; floating point enters only
-in the numerical oracle, through :meth:`Scalar.evalf`.
+in the numerical oracle, through :meth:`CRat.to_complex`.
 """
 
 from __future__ import annotations
@@ -278,8 +278,8 @@ class Scalar(TermMap):
 
     ``terms`` maps signed exponent triples (e_h, e_h1, e_h2) to nonzero
     CRats; nonzero terms are the whole canonical form, so equal values have
-    equal maps.  The numerator over monomial denominator that printing, JSON
-    and ``evalf`` use is derived: ``den`` has den_j = max(0, -min_e e_j) and
+    equal maps.  The numerator over monomial denominator that printing and
+    JSON use is derived: ``den`` has den_j = max(0, -min_e e_j) and
     ``num`` holds the terms shifted by it, sorted.
     """
 
@@ -417,20 +417,6 @@ class Scalar(TermMap):
     @property
     def den(self) -> tuple:
         return self._fraction()[1]
-
-    def evalf(self, h: complex = 1.0, h1: complex = 1.0, h2: complex = 1.0) -> complex:
-        vals = (complex(h), complex(h1), complex(h2))
-        num, den = self._fraction()
-        total = 0j
-        for e, c in num:
-            term = c.to_complex()
-            for j in range(3):
-                term *= vals[j] ** e[j]
-            total += term
-        d = 1.0 + 0j
-        for j in range(3):
-            d *= vals[j] ** den[j]
-        return total / d
 
     def to_json(self) -> dict:
         """Numerator terms and monomial denominator, the coefficient schema

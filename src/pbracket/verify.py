@@ -25,8 +25,9 @@ from .representations import (WeylOperator, commutator_hybrid, qc_algebra,
                               qq_algebra, rep_qc, rep_qq)
 from .qc_bracket import (INV_IH, bracket_via_universal, h_eff, qc_bracket,
                          qc_bracket_terms)
-from .oracle import (ALGEBRA_LAWS, VF_PAIRS, OracleReport, check_algebra_laws,
-                     check_matrix_suite, check_vector_field_suite, matrix_max_error)
+from .oracle import (ALGEBRA_LAWS, MATRIX_DIM, MATRIX_TOL, VF_PAIRS, OracleReport,
+                     check_algebra_laws, check_matrix_suite, check_vector_field_suite,
+                     matrix_max_error)
 from .calibration import (bracket_target, calibration_report, commutator_target,
                           ordered_image)
 from .config import EngineConfig
@@ -201,14 +202,14 @@ def _qc_image(sig: GroupSignature, seed: int) -> tuple:
     closed = ordered_image(qc_algebra(sig), order_name)
     comm_ok = commutator_hybrid(rep_qc(k1), rep_qc(k2)).scale(INV_IH) == image
     try:
-        deviation = matrix_max_error(image_w, closed, 1.0, 32)
+        deviation = matrix_max_error(image_w, closed)
         measured = f"{deviation:.3e}"
     except UnsupportedConvention as exc:
         deviation, measured = math.inf, f"not computed (UnsupportedConvention: {exc})"
-    return (image_w == closed and comm_ok and deviation <= 1e-10, str(closed), str(image_w),
+    return (image_w == closed and comm_ok and deviation <= MATRIX_TOL, str(closed), str(image_w),
             f"calibrated order: {order_name}",
             f"matches quantum commutator divided by i*hbar: {'yes' if comm_ok else 'no'}",
-            f"matrix realization deviation at dimension 32: {measured}")
+            f"matrix realization deviation at dimension {MATRIX_DIM}: {measured}")
 
 
 def _scaling(sig: GroupSignature, seed: int) -> tuple:
@@ -299,7 +300,7 @@ def _matrix(sig: GroupSignature, seed: int) -> tuple:
     reps = check_matrix_suite(sig)
     return (all(r.ok for r in reps),
             "operator identities hold on truncated ladder matrices "
-            "(tolerance 1e-10 at dimension 32)",
+            f"(tolerance {MATRIX_TOL} at dimension {MATRIX_DIM})",
             f"{sum(1 for r in reps if r.ok)} of {len(reps)} checks pass, "
             f"max deviation {max(r.max_abs_error for r in reps):.3e}",
             *(line for r in reps

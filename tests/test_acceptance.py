@@ -21,7 +21,7 @@ from pbracket.representations import (HybridObservable, WeylOperator,
                                       rep_qc, rep_qq)
 from pbracket.qc_bracket import (bracket_via_universal, classicality_gap,
                                  h_eff, qc_bracket, qc_bracket_terms)
-from pbracket.oracle import (ALGEBRA_LAWS, VF_PAIRS, check_algebra_laws,
+from pbracket.oracle import (ALGEBRA_LAWS, MATRIX_TOL, VF_PAIRS, check_algebra_laws,
                              check_vector_field_suite, matrix_max_error)
 from pbracket.calibration import calibrate_conventions
 from pbracket.verify import run_verify
@@ -87,16 +87,12 @@ def test_criterion_03_biquadratic_qc_image_and_matrix_oracle():
     p2 = rep_qc(mech(p(1) ** 2)).as_weyl()
     comm = q2 * p2 - p2 * q2
     assert image_w == comm.scale(S_ONE / ihbar)
-    # matrix oracle at N=32, hbar=1
-    err = matrix_max_error(image_w.substitute(h=1),
-                           comm.scale(S_ONE / ihbar).substitute(h=1),
-                           hbar=1.0, n=32)
-    assert err <= 1e-10
-    direct = matrix_max_error(image_w.substitute(h=1),
-                              (Q * P).scale(4) - ident.scale(CR_I * 2),
-                              hbar=1.0, n=32)
-    assert direct <= 1e-10
-    print(f"\nimage == 4*P.Q + 2i*h*I == (1/ih)[Q^2,P^2]; matrix error {err:.2e} <= 1e-10")
+    # matrix oracle at MATRIX_DIM, hbar=1
+    err = matrix_max_error(image_w.substitute(h=1), comm.scale(S_ONE / ihbar).substitute(h=1))
+    assert err <= MATRIX_TOL
+    direct = matrix_max_error(image_w.substitute(h=1), (Q * P).scale(4) - ident.scale(CR_I * 2))
+    assert direct <= MATRIX_TOL
+    print(f"\nimage == 4*P.Q + 2i*h*I == (1/ih)[Q^2,P^2]; matrix error {err:.2e} <= {MATRIX_TOL}")
 
 
 def test_criterion_04_classicality_gap_is_2ih():

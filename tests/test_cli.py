@@ -325,6 +325,23 @@ def test_oracle_check_under_a_real_commutator_weight_reports_the_matrix_row(tmp_
     assert "purely imaginary" in data[2]["counterexample"]
 
 
+def test_oracle_check_under_the_real_gamma_tuple_prints_its_report(tmp_path, capsys):
+    """The matrix oracle reads the [Q, P] weight at h = 1 from its exact
+    coefficients: under eps = +i, every other field +1, that weight is -1."""
+    path = tmp_path / "real-gamma.json"
+    path.write_text(json.dumps({"convention": {
+        "eps_comm": "+i", "kappa_x": "+1", "kappa_y": "+1", "kappa_s": "+1",
+        "orient": 1, "rep_s_sign": 1}, "dof": 1}))
+    code, out, err = run(capsys, "--config", str(path), "oracle", "check", "--seed", "7")
+    assert (code, err) == (1, "")
+    assert out == (
+        "pass vector-field-composition (max error 0.000e+00, inputs-hash 4820860ea31a77c4)\n"
+        "pass algebra-laws (max error 0.000e+00, inputs-hash e3f73a2f154ad14b)\n"
+        "fail matrix-suite (max error 1.000e+00, inputs-hash 96fc5c28960418b7)\n"
+        "     1 failing instances; first: UnsupportedConvention: the matrix oracle needs a "
+        "purely imaginary canonical-pair weight, got (-1+0j)\n")
+
+
 def test_signature_n2_oracle_check_and_verify_pass(capsys):
     code, out, _ = run(capsys, "--signature", "n=2", "oracle", "check", "--seed", "3")
     assert code == 0
@@ -353,6 +370,14 @@ def test_config_flag_and_env(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "mechanise", "q12")
     assert code == 0
     assert out.strip() == "delta[x12]"
+
+
+@pytest.mark.parametrize("dof", [2.0, True, 1.5])
+def test_config_refuses_a_dof_that_is_not_an_int(dof):
+    """A config built in Python is checked as one loaded from JSON, so
+    save_config can never write a dof that load_config refuses."""
+    with pytest.raises(ValueError, match=f"^dof must be an integer, got {dof!r}$"):
+        EngineConfig(EngineConfig.default().convention, dof)
 
 
 def test_unreadable_config_is_usage_error(tmp_path, capsys):

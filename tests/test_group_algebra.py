@@ -9,7 +9,7 @@ import pytest
 
 import pbracket.group_algebra as group_algebra
 from pbracket.errors import SignatureMismatch
-from pbracket.sampling import rand_element
+from pbracket.sampling import rand_classical, rand_element
 from pbracket.scalars import CRat, CR_I, CR_MINUS_ONE, CR_ONE, UNIT_VALUES, Scalar
 from pbracket.group_algebra import (ConventionTuple, Element, GroupSignature,
                                     commutator, delta_str, delta_to_element,
@@ -254,6 +254,13 @@ def test_out_of_range_slots_keep_their_messages():
             call()
     with pytest.raises(ValueError, match=r"^kind must be 'q' or 'p'$"):
         ClassicalPoly.var_index(2, "x", 1, 1)
+    for call, field in ((lambda: group_algebra.slot_index(1.5, 2, 1), "dof"),
+                        (lambda: ClassicalPoly.var_index(1.5, "q", 2, 1), "dof"),
+                        (lambda: group_algebra.slot_index(2, 1, True), "dof index"),
+                        (lambda: ClassicalPoly.var(2, "q", 1, True), "dof index"),
+                        (lambda: rand_classical(random.Random(0), 1.5), "dof")):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            call()
     with pytest.raises(ValueError, match=r"^sector in 'x31' must be 1 or 2$"):
         parse_group_var(SIG2, "x31")
     with pytest.raises(ValueError, match=r"^sector in 's3' must be 1 or 2$"):

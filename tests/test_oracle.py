@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from pbracket import oracle, sampling, terms
-from pbracket.errors import DimensionTooSmall, MatrixTooLarge
+from pbracket.errors import DimensionTooSmall
 from pbracket.scalars import (CR_I, CR_MINUS_I, CR_MINUS_ONE, CR_ONE, CR_ZERO, CRat, S_ONE,
                               Scalar, UNIT_VALUES)
 from pbracket.terms import TermMap, accumulate
 from pbracket.group_algebra import (ConventionTuple, Element, GroupSignature,
                                     commutator, multiply)
-from pbracket.oracle import (OracleReport, check_algebra_laws,
+from pbracket.oracle import (MATRIX_DIM, OracleReport, check_algebra_laws,
                              check_matrix_suite, check_vector_field_suite,
                              matrix_max_error, oracle_check, vector_field_action)
 from pbracket.representations import WeylOperator, qc_algebra, rep_qc
@@ -167,31 +167,38 @@ def _qp():
     return WeylOperator.generator(alg, "Q", 0), WeylOperator.generator(alg, "P", 0)
 
 
+def test_value_at_one_sums_the_coefficients():
+    assert oracle._at_one(Scalar.symbol("h", coeff=CRat(0, 2))) == 2j
+    assert oracle._at_one(S_ONE / Scalar.symbol("h", coeff=CR_I)) == -1j
+    assert oracle._at_one(Scalar.symbol("h1") / Scalar.symbol("h2") + 1) == 2
+
+
 def test_matrix_realize_word_product():
     Q, P = _qp()
-    m_qp = oracle._realize(Q * P, hbar=1.0, n=12)
-    m_q = oracle._realize(Q, hbar=1.0, n=12)
-    m_p = oracle._realize(P, hbar=1.0, n=12)
+    m_qp = oracle._realize(Q * P)
+    m_q = oracle._realize(Q)
+    m_p = oracle._realize(P)
     direct = m_q @ m_p
     # compare away from the truncation boundary
     deg = 2
-    keep = 12 - deg
+    keep = MATRIX_DIM - deg
     assert np.max(np.abs((m_qp - direct)[:keep, :keep])) < 1e-12
 
 
 def test_matrix_commutator_is_i_hbar():
     Q, P = _qp()
-    m_q = oracle._realize(Q, hbar=0.5, n=20)
-    m_p = oracle._realize(P, hbar=0.5, n=20)
+    m_q = oracle._realize(Q)
+    m_p = oracle._realize(P)
     comm = m_q @ m_p - m_p @ m_q
-    target = 1j * 0.5 * np.eye(20)
-    assert np.max(np.abs((comm - target)[:18, :18])) < 1e-12
+    target = 1j * np.eye(MATRIX_DIM)       # i*hbar at hbar = 1
+    keep = MATRIX_DIM - 2
+    assert np.max(np.abs((comm - target)[:keep, :keep])) < 1e-12
 
 
 def test_matrix_dimension_guard():
     Q, _ = _qp()
-    with pytest.raises(DimensionTooSmall):
-        oracle._realize(Q ** 4, hbar=1.0, n=5)
+    with pytest.raises(DimensionTooSmall, match=f"degree \\+ 2 = {MATRIX_DIM + 1}"):
+        oracle._realize(Q ** (MATRIX_DIM - 1))
 
 
 def _refuse_allocation(m):
@@ -205,30 +212,30 @@ def _refuse_allocation(m):
 def test_matrix_max_error_dimension_guard_covers_both_operators(monkeypatch):
     Q, _ = _qp()
     _refuse_allocation(monkeypatch)
-    for wa, wb in ((Q, Q ** 4), (Q ** 4, Q)):
+    too_high = Q ** (MATRIX_DIM - 1)
+    for wa, wb in ((Q, too_high), (too_high, Q)):
         with pytest.raises(DimensionTooSmall):
-            matrix_max_error(wa, wb, 1.0, 5)
+            matrix_max_error(wa, wb)
 
 
 def test_matrix_size_bound_raises_before_allocating(monkeypatch):
-    """matrix_max_error refuses a dimension past the bound, and a term on a
+    """matrix_max_error refuses a degree past the bound, and a term on a
     second pair in either operator, before numpy allocates."""
-    assert oracle.MAX_MATRIX_DIM == 1024
     alg = qc_algebra(GroupSignature(3))
     q1 = WeylOperator.generator(alg, "Q", 0)
     two_pairs = q1 * WeylOperator.generator(alg, "P", 2)
     with monkeypatch.context() as m:
         _refuse_allocation(m)
-        with pytest.raises(MatrixTooLarge, match="dimension 1025 exceeds the limit 1024"):
-            matrix_max_error(q1, q1, hbar=1.0, n=1025)
+        with pytest.raises(DimensionTooSmall, match=f"got {MATRIX_DIM}"):
+            matrix_max_error(q1, q1 ** (MATRIX_DIM - 1))
         for wa, wb in ((q1, two_pairs), (two_pairs, q1)):
             with pytest.raises(ValueError, match="first canonical pair only"):
-                matrix_max_error(wa, wb, hbar=1.0, n=32)
+                matrix_max_error(wa, wb)
         with pytest.raises(ValueError, match="first canonical pair only"):
-            oracle._realize(two_pairs, hbar=1.0, n=32)
+            oracle._realize(two_pairs)
         # the bound itself is accepted: that call reaches the allocation
         with pytest.raises(AssertionError, match="dense matrix allocated"):
-            matrix_max_error(q1, q1, hbar=1.0, n=1024)
+            matrix_max_error(q1, q1 ** (MATRIX_DIM - 2))
     # each check realizes only the first pair, at every dof
     assert all(r.ok for r in check_matrix_suite(GroupSignature(3)))
 
@@ -258,9 +265,9 @@ def test_matrix_suite_passes_or_refuses_each_sampled_convention():
 
 def test_matrix_max_error_flags_wrong_operator():
     Q, P = _qp()
-    err = matrix_max_error(Q * P, P * Q, hbar=1.0, n=16)
+    err = matrix_max_error(Q * P, P * Q)
     assert err > 0.5  # they differ by i*hbar on the diagonal
-    assert matrix_max_error(Q * P, Q * P, hbar=1.0, n=16) == 0.0
+    assert matrix_max_error(Q * P, Q * P) == 0.0
 
 
 def test_oracle_report_json_shape():
@@ -536,19 +543,17 @@ def test_realize_builds_the_first_pair_ladder_matrices():
     alg = qc_algebra(GroupSignature(2))
     Q, P = WeylOperator.generator(alg, "Q", 0), WeylOperator.generator(alg, "P", 0)
     w = Q * Q * P - P.scale(CR_I)
-    qm, pm = oracle._canonical_pair(complex(alg.gammas[0].evalf()), 6)
-    assert np.allclose(oracle._realize(w, hbar=1.0, n=6), qm @ qm @ pm - 1j * pm,
-                       atol=1e-12)
-    assert np.array_equal(oracle._realize(P, 1.0, 6), pm)
-    assert np.array_equal(oracle._realize(WeylOperator.identity(alg), 1.0, 6), np.eye(6))
-    with pytest.raises(MatrixTooLarge):
-        oracle._realize(w, hbar=1.0, n=1025)
+    qm, pm = oracle._canonical_pair(oracle._at_one(alg.gammas[0]))
+    assert qm.shape == pm.shape == (MATRIX_DIM, MATRIX_DIM)
+    assert np.allclose(oracle._realize(w), qm @ qm @ pm - 1j * pm, atol=1e-12)
+    assert np.array_equal(oracle._realize(P), pm)
+    assert np.array_equal(oracle._realize(WeylOperator.identity(alg)), np.eye(MATRIX_DIM))
     with pytest.raises(ValueError, match="first canonical pair only"):
-        oracle._realize(WeylOperator.generator(alg, "P", 1), hbar=1.0, n=6)
+        oracle._realize(WeylOperator.generator(alg, "P", 1))
 
 
 def test_verify_item_exception_names_where_it_was_raised(monkeypatch):
-    def broken(w, hbar, n):
+    def broken(w):
         raise IndexError("column out of range")
 
     monkeypatch.setattr(oracle, "_realize", broken)

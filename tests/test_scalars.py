@@ -104,12 +104,6 @@ def test_scalar_substitute_exact():
     assert partial.substitute(h1=2) == scalar(Fraction(3, 2))
 
 
-def test_scalar_evalf():
-    h = Scalar.symbol("h")
-    val = (scalar(CRat(Fraction(0), Fraction(2))) * h).evalf(h=3.0)
-    assert val == pytest.approx(6j)
-
-
 def test_scalar_as_crat_rejects_symbols():
     with pytest.raises(ValueError):
         Scalar.symbol("h").as_crat()
