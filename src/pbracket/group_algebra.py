@@ -34,6 +34,7 @@ from .scalars import (
     S_ONE,
     power,
     scalar,
+    unit_cycle,
     unit_from_str,
     unit_to_str,
 )
@@ -67,6 +68,14 @@ def require_int(value, name: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def require_rational(value, name: str) -> Fraction:
+    """value as a Fraction when it is an int or a Fraction; any other type,
+    a bool too, is a ValueError that names the argument."""
+    if type(value) is not int and not isinstance(value, Fraction):
+        raise ValueError(f"{name} must be an int or a Fraction, got {value!r}")
+    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -103,8 +112,12 @@ class ConventionTuple:
 
     def kappa(self, s: int, x: int, y: int) -> Union[int, CRat]:
         """Unit factor of a generator monomial with s central, x X and y Y
-        generators: one kappa factor per delta derivative, of cached powers."""
-        return power(self.kappa_s, s) * power(self.kappa_x, x) * power(self.kappa_y, y)
+        generators: one kappa factor per delta derivative, off unit 4-cycles."""
+        cs, cx, cy = self._kappa_cycles
+        return cs[s % 4] * cx[x % 4] * cy[y % 4]
+
+    _kappa_cycles = cached_property(lambda self: tuple(
+        map(unit_cycle, (self.kappa_s, self.kappa_x, self.kappa_y))))
 
     @cached_property
     def gamma_unit(self) -> CRat:
@@ -176,14 +189,18 @@ class GroupSignature:
         if require_int(self.dof, "dof") < 1:
             raise ValueError("dof must be a positive integer")
 
+    def __hash__(self) -> int:
+        """The dataclass's hash((dof, convention)), computed once per signature."""
+        return self._hash
+
+    _hash = cached_property(lambda self: hash((self.dof, self.convention)))
+
     @property
     def width(self) -> int:
         """Length of a monomial exponent vector: S1, S2, then (X, Y) pairs."""
         return 2 + 4 * self.dof
 
-    @property
-    def slots(self) -> int:
-        return 2 * self.dof
+    slots = property(lambda self: 2 * self.dof)
 
     def slot_sector(self, t: int) -> int:
         return 1 if t < self.dof else 2
@@ -221,12 +238,8 @@ class GroupSignature:
         return self.convention.kappa(mono[0] + mono[1], sum(mono[2::2]), sum(mono[3::2]))
 
     def generator_names(self) -> List[str]:
-        names = ["S1", "S2"]
-        for sector in (1, 2):
-            for i in range(1, self.dof + 1):
-                names.append(f"X_{sector}_{i}")
-                names.append(f"Y_{sector}_{i}")
-        return names
+        return ["S1", "S2"] + [f"{g}_{sector}_{i}" for sector in (1, 2)
+                               for i in range(1, self.dof + 1) for g in "XY"]
 
     def to_json(self) -> dict:
         return {"dof_per_sector": self.dof, "convention": self.convention.to_json()}

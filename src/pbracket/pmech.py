@@ -17,7 +17,7 @@ linear factor A_s, exponent -1, where there is not.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Dict, Mapping, Tuple, Union
 
 from .errors import AObservableProductError, NotMechanised, SignatureMismatch, UnknownRule
@@ -151,8 +151,7 @@ def mechanise_weyl(sig: GroupSignature, f: ClassicalPoly) -> Element:
     if f.dof != sig.dof:
         raise SignatureMismatch("polynomial dof does not match signature")
     conv = sig.convention
-    half_neg_eps = partial(power, -conv.eps_comm * CRat.of(Fraction(1, 2)))
-    rules = tuple((raised, step, half_neg_eps) for raised, step, _ in sig.contraction_rules)
+    rules = _mechanisation_rules(sig)
     out: dict = {}
     for mono, coeff in f.terms.items():
         xs, ys = pair_halves(mono)
@@ -161,6 +160,13 @@ def mechanise_weyl(sig: GroupSignature, f: ClassicalPoly) -> Element:
         for key, u in normal_order(y, x, 2, rules):
             accumulate(out, key, c if u is None else c * u)
     return Element._over(out, signature=sig)
+
+
+@lru_cache(maxsize=64)
+def _mechanisation_rules(sig: GroupSignature) -> Tuple[tuple, ...]:
+    """The contraction rules at -eps/2, one tuple per signature for normal_order's table."""
+    half_neg_eps = partial(power, -sig.convention.eps_comm * CRat.of(Fraction(1, 2)))
+    return tuple((raised, step, half_neg_eps) for raised, step, _ in sig.contraction_rules)
 
 
 _RULES: Dict[str, Callable[[GroupSignature, ClassicalPoly], Element]] = {}

@@ -28,7 +28,7 @@ from typing import Optional, Tuple, Union
 from .errors import (DivisionByZero, NotLocalized, SignatureMismatch, SingularTransformation,
                      ZeroPlanck)
 from .scalars import CR_I, CR_MINUS_I, CRat, Scalar, S_ONE, flat_value, scalar
-from .group_algebra import Element
+from .group_algebra import Element, require_rational
 from .terms import accumulate, normal_order, pair_halves
 from .pmech import ClassicalPoly, poisson_classical, universal_bracket, weyl_symbol
 from .representations import HybridObservable, WeylOperator, commutator_hybrid, qc_algebra, rep_qc
@@ -81,15 +81,14 @@ def qc_bracket_terms(K1: HybridObservable, K2: HybridObservable
 def qc_bracket(K1: HybridObservable, K2: HybridObservable,
                hbar: Optional[Union[int, Fraction]] = None) -> HybridObservable:
     """(1/(i h)) c_0 - i c_1 of the star commutator, at jet degree zero,
-    symbolic in h, or with h set to ``hbar`` when one is given.  A zero
-    hbar raises ZeroPlanck, since the bracket carries the factor 1/(i*h)."""
+    symbolic in h, or with h set to ``hbar``, an int or a Fraction, when
+    one is given: zero raises ZeroPlanck, as the bracket carries 1/(i*h)."""
+    h = None if hbar is None else require_rational(hbar, "hbar")
+    if h == 0:
+        raise ZeroPlanck("hbar must be nonzero")
     c = commutator_hybrid(K1, K2)
     out = c.jet_part(0).scale(INV_IH) + c.jet_part(1).scale(CR_MINUS_I)
-    if hbar is None:
-        return out
-    if Fraction(hbar) == 0:
-        raise ZeroPlanck("hbar must be nonzero")
-    return out.substitute(h=Fraction(hbar))
+    return out if h is None else out.substitute(h=h)
 
 
 def bracket_via_universal(k1: Element, k2: Element) -> HybridObservable:
@@ -142,9 +141,9 @@ def classicality_gap(k1: Element, k2: Element) -> HybridObservable:
 def h_eff(h1: Union[int, Fraction], h2: Union[int, Fraction]) -> Fraction:
     """Effective Planck constant: 1/h_eff = 1/h1 + 1/h2.
 
-    The transformation is singular when h1*h2 = 0, and the defining formula
-    divides by zero when h1 + h2 = 0; both cases raise."""
-    a, b = Fraction(h1), Fraction(h2)
+    h1 and h2 are ints or Fractions.  The transformation is singular when
+    h1*h2 = 0, and the formula divides by zero when h1 + h2 = 0; both raise."""
+    a, b = require_rational(h1, "h1"), require_rational(h2, "h2")
     if a * b == 0:
         raise SingularTransformation("h_eff is singular when h1*h2 = 0")
     if a + b == 0:

@@ -27,10 +27,10 @@ from fractions import Fraction
 from typing import Mapping, Optional, Tuple, Union
 
 from .errors import SignatureMismatch, ZeroPlanck
-from .scalars import CR_I, CRat, PlanckMap, Scalar, S_ONE, power, scalar
+from .scalars import CR_I, CRat, PlanckMap, Scalar, S_ONE, power, scalar, unit_cycle
 from .terms import (accumulate, coeff_str, exponent_map,
                     normal_order, pair_masks, power_str, render_terms)
-from .group_algebra import Element, GroupSignature
+from .group_algebra import Element, GroupSignature, require_rational
 from .pmech import AObservable, ClassicalPoly
 
 __all__ = [
@@ -234,8 +234,11 @@ class HybridObservable(PlanckMap):
     def _masks(self, key: tuple) -> tuple:
         """The Weyl pairs' bits, then, at jet degree 0, the classical (q, p)
         pairs' bits, which the star term contracts: past jet 1 a star
-        contraction reaches jet 2, which is dropped."""
-        return pair_masks(key, 0, self.signature.dof * (2 - key[-4]))
+        contraction reaches jet 2, which is dropped.  Jet-0 masks repeat 2*dof
+        bits up, where alone a jet-1 key's X bits sit: jet-1 keys never meet."""
+        up = 2 * self.signature.dof
+        x, y = pair_masks(key, 0, up >> key[-4])     # dof pairs at jet 1
+        return (x << up, y) if key[-4] else (x | x << up, y | y << up)
 
     def _identity(self) -> "HybridObservable":
         return HybridObservable.identity(self.signature)
@@ -346,18 +349,17 @@ def rep_qq(k: Union[Element, AObservable],
     supplied.
     """
     sig = k.signature
-    subs = {}
-    for name, val in (("h1", h1), ("h2", h2)):
-        if val is not None:
-            if Fraction(val) == 0:
-                raise ZeroPlanck(f"{name} must be nonzero")
-            subs[name] = Fraction(val)
-    u = CR_I * sig.convention.rep_s_sign
+    subs = {name: require_rational(v, name) for name, v in (("h1", h1), ("h2", h2))
+            if v is not None}
+    for name, v in subs.items():
+        if not v:
+            raise ZeroPlanck(f"{name} must be nonzero")
+    cycle = unit_cycle(CR_I * sig.convention.rep_s_sign)
     acc: dict = {}
     for key, coeff in k.flat.items():
         s1, s2 = key[0], key[1]
         accumulate(acc, key[2:-3] + (key[-3], key[-2] + s1, key[-1] + s2),
-                   coeff * power(u, s1 + s2))
+                   coeff * cycle[(s1 + s2) % 4])
     out = WeylOperator._over(acc, algebra=qq_algebra(sig))
     return out.substitute(**subs) if subs else out
 
@@ -372,13 +374,13 @@ def rep_qc(k: Union[Element, AObservable]) -> HybridObservable:
     so does a formal A2 factor, S2^-1, the jet having no inverse.
     """
     sig = k.signature
-    u = CR_I * sig.convention.rep_s_sign
+    cycle = unit_cycle(CR_I * sig.convention.rep_s_sign)
     acc: dict = {}
     for key, coeff in k.flat.items():
         s1, jet = key[0], key[1]
         if 0 <= jet <= 1:
             accumulate(acc, key[2:-3] + (jet, key[-3] + s1, key[-2], key[-1]),
-                       coeff * power(u, s1 + jet))
+                       coeff * cycle[(s1 + jet) % 4])
     if any(key[-1] for key in acc):
         raise ValueError(_H2_REFUSED)
     return HybridObservable._over(acc, signature=sig, algebra=qc_algebra(sig),

@@ -26,6 +26,7 @@ __all__ = [
     "CR_I",
     "CR_MINUS_I",
     "UNIT_VALUES",
+    "unit_cycle",
     "unit_from_str",
     "unit_to_str",
     "S_ZERO",
@@ -247,6 +248,16 @@ CR_MINUS_I = CRat(0, -1)
 
 # Canonical order used when convention tuples are enumerated and compared.
 UNIT_VALUES = (CR_ONE, CR_MINUS_ONE, CR_I, CR_MINUS_I)
+
+
+@lru_cache(maxsize=8)
+def unit_cycle(u: CRat) -> tuple:
+    """The powers u^0..u^3 of a unit u as flat values: u^n is entry n % 4
+    for every integer n, a negative one too, so a loop indexes a tuple."""
+    if type(u) is not CRat or u not in UNIT_VALUES:
+        raise ValueError(f"{u!r} is not a unit scalar")
+    return tuple(power(u, n) for n in range(4))
+
 
 _UNIT_TO_STR = {CR_ONE: "+1", CR_MINUS_ONE: "-1", CR_I: "+i", CR_MINUS_I: "-i"}
 _STR_TO_UNIT = {v: k for k, v in _UNIT_TO_STR.items()}

@@ -102,19 +102,28 @@ def normal_order(k1: Sequence[int], k2: Sequence[int], first: int,
     end = first + 2 * len(rules)
     for t in compress(count(), map(mul, k1[first + 1:end:2], k2[first:end:2])):
         ix = first + 2 * t
-        raised, step, unit_power = rules[t]
         grown = []
-        for k, weight in _expansion(k1[ix + 1], k2[ix])[1:]:
-            f = weight * unit_power(k)
-            bumps = [(ix, -k), (ix + 1, -k)]
-            bumps += [(raised + j, k * s) for j, s in enumerate(step) if s]
+        for f, k, bumps in _contractions(rules[t], k1[ix + 1], k2[ix]):
             for e, g in out:
                 key = list(e)
+                key[ix] -= k
+                key[ix + 1] -= k
                 for j, d in bumps:
                     key[j] += d
                 grown.append((tuple(key), f if g is None else g * f))
         out += grown
     return out
+
+
+@lru_cache(maxsize=2048)
+def _contractions(rule: tuple, m: int, n: int) -> Tuple[tuple, ...]:
+    """(factor, k, bumps) per contracted term of Y^m X^n, k >= 1, under a
+    rule: k! C(m,k) C(n,k) unit^k, an int or a CRat, and the (index, shift)
+    of each exponent the rule raises.  Bounded; the key hashes no CRat."""
+    raised, step, unit_power = rule
+    return tuple((weight * unit_power(k), k,
+                  tuple((raised + j, k * s) for j, s in enumerate(step) if s))
+                 for k, weight in _expansion(m, n)[1:])
 
 
 @lru_cache(maxsize=1024)

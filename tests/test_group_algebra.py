@@ -1,7 +1,9 @@
 """Convolution algebra on the two-sector group: normal ordering, commutators
 and the delta-kernel correspondence."""
 
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -59,6 +61,23 @@ def test_standard_tuple_units():
     # [Q, P] carries +i*hbar under the standard tuple
     assert std.gamma_unit == CR_ONE
     assert std.anti_normal_order
+
+
+def test_signature_hash_is_the_field_tuples_and_survives_copies():
+    """The cached hash is hash((dof, convention)), as the dataclass computed
+    it: equal signatures hash alike, through copy and pickle too, and a
+    signature never equals the tuple of its fields."""
+    conv = ConventionTuple(CR_I, CR_ONE, CR_MINUS_ONE, CR_ONE, 1, -1)
+    for dof, c in ((1, ConventionTuple.standard()), (2, conv), (3, conv)):
+        sig = GroupSignature(dof, c)
+        twin = GroupSignature(dof, ConventionTuple.from_json(c.to_json()))
+        assert sig == twin and hash(sig) == hash(twin) == hash((dof, c))
+        fresh = pickle.loads(pickle.dumps(GroupSignature(dof, c)))
+        for back in (copy.copy(sig), copy.deepcopy(sig), pickle.loads(pickle.dumps(sig)),
+                     fresh):
+            assert back == sig and hash(back) == hash(sig)
+        assert sig != (dof, c) and (dof, c) != sig
+    assert GroupSignature(1) != GroupSignature(2)
 
 
 def test_signature_layout():

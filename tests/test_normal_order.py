@@ -15,7 +15,7 @@ from math import comb, factorial
 import pytest
 
 from pbracket.group_algebra import ConventionTuple, Element, GroupSignature, multiply
-from pbracket.terms import _expansion, normal_order
+from pbracket.terms import _contractions, _expansion, normal_order
 from pbracket.pmech import ClassicalPoly
 from pbracket.representations import (HybridObservable, WeylAlgebra, WeylOperator, _jet_rules,
                                       qc_algebra, qq_algebra)
@@ -223,6 +223,7 @@ def test_expansion_weights_match_the_closed_form_and_the_rewriter():
             rewritten = rewrite((1,) * m + (0,) * n, 2, 0, lambda t: ((), 1))
             assert rewritten == {(n - k, m - k): scalar(w) for k, w in _expansion(m, n)}
     assert _expansion.cache_info().maxsize is not None
+    assert _contractions.cache_info().maxsize is not None
 
 
 def _normal_order_per_pair(k1, k2, first, rules):
@@ -331,3 +332,26 @@ def test_normal_order_on_fixed_contractions(dof):
     unit = -CR_I
     assert {key[:2]: f for key, f in got} == {
         (0, 0): None, (0, 1): 2 * unit, (1, 0): 2 * unit, (1, 1): 4 * unit ** 2}
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3])
+def test_contraction_table_equals_the_per_pair_reference_up_to_k_4(dof):
+    """normal_order reads each contracting pair's terms off a table cached
+    per (rule, m, n).  Y^m X^n for every m, n up to 4 in each slot, the
+    other slots random, equals the per-pair reference in the Element, Weyl
+    and hybrid layouts under each convention, with the table cold and then
+    warm."""
+    rng = random.Random(3000 + dof)
+    _contractions.cache_clear()
+    for conv in CONVENTIONS:
+        for first, rules, width, after in _layouts(GroupSignature(dof, conv)):
+            for t in range(len(rules)):
+                others = [s for s in range(len(rules)) if s != t]
+                for m in range(5):
+                    for n in range(5):
+                        k1, k2 = (list(_sparse_key(rng, width, first, others, after))
+                                  for _ in range(2))
+                        k1[first + 2 * t + 1], k2[first + 2 * t] = m, n
+                        for _ in range(2):
+                            _assert_same_expansion(tuple(k1), tuple(k2), first, rules)
+    assert _contractions.cache_info().hits

@@ -419,7 +419,23 @@ def test_vector_field_suite_fails_the_probes_a_per_probe_loop_fails(monkeypatch,
     assert (rep.status, rep.failures, rep.counterexample) == ("fail", len(failed), failed[0])
 
 
-def test_vector_field_action_checks_a_triple_contraction(monkeypatch):
+@pytest.fixture
+def wrong_weights(monkeypatch):
+    """Sets terms._expansion to a mutant of the true weights, given as a
+    function of (k, weight).  normal_order reads the weights through its
+    contraction table, which is cleared then, so the mutant is read, and
+    again after the test, so its weights reach no later test."""
+    def patch(mutant):
+        expansion = terms._expansion
+        monkeypatch.setattr(terms, "_expansion", lambda m, n: tuple(
+            (k, mutant(k, w)) for k, w in expansion(m, n)))
+        terms._contractions.cache_clear()
+
+    yield patch
+    terms._contractions.cache_clear()
+
+
+def test_vector_field_action_checks_a_triple_contraction(wrong_weights):
     """Y^3 X^3 contracts up to three times in one slot (weights 1, 9, 18, 6):
     product and composition agree on both probes, and a product whose
     k = 3 weight is doubled fails on each."""
@@ -431,9 +447,7 @@ def test_vector_field_action_checks_a_triple_contraction(monkeypatch):
             vector_field_action(y3, vector_field_action(x3, f))
 
     assert all(agrees(f) for f in probes)
-    expansion = terms._expansion
-    monkeypatch.setattr(terms, "_expansion", lambda m, n: tuple(
-        (k, 2 * w if k >= 3 else w) for k, w in expansion(m, n)))
+    wrong_weights(lambda k, w: 2 * w if k >= 3 else w)
     assert not any(agrees(f) for f in probes)
 
 
@@ -511,14 +525,12 @@ def test_oracle_check_passes_at_dof_2():
     assert all(r.ok for r in reports)
 
 
-def test_matrix_word_products_catch_wrong_factor_at_dof_2(monkeypatch):
+def test_matrix_word_products_catch_wrong_factor_at_dof_2(wrong_weights):
     # a Weyl product with a wrong contraction factor must fail the
     # comparison against the direct product of the ladder matrices
     sig = GroupSignature(dof=2)
     assert {r.check: r for r in check_matrix_suite(sig)}["matrix-word-products"].ok
-    expansion = terms._expansion
-    monkeypatch.setattr(terms, "_expansion", lambda m, n: tuple(
-        (k, 2 * w if k else w) for k, w in expansion(m, n)))
+    wrong_weights(lambda k, w: 2 * w if k else w)
     reports = {r.check: r for r in check_matrix_suite(sig)}
     assert not reports["matrix-word-products"].ok
 

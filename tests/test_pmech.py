@@ -8,6 +8,7 @@ import pytest
 from pbracket.errors import (AObservableProductError, NotMechanised,
                              SignatureMismatch, UnknownRule)
 from pbracket.scalars import CRat, CR_ONE
+from pbracket.terms import _contractions
 from pbracket.group_algebra import (Element, GroupSignature, commutator,
                                     delta_to_element)
 from pbracket.pmech import (AObservable, ClassicalPoly, apply_antiderivative,
@@ -78,6 +79,19 @@ def test_mechanise_monomials():
         - s.scale(conv.eps_comm * conv.kappa_x * conv.kappa_y * CRat(Fraction(1, 2)))
     assert mechanise_weyl(SIG, q(1) * p(1)) == expected
     assert str(mechanise_weyl(SIG, q(1) * p(1))) == "delta[x1,y1] + (1/2)*delta[s1]"
+
+
+def test_mechanise_reuses_its_rules_per_signature():
+    """mechanise_weyl's rules are one tuple per signature, so a second call,
+    on the same signature or an equal one, finds every term of its
+    contraction table again: no misses."""
+    sig = GroupSignature(dof=2)
+    f = (q(1, 1, 2) * p(1, 1, 2)) ** 3 + q(2, 2, 2) ** 2 * p(2, 2, 2) ** 4
+    first = mechanise_weyl(sig, f)
+    misses = _contractions.cache_info().misses
+    for again in (sig, GroupSignature(dof=2)):
+        assert mechanise_weyl(again, f) == first
+    assert _contractions.cache_info().misses == misses
 
 
 def test_mechanise_is_linear():

@@ -17,7 +17,7 @@ from pbracket.qc_bracket import (bracket_via_universal, classicality_gap,
                                  qc_bracket_terms)
 from pbracket.sampling import rand_classical
 from pbracket.representations import (HybridObservable, hybrid_from_sector2_poly,
-                                      multiply_hybrid, rep_qc)
+                                      multiply_hybrid, rep_qc, rep_qq)
 
 SIG = GroupSignature(dof=1)
 
@@ -219,3 +219,19 @@ def test_h_eff_singularities():
         h_eff(0, 0)
     with pytest.raises(DivisionByZero):
         h_eff(1, -1)
+
+
+def test_numeric_entry_points_take_only_ints_and_fractions():
+    """qc_bracket's hbar, rep_qq's h1 and h2 and h_eff's h1 and h2 refuse a
+    float, a bool, a string and a NaN with a ValueError that names the
+    argument, where Fraction() would have read each as a number."""
+    K1, K2 = rep(q(1) ** 2), rep(p(1) ** 2)
+    k = mech(q(1) * p(2))
+    calls = [("hbar", lambda v: qc_bracket(K1, K2, hbar=v)),
+             ("h1", lambda v: rep_qq(k, h1=v)), ("h2", lambda v: rep_qq(k, h2=v)),
+             ("h1", lambda v: h_eff(v, 1)), ("h2", lambda v: h_eff(1, v))]
+    for name, call in calls:
+        call(Fraction(1, 2))
+        for bad in (0.1, True, "1/2", float("nan")):
+            with pytest.raises(ValueError, match=f"^{name} must be an int or a Fraction"):
+                call(bad)

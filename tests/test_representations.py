@@ -18,6 +18,7 @@ from pbracket.representations import (HybridObservable, WeylAlgebra,
                                       WeylOperator, commutator_hybrid,
                                       hybrid_from_sector2_poly, multiply_hybrid,
                                       qc_algebra, qq_algebra, rep_qc, rep_qq)
+from pbracket.terms import pair_masks
 
 SIG = GroupSignature(dof=1)
 
@@ -454,4 +455,39 @@ def test_hybrid_commutators_expand_only_pairs_that_contract(monkeypatch):
     for a, b, difference in pairs:
         assert commutator_hybrid(a, b) == difference
     assert sum(n > 1 for n in sizes) >= 20
-    assert 1 not in sizes
+    assert 1 not in sizes and 0 not in sizes
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3])
+def test_hybrid_commutators_skip_pairs_past_jet_1(monkeypatch, dof):
+    """Two jet-1 keys multiply past jet 1 whole, even where their Weyl pairs
+    contract: their masks never meet, so the commutator expands no pair
+    whose expansion is empty, and it still equals the products'
+    difference.  The seeded images hold many such pairs."""
+    sig = GroupSignature(dof)
+    rng = random.Random(1700 + dof)
+    s2 = Element.generator(sig, "S2")
+
+    def image():
+        return rep_qc(rand_element(rng, sig, max_degree=4, terms=4)
+                      + s2 * rand_element(rng, sig, max_degree=4, terms=4))
+
+    pairs = [(image(), image()) for _ in range(20)]
+    jet2 = 0
+    for a, b in pairs:
+        for k1, k2 in itertools.product(a.flat, b.flat):
+            (x1, y1), (x2, y2) = pair_masks(k1, 0, dof), pair_masks(k2, 0, dof)
+            jet2 += k1[-4] == k2[-4] == 1 and bool(y1 & x2 or y2 & x1)
+    expand = HybridObservable._expand
+    empty = []
+
+    def spy(self, k1, k2):
+        out = expand(self, k1, k2)
+        if not out:
+            empty.append((k1, k2))
+        return out
+
+    expected = [multiply_hybrid(a, b) - multiply_hybrid(b, a) for a, b in pairs]
+    monkeypatch.setattr(HybridObservable, "_expand", spy)
+    assert [commutator_hybrid(a, b) for a, b in pairs] == expected
+    assert empty == [] and jet2 >= 10

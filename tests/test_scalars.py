@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from pbracket.scalars import (CRat, CR_I, CR_MINUS_I, CR_MINUS_ONE, CR_ONE,
-                              CR_ZERO, S_ONE, S_ZERO, Scalar, scalar)
+                              CR_ZERO, S_ONE, S_ZERO, UNIT_VALUES, Scalar, flat_value,
+                              scalar, unit_cycle)
 
 
 def test_crat_construction_and_equality():
@@ -50,6 +51,18 @@ def test_crat_powers():
     assert CR_I ** 3 == CR_MINUS_I
     assert CR_I ** 4 == CR_ONE
     assert CRat.of(3) ** 0 == CR_ONE
+
+
+def test_unit_cycle_holds_every_power_of_a_unit():
+    """u^n is entry n % 4 of the unit's cycle for negative n too, as the
+    same flat value, an int for a real integer; a non-unit is refused."""
+    for u in UNIT_VALUES:
+        for n in range(-4, 9):
+            got, expected = unit_cycle(u)[n % 4], flat_value(u ** n)
+            assert got == expected and type(got) is type(expected), (u, n)
+    for bad in (CRat(2), CRat(1, 1), CR_ZERO, 1):
+        with pytest.raises(ValueError, match="not a unit"):
+            unit_cycle(bad)
 
 
 def test_crat_rendering():
