@@ -6,7 +6,7 @@ Commands:
     bracket qc <e1> <e2> [--hbar SYM|RAT]
     rep qq <e> [--h1 RAT] [--h2 RAT]
     rep qc <e>
-    mechanise <classical-expr> [--rule NAME]
+    mechanise <classical-expr>
     heff <h1> <h2>
     oracle check [--seed N]
     calibrate [--out PATH]
@@ -26,7 +26,7 @@ be written included).
 
 Expression arguments accept both classical phase-space polynomials (q1, p2,
 ...) and delta kernels (delta[x1,y1]); classical inputs to bracket and rep
-commands are mechanised with the default rule first.
+commands are mechanised with the Weyl rule first.
 """
 
 from __future__ import annotations
@@ -38,11 +38,11 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-from .errors import ExpressionTooLarge, ExprError, PBracketError, UnknownRule
+from .errors import ExpressionTooLarge, ExprError, PBracketError
 from .config import MAX_DOF, EngineConfig, resolve_config
 from .expressions import evaluate
 from .group_algebra import Element, element_to_json
-from .pmech import mechanise_plugin, universal_bracket
+from .pmech import mechanise_weyl, universal_bracket
 from .representations import rep_qc, rep_qq
 from .qc_bracket import h_eff, qc_bracket
 
@@ -121,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     mech = sub.add_parser("mechanise", parents=[common],
                           help="classical polynomial to convolution kernel")
     mech.add_argument("expr")
-    mech.add_argument("--rule", default="weyl")
 
     heff_p = sub.add_parser("heff", parents=[common],
                             help="effective Planck constant of the composite")
@@ -210,7 +209,7 @@ def _signature_dof(text: str) -> int:
 def _element_arg(text: str, sig) -> Element:
     result = evaluate(text, sig)
     if result.kind == "classical":
-        return mechanise_plugin(sig, result.value)
+        return mechanise_weyl(sig, result.value)
     return result.value
 
 
@@ -261,10 +260,7 @@ def _cmd_mechanise(ns: argparse.Namespace, cfg: EngineConfig) -> int:
     result = evaluate(ns.expr, sig)
     if result.kind != "classical":
         raise _UsageError("mechanise expects a classical phase-space expression")
-    try:
-        element = mechanise_plugin(sig, result.value, rule=ns.rule)
-    except UnknownRule as exc:
-        raise _UsageError(str(exc)) from exc
+    element = mechanise_weyl(sig, result.value)
     _emit(ns, element_to_json(element), str(element))
     return 0
 

@@ -30,7 +30,7 @@ from left to right is the one reported.  Parse errors and mixing are
 ExprSyntaxError (a builtin SyntaxError subclass), unrecognized names raise
 UnknownSymbol, out-of-bounds sector or dof digits raise IndexOutOfRange, and
 a product or power beyond the size bounds below raises ExpressionTooLarge
-before it is expanded.
+before it is expanded, and so does nesting past MAX_NESTING.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .scalars import CRat, CR_I
 from .group_algebra import Element, GroupSignature, parse_var
 from .pmech import ClassicalPoly
 
-__all__ = ["evaluate", "EvalResult", "MAX_DEGREE", "MAX_TERMS"]
+__all__ = ["evaluate", "EvalResult", "MAX_DEGREE", "MAX_NESTING", "MAX_TERMS"]
 
 # Size bounds on '^' and '*', checked before the step is expanded.  The
 # largest inputs in the tests, the CLI goldens and the benchmark have total
@@ -60,6 +60,10 @@ __all__ = ["evaluate", "EvalResult", "MAX_DEGREE", "MAX_TERMS"]
 # ((9^16)^16)^16 cannot grow a number's digits without bound.
 MAX_DEGREE = 16     # exponent and total degree of a product or power
 MAX_TERMS = 2000    # estimated term count of a product or power
+
+# Open '(' and unary '-' levels: the parser recurses a few frames per level,
+# so the bound keeps it well inside the interpreter's recursion limit.
+MAX_NESTING = 100
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +143,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.sig = sig
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -166,6 +171,14 @@ class _Parser:
             raise ExprSyntaxError(f"expected {what}, found {_shown(tok)!r}", tok.line, tok.col)
         return self.advance()
 
+    def nested(self, tok: _Token, rule, *args) -> _Value:
+        """rule(*args) one '(' or unary '-' level deeper, refused at tok past MAX_NESTING."""
+        self.depth += 1
+        _limit(tok, "nesting depth", self.depth, MAX_NESTING)
+        value = rule(*args)
+        self.depth -= 1
+        return value
+
     # grammar rules ---------------------------------------------------------
 
     def expr(self) -> _Value:
@@ -184,8 +197,8 @@ class _Parser:
         """A factor; when it is the right operand of the product token star,
         a power whose own limits pass is refused by star's degree limit
         before it is expanded, as combine would refuse it after."""
-        if self.accept("-") is not None:
-            kind, value, weight = self.factor(left, star)
+        if (tok := self.accept("-")) is not None:
+            kind, value, weight = self.nested(tok, self.factor, left, star)
             return _Value(kind, -value, weight)
         base = self.atom()
         tok = self.accept("^")
@@ -212,7 +225,7 @@ class _Parser:
                 value = value / _int(dtok)
             return _Value("n", CRat(value), 1)
         if tok.kind == "op" and tok.value == "(":
-            inner = self.expr()
+            inner = self.nested(tok, self.expr)
             self.expect_op(")")
             return inner
         if tok.kind == "name":

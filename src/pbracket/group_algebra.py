@@ -125,10 +125,9 @@ class ConventionTuple:
         return self.rep_s_sign * self.eps_comm
 
     @cached_property
-    def star_unit(self) -> CRat:
-        """Coefficient kappa in the one-sided jet star product
-        f * g = fg + kappa * h2 * sum_i d_p f d_q g."""
-        return -(self.eps_comm * self.rep_s_sign * CR_I)
+    def central_cycle(self) -> tuple:
+        """unit_cycle(u) of u = rep_s_sign * i: S_s^n represents as u^n hbar_s^n."""
+        return unit_cycle(CR_I * self.rep_s_sign)
 
     @property
     def anti_normal_order(self) -> bool:
@@ -164,7 +163,7 @@ class ConventionTuple:
 def slot_index(dof: int, sector: int, i: int) -> int:
     """Slot of degree of freedom i of a sector: sector 1's slots come first."""
     require_int(dof, "dof")
-    if sector not in (1, 2):
+    if require_int(sector, "sector") not in (1, 2):
         raise ValueError("sector must be 1 or 2")
     if not 1 <= require_int(i, "dof index") <= dof:
         raise ValueError(f"dof index {i} outside 1..{dof}")

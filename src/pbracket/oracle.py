@@ -27,7 +27,6 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
 from itertools import product
 from typing import TYPE_CHECKING, Dict, List, Tuple, Union
@@ -64,7 +63,6 @@ __all__ = [
 # generator fields on polynomials in group coordinates
 
 
-@lru_cache(maxsize=32)
 def _generator_fields(sig: GroupSignature) -> Tuple[Tuple[int, int, int, int], ...]:
     """Left-invariant vector field of each generator, indexed like Element
     exponents, as ``(idx, s_idx, partner_idx, sign)``, eps/2 left to _act:

@@ -301,7 +301,7 @@ def apply_antiderivative(e: Element, sector: int) -> AObservable:
     the monomial behind the formal factor A_s (exponent -1) when not; the
     shift is one-to-one, so no two terms meet.
     """
-    if sector not in (1, 2):
+    if require_int(sector, "sector") not in (1, 2):
         raise ValueError("sector must be 1 or 2")
     idx = sector - 1
     return AObservable._over({k[:idx] + (k[idx] - 1,) + k[idx + 1:]: c

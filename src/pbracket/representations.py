@@ -6,13 +6,13 @@ sector 2 to a first-order jet: commutative polynomials in q_i, p_i together
 with a single power of h2, truncated past first order.  Hybrid observables
 multiply with a one-sided jet star product
 
-    f * g = f g + star_unit * h2 * sum_i (df/dp_i)(dg/dq_i),
+    f * g = f g + u * h2 * sum_i (df/dp_i)(dg/dq_i),
 
 which is exactly the correction that makes the per-monomial representation a
 homomorphism to first jet order.  It is the normal ordering of sector 2's
-Heisenberg pair cut at h2^1 (star_unit * h2 is minus the pair's commutator),
-so a hybrid product runs the one contraction kernel, terms.normal_order,
-over the Weyl and classical pairs of a key alike.
+Heisenberg pair cut at h2^1 (u * h2 is minus the pair's commutator, u the
+unit a Weyl pair contracts by), so a hybrid product runs the one contraction
+kernel, terms.normal_order, over the Weyl and classical pairs of a key alike.
 
 Both representations read the flat keys of an Element or an AObservable in
 one pass: each sends a power S_s^n of a central generator to a closed-form
@@ -27,10 +27,10 @@ from fractions import Fraction
 from typing import Mapping, Optional, Tuple, Union
 
 from .errors import SignatureMismatch, ZeroPlanck
-from .scalars import CR_I, CRat, PlanckMap, Scalar, S_ONE, power, scalar, unit_cycle
+from .scalars import CR_I, CRat, PlanckMap, Scalar, S_ONE, power, scalar
 from .terms import (accumulate, coeff_str, exponent_map,
                     normal_order, pair_masks, power_str, render_terms)
-from .group_algebra import Element, GroupSignature, require_rational
+from .group_algebra import Element, GroupSignature, require_int, require_rational
 from .pmech import AObservable, ClassicalPoly
 
 __all__ = [
@@ -117,7 +117,7 @@ class WeylOperator(PlanckMap):
     def generator(cls, algebra: WeylAlgebra, kind: str, d: int) -> "WeylOperator":
         if kind not in ("Q", "P"):
             raise ValueError("kind must be 'Q' or 'P'")
-        if not 0 <= d < algebra.dofs:
+        if not 0 <= require_int(d, "dof index") < algebra.dofs:
             raise ValueError(f"dof index {d} outside 0..{algebra.dofs - 1}")
         mono = [0] * algebra.width
         mono[2 * d + (0 if kind == "Q" else 1)] = 1
@@ -234,11 +234,8 @@ class HybridObservable(PlanckMap):
     def _masks(self, key: tuple) -> tuple:
         """The Weyl pairs' bits, then, at jet degree 0, the classical (q, p)
         pairs' bits, which the star term contracts: past jet 1 a star
-        contraction reaches jet 2, which is dropped.  Jet-0 masks repeat 2*dof
-        bits up, where alone a jet-1 key's X bits sit: jet-1 keys never meet."""
-        up = 2 * self.signature.dof
-        x, y = pair_masks(key, 0, up >> key[-4])     # dof pairs at jet 1
-        return (x << up, y) if key[-4] else (x | x << up, y | y << up)
+        contraction reaches jet 2, which is dropped."""
+        return pair_masks(key, 0, (2 * self.signature.dof) >> key[-4])
 
     def _identity(self) -> "HybridObservable":
         return HybridObservable.identity(self.signature)
@@ -266,7 +263,7 @@ class HybridObservable(PlanckMap):
     def _q_index(self, i: int) -> int:
         """The key index of q_i, i from 0; any other i would land on a Weyl
         exponent or on the jet degree."""
-        if not 0 <= i < self.dof:
+        if not 0 <= require_int(i, "dof index") < self.dof:
             raise ValueError(f"dof index {i} outside 0..{self.dof - 1}")
         return self.algebra.width + 2 * i
 
@@ -331,11 +328,11 @@ def _jet_rules(sig: GroupSignature) -> Tuple[tuple, ...]:
     its Planck tail moved past the classical exponents and the jet degree,
     then each classical (q, p) pair's, the jet of sector 2's Heisenberg
     pair: a contraction raises the jet degree, at index 4*dof, by one and
-    multiplies by the star unit, as h2 times its -gamma would."""
+    multiplies by the Weyl pair's unit, as h2 times its -gamma would."""
     shift = 2 * sig.dof + 1
-    star = (4 * sig.dof, (1,), partial(power, sig.convention.star_unit))
-    return tuple((raised + shift, step, unit) for raised, step, unit
-                 in qc_algebra(sig).contraction_rules) + (star,) * sig.dof
+    weyl = qc_algebra(sig).contraction_rules
+    return (tuple((raised + shift, step, unit) for raised, step, unit in weyl)
+            + tuple((4 * sig.dof, (1,), unit) for _, _, unit in weyl))
 
 
 def rep_qq(k: Union[Element, AObservable],
@@ -354,7 +351,7 @@ def rep_qq(k: Union[Element, AObservable],
     for name, v in subs.items():
         if not v:
             raise ZeroPlanck(f"{name} must be nonzero")
-    cycle = unit_cycle(CR_I * sig.convention.rep_s_sign)
+    cycle = sig.convention.central_cycle
     acc: dict = {}
     for key, coeff in k.flat.items():
         s1, s2 = key[0], key[1]
@@ -374,7 +371,7 @@ def rep_qc(k: Union[Element, AObservable]) -> HybridObservable:
     so does a formal A2 factor, S2^-1, the jet having no inverse.
     """
     sig = k.signature
-    cycle = unit_cycle(CR_I * sig.convention.rep_s_sign)
+    cycle = sig.convention.central_cycle
     acc: dict = {}
     for key, coeff in k.flat.items():
         s1, jet = key[0], key[1]

@@ -250,7 +250,6 @@ CR_MINUS_I = CRat(0, -1)
 UNIT_VALUES = (CR_ONE, CR_MINUS_ONE, CR_I, CR_MINUS_I)
 
 
-@lru_cache(maxsize=8)
 def unit_cycle(u: CRat) -> tuple:
     """The powers u^0..u^3 of a unit u as flat values: u^n is entry n % 4
     for every integer n, a negative one too, so a loop indexes a tuple."""

@@ -126,11 +126,8 @@ def _contractions(rule: tuple, m: int, n: int) -> Tuple[tuple, ...]:
                  for k, weight in _expansion(m, n)[1:])
 
 
-@lru_cache(maxsize=1024)
 def _expansion(m: int, n: int) -> Tuple[Tuple[int, int], ...]:
-    """The (k, k! C(m,k) C(n,k)) terms of Y^m X^n, k = 0..min(m, n).  The
-    cache is bounded; the exponents products meet are small, so it holds
-    the pairs of a whole session."""
+    """The (k, k! C(m,k) C(n,k)) terms of Y^m X^n, k = 0..min(m, n)."""
     return tuple((k, factorial(k) * comb(m, k) * comb(n, k))
                  for k in range(min(m, n) + 1))
 

@@ -181,8 +181,10 @@ def test_bracket_up_to_the_pair_bound_succeeds(capsys, monkeypatch):
 
 
 def test_unknown_rule_is_usage_error(capsys):
-    code, _, _ = run(capsys, "mechanise", "q1", "--rule", "nosuch")
-    assert code == 2
+    """mechanise takes no --rule: the Weyl rule is the only one."""
+    for rule in ("nosuch", "weyl"):
+        code, out, _ = run(capsys, "mechanise", "q1", "--rule", rule)
+        assert (code, out) == (2, ""), rule
 
 
 def test_bad_signature_is_usage_error(capsys):

@@ -10,7 +10,7 @@ import pytest
 from pbracket import cli, sampling
 from pbracket.errors import (ExpressionTooLarge, ExprSyntaxError,
                              IndexOutOfRange, UnknownSymbol)
-from pbracket.expressions import MAX_DEGREE, MAX_TERMS, evaluate
+from pbracket.expressions import MAX_DEGREE, MAX_NESTING, MAX_TERMS, evaluate
 from pbracket.scalars import CRat, CR_I
 from pbracket.group_algebra import Element, GroupSignature, delta_to_element, var_names
 from pbracket.pmech import ClassicalPoly, mechanise_weyl
@@ -250,6 +250,32 @@ def test_number_past_the_interpreter_digit_limit_is_too_large():
         with pytest.raises(ExpressionTooLarge) as err:
             evaluate(src, SIG)
         assert (err.value.line, err.value.col) == pos
+
+
+def test_nesting_past_the_bound_is_too_large(capsys):
+    """The parser recurses once per '(' and unary '-' level: the level past
+    MAX_NESTING is refused at its token, well inside the interpreter's
+    recursion limit, and the first error from the left still wins."""
+    n = MAX_NESTING
+    assert value("(" * n + "q1" + ")" * n) == q(1)
+    assert value("-" * (n - 1) + "q1") == -q(1)
+    assert value("-(" * (n // 2) + "q1" + ")" * (n // 2)) == q(1)
+    assert value("+".join(["(-q1)"] * (n + 1))) == const(-(n + 1)) * q(1)
+    for src, pos in (("(" * 300 + "q1" + ")" * 300, (1, n + 1)),
+                     ("-" * 3000 + "q1", (1, n + 1)),
+                     ("q1 +\n" + "-(" * n + "q1" + ")" * n, (2, n + 1)),
+                     ("(" * (n + 1) + "q9" + ")" * (n + 1), (1, n + 1))):
+        with pytest.raises(ExpressionTooLarge) as err:
+            evaluate(src, SIG)
+        assert (err.value.line, err.value.col) == pos, src[:8]
+    assert str(err.value) == (f"'(' would reach nesting depth {n + 1}, above the limit "
+                              f"of {n} (line 1, column {n + 1})")
+    with pytest.raises(UnknownSymbol):
+        evaluate("z + " + "(" * 300 + "q1" + ")" * 300, SIG)
+    for src in ("(" * 300 + "q1" + ")" * 300, "-" * 3000 + "q1"):
+        assert cli.main(["mechanise", "--", src]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "nesting depth" in out.err and "internal" not in out.err
 
 
 def test_size_bounds_accept_up_to_the_limits():

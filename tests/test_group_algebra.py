@@ -12,7 +12,7 @@ import pytest
 import pbracket.group_algebra as group_algebra
 from pbracket.errors import SignatureMismatch
 from pbracket.sampling import rand_classical, rand_element
-from pbracket.scalars import CRat, CR_I, CR_MINUS_ONE, CR_ONE, UNIT_VALUES, Scalar
+from pbracket.scalars import CRat, CR_I, CR_MINUS_ONE, CR_ONE, UNIT_VALUES, Scalar, unit_cycle
 from pbracket.group_algebra import (ConventionTuple, Element, GroupSignature,
                                     commutator, delta_str, delta_to_element,
                                     element_from_json, element_to_delta,
@@ -61,6 +61,13 @@ def test_standard_tuple_units():
     # [Q, P] carries +i*hbar under the standard tuple
     assert std.gamma_unit == CR_ONE
     assert std.anti_normal_order
+
+
+def test_central_cycle_is_the_cycle_of_rep_s_sign_times_i():
+    for rep_s in (1, -1):
+        conv = ConventionTuple(CR_I, CR_ONE, CR_ONE, CR_ONE, 1, rep_s)
+        assert conv.central_cycle == unit_cycle(CR_I * rep_s)
+        assert conv.central_cycle[1] == CR_I * rep_s
 
 
 def test_signature_hash_is_the_field_tuples_and_survives_copies():

@@ -141,16 +141,17 @@ def test_weyl_product_with_several_term_gammas_matches_word_rewriter(dof):
 def test_hybrid_product_matches_word_rewriter(dof, conv):
     """The hybrid key as one word: Weyl pairs, then classical (q, p) pairs,
     then the jet generator h2.  A classical p before a q swaps with the star
-    unit times h2, so h2 acts as the dual number of the jet; keys past jet
-    degree 1 are dropped.  The random keys reach what rep_qc images do not:
+    unit -(eps * rep_s * i) times h2, so h2 acts as the dual number of the
+    jet; keys past jet degree 1 are dropped.  The random keys reach what rep_qc images do not:
     a jet-1 term times a classical contraction, and two contractions."""
     sig = GroupSignature(dof=dof, convention=conv)
     alg = qc_algebra(sig)
     width = 4 * dof + 1
     jet_index = width - 1
+    star_unit = -(conv.eps_comm * conv.rep_s_sign * CR_I)
 
     def contraction(t):
-        return ((), -alg.gammas[t]) if t < dof else ((jet_index,), conv.star_unit)
+        return ((), -alg.gammas[t]) if t < dof else ((jet_index,), star_unit)
 
     rng = random.Random(300 * dof + CONVENTIONS.index(conv))
     starred = 0
@@ -222,7 +223,6 @@ def test_expansion_weights_match_the_closed_form_and_the_rewriter():
         for n in range(5):
             rewritten = rewrite((1,) * m + (0,) * n, 2, 0, lambda t: ((), 1))
             assert rewritten == {(n - k, m - k): scalar(w) for k, w in _expansion(m, n)}
-    assert _expansion.cache_info().maxsize is not None
     assert _contractions.cache_info().maxsize is not None
 
 

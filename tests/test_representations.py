@@ -11,11 +11,11 @@ from pbracket.errors import SignatureMismatch, ZeroPlanck
 from pbracket.sampling import rand_classical, rand_element
 from pbracket.scalars import (CR_I, CR_MINUS_ONE, CR_ONE, S_ONE, UNIT_VALUES,
                               Scalar, scalar)
-from pbracket.group_algebra import ConventionTuple, Element, GroupSignature
+from pbracket.group_algebra import ConventionTuple, Element, GroupSignature, slot_index
 from pbracket.pmech import (AObservable, ClassicalPoly, apply_antiderivative,
                             mechanise_weyl, universal_bracket)
 from pbracket.representations import (HybridObservable, WeylAlgebra,
-                                      WeylOperator, commutator_hybrid,
+                                      WeylOperator, _jet_rules, commutator_hybrid,
                                       hybrid_from_sector2_poly, multiply_hybrid,
                                       qc_algebra, qq_algebra, rep_qc, rep_qq)
 from pbracket.terms import pair_masks
@@ -301,13 +301,19 @@ def test_weyl_entry_factor_is_the_contraction_weight(dof):
 
 def test_star_unit_times_h_is_minus_the_qc_gamma_under_every_convention():
     """The hybrid's classical rule is the Weyl rule of sector 2's pair cut
-    at h2^1: star_unit * h = -gamma for all 1024 tuples, so the jet's
+    at h2^1: each star rule of _jet_rules carries the qc Weyl rule's unit
+    power, and that unit times h is -gamma for all 1024 tuples, so the jet's
     contraction is the h2 Heisenberg pair's."""
     h = Scalar.symbol("h")
     count = 0
     for conv in _all_conventions():
-        sig = GroupSignature(1, conv)
-        assert conv.star_unit * h == -qc_algebra(sig).gammas[0], conv
+        for dof in (1, 2):
+            sig = GroupSignature(dof, conv)
+            weyl, rules = qc_algebra(sig).contraction_rules, _jet_rules(sig)
+            for (_, _, unit), (raised, step, star) in zip(weyl, rules[dof:], strict=True):
+                assert (raised, step) == (4 * dof, (1,)), conv
+                assert [star(k) for k in range(4)] == [unit(k) for k in range(4)], conv
+            assert scalar(rules[dof][2](1)) * h == -qc_algebra(sig).gammas[0], conv
         count += 1
     assert count == 1024
 
@@ -434,7 +440,8 @@ def test_a_formal_antiderivative_is_the_inverse_of_its_central_image(dof):
 def test_hybrid_commutators_expand_only_pairs_that_contract(monkeypatch):
     """A jet-1 key has no classical mask bits, since a star contraction past
     jet 1 reaches jet 2, which is dropped: so no pair that the commutator
-    expands returns the uncontracted entry 0 alone."""
+    expands returns the uncontracted entry 0 alone.  Two jet-1 keys whose
+    Weyl pairs contract expand to nothing."""
     rng = random.Random(1500)
     pairs = []
     for dof in (1, 2, 3):
@@ -455,15 +462,14 @@ def test_hybrid_commutators_expand_only_pairs_that_contract(monkeypatch):
     for a, b, difference in pairs:
         assert commutator_hybrid(a, b) == difference
     assert sum(n > 1 for n in sizes) >= 20
-    assert 1 not in sizes and 0 not in sizes
+    assert 1 not in sizes
 
 
 @pytest.mark.parametrize("dof", [1, 2, 3])
-def test_hybrid_commutators_skip_pairs_past_jet_1(monkeypatch, dof):
+def test_hybrid_commutators_skip_pairs_past_jet_1(dof):
     """Two jet-1 keys multiply past jet 1 whole, even where their Weyl pairs
-    contract: their masks never meet, so the commutator expands no pair
-    whose expansion is empty, and it still equals the products'
-    difference.  The seeded images hold many such pairs."""
+    contract, and the commutator still equals the products' difference.
+    The seeded images hold many such pairs."""
     sig = GroupSignature(dof)
     rng = random.Random(1700 + dof)
     s2 = Element.generator(sig, "S2")
@@ -478,16 +484,23 @@ def test_hybrid_commutators_skip_pairs_past_jet_1(monkeypatch, dof):
         for k1, k2 in itertools.product(a.flat, b.flat):
             (x1, y1), (x2, y2) = pair_masks(k1, 0, dof), pair_masks(k2, 0, dof)
             jet2 += k1[-4] == k2[-4] == 1 and bool(y1 & x2 or y2 & x1)
-    expand = HybridObservable._expand
-    empty = []
-
-    def spy(self, k1, k2):
-        out = expand(self, k1, k2)
-        if not out:
-            empty.append((k1, k2))
-        return out
-
     expected = [multiply_hybrid(a, b) - multiply_hybrid(b, a) for a, b in pairs]
-    monkeypatch.setattr(HybridObservable, "_expand", spy)
     assert [commutator_hybrid(a, b) for a, b in pairs] == expected
-    assert empty == [] and jet2 >= 10
+    assert jet2 >= 10
+
+
+@pytest.mark.parametrize("bad", [1.0, True, "1"])
+def test_sector_and_index_arguments_refuse_non_integers(bad):
+    """A sector or a dof index that is not an int is refused by name, where
+    a float or a bool used to pass the range check and land on a slot (True
+    as 1: q2 at dof 2), and a string raised a bare TypeError."""
+    sig = GroupSignature(2)
+    hybrid = HybridObservable.identity(sig)
+    for call, field in ((lambda: slot_index(2, bad, 1), "sector"),
+                        (lambda: ClassicalPoly.var(1, "q", bad), "sector"),
+                        (lambda: apply_antiderivative(Element.one(sig), bad), "sector"),
+                        (lambda: hybrid.derivative_q(bad), "dof index"),
+                        (lambda: hybrid.derivative_p(bad), "dof index"),
+                        (lambda: WeylOperator.generator(qq_algebra(sig), "Q", bad), "dof index")):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            call()
