@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -32,13 +32,13 @@ from .scalars import (
     PlanckMap,
     Scalar,
     S_ONE,
-    power,
+    flat_value,
     scalar,
     unit_cycle,
     unit_from_str,
     unit_to_str,
 )
-from .terms import (accumulate, coeff_str, exponent_map,
+from .terms import (TermMap, accumulate, coeff_str, exponent_map,
                     normal_order, pair_masks, render_terms)
 
 __all__ = [
@@ -214,10 +214,13 @@ class GroupSignature:
         return 3 + 2 * self.slot_of(sector, i)
 
     def var_index(self, letter: str, sector: int, i: int = 1) -> int:
-        """Exponent index of delta variable 's', 'x' or 'y' of a sector and dof index."""
-        if letter == "s":
-            return sector - 1
-        return self.x_index(sector, i) if letter == "x" else self.y_index(sector, i)
+        """Exponent index of delta variable 's', 'x' or 'y' of a sector and
+        dof index; a sector or dof index out of range, or any other letter,
+        is a ValueError."""
+        if letter not in ("s", "x", "y"):
+            raise ValueError(f"letter must be 's', 'x' or 'y', got {letter!r}")
+        slot = self.slot_of(sector, i)
+        return sector - 1 if letter == "s" else 2 + 2 * slot + (letter == "y")
 
     @cached_property
     def delta_names(self) -> Tuple[str, ...]:
@@ -229,7 +232,7 @@ class GroupSignature:
         """normal_order's contraction rule of each slot in an Element key: a
         contraction raises the exponent of the slot's sector generator S,
         at index 0 or 1, by one and multiplies by -eps."""
-        neg_eps = partial(power, -self.convention.eps_comm)
+        neg_eps = flat_value(-self.convention.eps_comm)
         return tuple((self.slot_sector(t) - 1, (1,), neg_eps) for t in range(self.slots))
 
     def unit_factor(self, mono: Sequence[int]) -> Union[int, CRat]:
@@ -255,15 +258,13 @@ class Element(PlanckMap):
     zero coefficients) on construction.  Flat keys end in Planck exponents.
     """
 
-    __slots__ = ("signature",)
+    __slots__ = ()
 
+    signature = TermMap.space
     _mismatch = "elements built over different signatures"
 
     def __init__(self, signature: GroupSignature, terms: Mapping[Monomial, Scalar]):
-        self._freeze(signature=signature, flat=self._flatten(terms, signature.width))
-
-    def _context(self) -> tuple:
-        return (self.signature,)
+        self._freeze(self._flatten(terms, signature.width), signature)
 
     # -- constructors ------------------------------------------------------
 

@@ -17,11 +17,11 @@ linear factor A_s, exponent -1, where there is not.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Dict, Mapping, Tuple, Union
 
 from .errors import AObservableProductError, NotMechanised, SignatureMismatch, UnknownRule
-from .scalars import CR_ONE, CRat, PlanckMap, Scalar, flat_value, power
+from .scalars import CR_ONE, CRat, PlanckMap, Scalar, flat_map, flat_value
 from .group_algebra import (Element, GroupSignature, commutator, delta_str, element_to_json,
                             require_int, slot_index, var_names)
 from .terms import (TermMap, accumulate, clean_terms, normal_order, pair_halves,
@@ -49,8 +49,9 @@ class ClassicalPoly(TermMap):
     Exponent vectors run over (q_11, p_11, ..., q_1n, p_1n, q_21, ..., p_2n).
     """
 
-    __slots__ = ("dof",)
+    __slots__ = ()
 
+    dof = TermMap.space
     terms = TermMap.flat        # CRat coefficients: the flat map is the view
     _coerce = staticmethod(CRat.of)
     _mismatch = "classical polynomials over different dof counts"
@@ -58,10 +59,7 @@ class ClassicalPoly(TermMap):
     def __init__(self, dof: int, terms: Mapping[CMonomial, Union[CRat, int, Fraction]]):
         if require_int(dof, "dof") < 1:
             raise ValueError("dof must be a positive integer")
-        self._freeze(dof=dof, flat=clean_terms(terms, 4 * dof, CRat.of))
-
-    def _context(self) -> tuple:
-        return (self.dof,)
+        self._freeze(clean_terms(terms, 4 * dof, CRat.of), dof)
 
     @property
     def width(self) -> int:
@@ -159,13 +157,13 @@ def mechanise_weyl(sig: GroupSignature, f: ClassicalPoly) -> Element:
         y, x = ((0, 0) + half + (0, 0, 0) for half in (ys, xs))
         for key, u in normal_order(y, x, 2, rules):
             accumulate(out, key, c if u is None else c * u)
-    return Element._over(out, signature=sig)
+    return Element._over(flat_map(out), sig)
 
 
 @lru_cache(maxsize=64)
 def _mechanisation_rules(sig: GroupSignature) -> Tuple[tuple, ...]:
-    """The contraction rules at -eps/2, one tuple per signature for normal_order's table."""
-    half_neg_eps = partial(power, -sig.convention.eps_comm * CRat.of(Fraction(1, 2)))
+    """The signature's contraction rules at the unit -eps/2."""
+    half_neg_eps = flat_value(-sig.convention.eps_comm * CRat.of(Fraction(1, 2)))
     return tuple((raised, step, half_neg_eps) for raised, step, _ in sig.contraction_rules)
 
 
@@ -233,8 +231,9 @@ class AObservable(PlanckMap):
     negative exponent, -1 at index 0 or 1.
     """
 
-    __slots__ = ("signature",)
+    __slots__ = ()
 
+    signature = TermMap.space
     _mismatch = Element._mismatch
 
     def __init__(self, plain: Element, a1_part: Element, a2_part: Element):
@@ -248,23 +247,20 @@ class AObservable(PlanckMap):
         flat = dict(plain.flat)
         flat.update(((-1,) + k[1:], c) for k, c in a1_part.flat.items())
         flat.update((k[:1] + (-1,) + k[2:], c) for k, c in a2_part.flat.items())
-        self._freeze(signature=sig, flat=flat)
-
-    def _context(self) -> tuple:
-        return (self.signature,)
+        self._freeze(flat, sig)
 
     @classmethod
     def of(cls, e: Union[Element, "AObservable"]) -> "AObservable":
         """e as an AObservable; an Element's terms are all plain."""
         if isinstance(e, AObservable):
             return e
-        return cls._over(e.flat, signature=e.signature)
+        return cls._over(e.flat, e.signature)
 
     def _part(self, a: int) -> Element:
         """The terms behind A_a (a = 0: the plain ones), exponent -1 read as 0."""
         return Element._over({(max(k[0], 0), max(k[1], 0)) + k[2:]: c
                               for k, c in self.flat.items()
-                              if (k[0] < 0) + 2 * (k[1] < 0) == a}, signature=self.signature)
+                              if (k[0] < 0) + 2 * (k[1] < 0) == a}, self.signature)
 
     plain = property(lambda self: self._part(0), doc="The terms without a formal factor.")
     a1_part = property(lambda self: self._part(1), doc="The coefficient of A1.")
@@ -305,7 +301,7 @@ def apply_antiderivative(e: Element, sector: int) -> AObservable:
         raise ValueError("sector must be 1 or 2")
     idx = sector - 1
     return AObservable._over({k[:idx] + (k[idx] - 1,) + k[idx + 1:]: c
-                              for k, c in e.flat.items()}, signature=e.signature)
+                              for k, c in e.flat.items()}, e.signature)
 
 
 def universal_bracket(k1: Element, k2: Element) -> AObservable:

@@ -31,7 +31,8 @@ from .scalars import CR_I, CR_MINUS_I, CRat, Scalar, S_ONE, flat_value, scalar
 from .group_algebra import Element, require_rational
 from .terms import accumulate, normal_order, pair_halves
 from .pmech import ClassicalPoly, poisson_classical, universal_bracket, weyl_symbol
-from .representations import HybridObservable, WeylOperator, commutator_hybrid, qc_algebra, rep_qc
+from .representations import (HybridObservable, WeylOperator, _jet_rules, commutator_hybrid,
+                              qc_algebra, rep_qc)
 
 __all__ = [
     "poisson_ordered",
@@ -52,7 +53,7 @@ def poisson_ordered(K1: HybridObservable, K2: HybridObservable) -> HybridObserva
     the written order.  The classical parts multiply commutatively, without
     the star correction: the hybrid product by the Weyl pairs' rules alone."""
     K1._check(K2)
-    weyl = K1.rules[:K1.dof]
+    weyl = _jet_rules(K1.signature)[:K1.dof]
 
     def flat(k1: tuple, k2: tuple) -> list:
         return [] if k1[-4] + k2[-4] > 1 else normal_order(k1, k2, 0, weyl)
@@ -114,7 +115,7 @@ def _ordered_weyl_transport(k_sig, f: ClassicalPoly) -> WeylOperator:
         for key, u in normal_order(*((ps, qs) if anti else (qs, ps)), 0,
                                    alg.contraction_rules):
             accumulate(out, key, c if u is None else u * c)
-    return WeylOperator._over(out, algebra=alg)
+    return WeylOperator._over(out, alg)
 
 
 def classicality_gap(k1: Element, k2: Element) -> HybridObservable:

@@ -22,13 +22,13 @@ scalar, for every integer n, and a formal antiderivative A_s is S_s^-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Mapping, Optional, Tuple, Union
 
 from .errors import SignatureMismatch, ZeroPlanck
-from .scalars import CR_I, CRat, PlanckMap, Scalar, S_ONE, power, scalar
-from .terms import (accumulate, coeff_str, exponent_map,
+from .scalars import CR_I, CRat, PlanckMap, Scalar, S_ONE, flat_value, scalar
+from .terms import (TermMap, accumulate, coeff_str, exponent_map,
                     normal_order, pair_masks, power_str, render_terms)
 from .group_algebra import Element, GroupSignature, require_int, require_rational
 from .pmech import AObservable, ClassicalPoly
@@ -85,7 +85,7 @@ class WeylAlgebra:
         """normal_order's contraction rule of each pair in an operator key:
         a contraction adds gamma's Planck exponents to the tail, at index
         ``width``, and multiplies by minus gamma's constant."""
-        return tuple((self.width, e, partial(power, -c))
+        return tuple((self.width, e, flat_value(-c))
                      for (e, c), in (gamma.flat.items() for gamma in self.gammas))
 
 
@@ -93,15 +93,13 @@ class WeylOperator(PlanckMap):
     """Noncommutative polynomial in the algebra generators, kept in normal
     form with Q before P inside each pair; flat keys end in Planck exponents."""
 
-    __slots__ = ("algebra",)
+    __slots__ = ()
 
+    algebra = TermMap.space
     _mismatch = "operators over different Weyl algebras"
 
     def __init__(self, algebra: WeylAlgebra, terms: Mapping[WMonomial, Union[Scalar, CRat, int, Fraction]]):
-        self._freeze(algebra=algebra, flat=self._flatten(terms, algebra.width))
-
-    def _context(self) -> tuple:
-        return (self.algebra,)
+        self._freeze(self._flatten(terms, algebra.width), algebra)
 
     # -- constructors -----------------------------------------------------
 
@@ -180,13 +178,13 @@ class HybridObservable(PlanckMap):
     a ClassicalPoly's sector-2 slots, and last the jet degree in {0, 1},
     the power of h2, then in a flat key the Planck exponents.  Coefficients
     are Scalars free of h2, which only the jet degree carries.  The signature
-    is the whole context: it fixes qc_algebra(signature), dof and star unit;
-    the slots algebra and rules hold what the products read of it,
-    qc_algebra(signature) and _jet_rules(signature).
+    is the whole space: it fixes qc_algebra(signature), the dof and the
+    contraction rules, _jet_rules(signature).
     """
 
-    __slots__ = ("signature", "algebra", "rules")
+    __slots__ = ()
 
+    signature = TermMap.space
     _coerce = staticmethod(_h2_free)
     _mismatch = "hybrid observables over different signatures"
 
@@ -195,15 +193,10 @@ class HybridObservable(PlanckMap):
         flat = self._flatten(terms, 4 * signature.dof + 1, _h2_free)
         if any(key[-4] > 1 for key in flat):
             raise ValueError("jet degree must be 0 or 1")
-        self._freeze(signature=signature, algebra=qc_algebra(signature),
-                     rules=_jet_rules(signature), flat=flat)
+        self._freeze(flat, signature)
 
-    def _context(self) -> tuple:
-        return (self.signature,)
-
-    @property
-    def dof(self) -> int:
-        return self.signature.dof
+    dof = property(lambda self: self.signature.dof)
+    algebra = property(lambda self: qc_algebra(self.signature))
 
     # -- constructors ------------------------------------------------------
 
@@ -227,9 +220,10 @@ class HybridObservable(PlanckMap):
         jet = k1[-4] + k2[-4]
         if jet > 1:
             return []
+        rules = _jet_rules(self.signature)
         if jet:
-            return normal_order(k1, k2, 0, self.rules[:self.signature.dof])
-        return [e for e in normal_order(k1, k2, 0, self.rules) if e[0][-4] < 2]
+            return normal_order(k1, k2, 0, rules[:self.signature.dof])
+        return [e for e in normal_order(k1, k2, 0, rules) if e[0][-4] < 2]
 
     def _masks(self, key: tuple) -> tuple:
         """The Weyl pairs' bits, then, at jet degree 0, the classical (q, p)
@@ -357,7 +351,7 @@ def rep_qq(k: Union[Element, AObservable],
         s1, s2 = key[0], key[1]
         accumulate(acc, key[2:-3] + (key[-3], key[-2] + s1, key[-1] + s2),
                    coeff * cycle[(s1 + s2) % 4])
-    out = WeylOperator._over(acc, algebra=qq_algebra(sig))
+    out = WeylOperator._over(acc, qq_algebra(sig))
     return out.substitute(**subs) if subs else out
 
 
@@ -380,8 +374,7 @@ def rep_qc(k: Union[Element, AObservable]) -> HybridObservable:
                        coeff * cycle[(s1 + jet) % 4])
     if any(key[-1] for key in acc):
         raise ValueError(_H2_REFUSED)
-    return HybridObservable._over(acc, signature=sig, algebra=qc_algebra(sig),
-                                  rules=_jet_rules(sig))
+    return HybridObservable._over(acc, sig)
 
 
 def multiply_hybrid(a: HybridObservable, b: HybridObservable) -> HybridObservable:

@@ -220,6 +220,11 @@ def flat_value(c: CRat) -> Union[int, CRat]:
     return c._a if not c._b and c._d == 1 else c
 
 
+def flat_map(flat: dict) -> dict:
+    """A flat map with every real-integer CRat value held as its int."""
+    return {k: c if type(c) is int else flat_value(c) for k, c in flat.items()}
+
+
 @lru_cache(maxsize=512)
 def power(base: CRat, k: int) -> Union[int, CRat]:
     """base ** k as a flat value; the bases are a convention's few constants."""
@@ -304,13 +309,7 @@ class Scalar(TermMap):
             if len(e) != 3:
                 raise ValueError(f"Scalar exponents are (h, h1, h2) triples, got {e!r}")
             accumulate(clean, tuple(e), CRat.of(c))
-        self._freeze(flat=clean)
-
-    def _context(self) -> tuple:
-        return ()
-
-    def __reduce__(self):
-        return (Scalar, (self.terms,))
+        self._freeze(clean, None)
 
     @staticmethod
     def make(num: Mapping[tuple, CRatLike], den: tuple = _ZERO_EXP) -> "Scalar":
@@ -457,14 +456,9 @@ class Scalar(TermMap):
     __repr__ = __str__
 
 
-_set_terms = TermMap.flat.__set__
-
-
 def _from_terms(terms: dict) -> Scalar:
     """Scalar over a term map that already has no zero coefficients."""
-    s = _object_new(Scalar)
-    _set_terms(s, terms)
-    return s
+    return Scalar._over(terms, None)
 
 
 S_ZERO = _from_terms({})
@@ -514,8 +508,7 @@ class PlanckMap(TermMap):
 
     def substitute(self, **values: CRatLike) -> "PlanckMap":
         """Scalar.substitute on each flat key's Planck tail, real integers held as ints."""
-        flat = Scalar.substitute(self, **values).flat
-        return self._like({k: c if type(c) is int else flat_value(c) for k, c in flat.items()})
+        return self._like(flat_map(Scalar.substitute(self, **values).flat))
 
     def degree(self) -> int:
         """Largest sum of the positive exponents before a key's Planck tail

@@ -16,13 +16,13 @@ mechanisation and the ordered transport expand with it, each layout
 stating its contraction rule per pair.
 
 It sits at the bottom of the package and imports no other pbracket module
-except errors, so scalars.py can use the printer; the unit powers of a
-contraction rule reach the kernel through the rule.
+except errors, so scalars.py can use the printer; the unit of a
+contraction rule reaches the kernel as a value of the rule.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import compress, count
 from math import comb, factorial
 from operator import add, mul
@@ -87,10 +87,11 @@ def normal_order(k1: Sequence[int], k2: Sequence[int], first: int,
 
         Y^m X^n = sum_k  k! C(m,k) C(n,k) (-[X, Y])^k  X^(n-k) Y^(m-k).
 
-    ``rules[t] = (raised, step, unit_power)`` states -[X, Y] in the key's
-    layout: a contraction adds ``step[j]`` to index ``raised + j``, before
-    the pairs or after them (a central exponent, the Planck tail, the jet
-    degree), and k of them multiply by ``unit_power(k)``, a flat value.
+    ``rules[t] = (raised, step, unit)`` states -[X, Y] in the key's layout:
+    a contraction adds ``step[j]`` to index ``raised + j``, before the pairs
+    or after them (a central exponent, the Planck tail, the jet degree),
+    and k of them multiply by ``unit ** k``; ``unit`` is a flat value, an
+    int or a CRat, so equal rules are equal tuples.
 
     Entry 0 is the uncontracted term, the keys added, with factor None
     (one), the same for either order of k1 and k2; TermMap._commutator
@@ -118,12 +119,20 @@ def normal_order(k1: Sequence[int], k2: Sequence[int], first: int,
 @lru_cache(maxsize=2048)
 def _contractions(rule: tuple, m: int, n: int) -> Tuple[tuple, ...]:
     """(factor, k, bumps) per contracted term of Y^m X^n, k >= 1, under a
-    rule: k! C(m,k) C(n,k) unit^k, an int or a CRat, and the (index, shift)
-    of each exponent the rule raises.  Bounded; the key hashes no CRat."""
-    raised, step, unit_power = rule
-    return tuple((weight * unit_power(k), k,
+    rule: k! C(m,k) C(n,k) unit^k as a flat value, and the (index, shift)
+    of each exponent the rule raises.  Bounded, and keyed by the rule's
+    value, so equal rules of different signatures share their entries."""
+    raised, step, unit = rule
+    return tuple((_flat(weight * unit ** k), k,
                   tuple((raised + j, k * s) for j, s in enumerate(step) if s))
                  for k, weight in _expansion(m, n)[1:])
+
+
+def _flat(f):
+    """An int or a CRat as a flat map holds it: a real integer as its int."""
+    if type(f) is int or f.im or f.re.denominator != 1:
+        return f
+    return f.re.numerator
 
 
 def _expansion(m: int, n: int) -> Tuple[Tuple[int, int], ...]:
@@ -207,16 +216,17 @@ def render_terms(terms: Iterable[Tuple[str, str]]) -> str:
 
 
 class TermMap:
-    """Immutable map ``flat`` from flat exponent keys to nonzero coefficients.
+    """Immutable map ``flat`` from flat exponent keys to nonzero coefficients
+    over one ``space``, the value that fixes where its keys live: a
+    signature, a Weyl algebra, a dof count, or None for a Scalar.
 
-    A subclass stores the fields that fix its space (signature, algebra,
-    ...) in its own ``__slots__``, which ``_like`` copies, returns them from
-    ``_context`` in its constructor's argument order, and validates input
-    in ``__init__(*context, terms)``; AObservable, which has no product,
-    is built from its three Element parts instead; ``terms`` is the public
-    map by monomial.  It sets ``_coerce`` (coefficient coercion, raising
-    TypeError on foreign types) and ``_mismatch`` (the message when spaces differ), and defines
-    ``_expand``, ``_masks`` and ``_identity`` when it has a product.
+    A subclass names ``space`` for its callers (``signature = TermMap.space``)
+    and validates input in ``__init__(space, terms)``; AObservable, which has
+    no product, is built from its three Element parts instead; ``terms`` is
+    the public map by monomial.  It sets ``_coerce`` (coefficient coercion,
+    raising TypeError on foreign types) and ``_mismatch`` (the message when
+    spaces differ), and defines ``_expand``, ``_masks`` and ``_identity``
+    when it has a product.
 
     ``_expand(k1, k2)`` is the product of one flat key pair over its
     coefficient product c1*c2, as a list of ``(key, factor)`` entries, each
@@ -227,41 +237,39 @@ class TermMap:
     built on it.
     """
 
-    __slots__ = ("flat",)
+    __slots__ = ("flat", "space")
 
-    def _freeze(self, **fields) -> None:
-        """Set the fields once, from ``__init__``."""
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+    def _freeze(self, flat: dict, space) -> None:
+        """Set the two fields once, from ``__init__``."""
+        _set_flat(self, flat)
+        _set_space(self, space)
 
     def __setattr__(self, *args):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        """Copy and pickle rebuild through _over, with the context fields."""
-        cls = type(self)
-        return partial(cls._over, **{n: getattr(self, n) for n in cls.__slots__}), (self.flat,)
+        """Copy and pickle rebuild through _over."""
+        return type(self)._over, (self.flat, self.space)
 
     @classmethod
-    def _over(cls, flat: dict, **fields) -> "TermMap":
+    def _over(cls, flat: dict, space) -> "TermMap":
         """The constructor's result over valid flat terms, unvalidated."""
-        out = object.__new__(cls)
-        out._freeze(flat=flat, **fields)
+        out = _new_map(cls)
+        _set_flat(out, flat)
+        _set_space(out, space)
         return out
 
     def _like(self, flat: dict) -> "TermMap":
         """A map in this one's space over flat terms that arithmetic on
         valid maps built: valid keys, nonzero coefficients.  Skips the
         constructor's validation."""
-        cls = type(self)
-        out = object.__new__(cls)
-        for name in cls.__slots__:
-            object.__setattr__(out, name, getattr(self, name))
-        object.__setattr__(out, "flat", flat)
+        out = _new_map(type(self))
+        _set_flat(out, flat)
+        _set_space(out, self.space)
         return out
 
     def _check(self, other: "TermMap") -> None:
-        if self._context() != other._context():
+        if self.space is not other.space and self.space != other.space:
             raise SignatureMismatch(self._mismatch)
 
     # -- linear structure ------------------------------------------------
@@ -353,10 +361,10 @@ class TermMap:
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self._context() == other._context() and self.flat == other.flat
+        return self.space == other.space and self.flat == other.flat
 
     def __hash__(self):
-        return hash((self._context(), frozenset(self.flat.items())))
+        return hash((self.space, frozenset(self.flat.items())))
 
     def __bool__(self) -> bool:
         return bool(self.flat)
@@ -366,3 +374,8 @@ class TermMap:
     def degree(self) -> int:
         """Largest total exponent over the monomials (0 when empty)."""
         return max((sum(m) for m in self.terms), default=0)
+
+
+_new_map = object.__new__
+_set_flat = TermMap.flat.__set__
+_set_space = TermMap.space.__set__

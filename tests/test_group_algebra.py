@@ -295,6 +295,25 @@ def test_out_of_range_slots_keep_their_messages():
         parse_group_var(SIG2, "y13")
 
 
+@pytest.mark.parametrize("args, match", [
+    (("s", 3), r"^sector must be 1 or 2$"),
+    (("s", 0), r"^sector must be 1 or 2$"),
+    (("s", 1.0), r"^sector must be an integer, got 1\.0$"),
+    (("s", 1, 2), r"^dof index 2 outside 1\.\.1$"),
+    (("x", 2, 0), r"^dof index 0 outside 1\.\.1$"),
+    (("q", 1), r"^letter must be 's', 'x' or 'y', got 'q'$"),
+    (("", 1), r"^letter must be 's', 'x' or 'y', got ''$"),
+])
+def test_var_index_checks_every_letter_and_sector(args, match):
+    """At dof 1 the valid indices are 0..5; a sector, a dof index or a
+    letter out of range is refused, for 's' too, rather than read as another
+    variable's index."""
+    assert [SIG.var_index(*v) for v in (("s", 1), ("s", 2), ("x", 1), ("y", 1),
+                                        ("x", 2), ("y", 2))] == list(range(6))
+    with pytest.raises(ValueError, match=match):
+        SIG.var_index(*args)
+
+
 def test_parse_group_var_forms():
     assert parse_group_var(SIG, "s1") == 0
     assert parse_group_var(SIG, "s2") == 1

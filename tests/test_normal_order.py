@@ -232,7 +232,7 @@ def _normal_order_per_pair(k1, k2, first, rules):
     included, its weight k! C(m,k) C(n,k) computed afresh and the pair's
     rule applied to it.  The uncontracted entry comes first, factor 1."""
     out = [(tuple(x + y for x, y in zip(k1, k2)), 1)]
-    for t, (raised, step, unit_power) in enumerate(rules):
+    for t, (raised, step, unit) in enumerate(rules):
         ix = first + 2 * t
         m, n = k1[ix + 1], k2[ix]
         grown = []
@@ -244,7 +244,7 @@ def _normal_order_per_pair(k1, k2, first, rules):
                 for j, s in enumerate(step):
                     e[raised + j] += k * s
                 weight = factorial(k) * comb(m, k) * comb(n, k)
-                grown.append((tuple(e), f * weight * unit_power(k)))
+                grown.append((tuple(e), f * weight * unit ** k))
         out = grown
     return out
 
@@ -355,3 +355,31 @@ def test_contraction_table_equals_the_per_pair_reference_up_to_k_4(dof):
                         for _ in range(2):
                             _assert_same_expansion(tuple(k1), tuple(k2), first, rules)
     assert _contractions.cache_info().hits
+
+
+def test_equal_rules_share_the_contraction_table():
+    """A rule is plain data, (raised, step, unit) with the unit a flat
+    value, so the table is keyed by its value: Y^3 X^3 over a second,
+    separately built equal signature or Weyl algebra adds no miss, and every
+    factor the table holds is an int or a CRat that is not a real integer."""
+    for conv in CONVENTIONS:
+        def y3_x3(sig):
+            y, x = (Element.generator(sig, name) for name in ("Y_1_1", "X_1_1"))
+            return multiply(y ** 3, x ** 3)
+
+        def weyl(sig):
+            alg = WeylAlgebra(("1",), qc_algebra(sig).gammas)
+            p, q = (WeylOperator.generator(alg, kind, 0) for kind in "PQ")
+            return (p ** 3) * (q ** 3)
+
+        for build in (y3_x3, weyl):
+            first = build(GroupSignature(1, conv))
+            misses = _contractions.cache_info().misses
+            assert build(GroupSignature(1, conv)) == first
+            assert _contractions.cache_info().misses == misses, (conv, build)
+    sig = GroupSignature(2, CONVENTIONS[2])
+    for rule in sig.contraction_rules + qc_algebra(sig).contraction_rules + _jet_rules(sig):
+        for m in range(5):
+            for n in range(5):
+                for f, _, _ in _contractions(rule, m, n):
+                    assert type(f) is int or f.im or f.re.denominator != 1, (rule, m, n)

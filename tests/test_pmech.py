@@ -206,3 +206,26 @@ def test_universal_bracket_reconstruction():
 def test_universal_bracket_canonical_pair_sector2():
     ub = universal_bracket(mechanise_weyl(SIG, q(2)), mechanise_weyl(SIG, p(2)))
     assert str(ub) == "1 + (delta[s2])*A1"
+
+
+def test_mechanise_holds_real_integers_as_ints():
+    """A PlanckMap holds a real-integer coefficient as an int.  McCoy's
+    factors at -eps/2 are often whole: q1^2 p1^4 has the coefficients 4 and
+    3 under the standard tuple.  Every flat value of an image is an int or
+    a CRat that is not a real integer, on q1^2 p1^4 and on a seeded sample
+    at dof 1 to 3."""
+    import random
+    from pbracket.sampling import rand_classical
+
+    def whole(c):
+        return type(c) is CRat and not c.im and c.re.denominator == 1
+
+    image = mechanise_weyl(SIG, q(1) ** 2 * p(1) ** 4)
+    assert 4 in image.flat.values() and 3 in image.flat.values()
+    assert not any(whole(c) for c in image.flat.values())
+    for dof in (1, 2, 3):
+        rng = random.Random(4100 + dof)
+        sig = GroupSignature(dof)
+        for _ in range(40):
+            image = mechanise_weyl(sig, rand_classical(rng, dof, max_degree=6))
+            assert not any(whole(c) for c in image.flat.values()), image

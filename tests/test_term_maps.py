@@ -40,7 +40,7 @@ from pbracket.terms import TermMap, accumulate, pair_masks
 
 def assert_revalidates(x):
     assert all(not c.is_zero for c in x.terms.values())
-    rebuilt = type(x)(*x._context(), dict(x.terms))
+    rebuilt = type(x)(x.space, dict(x.terms))
     assert rebuilt == x
     assert all(type(c) is type(rebuilt.terms[k]) for k, c in x.terms.items())
 
@@ -360,7 +360,7 @@ def _planck_valued_maps(dof):
 def _rebuild(x):
     if isinstance(x, AObservable):
         return AObservable(x.plain, x.a1_part, x.a2_part)
-    return type(x)(*x._context(), dict(x.terms))
+    return type(x)(x.space, dict(x.terms))
 
 
 @pytest.mark.parametrize("dof", [1, 2, 3])
@@ -388,7 +388,7 @@ def test_the_terms_view_regroups_the_planck_tail(dof):
     # equality and hashing agree with the view across different values too
     for x, y in itertools.combinations(maps[:8], 2):
         if type(x) is type(y):
-            assert (x == y) == (x._context() == y._context() and x.terms == y.terms)
+            assert (x == y) == (x.space == y.space and x.terms == y.terms)
             assert x != y or hash(x) == hash(y)
 
 
@@ -544,8 +544,7 @@ def test_samplers_equal_the_per_term_construction(dof):
 
 def _all_crat(x):
     """The same map with every flat value held as a CRat."""
-    fields = {name: getattr(x, name) for name in type(x).__slots__}
-    return type(x)._over({k: CRat.of(c) for k, c in x.flat.items()}, **fields)
+    return x._like({k: CRat.of(c) for k, c in x.flat.items()})
 
 
 def _value_kinds(x):
@@ -603,8 +602,8 @@ def test_substitute_equals_substituting_each_coefficient(dof):
             if isinstance(x, HybridObservable) and "h2" in values:
                 continue        # refused: the jet degree carries h2
             got = x.substitute(**values)
-            assert got == type(x)(*x._context(), {m: c.substitute(**values)
-                                                  for m, c in x.terms.items()})
+            assert got == type(x)(x.space, {m: c.substitute(**values)
+                                          for m, c in x.terms.items()})
             assert all(type(c) is int or flat_value(c) is c for c in got.flat.values())
             checked.add(type(x))
     assert checked == {Element, WeylOperator, HybridObservable}
@@ -648,8 +647,9 @@ def test_accumulate_drops_a_sum_that_cancels():
 
 @pytest.mark.parametrize("dof", [1, 2])
 def test_every_term_map_copies_and_pickles(dof):
-    """copy, deepcopy and pickle rebuild a map through TermMap._over with
-    its context: the result is equal, hashes equal, keeps its flat values'
+    """copy, deepcopy and pickle rebuild a map through TermMap._over from
+    its flat map and its space alone (a hybrid's signature, nothing derived
+    from it): the result is equal, hashes equal, keeps its flat values'
     types and still computes."""
     sig = GroupSignature(dof)
     maps = _mixed_maps(dof) + [
@@ -660,6 +660,7 @@ def test_every_term_map_copies_and_pickles(dof):
     kinds = {type(x) for x in maps}
     assert {Element, WeylOperator, HybridObservable, AObservable, ClassicalPoly} <= kinds
     for x in maps:
+        assert x.__reduce__() == (type(x)._over, (x.flat, x.space))
         for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
             assert type(y) is type(x)
             assert y == x and hash(y) == hash(x) and str(y) == str(x)
@@ -668,3 +669,62 @@ def test_every_term_map_copies_and_pickles(dof):
                 y.flat = {}
             if not isinstance(x, AObservable):
                 assert y * y == x * x
+    h = HybridObservable.identity(sig)
+    assert h.__reduce__()[1] == (h.flat, h.signature)
+
+
+# -- one space per map ------------------------------------------------------------
+
+
+def _one_of_each(dof):
+    """One map of every term-map type, each with its space's public name."""
+    sig = GroupSignature(dof)
+    e = mechanise_weyl(sig, rand_classical(random.Random(dof), dof, max_degree=3))
+    return [(e, "signature"), (universal_bracket(e, e.scale(2) * e), "signature"),
+            (rep_qq(e), "algebra"), (rep_qc(e), "signature"),
+            (rand_classical(random.Random(dof), dof, max_degree=3), "dof"),
+            (Scalar.symbol("h", -1, Fraction(1, 2)), None)]
+
+
+@pytest.mark.parametrize("dof", [1, 2])
+def test_every_term_map_holds_flat_and_one_space(dof):
+    """A map stores two fields, ``flat`` and ``space``, and a type names the
+    space for its callers: no instance has a __dict__, every subclass adds
+    no slot, and setting either field, or any other, is refused."""
+    sig = GroupSignature(dof)
+    assert TermMap.__slots__ == ("flat", "space")
+    for x, name in _one_of_each(dof):
+        assert not hasattr(x, "__dict__")
+        assert all(cls.__dict__.get("__slots__", ()) == () for cls in type(x).__mro__[:-2])
+        if name is None:
+            assert x.space is None
+        else:
+            assert getattr(x, name) is x.space
+        for field in ("flat", "space", "signature", "other"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(x, field, None)
+    h = rep_qc(Element.one(sig))
+    assert h.space is sig and h.algebra is qc_algebra(sig) and h.dof == dof
+
+
+def test_maps_over_equal_signatures_meet_and_others_do_not():
+    """Two separately built equal signatures are one space: their maps add,
+    multiply, commute and compare equal.  Maps over dof 1 and dof 2 raise
+    SignatureMismatch."""
+    rng = random.Random(1700)
+    f = rand_classical(rng, 1, max_degree=3)
+    g = rand_classical(rng, 1, max_degree=3)
+    s1, s2 = GroupSignature(1), GroupSignature(1)
+    assert s1 is not s2
+    for build in (lambda sig, p: mechanise_weyl(sig, p), lambda sig, p: rep_qc(mechanise_weyl(sig, p))):
+        a1, b1 = build(s1, f), build(s1, g)
+        a2, b2 = build(s2, f), build(s2, g)
+        assert a1 == a2 and hash(a1) == hash(a2)
+        assert a1 + b2 == a2 + b1
+        assert a1 * b2 == a2 * b1
+        assert a1 * b2 - b2 * a1 == a2._commutator(b1) == a1._commutator(b2)
+        other = build(GroupSignature(2), ClassicalPoly.constant(2, 1))
+        for op in (lambda x, y: x + y, lambda x, y: x * y, lambda x, y: x._commutator(y)):
+            with pytest.raises(SignatureMismatch):
+                op(a1, other)
+        assert a1 != other
