@@ -29,7 +29,6 @@ deterministic, so the report renders byte for byte identically across runs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import NoConsistentConvention
@@ -39,22 +38,22 @@ from .pmech import AObservable, ClassicalPoly, mechanise_weyl, universal_bracket
 from .representations import (HybridObservable, WeylAlgebra, WeylOperator,
                               commutator_hybrid, qc_algebra, rep_qc)
 from .qc_bracket import INV_IH, classicality_gap
+from .terms import Record
 
 __all__ = ["CalibrationReport", "calibrate_conventions", "calibration_report"]
 
 _SIGNS = (1, -1)
 
 
-@dataclass(frozen=True)
-class CalibrationReport:
-    chosen: ConventionTuple
-    passing: Tuple[ConventionTuple, ...]
-    candidates: int
-    matched_order: str
-    commutator_line: str
-    pipeline_line: str
-    downstream_fingerprints: Tuple[str, ...]
-    downstream_equivalent: bool
+class CalibrationReport(Record):
+    _fields = ("chosen", "passing", "candidates", "matched_order", "commutator_line",
+               "pipeline_line", "downstream_fingerprints", "downstream_equivalent")
+
+    def __init__(self, chosen: ConventionTuple, passing: Tuple[ConventionTuple, ...],
+                 candidates: int, matched_order: str, commutator_line: str, pipeline_line: str,
+                 downstream_fingerprints: Tuple[str, ...], downstream_equivalent: bool):
+        self._freeze(chosen, passing, candidates, matched_order, commutator_line,
+                     pipeline_line, downstream_fingerprints, downstream_equivalent)
 
     def to_json(self) -> dict:
         return {

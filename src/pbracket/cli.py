@@ -32,7 +32,6 @@ commands are mechanised with the Weyl rule first.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from fractions import Fraction
@@ -215,6 +214,7 @@ def _element_arg(text: str, sig) -> Element:
 
 def _emit(ns: argparse.Namespace, payload, text: str) -> None:
     if ns.json:
+        import json
         print(json.dumps(payload, sort_keys=True))
     else:
         print(text)
@@ -275,6 +275,7 @@ def _cmd_oracle(ns: argparse.Namespace, cfg: EngineConfig) -> int:
     from .oracle import oracle_check
     reports = oracle_check(ns.seed, sig=cfg.signature())
     if ns.json:
+        import json
         print(json.dumps([r.to_json() for r in reports], sort_keys=True))
     else:
         for r in reports:

@@ -8,12 +8,11 @@ not exist is an error; silence would hide a misconfigured environment.
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass
 from typing import Optional
 
 from .group_algebra import ConventionTuple, GroupSignature, require_int
+from .terms import Record
 
 __all__ = ["ENV_VAR", "MAX_DOF", "EngineConfig", "load_config", "save_config", "resolve_config"]
 
@@ -24,14 +23,15 @@ ENV_VAR = "PBRACKET_CONFIG"
 MAX_DOF = 64
 
 
-@dataclass(frozen=True)
-class EngineConfig:
-    convention: ConventionTuple
-    dof: int = 1
+class EngineConfig(Record):
+    _fields = ("convention", "dof")
 
-    def __post_init__(self):
-        if not 1 <= require_int(self.dof, "dof") <= MAX_DOF:
-            raise ValueError(f"dof must be an integer from 1 to {MAX_DOF}, got {self.dof}")
+    def __init__(self, convention: ConventionTuple, dof: int = 1):
+        if not isinstance(convention, ConventionTuple):
+            raise ValueError(f"convention must be a ConventionTuple, got {convention!r}")
+        if not 1 <= require_int(dof, "dof") <= MAX_DOF:
+            raise ValueError(f"dof must be an integer from 1 to {MAX_DOF}, got {dof}")
+        self._freeze(convention, dof)
 
     @classmethod
     def default(cls) -> "EngineConfig":
@@ -54,11 +54,13 @@ class EngineConfig:
 
 
 def load_config(path: str) -> EngineConfig:
+    import json
     with open(path, "r", encoding="utf-8") as fh:
         return EngineConfig.from_json(json.load(fh))
 
 
 def save_config(config: EngineConfig, path: str) -> None:
+    import json
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(config.to_json(), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -18,7 +18,6 @@ kappa factors of the ConventionTuple (one factor per derivative).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -38,7 +37,7 @@ from .scalars import (
     unit_from_str,
     unit_to_str,
 )
-from .terms import (TermMap, accumulate, coeff_str, exponent_map,
+from .terms import (Record, TermMap, accumulate, coeff_str, exponent_map,
                     normal_order, pair_masks, render_terms)
 
 __all__ = [
@@ -78,8 +77,7 @@ def require_rational(value, name: str) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class ConventionTuple:
+class ConventionTuple(Record):
     """Sign and unit choices left free by the algebraic relations.
 
     eps_comm is the structure constant in [X, Y] = eps_comm * S; the kappa
@@ -88,14 +86,11 @@ class ConventionTuple:
     central generators, S_s -> rep_s_sign * i * hbar_s.
     """
 
-    eps_comm: CRat
-    kappa_x: CRat
-    kappa_y: CRat
-    kappa_s: CRat
-    orient: int
-    rep_s_sign: int
+    _fields = _UNIT_FIELDS + _SIGN_FIELDS
 
-    def __post_init__(self):
+    def __init__(self, eps_comm: CRat, kappa_x: CRat, kappa_y: CRat, kappa_s: CRat,
+                 orient: int, rep_s_sign: int):
+        self._freeze(eps_comm, kappa_x, kappa_y, kappa_s, orient, rep_s_sign)
         for name in _UNIT_FIELDS:
             value = getattr(self, name)     # a CRat: an int 1 equals CR_ONE too
             if type(value) is not CRat or value not in UNIT_VALUES:
@@ -177,22 +172,17 @@ def var_names(dof: int, letters: str) -> Tuple[str, ...]:
                  for sector in (1, 2) for i in range(1, dof + 1) for letter in letters)
 
 
-@dataclass(frozen=True)
-class GroupSignature:
+class GroupSignature(Record):
     """Two sectors, dof degrees of freedom each, plus the convention tuple."""
 
-    dof: int
-    convention: ConventionTuple = field(default_factory=lambda: ConventionTuple.standard())
+    _fields = ("dof", "convention")
 
-    def __post_init__(self):
-        if require_int(self.dof, "dof") < 1:
+    def __init__(self, dof: int, convention: ConventionTuple = ConventionTuple.standard()):
+        if require_int(dof, "dof") < 1:
             raise ValueError("dof must be a positive integer")
-
-    def __hash__(self) -> int:
-        """The dataclass's hash((dof, convention)), computed once per signature."""
-        return self._hash
-
-    _hash = cached_property(lambda self: hash((self.dof, self.convention)))
+        if not isinstance(convention, ConventionTuple):
+            raise ValueError(f"convention must be a ConventionTuple, got {convention!r}")
+        self._freeze(dof, convention)
 
     @property
     def width(self) -> int:

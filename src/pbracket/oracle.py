@@ -26,7 +26,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import TYPE_CHECKING, Dict, List, Tuple, Union
@@ -35,7 +34,7 @@ from .errors import DimensionTooSmall, UnsupportedConvention
 from .scalars import CRat, CR_I, CR_ZERO, Scalar, S_ONE, flat_value, power, scalar
 from .group_algebra import Element, GroupSignature, commutator, multiply
 from .representations import WeylOperator, qc_algebra
-from .terms import accumulate, clean_terms, power_str
+from .terms import Record, accumulate, clean_terms, power_str
 from . import sampling
 
 if TYPE_CHECKING:
@@ -220,17 +219,15 @@ def matrix_max_error(wa: WeylOperator, wb: WeylOperator) -> float:
 # reports and suites
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(Record):
     """One oracle check.  The exact suites also record how many instances
     failed and a reproducer for the first; both are empty on a pass."""
 
-    check: str
-    inputs_hash: str
-    status: str
-    max_abs_error: float
-    failures: int = 0
-    counterexample: str = ""
+    _fields = ("check", "inputs_hash", "status", "max_abs_error", "failures", "counterexample")
+
+    def __init__(self, check: str, inputs_hash: str, status: str, max_abs_error: float,
+                 failures: int = 0, counterexample: str = ""):
+        self._freeze(check, inputs_hash, status, max_abs_error, failures, counterexample)
 
     def to_json(self) -> dict:
         data = {

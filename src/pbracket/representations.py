@@ -21,14 +21,13 @@ scalar, for every integer n, and a formal antiderivative A_s is S_s^-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Mapping, Optional, Tuple, Union
 
 from .errors import SignatureMismatch, ZeroPlanck
 from .scalars import CR_I, CRat, PlanckMap, Scalar, S_ONE, flat_value, scalar
-from .terms import (TermMap, accumulate, coeff_str, exponent_map,
+from .terms import (Record, TermMap, accumulate, coeff_str, exponent_map,
                     normal_order, pair_masks, power_str, render_terms)
 from .group_algebra import Element, GroupSignature, require_int, require_rational
 from .pmech import AObservable, ClassicalPoly
@@ -49,23 +48,22 @@ __all__ = [
 WMonomial = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class WeylAlgebra:
+class WeylAlgebra(Record):
     """A finite family of (Q_i, P_i) pairs with central commutators:
     Q_i P_i - P_i Q_i = gamma_i, different pairs commute.  Each gamma_i is
     one nonzero term, a constant times a Laurent monomial in h, h1 and h2,
     so a contraction is one Planck shift and one constant."""
 
-    labels: Tuple[str, ...]
-    gammas: Tuple[Scalar, ...]
+    _fields = ("labels", "gammas")
 
-    def __post_init__(self):
-        if len(self.labels) != len(self.gammas):
+    def __init__(self, labels: Tuple[str, ...], gammas: Tuple[Scalar, ...]):
+        if len(labels) != len(gammas):
             raise ValueError("labels and gammas must align")
-        for label, gamma in zip(self.labels, self.gammas):
+        for label, gamma in zip(labels, gammas):
             if not isinstance(gamma, Scalar) or len(gamma.flat) != 1:
                 raise ValueError(f"gamma of pair {label!r} must be one nonzero term, "
                                  f"a constant times a monomial in h, h1, h2; got {gamma!r}")
+        self._freeze(labels, gammas)
 
     @property
     def dofs(self) -> int:

@@ -17,12 +17,13 @@ stating its contraction rule per pair.
 
 It sits at the bottom of the package and imports no other pbracket module
 except errors, so scalars.py can use the printer; the unit of a
-contraction rule reaches the kernel as a value of the rule.
+contraction rule reaches the kernel as a value of the rule.  It also holds
+Record, the base of the package's frozen value records.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress, count
 from math import comb, factorial
 from operator import add, mul
@@ -31,6 +32,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 from .errors import SignatureMismatch
 
 __all__ = [
+    "Record",
     "TermMap",
     "accumulate",
     "clean_terms",
@@ -379,3 +381,42 @@ class TermMap:
 _new_map = object.__new__
 _set_flat = TermMap.flat.__set__
 _set_space = TermMap.space.__set__
+
+
+# ---------------------------------------------------------------------------
+# the frozen-record base
+
+
+class Record:
+    """Immutable value record: a subclass names its ``_fields`` and its
+    ``__init__`` validates and passes their values, in that order, to
+    ``_freeze``.  Equality (the same type and equal values), the hash,
+    ``repr`` and pickling read the one tuple of values stored there; the
+    instance keeps its ``__dict__``, so cached properties work."""
+
+    _fields: Tuple[str, ...] = ()
+
+    def _freeze(self, *values) -> None:
+        self.__dict__.update(zip(self._fields, values), _values=values)
+
+    def __setattr__(self, *args):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        return self._values == other._values if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    _hash = cached_property(lambda self: hash(self._values))
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values))
+        return f"{type(self).__qualname__}({args})"
+
+    def __reduce__(self):
+        return type(self), self._values

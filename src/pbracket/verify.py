@@ -13,7 +13,6 @@ import math
 import os
 import random
 import traceback
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -31,6 +30,7 @@ from .oracle import (ALGEBRA_LAWS, MATRIX_DIM, MATRIX_TOL, VF_PAIRS, OracleRepor
 from .calibration import (bracket_target, calibration_report, commutator_target,
                           ordered_image)
 from .config import EngineConfig
+from .terms import Record
 from . import sampling
 
 __all__ = ["VerifyItem", "VerifyReport", "run_verify"]
@@ -41,13 +41,12 @@ _PATH_PAIRS = 50
 _REDUCTION_PAIRS = 25
 
 
-@dataclass(frozen=True)
-class VerifyItem:
-    name: str
-    status: str
-    expected: str
-    actual: str
-    detail: Tuple[str, ...] = ()
+class VerifyItem(Record):
+    _fields = ("name", "status", "expected", "actual", "detail")
+
+    def __init__(self, name: str, status: str, expected: str, actual: str,
+                 detail: Tuple[str, ...] = ()):
+        self._freeze(name, status, expected, actual, detail)
 
     @property
     def ok(self) -> bool:
@@ -63,11 +62,11 @@ class VerifyItem:
         }
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    seed: int
-    config: EngineConfig
-    items: Tuple[VerifyItem, ...]
+class VerifyReport(Record):
+    _fields = ("seed", "config", "items")
+
+    def __init__(self, seed: int, config: EngineConfig, items: Tuple[VerifyItem, ...]):
+        self._freeze(seed, config, items)
 
     @property
     def ok(self) -> bool:

@@ -71,9 +71,9 @@ def test_central_cycle_is_the_cycle_of_rep_s_sign_times_i():
 
 
 def test_signature_hash_is_the_field_tuples_and_survives_copies():
-    """The cached hash is hash((dof, convention)), as the dataclass computed
-    it: equal signatures hash alike, through copy and pickle too, and a
-    signature never equals the tuple of its fields."""
+    """The cached hash is hash((dof, convention)), the hash of the record's
+    field tuple: equal signatures hash alike, through copy and pickle too,
+    and a signature never equals the tuple of its fields."""
     conv = ConventionTuple(CR_I, CR_ONE, CR_MINUS_ONE, CR_ONE, 1, -1)
     for dof, c in ((1, ConventionTuple.standard()), (2, conv), (3, conv)):
         sig = GroupSignature(dof, c)
