@@ -6,8 +6,10 @@ dof 2, and its wall time spreads widely between benchmark runs.  This
 script imports both trees into one process, as ``ab_session.py`` does
 (under the package names ``pbracket_base`` and ``pbracket_head``), and
 times one round of both calls per tree, alternating which tree goes first.
-The drift of a shared host then lands on both sides alike.  The first
-round of each side meets cold caches; later rounds find them warm.
+The drift of a shared host then lands on both sides alike.  One untimed
+warm-up round per side goes first: it pays the imports both trees share
+(numpy, loaded by the first run_verify) and fills each tree's caches, so
+every timed round finds them warm.
 
 Usage, from the root of a checkout:
 
@@ -15,8 +17,8 @@ Usage, from the root of a checkout:
 
 BASE_ROOT and HEAD_ROOT are checkouts with a ``src/pbracket``; HEAD_ROOT
 defaults to this checkout.  Prints each side's median and interquartile
-range of the per-round time, the head/base ratio of the medians, and how
-many rounds head won, pairing each round's two times, so a rule such as
+range of the per-round time, the head/base ratio of the medians beside
+the median of the per-round head/base ratios, and how many rounds head won, pairing each round's two times, so a rule such as
 "better in 9 of 10 pairs" reads off one run.  Each
 round's ``render()`` and ``to_json()`` at both dofs are compared between
 the trees; the script prints the number of rounds that differ and exits 1
@@ -62,6 +64,8 @@ def main(argv=None) -> int:
 
     engines = {side: load_tree(root, f"pbracket_{side}", ("config", "group_algebra", "verify"))
                for side, root in zip(SIDES, (args.base, args.head))}
+    for side in SIDES:
+        verify_round(engines[side], args.seed)     # warm-up, untimed
     times = {side: [] for side in SIDES}
     mismatches = 0
     for i in range(args.rounds):
@@ -81,7 +85,9 @@ def main(argv=None) -> int:
         q1, _, q3 = statistics.quantiles(t, n=4) if len(t) > 1 else (t[0], t[0], t[0])
         medians[side] = statistics.median(t)
         print(f"{side:6} {medians[side]:10.4f} {q1:10.4f} {q3:10.4f}")
-    print(f"{'ratio':6} {medians['head'] / medians['base'] - 1:+10.1%}")
+    paired = statistics.median(h / b for b, h in zip(times["base"], times["head"]))
+    print(f"{'ratio':6} {medians['head'] / medians['base'] - 1:+10.1%} of the medians, "
+          f"{paired - 1:+.1%} median of the per-round ratios")
     won = sum(h < b for b, h in zip(times["base"], times["head"]))
     print(f"head won {won} of {args.rounds} rounds (paired by round)")
     print(f"outputs differ on {mismatches} of {args.rounds} rounds")

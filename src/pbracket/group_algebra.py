@@ -37,8 +37,7 @@ from .scalars import (
     unit_from_str,
     unit_to_str,
 )
-from .terms import (Record, TermMap, accumulate, coeff_str, exponent_map,
-                    normal_order, pair_masks, render_terms)
+from .terms import Record, TermMap, accumulate, coeff_str, exponent_map, render_terms
 
 __all__ = [
     "ConventionTuple",
@@ -197,12 +196,6 @@ class GroupSignature(Record):
     def slot_of(self, sector: int, i: int) -> int:
         return slot_index(self.dof, sector, i)
 
-    def x_index(self, sector: int, i: int) -> int:
-        return 2 + 2 * self.slot_of(sector, i)
-
-    def y_index(self, sector: int, i: int) -> int:
-        return 3 + 2 * self.slot_of(sector, i)
-
     def var_index(self, letter: str, sector: int, i: int = 1) -> int:
         """Exponent index of delta variable 's', 'x' or 'y' of a sector and
         dof index; a sector or dof index out of range, or any other letter,
@@ -282,13 +275,7 @@ class Element(PlanckMap):
                  coeff: Union[Scalar, CRat, int, Fraction] = 1) -> "Element":
         return cls(sig, {tuple(mono): scalar(coeff)})
 
-    def _expand(self, m1: Monomial, m2: Monomial) -> list:
-        """Each (X, Y) slot put in normal order by the shared kernel, by the
-        signature's rules; the central generators and Planck tails add."""
-        return normal_order(m1, m2, 2, self.signature.contraction_rules)
-
-    def _masks(self, mono: Monomial) -> tuple:
-        return pair_masks(mono, 2, self.signature.slots)
+    _first = 2      # S1 and S2 come first, and add
 
     def _identity(self) -> "Element":
         return Element.one(self.signature)

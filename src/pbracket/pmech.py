@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Callable, Dict, Mapping, Tuple, Union
 
 from .errors import AObservableProductError, NotMechanised, SignatureMismatch, UnknownRule
-from .scalars import CR_ONE, CRat, PlanckMap, Scalar, flat_map, flat_value
+from .scalars import CR_ONE, CRat, PlanckMap, flat_map, flat_value
 from .group_algebra import (Element, GroupSignature, commutator, delta_str, element_to_json,
                             require_int, slot_index, var_names)
 from .terms import (TermMap, accumulate, clean_terms, normal_order, pair_halves,
@@ -87,9 +87,6 @@ class ClassicalPoly(TermMap):
             raise ValueError("kind must be 'q' or 'p'")
         return 2 * slot_index(dof, sector, i) + (0 if kind == "q" else 1)
 
-    _expand = Scalar._expand     # commutative, like the coefficients
-    _masks = Scalar._masks
-
     def _identity(self) -> "ClassicalPoly":
         return ClassicalPoly.constant(self.dof, 1)
 
@@ -100,8 +97,10 @@ class ClassicalPoly(TermMap):
         return any(any(m[lo:lo + 2 * self.dof]) for m in self.terms)
 
     def derivative(self, idx: int) -> "ClassicalPoly":
-        """d/dx of the variable at exponent index idx.  The loop reads only
+        """d/dx of the variable at index idx < 4*dof.  The loop reads only
         flat exponent keys, so HybridObservable differentiates with it too."""
+        if not 0 <= require_int(idx, "variable index") < 4 * self.dof:
+            raise ValueError(f"variable index {idx} outside 0..{4 * self.dof - 1}")
         out = {}
         for m, c in self.flat.items():
             if m[idx]:
@@ -297,6 +296,10 @@ def apply_antiderivative(e: Element, sector: int) -> AObservable:
     the monomial behind the formal factor A_s (exponent -1) when not; the
     shift is one-to-one, so no two terms meet.
     """
+    if not isinstance(e, Element):
+        raise AObservableProductError(
+            f"apply_antiderivative takes an Element, got {type(e).__name__}; "
+            "the antiderivative factors are applied exactly once")
     if require_int(sector, "sector") not in (1, 2):
         raise ValueError("sector must be 1 or 2")
     idx = sector - 1

@@ -31,8 +31,7 @@ from .scalars import CR_I, CR_MINUS_I, CRat, Scalar, S_ONE, flat_value, scalar
 from .group_algebra import Element, require_rational
 from .terms import accumulate, normal_order, pair_halves
 from .pmech import ClassicalPoly, poisson_classical, universal_bracket, weyl_symbol
-from .representations import (HybridObservable, WeylOperator, _jet_rules, commutator_hybrid,
-                              qc_algebra, rep_qc)
+from .representations import HybridObservable, WeylOperator, commutator_hybrid, qc_algebra, rep_qc
 
 __all__ = [
     "poisson_ordered",
@@ -53,7 +52,7 @@ def poisson_ordered(K1: HybridObservable, K2: HybridObservable) -> HybridObserva
     the written order.  The classical parts multiply commutatively, without
     the star correction: the hybrid product by the Weyl pairs' rules alone."""
     K1._check(K2)
-    weyl = _jet_rules(K1.signature)[:K1.dof]
+    weyl = qc_algebra(K1.signature).contraction_rules
 
     def flat(k1: tuple, k2: tuple) -> list:
         return [] if k1[-4] + k2[-4] > 1 else normal_order(k1, k2, 0, weyl)

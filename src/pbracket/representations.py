@@ -27,8 +27,8 @@ from typing import Mapping, Optional, Tuple, Union
 
 from .errors import SignatureMismatch, ZeroPlanck
 from .scalars import CR_I, CRat, PlanckMap, Scalar, S_ONE, flat_value, scalar
-from .terms import (Record, TermMap, accumulate, coeff_str, exponent_map,
-                    normal_order, pair_masks, power_str, render_terms)
+from .terms import (Record, TermMap, accumulate, coeff_str, exponent_map, normal_order,
+                    pair_masks, power_str, render_terms)
 from .group_algebra import Element, GroupSignature, require_int, require_rational
 from .pmech import AObservable, ClassicalPoly
 
@@ -80,10 +80,10 @@ class WeylAlgebra(Record):
 
     @cached_property
     def contraction_rules(self) -> Tuple[tuple, ...]:
-        """normal_order's contraction rule of each pair in an operator key:
-        a contraction adds gamma's Planck exponents to the tail, at index
-        ``width``, and multiplies by minus gamma's constant."""
-        return tuple((self.width, e, flat_value(-c))
+        """normal_order's contraction rule of each pair: a contraction adds
+        gamma's Planck exponents to the tail, from the key's end (index -3,
+        so in an operator and a hybrid key alike), times -gamma's constant."""
+        return tuple((-3, e, flat_value(-c))
                      for (e, c), in (gamma.flat.items() for gamma in self.gammas))
 
 
@@ -118,12 +118,6 @@ class WeylOperator(PlanckMap):
         mono = [0] * algebra.width
         mono[2 * d + (0 if kind == "Q" else 1)] = 1
         return cls(algebra, {tuple(mono): S_ONE})
-
-    def _expand(self, m1: tuple, m2: tuple) -> list:
-        return normal_order(m1, m2, 0, self.algebra.contraction_rules)
-
-    def _masks(self, mono: WMonomial) -> tuple:
-        return pair_masks(mono, 0, self.algebra.dofs)
 
     def _identity(self) -> "WeylOperator":
         return WeylOperator.identity(self.algebra)
@@ -213,15 +207,10 @@ class HybridObservable(PlanckMap):
 
     def _expand(self, k1: tuple, k2: tuple) -> list:
         """The Weyl and classical pairs put in normal order by the shared
-        kernel, by _jet_rules, and nothing past jet degree 1: a jet-1 pair
-        takes the Weyl rules alone, a jet-0 pair drops its jet-2 entries."""
-        jet = k1[-4] + k2[-4]
-        if jet > 1:
-            return []
-        rules = _jet_rules(self.signature)
-        if jet:
-            return normal_order(k1, k2, 0, rules[:self.signature.dof])
-        return [e for e in normal_order(k1, k2, 0, rules) if e[0][-4] < 2]
+        kernel, by _jet_rules, and nothing past jet degree 1: a classical
+        contraction raises the jet, so a jet-1 pair keeps only its Weyl
+        entries, and two jet-1 keys keep none."""
+        return [e for e in normal_order(k1, k2, 0, _jet_rules(self.signature)) if e[0][-4] < 2]
 
     def _masks(self, key: tuple) -> tuple:
         """The Weyl pairs' bits, then, at jet degree 0, the classical (q, p)
@@ -317,14 +306,12 @@ def qc_algebra(sig: GroupSignature) -> WeylAlgebra:
 @lru_cache(maxsize=64)
 def _jet_rules(sig: GroupSignature) -> Tuple[tuple, ...]:
     """normal_order's contraction rules in a hybrid key: each Weyl pair's,
-    its Planck tail moved past the classical exponents and the jet degree,
-    then each classical (q, p) pair's, the jet of sector 2's Heisenberg
-    pair: a contraction raises the jet degree, at index 4*dof, by one and
-    multiplies by the Weyl pair's unit, as h2 times its -gamma would."""
-    shift = 2 * sig.dof + 1
+    as in an operator key, then each classical (q, p) pair's, the jet of
+    sector 2's Heisenberg pair: a contraction raises the jet degree, just
+    before the Planck tail, by one and multiplies by the Weyl pair's unit,
+    as h2 times its -gamma would."""
     weyl = qc_algebra(sig).contraction_rules
-    return (tuple((raised + shift, step, unit) for raised, step, unit in weyl)
-            + tuple((4 * sig.dof, (1,), unit) for _, _, unit in weyl))
+    return weyl + tuple((-4, (1,), unit) for _, _, unit in weyl)
 
 
 def rep_qq(k: Union[Element, AObservable],

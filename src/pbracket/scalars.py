@@ -11,10 +11,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add
 from typing import Mapping, Optional, Union
 
-from .terms import TermMap, accumulate, clean_terms, power_str, render_terms
+from .terms import (TermMap, accumulate, clean_terms, normal_order, pair_masks, power_str,
+                    render_terms)
 
 __all__ = [
     "CRat",
@@ -344,13 +344,6 @@ class Scalar(TermMap):
     def __rsub__(self, other) -> "Scalar":
         return Scalar.of(other) + (-self)
 
-    def _expand(self, e1: tuple, e2: tuple) -> list:
-        """Commutative: a term pair is the one term at the exponent sum."""
-        return [(tuple(map(add, e1, e2)), None)]
-
-    def _masks(self, e: tuple) -> tuple:
-        return 0, 0         # no pair ever contracts
-
     def _identity(self) -> "Scalar":
         return S_ONE
 
@@ -477,11 +470,20 @@ class PlanckMap(TermMap):
     it is a real integer (``flat_value``; equality and hashing agree), so
     the product loops mostly multiply ints.  ``terms``, the public view
     {monomial: Scalar} over CRats, is regrouped on each read: printers and
-    writers read it once, engine loops never."""
+    writers read it once, engine loops never.  A key's (X, Y) pairs, from
+    index ``_first``, multiply by normal_order over the space's
+    ``contraction_rules``, one per pair; every other index adds."""
 
     __slots__ = ()
 
     _coerce = staticmethod(scalar)
+    _first = 0
+
+    def _expand(self, k1: tuple, k2: tuple) -> list:
+        return normal_order(k1, k2, self._first, self.space.contraction_rules)
+
+    def _masks(self, key: tuple) -> tuple:
+        return pair_masks(key, self._first, len(self.space.contraction_rules))
 
     @staticmethod
     def _flatten(terms: Mapping[tuple, object], width: int, coerce=scalar) -> dict:

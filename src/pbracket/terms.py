@@ -8,8 +8,9 @@ AObservable's is an Element's, its formal antiderivative factor A_s the
 exponent -1 of the central generator S_s, so each representation reads
 both in one pass.  This module holds their common parts:
 the term-map base class with its linear operations and the one product loop
-and one commutator loop that every type runs (a type states only how one
-term pair expands, and which pairs of a key can contract), the accumulate
+and one commutator loop that every type runs (how one term pair expands,
+and which pairs of a key can contract, is written once per kind of map:
+commutative here, by normal_order in scalars.PlanckMap), the accumulate
 step, the term printer, and normal_order, the one Heisenberg contraction
 kernel: every noncommutative product (Element, Weyl, hybrid), the Weyl
 mechanisation and the ordered transport expand with it, each layout
@@ -227,8 +228,7 @@ class TermMap:
     no product, is built from its three Element parts instead; ``terms`` is
     the public map by monomial.  It sets ``_coerce`` (coefficient coercion,
     raising TypeError on foreign types) and ``_mismatch`` (the message when
-    spaces differ), and defines ``_expand``, ``_masks`` and ``_identity``
-    when it has a product.
+    spaces differ), and defines ``_identity`` when it has a product.
 
     ``_expand(k1, k2)`` is the product of one flat key pair over its
     coefficient product c1*c2, as a list of ``(key, factor)`` entries, each
@@ -236,7 +236,8 @@ class TermMap:
     term, the same for either order of the pair, and its factor is None,
     meaning one; every later entry carries its factor.  An empty list means
     the pair contributes nothing.  ``_product`` and ``_commutator`` are
-    built on it.
+    built on it and on ``_masks(key)``, the key's pair_masks: commutative
+    here, and in PlanckMap for a key with (X, Y) pairs.
     """
 
     __slots__ = ("flat", "space")
@@ -349,6 +350,13 @@ class TermMap:
                     for key, f in expand(k2, k1)[1:]:
                         accumulate(acc, key, signed * f)
         return self._like(acc)
+
+    def _expand(self, k1: tuple, k2: tuple) -> list:
+        """Commutative: a term pair is the one term at the key sum."""
+        return [(tuple(map(add, k1, k2)), None)]
+
+    def _masks(self, key: tuple) -> tuple:
+        return 0, 0         # no pair ever contracts
 
     def __pow__(self, k: int) -> "TermMap":
         if k < 0:

@@ -259,8 +259,8 @@ def test_classical_and_group_variables_share_slot_and_name(dof):
     sig = GroupSignature(dof)
     for sector in (1, 2):
         for i in range(1, dof + 1):
-            for kind, letter, group_index in (("q", "x", sig.x_index(sector, i)),
-                                              ("p", "y", sig.y_index(sector, i))):
+            for kind, letter, group_index in (("q", "x", sig.var_index("x", sector, i)),
+                                              ("p", "y", sig.var_index("y", sector, i))):
                 assert ClassicalPoly.var_index(dof, kind, sector, i) + 2 == group_index
                 delta = str(Element.generator(sig, f"{letter.upper()}_{sector}_{i}"))
                 classical = str(ClassicalPoly.var(dof, kind, sector, i))
@@ -269,12 +269,13 @@ def test_classical_and_group_variables_share_slot_and_name(dof):
 
 def test_out_of_range_slots_keep_their_messages():
     from pbracket.pmech import ClassicalPoly
-    for call in (lambda: SIG2.slot_of(3, 1), lambda: SIG2.x_index(0, 1),
-                 lambda: SIG2.y_index(-1, 1), lambda: ClassicalPoly.var_index(2, "q", 3, 1),
+    for call in (lambda: SIG2.slot_of(3, 1), lambda: SIG2.var_index("x", 0, 1),
+                 lambda: SIG2.var_index("y", -1, 1),
+                 lambda: ClassicalPoly.var_index(2, "q", 3, 1),
                  lambda: ClassicalPoly.var(2, "p", 0)):
         with pytest.raises(ValueError, match=r"^sector must be 1 or 2$"):
             call()
-    for call in (lambda: SIG2.slot_of(1, 3), lambda: SIG2.x_index(2, 0),
+    for call in (lambda: SIG2.slot_of(1, 3), lambda: SIG2.var_index("x", 2, 0),
                  lambda: ClassicalPoly.var_index(2, "p", 1, 3)):
         with pytest.raises(ValueError, match=r"^dof index -?\d+ outside 1\.\.2$"):
             call()
@@ -319,13 +320,14 @@ def test_parse_group_var_forms():
     assert parse_group_var(SIG, "s2") == 1
     assert parse_group_var(SIG, "x1") == 2
     assert parse_group_var(SIG, "y1") == 3
-    assert parse_group_var(SIG2, "x21") == SIG2.x_index(2, 1)
-    assert parse_group_var(SIG2, "x_2_2") == SIG2.x_index(2, 2)
+    assert parse_group_var(SIG2, "x21") == SIG2.var_index("x", 2, 1)
+    assert parse_group_var(SIG2, "x_2_2") == SIG2.var_index("x", 2, 2)
     with pytest.raises(ValueError):
         parse_group_var(SIG, "z1")
     with pytest.raises(ValueError):
         parse_group_var(SIG, "x12")
-    assert parse_group_var(GroupSignature(12), " X_2_10") == GroupSignature(12).x_index(2, 10)
+    sig12 = GroupSignature(12)
+    assert parse_group_var(sig12, " X_2_10") == sig12.var_index("x", 2, 10)
     with pytest.raises(ValueError, match=r"^malformed variable name 's11'$"):
         delta_to_element(SIG, ["s11"])
 

@@ -175,6 +175,36 @@ def test_apply_antiderivative_strip_or_retain():
     assert ao.a2_part.is_zero
 
 
+def test_apply_antiderivative_takes_only_an_element():
+    """An AObservable already carries its factors: lowering an S exponent
+    that is -1 again gave a nonzero map that printed 0, and a bracket's A2
+    terms merged with its plain terms under one *A2."""
+    twice = lambda: apply_antiderivative(apply_antiderivative(Element.one(SIG), 1), 2)
+    bracket = universal_bracket(mechanise_weyl(SIG, q(1) ** 2), mechanise_weyl(SIG, p(1) ** 2))
+    for call in (twice, lambda: apply_antiderivative(bracket, 2),
+                 lambda: apply_antiderivative(AObservable.of(Element.one(SIG)), 1),
+                 lambda: apply_antiderivative(q(1), 1)):
+        with pytest.raises(AObservableProductError, match="takes an Element"):
+            call()
+
+
+@pytest.mark.parametrize("dof", [1, 2])
+@pytest.mark.parametrize("idx, match", [
+    (-1, r"^variable index -1 outside 0\.\.{top}$"),
+    ("width", r"^variable index {width} outside 0\.\.{top}$"),
+    (1.0, r"^variable index must be an integer, got 1\.0$"),
+    (True, r"^variable index must be an integer, got True$"),
+], ids=["negative", "width", "float", "bool"])
+def test_classical_derivative_checks_its_index(dof, idx, match):
+    """A negative index read a tail exponent and built a key of twice the
+    width, one past the last was a bare IndexError, and a float a TypeError."""
+    f = q(1, n=dof) * p(2, dof, n=dof)
+    width = 4 * dof
+    with pytest.raises(ValueError, match=match.format(top=width - 1, width=width)):
+        f.derivative(width if idx == "width" else idx)
+    assert f.derivative(width - 1) == q(1, n=dof)
+
+
 def test_universal_bracket_biquadratic():
     k1 = mechanise_weyl(SIG, q(1) ** 2)
     k2 = mechanise_weyl(SIG, p(1) ** 2)

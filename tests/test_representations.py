@@ -18,7 +18,7 @@ from pbracket.representations import (HybridObservable, WeylAlgebra,
                                       WeylOperator, _jet_rules, commutator_hybrid,
                                       hybrid_from_sector2_poly, multiply_hybrid,
                                       qc_algebra, qq_algebra, rep_qc, rep_qq)
-from pbracket.terms import pair_masks
+from pbracket.terms import _contractions, pair_masks
 
 SIG = GroupSignature(dof=1)
 
@@ -310,12 +310,32 @@ def test_star_unit_times_h_is_minus_the_qc_gamma_under_every_convention():
         for dof in (1, 2):
             sig = GroupSignature(dof, conv)
             weyl, rules = qc_algebra(sig).contraction_rules, _jet_rules(sig)
+            assert rules[:dof] == weyl, conv
             for (_, _, unit), (raised, step, star) in zip(weyl, rules[dof:], strict=True):
-                assert (raised, step) == (4 * dof, (1,)), conv
+                assert (raised, step) == (-4, (1,)), conv
                 assert star == unit, conv
             assert scalar(rules[dof][2]) * h == -qc_algebra(sig).gammas[0], conv
         count += 1
     assert count == 1024
+
+
+@pytest.mark.parametrize("dof", [1, 2])
+def test_weyl_and_hybrid_products_share_contraction_entries(dof):
+    """The Weyl rules raise the Planck tail from the key's end, so an
+    operator key and a hybrid key take the same rule tuple: once an
+    operator product has contracted a pair, the same pair contracting in a
+    hybrid product finds its terms in terms._contractions."""
+    sig = GroupSignature(dof)
+    alg = qc_algebra(sig)
+    q, p = (WeylOperator.generator(alg, kind, dof - 1) for kind in "QP")
+    hq, hp = (HybridObservable.from_weyl(w, sig) for w in (q, p))
+    _contractions.cache_clear()
+    weyl_pq = p * q
+    misses = _contractions.cache_info().misses
+    assert misses >= 1
+    hybrid_pq = hp * hq
+    assert _contractions.cache_info().misses == misses
+    assert hybrid_pq == HybridObservable.from_weyl(weyl_pq, sig) != hq * hp
 
 
 def test_algebras_are_shared_per_signature_in_bounded_caches():

@@ -31,3 +31,4 @@ def test_ab_verify_finds_no_differing_outputs_against_its_own_tree():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "outputs differ on 0" in proc.stdout
     assert "head won" in proc.stdout
+    assert "median of the per-round ratios" in proc.stdout

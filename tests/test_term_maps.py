@@ -32,7 +32,7 @@ from pbracket.representations import (HybridObservable, WeylOperator, commutator
                                       rep_qq)
 from pbracket.errors import SignatureMismatch
 from pbracket.sampling import rand_classical, rand_crat, rand_element, rand_group_monomial
-from pbracket.scalars import CR_MINUS_I, S_ONE, UNIT_VALUES, CRat, Scalar, flat_value
+from pbracket.scalars import CR_MINUS_I, S_ONE, UNIT_VALUES, CRat, PlanckMap, Scalar, flat_value
 from pbracket.group_algebra import ConventionTuple
 from pbracket import terms as terms_module
 from pbracket.terms import TermMap, accumulate, pair_masks
@@ -272,13 +272,13 @@ def test_pairs_on_disjoint_slots_are_never_expanded(monkeypatch, dof):
 
 @pytest.mark.parametrize("dof", [1, 2, 3])
 def test_every_term_key_is_a_flat_int_tuple_of_its_width(dof):
-    """Every type with an _expand, and Scalar, keys a term by one flat tuple
-    of ints, so validation, masks and degree read every key alike."""
+    """Every type with a product keys a term by one flat tuple of ints, so
+    validation, masks and degree read every key alike."""
     sig = GroupSignature(dof)
     widths = {Element: sig.width, WeylOperator: qq_algebra(sig).width,
               HybridObservable: qc_algebra(sig).width + 2 * dof + 1,
               ClassicalPoly: 4 * dof, Scalar: 3}
-    assert {c for c in _subclasses(TermMap) if "_expand" in vars(c)} | {Scalar} == set(widths)
+    assert {c for c in _subclasses(TermMap) if "_identity" in vars(c)} == set(widths)
     rng = random.Random(1100 + dof)
     seen = set()
     for _ in range(5):
@@ -325,15 +325,20 @@ def test_every_commutator_runs_the_shared_loop(monkeypatch):
 def test_no_term_map_writes_its_own_product_loop():
     """No type keeps a _product of its own, Scalar included: the types over
     Scalar coefficients store them flat, so no product loop multiplies
-    Scalars, and Scalar states only its _expand like every other type."""
+    Scalars.  How a term pair expands is written once per kind of map:
+    TermMap's commutative default, PlanckMap's normal ordering of the pairs
+    from _first, and the hybrid's cut at jet degree 1."""
     subs = set(_subclasses(TermMap))
     assert {Element, AObservable, WeylOperator, HybridObservable, ClassicalPoly,
             Scalar} <= subs
     assert {c for c in subs if "_product" in vars(c)} == set()
     assert not any("_commutator" in vars(c) for c in subs)
+    for hook in ("_expand", "_masks"):
+        assert {c for c in subs | {TermMap} if hook in vars(c)} == \
+            {TermMap, PlanckMap, HybridObservable}, hook
+    assert {c for c in subs if "_first" in vars(c)} == {PlanckMap, Element}
     assert {c for c in subs if "_identity" in vars(c)} == \
-        {c for c in subs if "_masks" in vars(c)} == \
-        {c for c in subs if "_expand" in vars(c)}
+        {Element, WeylOperator, HybridObservable, ClassicalPoly, Scalar}
 
 
 # -- the Planck tail of a flat key --------------------------------------------
